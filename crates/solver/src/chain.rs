@@ -585,11 +585,211 @@ enum BottomSolver {
     /// streams — the dominant bytes of a deep application — at half
     /// width.
     DirectF32(EnvelopeLdlF32),
-    /// Jacobi-preconditioned CG run to high accuracy (fallback when the
-    /// bottom is too large to factor).
-    Iterative,
+    /// Jacobi-preconditioned CG on the bottom's merged-row matrix
+    /// (fallback when the bottom is too large to factor). Inside a
+    /// preconditioner application it stops at the loose
+    /// [`SolverChain::PRECOND_BOTTOM_TOL`]; see DESIGN.md §2.9.
+    Iterative(JacobiBottom),
     /// The bottom graph has no edges; the solution is zero.
     Trivial,
+}
+
+/// Build-time state of the iterative bottom.
+#[derive(Debug, Clone)]
+struct JacobiBottom {
+    /// `1 / deg(v)` of the bottom matrix (1 for isolated vertices, as in
+    /// [`parsdd_linalg::jacobi::JacobiPreconditioner`]).
+    inv_diag: Vec<f64>,
+    /// Iterations one seeded probe solve took at
+    /// [`SolverChain::PRECOND_BOTTOM_TOL`] at build time — the per-solve
+    /// iteration count the work model charges.
+    probe_iterations: usize,
+}
+
+impl JacobiBottom {
+    /// Caches `D⁻¹` of the bottom matrix and runs the work model's probe:
+    /// one solve of a seeded right-hand side, projected onto the range
+    /// componentwise, at [`SolverChain::PRECOND_BOTTOM_TOL`].
+    fn new(matrix: &PermutedLevel, labels: &[u32], components: usize, seed: u64) -> Self {
+        let inv_diag = (0..matrix.n())
+            .map(|v| {
+                let d = matrix.diag(v);
+                if d.abs() > 0.0 {
+                    1.0 / d
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        let mut bottom = JacobiBottom {
+            inv_diag,
+            probe_iterations: 0,
+        };
+        let mut b: Vec<f64> = (0..matrix.n() as u64)
+            .map(|i| 2.0 * parsdd_graph::generators::counter_unit(seed, i) - 1.0)
+            .collect();
+        project_out_componentwise_constant(&mut b, labels, components);
+        bottom.probe_iterations = bottom.solve_rm_into(
+            matrix,
+            &b,
+            1,
+            SolverChain::PRECOND_BOTTOM_TOL,
+            &mut Vec::new(),
+            &mut CgScratch::default(),
+        );
+        bottom
+    }
+
+    /// Jacobi-PCG on `k` row-major right-hand sides `b` (already in the
+    /// range of `matrix`), each column to relative residual `tol` or the
+    /// `(2n).clamp(100, 4000)` iteration budget; writes the solutions
+    /// into `x` and returns the matrix applications run (the slowest
+    /// column's count).
+    ///
+    /// Columns that converge, go non-finite or lose direction energy are
+    /// frozen and compacted out of the working block, as in the outer
+    /// PCG. Every per-column quantity comes from a kernel whose reduction
+    /// tree depends only on `n` ([`dot_strided`],
+    /// [`PermutedLevel::fused_apply_dot_into`]), so each column's result
+    /// is bitwise identical at every block composition and pool width.
+    /// All state lives in `s`: warm, the sequential dispatch paths do not
+    /// allocate.
+    fn solve_rm_into(
+        &self,
+        matrix: &PermutedLevel,
+        b: &[f64],
+        k: usize,
+        tol: f64,
+        x: &mut Vec<f64>,
+        s: &mut CgScratch,
+    ) -> usize {
+        let n = matrix.n();
+        let max_iters = (2 * n).clamp(100, 4000);
+        x.clear();
+        x.resize(n * k, 0.0);
+        s.bnorms.clear();
+        s.active.clear();
+        for j in 0..k {
+            let bn = dot_strided(b, b, k, j).sqrt();
+            s.bnorms.push(bn);
+            // A zero column is solved by zero; so is a non-finite one,
+            // which the outer iteration classifies.
+            if bn > 0.0 && bn.is_finite() {
+                s.active.push(j);
+            }
+        }
+        let mut ka = s.active.len();
+        s.r.clear();
+        for row in b.chunks_exact(k) {
+            s.r.extend(s.active.iter().map(|&j| row[j]));
+        }
+        self.scale_into(&s.r, ka, &mut s.z);
+        s.p.clear();
+        s.p.extend_from_slice(&s.z);
+        s.rz.clear();
+        for c in 0..ka {
+            s.rz.push(dot_strided(&s.r, &s.z, ka, c));
+        }
+        s.ap.resize(n * ka, 0.0);
+        let mut applies = 0;
+        for _ in 0..max_iters {
+            // Per-column convergence check; finished columns freeze.
+            s.keep.clear();
+            for c in 0..ka {
+                let rel = dot_strided(&s.r, &s.r, ka, c).sqrt() / s.bnorms[s.active[c]];
+                if rel > tol && rel.is_finite() {
+                    s.keep.push(c);
+                }
+            }
+            ka = s.compact(ka);
+            if ka == 0 {
+                break;
+            }
+            matrix.fused_apply_dot_into(&s.p, &mut s.ap, ka, &mut s.pap, &mut s.partial);
+            applies += 1;
+            // No direction energy: the column freezes where it stands.
+            s.keep.clear();
+            s.keep
+                .extend((0..ka).filter(|&c| s.pap[c] > 0.0 && s.pap[c].is_finite()));
+            compact_scalars_inplace(&mut s.pap, &s.keep);
+            ka = s.compact(ka);
+            if ka == 0 {
+                break;
+            }
+            s.coef.clear();
+            s.coef.extend((0..ka).map(|c| s.rz[c] / s.pap[c]));
+            for ((xrow, prow), (rrow, aprow)) in x
+                .chunks_exact_mut(k)
+                .zip(s.p.chunks_exact(ka))
+                .zip(s.r.chunks_exact_mut(ka).zip(s.ap.chunks_exact(ka)))
+            {
+                for (c, &j) in s.active.iter().enumerate() {
+                    xrow[j] += s.coef[c] * prow[c];
+                    rrow[c] -= s.coef[c] * aprow[c];
+                }
+            }
+            self.scale_into(&s.r, ka, &mut s.z);
+            for c in 0..ka {
+                let rz_new = dot_strided(&s.r, &s.z, ka, c);
+                s.coef[c] = rz_new / s.rz[c];
+                s.rz[c] = rz_new;
+            }
+            for (prow, zrow) in s.p.chunks_exact_mut(ka).zip(s.z.chunks_exact(ka)) {
+                for ((pv, &zv), &beta) in prow.iter_mut().zip(zrow).zip(&s.coef) {
+                    *pv = zv + beta * *pv;
+                }
+            }
+        }
+        applies
+    }
+
+    /// `z ← D⁻¹ r` on a row-major block of width `k`.
+    fn scale_into(&self, r: &[f64], k: usize, z: &mut Vec<f64>) {
+        z.clear();
+        if k == 0 {
+            return;
+        }
+        for (rrow, &d) in r.chunks_exact(k).zip(&self.inv_diag) {
+            z.extend(rrow.iter().map(|&rv| rv * d));
+        }
+    }
+}
+
+/// The iterative bottom's CG state: row-major blocks over the active
+/// columns, per-column scalars, and the active/keep index lists.
+#[derive(Debug, Default)]
+struct CgScratch {
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
+    /// Right-hand-side norms, indexed by block column.
+    bnorms: Vec<f64>,
+    rz: Vec<f64>,
+    pap: Vec<f64>,
+    partial: Vec<f64>,
+    /// Step sizes, then betas, per active column.
+    coef: Vec<f64>,
+    /// Block columns still iterating, ascending.
+    active: Vec<usize>,
+    keep: Vec<usize>,
+}
+
+impl CgScratch {
+    /// Drops the active columns not listed in `keep` from the working
+    /// blocks, `rz` and `active`; returns the new active width.
+    fn compact(&mut self, ka: usize) -> usize {
+        if self.keep.len() == ka {
+            return ka;
+        }
+        let keep = &self.keep;
+        compact_columns_rm_inplace(&mut self.r, ka, keep);
+        compact_columns_rm_inplace(&mut self.p, ka, keep);
+        compact_columns_rm_inplace(&mut self.ap, ka, keep);
+        compact_scalars_inplace(&mut self.rz, keep);
+        compact_scalars_inplace(&mut self.active, keep);
+        keep.len()
+    }
 }
 
 /// Statistics describing a built chain (consumed by experiments E8/E9 and
@@ -642,6 +842,11 @@ pub struct ChainStats {
     /// for iterative/trivial bottoms). Each bottom solve streams this
     /// twice; the dense triangle it replaces is `n(n−1)/2` entries.
     pub bottom_envelope_nnz: usize,
+    /// Iterations one seeded probe solve of the iterative bottom took at
+    /// build time, at the tolerance of a bottom solve inside a
+    /// preconditioner application (0 for direct and trivial bottoms).
+    /// The work model charges every bottom solve this many iterations.
+    pub bottom_iterations: usize,
     /// Heap bytes each level keeps resident (streamed matrix + retained
     /// `Graph` CSR, zero once dropped; see
     /// [`ChainLevel::resident_bytes`]). The last entry is the bottom's
@@ -654,8 +859,10 @@ pub struct ChainStats {
     /// application under the same recursion model as
     /// [`ChainStats::level_work`]: level `i ≥ 1` streams its matrix
     /// `k_i` times per solve, the bottom streams its envelope factor
-    /// twice per solve, and level 0's entry is the top application's own
-    /// elimination pass (counted as its matrix stream once). Vector and
+    /// twice per solve (an iterative bottom its matrix once per
+    /// [`ChainStats::bottom_iterations`]), and level 0's entry is the top
+    /// application's own elimination pass (counted as its matrix stream
+    /// once). Vector and
     /// elimination-trace traffic is excluded — identical across
     /// precisions — so this isolates exactly the bytes the precision
     /// knob halves.
@@ -807,8 +1014,9 @@ struct IterScratch {
 }
 
 /// Bottom-solve buffers (rhs copy + componentwise-projection
-/// accumulators, plus the f32 staging pair the [`BottomSolver::DirectF32`]
-/// tier converts through at the `n·k` boundary), and — because this
+/// accumulators, the iterative bottom's CG state, plus the f32 staging
+/// pair the [`BottomSolver::DirectF32`] tier converts through at the
+/// `n·k` boundary), and — because this
 /// struct is the one scratch threaded through the whole W-cycle
 /// recursion — the entry-shim staging pair the f64-facing
 /// `precondition_rm_into` uses to narrow into / widen out of the all-f32
@@ -827,6 +1035,11 @@ struct BottomScratch {
     /// Entry-shim staging (see the type docs).
     shim_in32: Vec<f32>,
     shim_out32: Vec<f32>,
+    /// f64 staging the all-f32 cycle widens into and narrows out of
+    /// around a bottom that only has an f64 solve.
+    wide_in: Vec<f64>,
+    wide_out: Vec<f64>,
+    cg: CgScratch,
 }
 
 /// One checked-out set of scratch buffers for a chain application. All
@@ -1207,13 +1420,17 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     rayon::scope(|s| {
         s.spawn(|_| bottom_matrix_slot = Some(PermutedLevel::from_graph(&current)));
         s.spawn(|_| {
-            bottom_slot = Some(if current.m() == 0 {
-                BottomSolver::Trivial
+            // `None` is the iterative bottom, which needs the matrix and
+            // the labels: it is set up after the scope.
+            bottom_slot = if current.m() == 0 {
+                Some(BottomSolver::Trivial)
             } else if current.n() <= options.dense_bottom_limit {
-                BottomSolver::Direct(EnvelopeLdl::from_graph(&current, 1e-10))
+                Some(BottomSolver::Direct(EnvelopeLdl::from_graph(
+                    &current, 1e-10,
+                )))
             } else {
-                BottomSolver::Iterative
-            });
+                None
+            };
         });
         // Cache the component structures in the scope body: every solve
         // projects its right-hand sides with them, and recomputing an
@@ -1233,9 +1450,16 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         comps_slot = Some(comps);
     });
     let bottom_matrix = bottom_matrix_slot.expect("scope completed bottom matrix");
-    let bottom = bottom_slot.expect("scope completed bottom solver");
     let comps: parsdd_graph::components::Components =
         comps_slot.expect("scope completed components");
+    let bottom = bottom_slot.unwrap_or_else(|| {
+        BottomSolver::Iterative(JacobiBottom::new(
+            &bottom_matrix,
+            &comps.labels,
+            comps.count,
+            options.seed ^ 0xb077_0000,
+        ))
+    });
     let top_comps = top_comps_slot.expect("scope completed top components");
 
     let mut chain = SolverChain {
@@ -1287,8 +1511,8 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // The per-level Graph CSR is only consulted at build/calibration time
     // — every per-application sweep runs on `matrix` — so both precision
     // tiers drop it here and a long-lived chain stops holding ~2× the
-    // matrix memory it streams. (The bottom keeps its graph: the
-    // iterative fallback and the residual accounting still walk it.)
+    // matrix memory it streams. (The bottom keeps its graph:
+    // `bottom_graph()` and the stats read it.)
     for lvl in chain.levels.iter_mut() {
         lvl.graph = None;
     }
@@ -1335,8 +1559,9 @@ impl SolverChain {
         &self.options
     }
 
-    /// Estimated flops of one bottom solve (two envelope streams of the
-    /// direct factor, or the iterative fallback's worst-case budget).
+    /// Estimated flops of one bottom solve: two envelope streams of the
+    /// direct factor, or the iterative bottom's probe iteration count
+    /// times its edges.
     fn bottom_solve_cost(&self) -> f64 {
         let n = self.bottom_graph.n() as f64;
         let m = self.bottom_graph.m() as f64;
@@ -1344,31 +1569,32 @@ impl SolverChain {
             BottomSolver::Trivial => 0.0,
             BottomSolver::Direct(env) => 2.0 * env.envelope_nnz() as f64 + 2.0 * n,
             BottomSolver::DirectF32(env) => 2.0 * env.envelope_nnz() as f64 + 2.0 * n,
-            BottomSolver::Iterative => m * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64,
+            BottomSolver::Iterative(jacobi) => m * jacobi.probe_iterations as f64,
         }
     }
 
     /// Bytes one bottom solve streams: both triangular passes of the
     /// direct factor (at its storage width) plus the f64 diagonal, or the
-    /// iterative fallback's per-iteration graph stream times its budget.
+    /// iterative bottom's matrix once per probe iteration.
     fn bottom_stream_bytes(&self) -> f64 {
         let n = self.bottom_graph.n() as f64;
         match &self.bottom {
             BottomSolver::Trivial => 0.0,
             BottomSolver::Direct(env) => 2.0 * env.envelope_nnz() as f64 * 8.0 + n * 8.0,
             BottomSolver::DirectF32(env) => 2.0 * env.envelope_nnz() as f64 * 4.0 + n * 8.0,
-            BottomSolver::Iterative => {
-                self.bottom_graph.resident_bytes() as f64
-                    * (2 * self.bottom_graph.n()).clamp(100, 4000) as f64
+            BottomSolver::Iterative(jacobi) => {
+                self.bottom_matrix.stream_bytes() as f64 * jacobi.probe_iterations as f64
             }
         }
     }
 
     /// Heap bytes the bottom keeps resident: its f64 merged-row matrix,
-    /// the retained bottom graph, and the envelope factor's arrays.
+    /// the retained bottom graph, and the envelope factor's arrays or the
+    /// iterative bottom's inverse diagonal.
     fn bottom_resident_bytes(&self) -> usize {
         let factor = match &self.bottom {
-            BottomSolver::Trivial | BottomSolver::Iterative => 0,
+            BottomSolver::Trivial => 0,
+            BottomSolver::Iterative(jacobi) => jacobi.inv_diag.len() * 8,
             BottomSolver::Direct(env) => env.resident_bytes(),
             BottomSolver::DirectF32(env) => env.resident_bytes(),
         };
@@ -1441,6 +1667,10 @@ impl SolverChain {
                 BottomSolver::DirectF32(env) => env.envelope_nnz(),
                 _ => 0,
             },
+            bottom_iterations: match &self.bottom {
+                BottomSolver::Iterative(jacobi) => jacobi.probe_iterations,
+                _ => 0,
+            },
             level_resident_bytes,
             resident_bytes,
             streamed_bytes_per_application,
@@ -1488,9 +1718,18 @@ impl SolverChain {
         }
     }
 
-    /// Tolerance for iterative bottom solves that feed a preconditioner
-    /// application (the outer flexible PCG absorbs this inexactness).
-    const PRECOND_BOTTOM_TOL: f64 = 1e-8;
+    /// Relative residual at which an iterative bottom solve that feeds a
+    /// preconditioner application stops. The recursion needs only a
+    /// constant-factor solve there (rPCh, Lemma 6.7): the outer flexible
+    /// PCG absorbs the inexactness, and the Chebyshev calibration
+    /// measures the recursion with it. 1e-1 is too loose for f32 chains
+    /// (DESIGN.md §2.9).
+    const PRECOND_BOTTOM_TOL: f64 = 3e-2;
+
+    /// Loosest tolerance of a depth-0 chain's bottom solve, which is the
+    /// final answer: it runs to a tenth of the caller's tolerance, within
+    /// `[1e-14, MAX_FINAL_BOTTOM_TOL]`.
+    const MAX_FINAL_BOTTOM_TOL: f64 = 1e-8;
 
     /// Checks a workspace out of the pool (allocating an *empty* one only
     /// when the pool is dry — its buffers grow to steady-state size during
@@ -1548,8 +1787,8 @@ impl SolverChain {
     /// Solves the bottom system `A_d X = B` for `k` row-major right-hand
     /// sides (to `tol` per column when iterative). The direct factor's
     /// envelope is streamed once per block
-    /// ([`EnvelopeLdl::solve_rowmajor`]); the iterative fallback runs the
-    /// blocked PCG driver with per-column deflation.
+    /// ([`EnvelopeLdl::solve_rowmajor`]); the iterative bottom runs
+    /// Jacobi-PCG with per-column deflation.
     fn bottom_solve_rm(&self, br: &[f64], k: usize, tol: f64) -> Vec<f64> {
         let mut out = Vec::new();
         self.with_workspace(|ws| {
@@ -1560,11 +1799,8 @@ impl SolverChain {
 
     /// [`bottom_solve_rm`](Self::bottom_solve_rm) into a caller-owned
     /// output through the workspace's bottom scratch. Allocation-free in
-    /// steady state for the trivial and direct bottoms (at the factor's
-    /// monomorphised widths); the iterative fallback still allocates its
-    /// CG state internally — it is the rare path where the envelope
-    /// factorisation was refused, and its per-solve cost dwarfs the
-    /// allocations.
+    /// steady state: the direct factors at their monomorphised widths,
+    /// the iterative bottom on its sequential dispatch paths.
     fn bottom_solve_rm_into(
         &self,
         br: &[f64],
@@ -1617,33 +1853,25 @@ impl SolverChain {
                 out.clear();
                 out.extend(scratch.out32.iter().map(|&v| v as f64));
             }
-            BottomSolver::Iterative => {
+            BottomSolver::Iterative(jacobi) => {
                 project_into_rhs(scratch);
-                let op = parsdd_linalg::laplacian::LaplacianOp::new(&self.bottom_graph);
-                let jac = parsdd_linalg::jacobi::JacobiPreconditioner::from_laplacian(&op);
-                let block = MultiVector::from_rowmajor(&scratch.rhs, k);
-                let outs = parsdd_linalg::cg::block_pcg_solve(
-                    &op,
-                    &jac,
-                    &block,
-                    &parsdd_linalg::cg::CgOptions {
-                        max_iters: (2 * self.bottom_graph.n()).clamp(100, 4000),
-                        tol,
-                    },
+                jacobi.solve_rm_into(
+                    &self.bottom_matrix,
+                    &scratch.rhs,
+                    k,
+                    tol,
+                    out,
+                    &mut scratch.cg,
                 );
-                let cols: Vec<Vec<f64>> = outs.into_iter().map(|o| o.x).collect();
-                out.clear();
-                out.extend_from_slice(&MultiVector::from_columns(&cols).to_rowmajor());
             }
         }
     }
 
     /// The bottom solve of the all-f32 inner cycle. The f32 direct
     /// bottom projects and solves without touching f64; the trivial
-    /// bottom zeroes. The remaining bottoms (an f32 chain whose envelope
-    /// factorisation was refused, leaving the iterative fallback) widen
-    /// at the boundary and reuse the f64 entry — a rare path whose
-    /// per-solve cost dwarfs the staging it allocates.
+    /// bottom zeroes. The iterative bottom (an f32 chain whose bottom was
+    /// too large to factor) widens into the scratch's f64 staging, runs
+    /// the f64 solve, and narrows back.
     fn bottom_solve_rm32_into(
         &self,
         br: &[f32],
@@ -1669,12 +1897,18 @@ impl SolverChain {
                 );
                 env.solve_rowmajor_f32_into(&scratch.rhs32, k, out);
             }
-            BottomSolver::Direct(_) | BottomSolver::Iterative => {
-                let wide: Vec<f64> = br.iter().map(|&v| f64::from(v)).collect();
-                let mut wout = Vec::new();
+            BottomSolver::Direct(_) | BottomSolver::Iterative(_) => {
+                // Taken out of the scratch for the call, which borrows the
+                // rest of it, and put back so their capacity is reused.
+                let mut wide = std::mem::take(&mut scratch.wide_in);
+                let mut wout = std::mem::take(&mut scratch.wide_out);
+                wide.clear();
+                wide.extend(br.iter().map(|&v| f64::from(v)));
                 self.bottom_solve_rm_into(&wide, k, Self::PRECOND_BOTTOM_TOL, &mut wout, scratch);
                 out.clear();
                 out.extend(wout.iter().map(|&v| v as f32));
+                scratch.wide_in = wide;
+                scratch.wide_out = wout;
             }
         }
     }
@@ -2388,7 +2622,7 @@ impl SolverChain {
                 self.bottom_solve_rm_into(
                     &ba,
                     ka,
-                    (tol * 0.1).clamp(1e-14, Self::PRECOND_BOTTOM_TOL),
+                    (tol * 0.1).clamp(1e-14, Self::MAX_FINAL_BOTTOM_TOL),
                     &mut xa,
                     bottom,
                 );
@@ -2675,7 +2909,7 @@ fn compact_columns_rm_inplace(buf: &mut Vec<f64>, k: usize, keep: &[usize]) {
 /// In-place compaction of a per-column scalar list (`v[w] ← v[keep[w]]`,
 /// then truncate) — the deflation counterpart of
 /// [`compact_columns_rm_inplace`] for the CG recurrence scalars.
-fn compact_scalars_inplace(v: &mut Vec<f64>, keep: &[usize]) {
+fn compact_scalars_inplace<T: Copy>(v: &mut Vec<T>, keep: &[usize]) {
     for (w, &c) in keep.iter().enumerate() {
         v[w] = v[c];
     }
@@ -2780,6 +3014,26 @@ mod tests {
         let b = random_rhs(g.n());
         let out = chain.solve(&b, 1e-10, 10);
         assert!(out.converged);
+    }
+
+    #[test]
+    fn depth0_iterative_bottom_reaches_caller_tolerance() {
+        // m ≤ n builds no levels, and n above `dense_bottom_limit` leaves
+        // the bottom iterative: its solve is the final answer, so it must
+        // reach the caller's tolerance, not the loose one a bottom solve
+        // inside a preconditioner application stops at.
+        let g = generators::cycle(4500, 1.0);
+        let chain = build_chain(&g, &ChainOptions::default());
+        assert_eq!(chain.depth(), 0);
+        assert!(!chain.stats().direct_bottom);
+        let b = random_rhs(g.n());
+        let out = chain.solve(&b, 1e-10, 10);
+        assert!(out.converged, "rel {}", out.relative_residual);
+        let r = LaplacianOp::new(&g).residual(&out.x, &b);
+        assert!(
+            parsdd_linalg::vector::norm2(&r) <= 1e-10 * parsdd_linalg::vector::norm2(&b),
+            "true residual too large"
+        );
     }
 
     #[test]

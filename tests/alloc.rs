@@ -11,10 +11,12 @@
 //!    i.e. the per-iteration allocation count of `solve` is zero (the
 //!    remaining allocations are per-solve boundary work).
 //!
-//! Both tests run the 64×64 grid (n = 4096) at pool width 1: every level
-//! sits below the parallel-dispatch cutoffs, so the whole application
-//! takes the sequential kernel paths the zero-allocation contract covers
-//! (the parallel dispatch paths collect per-chunk partials by design).
+//! Both tests run the 64×64 grid (n = 4096), and the first also zoo
+//! smallworld/small (n = 1500) over an iterative bottom, at pool width 1:
+//! every level sits below the parallel-dispatch cutoffs, so the whole
+//! application takes the sequential kernel paths the zero-allocation
+//! contract covers (the parallel dispatch paths collect per-chunk
+//! partials by design).
 //!
 //! The counter is thread-local, so the harness running other tests on
 //! sibling threads cannot perturb the measurement.
@@ -65,13 +67,28 @@ fn grid_rhs(n: usize) -> Vec<f64> {
 /// Zero heap allocations per preconditioner application once warm, at
 /// block widths 1 and 4 — in both storage precisions (the f32 tier's
 /// `p32` direction scratch lives in the same `ChainWorkspace` arena, so
-/// demoted chains make no per-application heap traffic either).
+/// demoted chains make no per-application heap traffic either), over a
+/// direct bottom and over an iterative one (whose Jacobi-PCG state, and
+/// the f64 staging the f32 cycle passes it through, live there too).
 #[test]
 fn preconditioner_application_is_allocation_free_when_warm() {
     with_threads(1, || {
-        let g = parsdd_graph::generators::grid2d(64, 64, |x, y| 1.0 + ((x * 3 + y) % 5) as f64);
-        for precision in [Precision::F64, Precision::F32] {
-            let chain = build_chain(&g, &ChainOptions::default().with_precision(precision));
+        let grid = parsdd_graph::generators::grid2d(64, 64, |x, y| 1.0 + ((x * 3 + y) % 5) as f64);
+        let smallworld = parsdd_bench::zoo::build("smallworld", parsdd_bench::zoo::Tier::Small);
+        let iterative_bottom = ChainOptions {
+            dense_bottom_limit: 0,
+            ..ChainOptions::default()
+        };
+        let cases = [
+            (&grid, ChainOptions::default(), true),
+            (&smallworld, iterative_bottom, false),
+        ];
+        for ((g, options, direct), precision) in cases
+            .iter()
+            .flat_map(|c| [(c, Precision::F64), (c, Precision::F32)])
+        {
+            let chain = build_chain(g, &options.with_precision(precision));
+            assert_eq!(chain.stats().direct_bottom, *direct);
             let n = g.n();
             for k in [1usize, 4] {
                 let br: Vec<f64> = (0..n * k).map(|i| ((i % 19) as f64) - 9.0).collect();

@@ -259,6 +259,104 @@ proptest! {
     }
 }
 
+/// Zoo smallworld/small with the direct-factor limit at 0: its depth-3
+/// chain ends on an iterative bottom, the inexact Jacobi-PCG that runs
+/// inside every preconditioner application.
+fn iterative_bottom_chain(
+    g: &parsdd_graph::Graph,
+    precision: parsdd_solver::chain::Precision,
+) -> parsdd_solver::chain::SolverChain {
+    use parsdd_solver::chain::{build_chain, ChainOptions};
+    let options = ChainOptions {
+        dense_bottom_limit: 0,
+        ..ChainOptions::default()
+    };
+    let chain = build_chain(g, &options.with_precision(precision));
+    assert!(!chain.stats().direct_bottom, "the bottom must be iterative");
+    chain
+}
+
+fn mean_free_rhs(n: usize, seed: u64) -> Vec<f64> {
+    let mut b: Vec<f64> = (0..n)
+        .map(|i| (((i as u64).wrapping_mul(seed.wrapping_add(11)) % 29) as f64) - 14.0)
+        .collect();
+    let mean = b.iter().sum::<f64>() / n as f64;
+    b.iter_mut().for_each(|v| *v -= mean);
+    b
+}
+
+const PRECISIONS: [parsdd_solver::chain::Precision; 2] = [
+    parsdd_solver::chain::Precision::F64,
+    parsdd_solver::chain::Precision::F32,
+];
+
+/// An iterative-bottom chain keeps the batched ≡ looped contract
+/// bitwise in both precisions: each column's bottom CG freezes on its own
+/// residual, whatever the other columns of the block do.
+#[test]
+fn iterative_bottom_batched_solves_match_looped_bitwise() {
+    let g = parsdd_bench::zoo::build("smallworld", parsdd_bench::zoo::Tier::Small);
+    let cols: Vec<Vec<f64>> = (0..3).map(|s| mean_free_rhs(g.n(), s)).collect();
+    for precision in PRECISIONS {
+        let chain = iterative_bottom_chain(&g, precision);
+        let block = parsdd_linalg::MultiVector::from_columns(&cols);
+        let batched = chain.solve_block(&block, 1e-8, 300);
+        for (j, b) in cols.iter().enumerate() {
+            let single = chain.solve(b, 1e-8, 300);
+            assert!(
+                single.converged,
+                "{precision:?} column {j}: rel {}",
+                single.relative_residual
+            );
+            assert_eq!(
+                batched[j].iterations, single.iterations,
+                "{precision:?} column {j}"
+            );
+            assert_eq!(
+                batched[j].relative_residual.to_bits(),
+                single.relative_residual.to_bits(),
+                "{precision:?} column {j}"
+            );
+            for (a, s) in batched[j].x.iter().zip(&single.x) {
+                assert_eq!(a.to_bits(), s.to_bits(), "{precision:?} column {j}");
+            }
+        }
+    }
+}
+
+/// An iterative-bottom chain — its build (probe iteration count,
+/// calibrated intervals) and its solve — is bitwise identical at pool
+/// widths 1, 2 and 4 in both precisions.
+#[test]
+fn iterative_bottom_chains_bitwise_identical_across_widths() {
+    let g = parsdd_bench::zoo::build("smallworld", parsdd_bench::zoo::Tier::Small);
+    let b = mean_free_rhs(g.n(), 5);
+    for precision in PRECISIONS {
+        let fingerprint = || {
+            let chain = iterative_bottom_chain(&g, precision);
+            let mut fp = vec![chain.stats().bottom_iterations as u64];
+            for lvl in chain.levels() {
+                fp.push(lvl.cheb_bounds.0.to_bits());
+                fp.push(lvl.cheb_bounds.1.to_bits());
+                fp.push(lvl.inner_iterations as u64);
+            }
+            let out = chain.solve(&b, 1e-8, 300);
+            fp.push(out.iterations as u64);
+            fp.push(out.relative_residual.to_bits());
+            fp.extend(out.x.iter().map(|v| v.to_bits()));
+            fp
+        };
+        let base = with_threads(1, fingerprint);
+        for threads in [2usize, 4] {
+            assert_eq!(
+                base,
+                with_threads(threads, fingerprint),
+                "{precision:?} differs at pool width {threads}"
+            );
+        }
+    }
+}
+
 /// The full paper pipeline — decomposition, low-stretch subgraph,
 /// preconditioner chain, and a fixed number of outer solver iterations on
 /// a grid big enough to cross every parallel cutoff — produces **bitwise
