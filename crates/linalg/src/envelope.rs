@@ -23,6 +23,33 @@ use crate::block::MultiVector;
 use crate::operator::LinearOperator;
 use parsdd_graph::Graph;
 
+/// First column of each row of the Laplacian's lower envelope under the
+/// current numbering: `first[i]` is the smallest neighbour label below `i`,
+/// or `i` itself.
+fn envelope_first(g: &Graph) -> Vec<u32> {
+    let mut first: Vec<u32> = (0..g.n() as u32).collect();
+    for e in g.edges() {
+        let (lo, hi) = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
+        if lo < first[hi as usize] {
+            first[hi as usize] = lo;
+        }
+    }
+    first
+}
+
+/// Envelope size of the Laplacian of `g` under its current numbering: the
+/// strictly-lower entries [`EnvelopeLdl::from_graph`] would store, so
+/// `envelope_profile(g) == EnvelopeLdl::from_graph(g, tol).envelope_nnz()`.
+/// A symbolic `O(n + m)` pass — it prices a direct bottom without
+/// factoring it.
+pub fn envelope_profile(g: &Graph) -> usize {
+    envelope_first(g)
+        .iter()
+        .enumerate()
+        .map(|(i, &fi)| i - fi as usize)
+        .sum()
+}
+
 /// An envelope (skyline) LDLᵀ factorisation of a graph Laplacian.
 #[derive(Debug, Clone)]
 pub struct EnvelopeLdl {
@@ -47,14 +74,7 @@ impl EnvelopeLdl {
     /// largest diagonal entry.
     pub fn from_graph(g: &Graph, rel_tol: f64) -> Self {
         let n = g.n();
-        // Envelope from the Laplacian's pattern.
-        let mut first: Vec<u32> = (0..n as u32).collect();
-        for e in g.edges() {
-            let (lo, hi) = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
-            if lo < first[hi as usize] {
-                first[hi as usize] = lo;
-            }
-        }
+        let first = envelope_first(g);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut acc = 0usize;
@@ -811,6 +831,22 @@ mod tests {
             env.envelope_nnz(),
             dense_triangle
         );
+    }
+
+    /// The symbolic profile is exactly the size the factor allocates,
+    /// under RCM and under the generator's own numbering.
+    #[test]
+    fn envelope_profile_matches_factor_size() {
+        let grid = generators::grid2d(20, 20, |_, _| 1.0);
+        let random = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
+        for g in [&grid, &random] {
+            for h in [g.clone(), relabel(g, &rcm_order(g))] {
+                assert_eq!(
+                    envelope_profile(&h),
+                    EnvelopeLdl::from_graph(&h, 1e-10).envelope_nnz()
+                );
+            }
+        }
     }
 
     #[test]

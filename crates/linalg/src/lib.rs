@@ -65,7 +65,7 @@ pub use cg::{block_pcg_solve, cg_solve, pcg_solve, CgOptions, CgOutcome};
 pub use chebyshev::{block_chebyshev_solve, chebyshev_solve, ChebyshevOptions};
 pub use cholesky::DenseLdl;
 pub use csr::CsrMatrix;
-pub use envelope::{EnvelopeLdl, EnvelopeLdlF32};
+pub use envelope::{envelope_profile, EnvelopeLdl, EnvelopeLdlF32};
 pub use laplacian::{laplacian_of, LaplacianOp};
 pub use operator::{IdentityPreconditioner, LinearOperator, Preconditioner};
 pub use permuted::{PermutedLevel, PermutedLevelF32};

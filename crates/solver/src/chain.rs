@@ -48,7 +48,7 @@ use parsdd_graph::reorder::{identity_order, rcm_order, relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
-use parsdd_linalg::envelope::{EnvelopeLdl, EnvelopeLdlF32};
+use parsdd_linalg::envelope::{envelope_profile, EnvelopeLdl, EnvelopeLdlF32};
 use parsdd_linalg::operator::Preconditioner;
 use parsdd_linalg::permuted::{PermutedLevel, PermutedLevelF32};
 use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
@@ -190,14 +190,19 @@ pub struct ChainOptions {
     pub subgraph_lambda: u32,
     /// Oversampling constant of the incremental sparsifier.
     pub oversample: f64,
-    /// Terminate the chain once a level has at most this many vertices
-    /// (combined with `bottom_exponent`, Section 6.3).
+    /// Floor of the level loop: stop adding levels once a level has at
+    /// most this many vertices (combined with `bottom_exponent`, Section
+    /// 6.3). The chain may then end higher up: the cost cut keeps the
+    /// direct bottom with the fewest modelled flops per application
+    /// (DESIGN.md §2.10).
     pub bottom_size: usize,
     /// Terminate once a level has at most `m^bottom_exponent` vertices,
     /// where `m` is the edge count of the *input* (Section 6.3 uses 1/3).
     pub bottom_exponent: f64,
-    /// Largest bottom system that is factored densely; larger bottoms fall
-    /// back to an iterative bottom solver.
+    /// Largest bottom system that is factored directly (envelope LDLᵀ);
+    /// larger bottoms fall back to an iterative bottom solver. Also the
+    /// candidate cap of the cost cut: only levels with at most this many
+    /// vertices may become the bottom (DESIGN.md §2.10).
     pub dense_bottom_limit: usize,
     /// Maximum number of chain levels (a backstop; the data-driven
     /// `min_shrink` cutoff is what normally terminates the chain).
@@ -1405,6 +1410,9 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         }
     }
 
+    // The loop stops at a size floor, not at the cheapest bottom.
+    let current = cut_at_cheapest_bottom(&mut levels, current, options.dense_bottom_limit);
+
     // Bottom solver. The bottom graph arrived here already in its baked-in
     // order (the top permutation when there are no levels, the last
     // elimination's relabel otherwise), so the envelope factor sees the
@@ -1528,6 +1536,131 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     chain
 }
 
+/// Solves of each level per top-level preconditioner application under
+/// the W-cycle recursion — the work model of [`ChainStats`], shared by
+/// [`SolverChain::stats`] and [`cheapest_bottom`] so the reported model
+/// and the cut cannot drift apart. `inner_iterations` holds each level's
+/// W-cycle width `k_i`, top first. Entry 0 is the top application
+/// itself; it sweeps level 0's elimination once and solves level 1 once,
+/// and a solve of level `i ≥ 1` runs `k_i` inner iterations, each one
+/// sweep of `A_i` and one solve of level `i+1`. So entry `i+1` is both
+/// the solves of level `i+1` (the bottom for the last entry: the
+/// recursion leaves) and the sweeps of level `i`'s matrix.
+fn w_cycle_solves(inner_iterations: impl IntoIterator<Item = usize>) -> Vec<f64> {
+    let mut solves = vec![1.0f64];
+    for (i, k) in inner_iterations.into_iter().enumerate() {
+        let above = solves[i];
+        solves.push(if i == 0 { above } else { above * k as f64 });
+    }
+    solves
+}
+
+/// Modelled flops of one direct bottom solve: both triangular passes over
+/// an envelope of `envelope` entries plus the diagonal scaling of `n`.
+fn direct_bottom_flops(n: usize, envelope: usize) -> f64 {
+    2.0 * envelope as f64 + 2.0 * n as f64
+}
+
+/// One level's shape as the bottom cut sees it.
+#[derive(Debug, Clone, Copy)]
+struct CutLevel {
+    /// Vertex count `n_j`.
+    n: usize,
+    /// Edge count `m_j`.
+    m: usize,
+    /// Provisional W-cycle width `k_j` (unused on the last entry).
+    inner_iterations: usize,
+    /// Envelope size `P_j` of the level's graph under its baked-in order
+    /// (only read on candidates).
+    envelope: usize,
+}
+
+/// Chooses where the chain stops: the index `j*` of the level in `levels`
+/// (every chain level top first, then the natural bottom) whose direct
+/// bottom minimises the modelled flops per application,
+/// `Σ_{i<j} sweeps_i·m_i + solves_j·(2·P_j + 2·n_j)`. Candidates are the
+/// levels `j ≥ 1` with `n_j ≤ dense_bottom_limit` and `m_j > 0`; the
+/// natural bottom is always eligible (at zero bottom cost when it has no
+/// edges). Level 0 is never chosen: a depth-0 chain is the direct solver,
+/// a different contract (its bottom is the final answer). When the natural
+/// bottom is iterative nothing is cut — its cost is only known after the
+/// build-time probe, and the levels above it are larger still. Ties keep
+/// the deeper level, so the chain changes only when the cut is strictly
+/// cheaper.
+fn cheapest_bottom(levels: &[CutLevel], dense_bottom_limit: usize) -> usize {
+    let d = levels.len() - 1;
+    let bottom = levels[d];
+    if d == 0 || (bottom.m > 0 && bottom.n > dense_bottom_limit) {
+        return d;
+    }
+    let solves = w_cycle_solves(levels[..d].iter().map(|l| l.inner_iterations));
+    // above[j]: flops of levels 0..j, the part a cut at j keeps.
+    let mut above = vec![0.0f64];
+    for (i, l) in levels[..d].iter().enumerate() {
+        above.push(above[i] + solves[i + 1] * l.m as f64);
+    }
+    let cost =
+        |j: usize| above[j] + solves[j] * direct_bottom_flops(levels[j].n, levels[j].envelope);
+    let mut best = (d, if bottom.m == 0 { above[d] } else { cost(d) });
+    for j in (1..d).rev() {
+        let l = levels[j];
+        if l.n <= dense_bottom_limit && l.m > 0 && cost(j) < best.1 {
+            best = (j, cost(j));
+        }
+    }
+    best.0
+}
+
+/// The cost cut (DESIGN.md §2.10). Once levels shrink by less than their
+/// W-cycle width, every further level multiplies the bottom solves by `k`
+/// while shrinking the bottom by less; this truncates `levels` at the
+/// level whose direct bottom minimises the modelled flops per application
+/// ([`cheapest_bottom`]) and returns the bottom graph: that level's graph,
+/// or `natural_bottom` when nothing is cut. A level's graph is already
+/// simplified and in the order the elimination above it emits — exactly
+/// what the bottom path takes.
+fn cut_at_cheapest_bottom(
+    levels: &mut Vec<ChainLevel>,
+    natural_bottom: Graph,
+    dense_bottom_limit: usize,
+) -> Graph {
+    if levels.is_empty() {
+        return natural_bottom;
+    }
+    let widths = levels.iter().map(|l| l.inner_iterations).chain([0]);
+    let graphs = levels
+        .iter()
+        .map(|l| {
+            l.graph
+                .as_ref()
+                .expect("level graphs are resident during build")
+        })
+        .chain([&natural_bottom]);
+    let shapes: Vec<CutLevel> = graphs
+        .zip(widths)
+        .map(|(g, inner_iterations)| CutLevel {
+            n: g.n(),
+            m: g.m(),
+            inner_iterations,
+            // Only levels small enough to factor need their profile.
+            envelope: if g.n() <= dense_bottom_limit {
+                envelope_profile(g)
+            } else {
+                0
+            },
+        })
+        .collect();
+    let cut = cheapest_bottom(&shapes, dense_bottom_limit);
+    if cut == levels.len() {
+        return natural_bottom;
+    }
+    levels
+        .drain(cut..)
+        .next()
+        .and_then(|l| l.graph)
+        .expect("level graphs are resident during build")
+}
+
 /// Fallback Chebyshev interval from the sampled quadratic-form ratio.
 fn provisional_bounds(measured_ratio: (f64, f64), kappa: f64) -> (f64, f64) {
     let (lo, hi) = measured_ratio;
@@ -1563,12 +1696,12 @@ impl SolverChain {
     /// direct factor, or the iterative bottom's probe iteration count
     /// times its edges.
     fn bottom_solve_cost(&self) -> f64 {
-        let n = self.bottom_graph.n() as f64;
+        let n = self.bottom_graph.n();
         let m = self.bottom_graph.m() as f64;
         match &self.bottom {
             BottomSolver::Trivial => 0.0,
-            BottomSolver::Direct(env) => 2.0 * env.envelope_nnz() as f64 + 2.0 * n,
-            BottomSolver::DirectF32(env) => 2.0 * env.envelope_nnz() as f64 + 2.0 * n,
+            BottomSolver::Direct(env) => direct_bottom_flops(n, env.envelope_nnz()),
+            BottomSolver::DirectF32(env) => direct_bottom_flops(n, env.envelope_nnz()),
             BottomSolver::Iterative(jacobi) => m * jacobi.probe_iterations as f64,
         }
     }
@@ -1617,35 +1750,17 @@ impl SolverChain {
         // preconditioner application itself (one forward/back pass); level
         // i ≥ 1 is solved ∏_{1≤j<i} k_j times at k_i·m_i flops per solve;
         // the bottom is solved ∏ k_j times.
-        let mut level_applications: Vec<f64> = Vec::with_capacity(self.levels.len() + 1);
+        let solves = w_cycle_solves(self.levels.iter().map(|l| l.inner_iterations));
         let mut level_work: Vec<f64> = Vec::with_capacity(self.levels.len() + 1);
         let mut streamed_bytes_per_application = 0.0f64;
-        let mut solves = 1.0f64;
-        for (i, l) in self.levels.iter().enumerate() {
-            if i == 0 {
-                level_applications.push(1.0);
-                level_work.push(l.m() as f64);
-                streamed_bytes_per_application += l.stream_bytes() as f64;
-            } else {
-                level_applications.push(solves);
-                level_work.push(solves * l.inner_iterations as f64 * l.m() as f64);
-                streamed_bytes_per_application +=
-                    solves * l.inner_iterations as f64 * l.stream_bytes() as f64;
-                solves *= l.inner_iterations as f64;
-            }
+        for (l, &sweeps) in self.levels.iter().zip(&solves[1..]) {
+            level_work.push(sweeps * l.m() as f64);
+            streamed_bytes_per_application += sweeps * l.stream_bytes() as f64;
         }
-        level_applications.push(solves);
-        level_work.push(solves * self.bottom_solve_cost());
-        streamed_bytes_per_application += solves * self.bottom_stream_bytes();
+        let recursion_leaves = solves[self.levels.len()];
+        level_work.push(recursion_leaves * self.bottom_solve_cost());
+        streamed_bytes_per_application += recursion_leaves * self.bottom_stream_bytes();
         let work_per_application: f64 = level_work.iter().sum();
-
-        let recursion_leaves = self
-            .levels
-            .iter()
-            .skip(1)
-            .map(|l| l.inner_iterations as f64)
-            .product::<f64>()
-            .max(1.0);
         ChainStats {
             level_vertices,
             level_edges,
@@ -1654,7 +1769,7 @@ impl SolverChain {
             tree_scales: self.levels.iter().map(|l| l.tree_scale).collect(),
             kappa_eff: self.levels.iter().map(|l| l.kappa_eff()).collect(),
             inner_iterations: self.levels.iter().map(|l| l.inner_iterations).collect(),
-            level_applications,
+            level_applications: solves,
             level_work,
             work_per_application,
             recursion_leaves,
@@ -3215,6 +3330,85 @@ mod tests {
             *stats.level_applications.last().unwrap(),
             stats.recursion_leaves
         );
+    }
+
+    fn cut_level(n: usize, m: usize, inner_iterations: usize, envelope: usize) -> CutLevel {
+        CutLevel {
+            n,
+            m,
+            inner_iterations,
+            envelope,
+        }
+    }
+
+    /// Synthetic chain shapes for the bottom cut: each level shrinks by
+    /// `shrink`, keeps `m = 2n`, runs width `k`, and has an envelope of
+    /// `n · band`.
+    fn cut_shapes(n0: usize, shrink: usize, depth: usize, k: usize, band: usize) -> Vec<CutLevel> {
+        (0..=depth as u32)
+            .map(|i| {
+                let n = n0 / shrink.pow(i);
+                cut_level(n, 2 * n, k, n * band)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bottom_cut_shortens_a_bottom_heavy_tail() {
+        // Levels halve against k = 4 and the envelope grows like n^1.5
+        // (an RCM grid): each level deeper multiplies the bottom solves by
+        // 4 but shrinks the factor by only ~2.8, so the shallowest
+        // candidate wins.
+        let mut shapes = cut_shapes(64_000, 2, 7, 4, 0);
+        for l in &mut shapes {
+            l.envelope = (l.n as f64).powf(1.5) as usize;
+        }
+        let first_candidate = shapes.iter().position(|l| l.n <= 4000).unwrap();
+        assert_eq!(first_candidate, 4);
+        assert_eq!(cheapest_bottom(&shapes, 4000), first_candidate);
+    }
+
+    #[test]
+    fn bottom_cut_keeps_a_balanced_chain() {
+        // Levels shrink 8× against k = 4 over a narrow band: every level
+        // deeper halves the bottom's share, so the natural bottom stays.
+        let shapes = cut_shapes(64_000, 8, 4, 4, 20);
+        assert_eq!(cheapest_bottom(&shapes, 4000), shapes.len() - 1);
+    }
+
+    #[test]
+    fn bottom_cut_never_picks_level_0_or_an_oversized_level() {
+        // Level 0 would be the cheapest bottom by far, yet a cut keeps at
+        // least one level.
+        let mut shapes = cut_shapes(3000, 2, 4, 4, 1000);
+        shapes[0].envelope = 0;
+        assert!(shapes[0].n <= 4000);
+        assert_eq!(cheapest_bottom(&shapes, 4000), 1);
+        // A free-to-factor level above the candidate cap is skipped.
+        let mut shapes = cut_shapes(64_000, 2, 6, 4, 400);
+        shapes[2].envelope = 0;
+        assert!(shapes[2].n > 4000);
+        assert_ne!(cheapest_bottom(&shapes, 4000), 2);
+        // An iterative natural bottom is never cut.
+        assert_eq!(cheapest_bottom(&shapes, 100), shapes.len() - 1);
+        // Depth 0 stays depth 0.
+        assert_eq!(cheapest_bottom(&shapes[..1], 100_000), 0);
+    }
+
+    #[test]
+    fn bottom_cut_breaks_ties_toward_the_deeper_level() {
+        // Level 1 as bottom: 200 + (2·30 + 2·10) = 280 flops. The natural
+        // bottom: 200 + 2·20 + 2·(2·5 + 2·5) = 280 flops.
+        let shapes = [
+            cut_level(100, 200, 4, 0),
+            cut_level(10, 20, 2, 30),
+            cut_level(5, 10, 0, 5),
+        ];
+        assert_eq!(cheapest_bottom(&shapes, 4000), 2);
+        // Two flops cheaper and level 1 wins.
+        let mut cheaper = shapes;
+        cheaper[1].envelope = 29;
+        assert_eq!(cheapest_bottom(&cheaper, 4000), 1);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Deep preconditioner chain tests: the KMP10 tree-scaling + partial
 //! Cholesky + W-cycle pipeline must produce chains of depth ≥ 3 that
 //! converge, do no more work than the old depth-2 configuration, and stay
-//! bitwise reproducible across pool widths (DESIGN.md §2.1, §3.1).
+//! bitwise reproducible across pool widths (DESIGN.md §2.1, §3.1). Where
+//! the chain stops is the cost cut's choice (DESIGN.md §2.10), so the
+//! mid-size test forces depth with a candidate cap and checks the cut
+//! against it.
 //!
 //! The `#[ignore]`d test is the release-mode "deep-chain" CI job's
 //! workload (200×200 grid ≈ 40k vertices); run it with
@@ -50,25 +53,51 @@ fn print_chain(tag: &str, chain: &SolverChain, stats: &ChainStats) {
     );
 }
 
-/// Debug-friendly scale: a 120×120 grid already recurses to depth ≥ 3
-/// under the default options and converges.
+/// Debug-friendly scale. The default chain on a 120×120 grid stops where
+/// its work model says the direct bottom is cheapest (depth 2 over a
+/// ~2k-vertex bottom); a candidate cap of 900 vertices leaves the cut
+/// only the small levels below, so the same build recurses to depth ≥ 4.
+/// Both converge, and the cut chain models no more work per application.
 #[test]
-fn default_options_reach_depth_3_on_midsize_grid() {
+fn capped_bottom_keeps_depth_4_and_default_cut_is_cheaper_on_midsize_grid() {
     let g = generators::grid2d(120, 120, |_, _| 1.0);
-    let chain = build_chain(&g, &ChainOptions::default());
-    let stats = chain.stats();
-    print_chain("120x120", &chain, &stats);
-    assert!(
-        chain.depth() >= 3,
-        "expected depth ≥ 3, got {} (levels {:?})",
-        chain.depth(),
-        stats.level_vertices
-    );
     let b = rhs(g.n());
-    let out = chain.solve(&b, 1e-8, 300);
+
+    let deep = build_chain(
+        &g,
+        &ChainOptions {
+            dense_bottom_limit: 900,
+            ..Default::default()
+        },
+    );
+    let deep_stats = deep.stats();
+    print_chain("120x120 capped", &deep, &deep_stats);
+    assert!(
+        deep.depth() >= 4,
+        "expected depth ≥ 4, got {} (levels {:?})",
+        deep.depth(),
+        deep_stats.level_vertices
+    );
+    let out = deep.solve(&b, 1e-8, 300);
     assert!(
         out.converged,
         "deep chain diverged: rel={} iters={}",
+        out.relative_residual, out.iterations
+    );
+
+    let cut = build_chain(&g, &ChainOptions::default());
+    let cut_stats = cut.stats();
+    print_chain("120x120 default", &cut, &cut_stats);
+    assert!(
+        cut_stats.work_per_application <= deep_stats.work_per_application,
+        "the cost cut must not model more work: default={:.3e} capped={:.3e}",
+        cut_stats.work_per_application,
+        deep_stats.work_per_application
+    );
+    let out = cut.solve(&b, 1e-8, 300);
+    assert!(
+        out.converged,
+        "default chain diverged: rel={} iters={}",
         out.relative_residual, out.iterations
     );
 }

@@ -9,7 +9,9 @@
 //! regressions without flaking on incidental drift). The barbell family
 //! additionally must exercise the sparsifier's κ clamp on its medium tier
 //! — that path exists for near-disconnected inputs and would otherwise be
-//! dead in CI.
+//! dead in CI. The default chain's cost cut stops above the clamped
+//! level, so a dedicated test keeps it in the chain with a lower
+//! candidate cap.
 //!
 //! Small tiers run everywhere, including debug `cargo test`. Medium and
 //! large tiers are `#[ignore]`d and run in the release "deep-chain" CI
@@ -41,24 +43,27 @@ const ENVELOPES: &[Envelope] = &[
     // Iterative bottoms are charged the iterations of their build-time
     // probe solve at the preconditioner-application tolerance.
     //
-    // rmat: measured depth 1/2/2, it 27/37/40, work 14.5/172.1/11.4×m.
-    // The large tier keeps an iterative bottom (power-law cores do not
-    // eliminate well).
+    // rmat: measured depth 1/1/2, it 27/31/40, work 14.5/50.5/11.4×m.
+    // The cost cut (DESIGN.md §2.10) stops the medium tier at depth 1
+    // (was depth 2 at 172.1×m). The large tier keeps an iterative bottom
+    // (power-law cores do not eliminate well).
     env("rmat", Tier::Small, 3, 60, 40.0, 0),
-    env("rmat", Tier::Medium, 4, 80, 400.0, 0),
+    env("rmat", Tier::Medium, 2, 80, 100.0, 0),
     env("rmat", Tier::Large, 4, 80, 25.0, 0),
-    // smallworld: measured depth 3/1/1, it 40/42/54, work 565/7.6/6.4×m.
+    // smallworld: measured depth 1/1/1, it 30/42/54, work 75.3/7.6/6.4×m.
+    // The cut stops the small tier at depth 1 (was depth 3 at 565×m).
     // Expanders resist both elimination and sparsification; medium/large
     // run an iterative bottom, which converges fast on them.
-    env("smallworld", Tier::Small, 5, 80, 1_200.0, 0),
+    env("smallworld", Tier::Small, 2, 80, 150.0, 0),
     env("smallworld", Tier::Medium, 3, 90, 16.0, 0),
     env("smallworld", Tier::Large, 3, 110, 13.0, 0),
-    // road: measured depth 2/5/6, it 38/94/154, work 16.9/127.1/139.3×m.
-    // Deep chains of small direct bottoms — the healthiest non-grid
-    // family, so the envelopes are tight.
-    env("road", Tier::Small, 4, 80, 40.0, 0),
-    env("road", Tier::Medium, 7, 160, 300.0, 0),
-    env("road", Tier::Large, 8, 190, 300.0, 0),
+    // road: measured depth 1/1/2, it 33/91/155, work 8.1/12.1/19.7×m.
+    // The cut shortens every tier (was depth 2/5/6 at 16.9/127.1/
+    // 139.3×m): direct bottoms of 2.5k–3.5k vertices beat the W-cycle
+    // tails that led to ~300–900-vertex bottoms.
+    env("road", Tier::Small, 2, 80, 16.0, 0),
+    env("road", Tier::Medium, 2, 160, 25.0, 0),
+    env("road", Tier::Large, 4, 190, 40.0, 0),
     // lattice3d: measured depth 1/1/1, it 32/45/41, work 41.6/27.3/39.6×m.
     // Degree-6 stencils starve greedy elimination, so medium falls back
     // to an iterative bottom; the large tier runs the adaptive schedule
@@ -67,12 +72,13 @@ const ENVELOPES: &[Envelope] = &[
     env("lattice3d", Tier::Small, 3, 70, 90.0, 0),
     env("lattice3d", Tier::Medium, 3, 90, 55.0, 0),
     env("lattice3d", Tier::Large, 3, 90, 80.0, 0),
-    // barbell: measured depth 1/6/1, it 24/45/63, work 11.5/1637/1001×m,
-    // κ-clamp ×1 on medium. Light intra-cluster extras starve the stretch
-    // budget into the κ floor there; the envelope keeps that path alive.
-    // The large tier's feeble bridges make its iterative bottom slow.
+    // barbell: measured depth 1/1/1, it 24/29/63, work 11.5/43.6/1001×m.
+    // The cut stops the medium tier at depth 1 (was depth 6 at 1637×m,
+    // 45 it), above its κ-clamped level; `barbell_medium_exercises_kappa_clamp`
+    // keeps that path covered. The large tier's feeble bridges make its
+    // iterative bottom slow.
     env("barbell", Tier::Small, 3, 50, 25.0, 0),
-    env("barbell", Tier::Medium, 8, 90, 3_500.0, 1),
+    env("barbell", Tier::Medium, 2, 90, 90.0, 0),
     env("barbell", Tier::Large, 3, 80, 2_000.0, 0),
 ];
 
@@ -222,6 +228,40 @@ fn lattice3d_upper_tiers_within_envelope() {
 fn barbell_upper_tiers_within_envelope() {
     check("barbell", Tier::Medium);
     check("barbell", Tier::Large);
+}
+
+/// Light intra-cluster extras starve barbell/medium's stretch budget into
+/// the sampler's κ floor at its 495-vertex level. The default chain's cost
+/// cut stops above that level, so a candidate cap below it keeps the level
+/// in the chain: the clamp path must still fire and the chain converge.
+#[test]
+#[ignore = "release-mode deep-chain job workload"]
+fn barbell_medium_exercises_kappa_clamp() {
+    let g = zoo::build("barbell", Tier::Medium);
+    let options = ChainOptions {
+        dense_bottom_limit: 400,
+        ..zoo::chain_options("barbell", Tier::Medium)
+    };
+    let run = zoo::run(&g, options, TOLERANCE);
+    let q = &run.quality;
+    eprintln!(
+        "[zoo barbell/medium, cap 400] it={} res={:.3e} · {}",
+        run.iterations,
+        run.relative_residual,
+        q.summary()
+    );
+    assert!(
+        q.kappa_clamp_hits >= 1,
+        "κ-clamp hit {} levels — the clamp path this family exists to \
+         exercise has gone dead",
+        q.kappa_clamp_hits
+    );
+    assert!(
+        run.converged && run.relative_residual <= TOLERANCE,
+        "not converged (it={} res={:.3e})",
+        run.iterations,
+        run.relative_residual
+    );
 }
 
 // ---------------------------------------------------------------------------
