@@ -12,9 +12,10 @@
 //!
 //! Also reports the fused `A·p` + `pᵀAp` kernel of the top-level PCG
 //! against the unfused apply-then-dot pair, and the f32 storage tier's
-//! variants of both fused kernels (`fused_f32`, `fused_apply_dot_f32`) —
-//! the per-kernel view of the precision knob's bandwidth saving (8 vs 12
-//! bytes per matrix entry, f32 direction block in the sweep).
+//! sweep (`fused_f32`: [`PermutedLevelF32::cheb_fused_sweep32`] on f32
+//! direction, iterate and residual vectors, the kernel the f32 chain's
+//! inner W-cycle runs) — the per-kernel view of the precision knob's
+//! bandwidth saving (8 vs 12 bytes per matrix entry, half-width vectors).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -77,10 +78,10 @@ fn bench_sweeps(c: &mut Criterion) {
         let m32 = PermutedLevelF32::from_level(&m);
         let p32: Vec<f32> = p.iter().map(|&v| v as f32).collect();
         group.bench_with_input(BenchmarkId::new("fused_f32", side), &side, |b, _| {
-            let mut x = x0.clone();
-            let mut r = r0.clone();
+            let mut x: Vec<f32> = x0.iter().map(|&v| v as f32).collect();
+            let mut r: Vec<f32> = r0.iter().map(|&v| v as f32).collect();
             b.iter(|| {
-                m32.cheb_fused_sweep(alpha, &p32, &mut x, &mut r, 1);
+                m32.cheb_fused_sweep32(alpha, &p32, &mut x, &mut r, 1);
                 black_box(r[0]);
             });
         });
@@ -98,16 +99,6 @@ fn bench_sweeps(c: &mut Criterion) {
                 black_box(m.fused_apply_dot(&p, &mut ap, 1)[0]);
             });
         });
-        group.bench_with_input(
-            BenchmarkId::new("fused_apply_dot_f32", side),
-            &side,
-            |b, _| {
-                let mut ap = vec![0.0f64; n];
-                b.iter(|| {
-                    black_box(m32.fused_apply_dot(&p, &mut ap, 1)[0]);
-                });
-            },
-        );
 
         eprintln!(
             "e12 side={side}: n={n} m={} merged stream {} bytes (f32 tier {}) vs \

@@ -76,7 +76,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-/// Graph substrate (CSR graphs, generators, BFS, MST, forests, contraction).
+/// Graph substrate (CSR graphs, generators, BFS, MST, forests, orderings).
 pub use parsdd_graph as graph;
 
 /// Linear-algebra substrate (vectors, CSR matrices, Laplacians, CG,

@@ -29,8 +29,6 @@
 //! * [`mst`] — Kruskal and parallel Borůvka minimum spanning forests.
 //! * [`tree`] — rooted spanning forests with binary-lifting LCA and
 //!   weighted path queries (used for stretch computation).
-//! * [`contraction`] — quotient graphs / minors used by the AKPW
-//!   iteration (Section 5).
 //! * [`dijkstra`] — weighted shortest paths, used to verify subgraph
 //!   stretch in tests and experiments.
 //! * [`parutil`] — small parallel primitives (prefix sums, counting).
@@ -47,7 +45,6 @@
 pub mod bfs;
 pub mod builder;
 pub mod components;
-pub mod contraction;
 pub mod csr;
 pub mod dijkstra;
 pub mod frontier;

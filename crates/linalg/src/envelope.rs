@@ -323,14 +323,12 @@ impl LinearOperator for EnvelopeLdl {
 ///
 /// Built only by **demotion** from a completed f64 factorisation
 /// ([`from_f64`](Self::from_f64)) — the elimination itself always runs in
-/// f64. Two solve entry points share the factor: the f64-vector path
-/// ([`solve_rowmajor_into`](Self::solve_rowmajor_into)) widens each
-/// stored `f32` at load and accumulates in f64, while the f32-vector
-/// path ([`solve_rowmajor_f32_into`](Self::solve_rowmajor_f32_into))
-/// runs both triangular passes entirely in f32 — no per-entry widenings
-/// at all — for callers (the chain's bottom solve) whose right-hand side
-/// is already preconditioner-internal and who convert once at the `n·k`
-/// boundary instead of once per envelope entry.
+/// f64. Its one solve,
+/// [`solve_rowmajor_f32_into`](Self::solve_rowmajor_f32_into), takes f32
+/// right-hand sides and runs both triangular passes entirely in f32 — no
+/// per-entry widenings at all: its caller (the all-f32 inner W-cycle's
+/// bottom solve) holds a preconditioner-internal right-hand side that is
+/// already at f32 rounding scale.
 ///
 /// **Chained-accumulation order.** The bottom solve is the W-cycle's
 /// single largest work term (`∏k_i` leaf solves per preconditioner
@@ -403,179 +401,14 @@ impl EnvelopeLdlF32 {
             + self.dinv.len() * std::mem::size_of::<f64>()
     }
 
-    /// Solves `A x = b` — the `k = 1` case of
-    /// [`solve_rowmajor_into`](Self::solve_rowmajor_into).
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut z = Vec::new();
-        self.solve_rowmajor_into(b, 1, &mut z);
-        z
-    }
-
-    /// Solves `A X = B` for `k` row-major right-hand sides into a
-    /// caller-owned buffer; allocation-free for the monomorphised widths
-    /// (`k ∈ {1, 2, 4, 8, 16, 32}`) once `out` has capacity `n·k`, with
-    /// identical per-column arithmetic at every width.
-    pub fn solve_rowmajor_into(&self, b: &[f64], k: usize, out: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n * k);
-        out.clear();
-        out.extend_from_slice(b);
-        let z = out;
-        if self.n == 0 || k == 0 {
-            return;
-        }
-        match k {
-            1 => self.tri_solve::<1>(z),
-            2 => self.tri_solve::<2>(z),
-            4 => self.tri_solve::<4>(z),
-            8 => self.tri_solve::<8>(z),
-            16 => self.tri_solve::<16>(z),
-            32 => self.tri_solve::<32>(z),
-            _ => self.tri_solve_generic(z, k),
-        }
-    }
-
-    /// K-wide triangular solves over the f32 envelope: forward gather in
-    /// the four-chain order (see the type docs), branch-free reciprocal
-    /// diagonal scale, backward scatter — each `f32` entry widened to f64
-    /// before the multiply, f64 accumulators throughout (the
-    /// f64-accumulation rule).
-    fn tri_solve<const K: usize>(&self, zr: &mut [f64]) {
-        let n = self.n;
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f64] = &mut tail[..K];
-            // Four independent partial-product chains per column, filled
-            // round-robin by band position (fixed scheme — identical per
-            // column at every K).
-            let mut acc = [[0.0f64; K]; 4];
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * K..(fi + (i - fi)) * K];
-            let mut zq = zrow.chunks_exact(4 * K);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c] as f64;
-                    let zc = &zquad[c * K..(c + 1) * K];
-                    for jj in 0..K {
-                        acc[c][jj] += lw * zc[jj];
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(K)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                let lw = lij as f64;
-                for jj in 0..K {
-                    acc[c][jj] += lw * zc[jj];
-                }
-            }
-            for jj in 0..K {
-                acc_row[jj] -= (acc[0][jj] + acc[1][jj]) + (acc[2][jj] + acc[3][jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(K).zip(&self.dinv) {
-            for v in row {
-                *v *= di;
-            }
-        }
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let mut xi = [0.0f64; K];
-            xi.copy_from_slice(&tail[..K]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * K..].chunks_exact_mut(K).zip(lrow) {
-                let lw = lij as f64;
-                for jj in 0..K {
-                    row[jj] -= lw * xi[jj];
-                }
-            }
-        }
-    }
-
-    /// Fallback for block widths outside the monomorphised set; same
-    /// four-chain order per column as [`tri_solve`](Self::tri_solve), so
-    /// every width stays bitwise consistent with the `k = 1` solve.
-    fn tri_solve_generic(&self, zr: &mut [f64], k: usize) {
-        let n = self.n;
-        // acc[c·k + j]: chain c's partial sum for column j.
-        let mut acc = vec![0.0f64; 4 * k];
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            let acc_row = &mut tail[..k];
-            acc.iter_mut().for_each(|a| *a = 0.0);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * k..(fi + (i - fi)) * k];
-            let mut zq = zrow.chunks_exact(4 * k);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c] as f64;
-                    let zc = &zquad[c * k..(c + 1) * k];
-                    for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                        *a += lw * zj;
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(k)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                let lw = lij as f64;
-                for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                    *a += lw * zj;
-                }
-            }
-            for (jj, a) in acc_row.iter_mut().enumerate() {
-                *a -= (acc[jj] + acc[k + jj]) + (acc[2 * k + jj] + acc[3 * k + jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(k).zip(&self.dinv) {
-            for v in row {
-                *v *= di;
-            }
-        }
-        let mut xi = vec![0.0f64; k];
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            xi.copy_from_slice(&tail[..k]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * k..].chunks_exact_mut(k).zip(lrow) {
-                let lw = lij as f64;
-                for (x, &v) in row.iter_mut().zip(&xi) {
-                    *x -= lw * v;
-                }
-            }
-        }
-    }
-
     /// Solves `A X = B` for `k` row-major **f32** right-hand sides into a
-    /// caller-owned **f32** buffer. Same four-chain order per column as
-    /// the f64-vector path, but every product and partial sum stays in
-    /// f32 (one narrowing per reciprocal-diagonal entry aside) — the
-    /// whole solve is at the rounding scale the factor demotion already
-    /// set, so nothing is gained by carrying f64 partials through it.
-    /// Bitwise identical per column at every block width.
+    /// caller-owned **f32** buffer; allocation-free for the monomorphised
+    /// widths (`k ∈ {1, 2, 4, 8, 16, 32}`) once `out` has capacity `n·k`.
+    /// Every product and partial sum stays in f32 (one narrowing per
+    /// reciprocal-diagonal entry aside) — the whole solve is at the
+    /// rounding scale the factor demotion already set, so nothing is
+    /// gained by carrying f64 partials through it. Bitwise identical per
+    /// column at every block width.
     pub fn solve_rowmajor_f32_into(&self, b: &[f32], k: usize, out: &mut Vec<f32>) {
         assert_eq!(b.len(), self.n * k);
         out.clear();
@@ -861,8 +694,13 @@ mod tests {
         assert!(env0.solve(&[]).is_empty());
     }
 
+    fn rhs32(n: usize, s: usize) -> Vec<f32> {
+        balanced_rhs(n, s).iter().map(|&v| v as f32).collect()
+    }
+
     /// The f32 tier preserves structure (envelope size, null directions)
-    /// and produces a residual bounded by f32 rounding of the factor.
+    /// and its all-f32 solve leaves a residual bounded by f32 rounding of
+    /// the factor.
     #[test]
     fn f32_demotion_solves_close_to_f64() {
         let g = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
@@ -872,64 +710,44 @@ mod tests {
         assert_eq!(env32.dim(), env.dim());
         assert_eq!(env32.envelope_nnz(), env.envelope_nnz());
         assert_eq!(env32.null_dim(), env.null_dim());
-        let b = balanced_rhs(g.n(), 1);
-        let x64 = env.solve(&b);
-        let x32 = env32.solve(&b);
-        let scale = x64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
-        for (a, c) in x32.iter().zip(&x64) {
-            assert!((a - c).abs() <= 1e-3 * scale, "{a} vs {c}");
-        }
+        let b32 = rhs32(g.n(), 1);
+        let mut x32 = Vec::new();
+        env32.solve_rowmajor_f32_into(&b32, 1, &mut x32);
+        let b: Vec<f64> = b32.iter().map(|&v| v as f64).collect();
+        let x: Vec<f64> = x32.iter().map(|&v| v as f64).collect();
+        let r = sub(&b, &laplacian_of(&g).apply_vec(&x));
+        assert!(
+            norm2(&r) < 1e-5 * norm2(&b),
+            "relative residual {}",
+            norm2(&r) / norm2(&b)
+        );
     }
 
-    /// Batched f32 solves are bitwise identical to looped single solves
-    /// at every width, monomorphised or generic.
-    #[test]
-    fn f32_rowmajor_block_matches_single_bitwise() {
-        let g = generators::grid2d(8, 8, |_, _| 1.0);
-        let g = relabel(&g, &rcm_order(&g));
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
-        let n = g.n();
-        for k in [2usize, 3, 4, 16, 32] {
-            let cols: Vec<Vec<f64>> = (0..k).map(|s| balanced_rhs(n, s)).collect();
-            let mut br = vec![0.0; n * k];
-            for (j, c) in cols.iter().enumerate() {
-                for i in 0..n {
-                    br[i * k + j] = c[i];
-                }
-            }
-            let mut xr = Vec::new();
-            env32.solve_rowmajor_into(&br, k, &mut xr);
-            for (j, c) in cols.iter().enumerate() {
-                let single = env32.solve(c);
-                for i in 0..n {
-                    assert_eq!(
-                        xr[i * k + j].to_bits(),
-                        single[i].to_bits(),
-                        "k={k} col {j} row {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The all-f32 vector path stays within f32 rounding of the
-    /// f64-vector path over the same demoted factor.
+    /// The all-f32 solve stays within f32 rounding of the f64 factor's
+    /// solve, column by column, at a monomorphised and a generic width.
     #[test]
     fn f32_vector_path_close_to_f64_vector_path() {
         let g = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
         let g = relabel(&g, &rcm_order(&g));
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
-        let b = balanced_rhs(g.n(), 2);
-        let x64 = env32.solve(&b);
-        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let mut x32 = Vec::new();
-        env32.solve_rowmajor_f32_into(&b32, 1, &mut x32);
-        let scale = x64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
-        for (a, c) in x32.iter().zip(&x64) {
-            assert!(
-                (*a as f64 - c).abs() <= 1e-2 * scale,
-                "{a} vs {c} (scale {scale})"
-            );
+        let env = EnvelopeLdl::from_graph(&g, 1e-10);
+        let env32 = EnvelopeLdlF32::from_f64(&env);
+        let n = g.n();
+        for k in [1usize, 3, 4] {
+            let cols: Vec<Vec<f32>> = (0..k).map(|s| rhs32(n, s + 2)).collect();
+            let br: Vec<f32> = (0..n * k).map(|i| cols[i % k][i / k]).collect();
+            let mut xr = Vec::new();
+            env32.solve_rowmajor_f32_into(&br, k, &mut xr);
+            for (j, c) in cols.iter().enumerate() {
+                let x64 = env.solve(&c.iter().map(|&v| v as f64).collect::<Vec<_>>());
+                let scale = x64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
+                for (i, &c) in x64.iter().enumerate() {
+                    let a = xr[i * k + j] as f64;
+                    assert!(
+                        (a - c).abs() <= 1e-4 * scale,
+                        "k={k} col {j}: {a} vs {c} (scale {scale})"
+                    );
+                }
+            }
         }
     }
 
@@ -942,9 +760,7 @@ mod tests {
         let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
         let n = g.n();
         for k in [2usize, 3, 4, 16, 32] {
-            let cols: Vec<Vec<f32>> = (0..k)
-                .map(|s| balanced_rhs(n, s).iter().map(|&v| v as f32).collect())
-                .collect();
+            let cols: Vec<Vec<f32>> = (0..k).map(|s| rhs32(n, s)).collect();
             let mut br = vec![0.0f32; n * k];
             for (j, c) in cols.iter().enumerate() {
                 for i in 0..n {
@@ -967,8 +783,9 @@ mod tests {
         }
     }
 
-    /// Null directions survive demotion: zero pivots stay exactly zero
-    /// and the corresponding solution coordinates stay 0.
+    /// Null directions survive demotion: zero pivots stay exactly zero,
+    /// the corresponding solution coordinates stay exactly 0, and the
+    /// residual is at f32 rounding.
     #[test]
     fn f32_null_directions_preserved() {
         use parsdd_graph::{Edge, Graph};
@@ -982,10 +799,17 @@ mod tests {
         );
         let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
         assert_eq!(env32.null_dim(), 2);
-        let b = vec![1.0, -1.0, 1.0, 0.5, -1.5];
-        let x = env32.solve(&b);
-        let l = laplacian_of(&g);
-        let r = sub(&b, &l.apply_vec(&x));
+        let b = [1.0f32, -1.0, 1.0, 0.5, -1.5];
+        let mut x = Vec::new();
+        env32.solve_rowmajor_f32_into(&b, 1, &mut x);
+        for (i, &d) in env32.dinv.iter().enumerate() {
+            if d == 0.0 {
+                assert_eq!(x[i], 0.0, "null direction {i}");
+            }
+        }
+        let x64: Vec<f64> = x.iter().map(|&v| v as f64).collect();
+        let b64: Vec<f64> = b.iter().map(|&v| v as f64).collect();
+        let r = sub(&b64, &laplacian_of(&g).apply_vec(&x64));
         assert!(norm2(&r) < 1e-5);
     }
 }

@@ -661,12 +661,12 @@ impl PermutedLevel {
 ///
 /// Built only by **demotion** from an already-constructed f64 level
 /// ([`from_level`](Self::from_level)): the chain always builds, scales and
-/// eliminates in f64, then narrows the storage once. Vector arguments
-/// stay `f64` (the W-cycle's residuals, iterates and traces are f64
-/// end-to-end) except the Chebyshev direction `p`, which the fused sweep
-/// takes as `f32` — that gather is the other half of the sweep's stream,
-/// and the direction vector is preconditioner-internal (never consumed by
-/// the outer f64 loop), so narrowing it is free accuracy-wise.
+/// eliminates in f64, then narrows the storage once. One kernel runs per
+/// preconditioner application:
+/// [`cheb_fused_sweep32`](Self::cheb_fused_sweep32), the fused Chebyshev
+/// sweep of the all-f32 inner W-cycle, on f32 direction, iterate and
+/// residual blocks. [`apply`](Self::apply) takes f64 vectors and serves
+/// the chain's build-time Chebyshev calibration only.
 ///
 /// **Accumulation rule.** This tier defines its own fixed intra-row order
 /// (the f64 tier's serial order is pinned to the committed behavior; this
@@ -674,18 +674,16 @@ impl PermutedLevel {
 /// round-robin over **four partial chains** by entry position (diagonal is
 /// position 0), combined as `(s0 + s1) + (s2 + s3)`. The four chains are
 /// independent, which breaks the serial FP-add latency chain the
-/// gather-bound kernels are otherwise stuck on. Against an f64 vector
-/// (`apply`, the top-level PCG's fused apply+dot) the product is
+/// gather-bound kernels are otherwise stuck on. In `apply` the product is
 /// `f64(w) · x` and the chains accumulate in f64 — exact sums of rounded
-/// products. Against the f32 direction block (the Chebyshev sweep) the
-/// whole row dot runs **in f32** — f32 products, f32 chains — and the
-/// combined sum is widened to f64 once per row: each step rounds at the
-/// same relative scale (~6e-8) the storage demotion already introduced,
-/// the dot is over a handful of entries (sparse rows), and the result
-/// only steers a preconditioner-internal direction that the flexible
-/// outer loop re-measures in f64 anyway. The chain assignment depends
-/// only on the entry position, so every result remains bitwise identical
-/// at every pool width and block width `k`.
+/// products. In the sweep the whole row dot runs **in f32** — f32
+/// products, f32 chains: each step rounds at the same relative scale
+/// (~6e-8) the storage demotion already introduced, the dot is over a
+/// handful of entries (sparse rows), and the result only steers a
+/// preconditioner-internal solve that the flexible outer loop re-measures
+/// in f64 anyway. The chain assignment depends only on the entry
+/// position, so every result remains bitwise identical at every pool
+/// width and block width `k`.
 #[derive(Debug, Clone)]
 pub struct PermutedLevelF32 {
     n: usize,
@@ -730,18 +728,9 @@ impl PermutedLevelF32 {
         (acc[0] + acc[1]) + (acc[2] + acc[3])
     }
 
-    /// Row dot against an **f32** vector (the Chebyshev direction): f32
-    /// products summed over four position-mod-4 **f32** chains, widened
-    /// to f64 once per row (see the type docs).
-    #[inline(always)]
-    fn row_dot_p(cols: &[u32], coefs: &[f32], p: &[f32]) -> f64 {
-        Self::row_dot_p32(cols, coefs, p) as f64
-    }
-
-    /// The f32-returning core of [`row_dot_p`](Self::row_dot_p): the
-    /// whole dot runs in f32 over the four position-mod-4 chains; the
-    /// f64-iterate caller widens the combined sum once, the f32-iterate
-    /// sweep consumes it as is.
+    /// Row dot against an f32 vector (the Chebyshev direction): f32
+    /// products summed over four position-mod-4 f32 chains (see the type
+    /// docs).
     #[inline(always)]
     fn row_dot_p32(cols: &[u32], coefs: &[f32], p: &[f32]) -> f32 {
         let mut acc = [0.0f32; 4];
@@ -760,57 +749,8 @@ impl PermutedLevelF32 {
         (acc[0] + acc[1]) + (acc[2] + acc[3])
     }
 
-    /// Width-`K` row dot against an f64 block: entry-outer with the same
-    /// four position-mod-4 chains per column, so each column's arithmetic
-    /// is identical to the scalar path's.
-    #[inline(always)]
-    fn row_dot_x_wide<const K: usize>(cols: &[u32], coefs: &[f32], xr: &[f64]) -> [f64; K] {
-        let mut acc = [[0.0f64; K]; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                let o = cs[c] as usize * K;
-                debug_assert!(o + K <= xr.len());
-                let xrow = unsafe { xr.get_unchecked(o..o + K) };
-                let wd = ws[c] as f64;
-                for j in 0..K {
-                    acc[c][j] += wd * xrow[j];
-                }
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            let o = ci as usize * K;
-            debug_assert!(o + K <= xr.len());
-            let xrow = unsafe { xr.get_unchecked(o..o + K) };
-            let wd = w as f64;
-            for j in 0..K {
-                acc[c][j] += wd * xrow[j];
-            }
-        }
-        let mut out = [0.0f64; K];
-        for j in 0..K {
-            out[j] = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
-        }
-        out
-    }
-
-    /// Width-`K` row dot against an f32 block: f32 products over four
-    /// position-mod-4 **f32** chains per column, widened once per column
-    /// (identical per-column arithmetic to the scalar path).
-    #[inline(always)]
-    fn row_dot_p_wide<const K: usize>(cols: &[u32], coefs: &[f32], pr: &[f32]) -> [f64; K] {
-        let acc = Self::row_dot_p_wide32::<K>(cols, coefs, pr);
-        let mut out = [0.0f64; K];
-        for j in 0..K {
-            out[j] = acc[j] as f64;
-        }
-        out
-    }
-
-    /// The f32-returning core of
-    /// [`row_dot_p_wide`](Self::row_dot_p_wide): per column, the same
-    /// four-chain all-f32 dot as the scalar core.
+    /// Width-`K` row dot against an f32 block: per column, the same
+    /// four-chain all-f32 dot as [`row_dot_p32`](Self::row_dot_p32).
     #[inline(always)]
     fn row_dot_p_wide32<const K: usize>(cols: &[u32], coefs: &[f32], pr: &[f32]) -> [f32; K] {
         let mut acc = [[0.0f32; K]; 4];
@@ -842,34 +782,6 @@ impl PermutedLevelF32 {
         out
     }
 
-    /// Monomorphised fused-sweep chunk (f32 direction, f64 iterates).
-    #[inline(always)]
-    fn cheb_chunk_wide<const K: usize>(
-        &self,
-        alpha: f64,
-        p: &[f32],
-        base: usize,
-        xs: &mut [f64],
-        rs: &mut [f64],
-    ) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, (xrow, rrow)) in xs
-            .chunks_exact_mut(K)
-            .zip(rs.chunks_exact_mut(K))
-            .enumerate()
-        {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_p_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
-            let pvrow = &p[v * K..(v + 1) * K];
-            for j in 0..K {
-                xrow[j] += alpha * pvrow[j] as f64;
-                rrow[j] -= alpha * acc[j];
-            }
-            e = hi;
-        }
-    }
-
     /// Monomorphised fused-sweep chunk with **f32 iterates** (`af` is the
     /// step scalar already narrowed once per sweep).
     #[inline(always)]
@@ -894,42 +806,6 @@ impl PermutedLevelF32 {
             for j in 0..K {
                 xrow[j] += af * pvrow[j];
                 rrow[j] -= af * acc[j];
-            }
-            e = hi;
-        }
-    }
-
-    /// Monomorphised apply chunk on f64 blocks.
-    #[inline(always)]
-    fn apply_chunk_wide<const K: usize>(&self, xr: &[f64], base: usize, ys: &mut [f64]) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, yrow) in ys.chunks_exact_mut(K).enumerate() {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_x_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], xr);
-            yrow.copy_from_slice(&acc);
-            e = hi;
-        }
-    }
-
-    /// Monomorphised fused apply+dot chunk (f64 blocks, f64 partials).
-    #[inline(always)]
-    fn fused_apply_dot_chunk_wide<const K: usize>(
-        &self,
-        p: &[f64],
-        base: usize,
-        rows: &mut [f64],
-        acc: &mut [f64],
-    ) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, aprow) in rows.chunks_exact_mut(K).enumerate() {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let a = Self::row_dot_x_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
-            let prow = &p[v * K..(v + 1) * K];
-            aprow.copy_from_slice(&a);
-            for j in 0..K {
-                acc[j] += prow[j] * a[j];
             }
             e = hi;
         }
@@ -963,8 +839,9 @@ impl PermutedLevelF32 {
         (&self.cols[lo..hi], &self.coefs[lo..hi])
     }
 
-    /// `y ← L x` (single f64 vector, f64 accumulation). Same streaming
-    /// two-row-unrolled walk as the f64 tier.
+    /// `y ← L x` (single f64 vector, f64 accumulation) — the chain's
+    /// build-time calibration operator. Same streaming two-row-unrolled
+    /// walk as the f64 tier.
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
@@ -994,201 +871,13 @@ impl PermutedLevelF32 {
         }
     }
 
-    /// `Y ← L X` on row-major f64 blocks of width `k`; per column the
-    /// arithmetic is identical at every `k` (same contract as the f64
-    /// tier).
-    pub fn apply_rowmajor(&self, xr: &[f64], yr: &mut [f64], k: usize) {
-        assert_eq!(xr.len(), self.n * k);
-        assert_eq!(yr.len(), self.n * k);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            self.apply(xr, yr);
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    self.apply_chunk_wide::<$K>(xr, 0, yr);
-                } else {
-                    yr.par_chunks_mut(CHUNK_ROWS * k)
-                        .enumerate()
-                        .for_each(|(ci, ys)| self.apply_chunk_wide::<$K>(xr, ci * CHUNK_ROWS, ys));
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base: usize, rows: &mut [f64]| {
-            let mut acc = [[0.0f64; 32]; 4];
-            for (r, yrow) in rows.chunks_exact_mut(k).enumerate() {
-                let v = base + r;
-                let (cols, coefs) = self.row(v);
-                if k <= 32 {
-                    acc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let xrow = &xr[c as usize * k..(c as usize + 1) * k];
-                        let wd = w as f64;
-                        let ch = &mut acc[t & 3][..k];
-                        for (a, &xv) in ch.iter_mut().zip(xrow) {
-                            *a += wd * xv;
-                        }
-                    }
-                    for (j, y) in yrow.iter_mut().enumerate() {
-                        *y = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
-                    }
-                } else {
-                    for (j, y) in yrow.iter_mut().enumerate() {
-                        let mut a = [0.0f64; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a[t & 3] += w as f64 * xr[c as usize * k + j];
-                        }
-                        *y = (a[0] + a[1]) + (a[2] + a[3]);
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            kernel(0, yr);
-        } else {
-            yr.par_chunks_mut(CHUNK_ROWS * k)
-                .enumerate()
-                .for_each(|(ci, rows)| kernel(ci * CHUNK_ROWS, rows));
-        }
-    }
-
-    /// One fused Chebyshev sweep: `x ← x + α·p`, `r ← r − α·(L p)` in a
-    /// single matrix pass. `p` is the **f32** direction block (row-major,
-    /// width `k`); `x`/`r` stay f64. The row dots run entirely in f32
-    /// (four position-mod-4 chains, widened once per element — see the
-    /// type docs); per element the arithmetic is identical at every block
-    /// width and pool width.
-    pub fn cheb_fused_sweep(&self, alpha: f64, p: &[f32], x: &mut [f64], r: &mut [f64], k: usize) {
-        assert_eq!(p.len(), self.n * k);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(r.len(), self.n * k);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            let sweep = |base: usize, xs: &mut [f64], rs: &mut [f64]| {
-                let mut e = self.offsets[base] as usize;
-                let mut v = base;
-                let mut xp = xs.chunks_exact_mut(2);
-                let mut rp = rs.chunks_exact_mut(2);
-                for (xpair, rpair) in xp.by_ref().zip(rp.by_ref()) {
-                    let mid = self.offsets[v + 1] as usize;
-                    let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot_p(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot_p(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    xpair[0] += alpha * p[v] as f64;
-                    rpair[0] -= alpha * a0;
-                    xpair[1] += alpha * p[v + 1] as f64;
-                    rpair[1] -= alpha * a1;
-                    e = hi;
-                    v += 2;
-                }
-                if let ([xv], [rv]) = (xp.into_remainder(), rp.into_remainder()) {
-                    let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot_p(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *xv += alpha * p[v] as f64;
-                    *rv -= alpha * a;
-                }
-            };
-            if self.n < SEQ_ROWS {
-                sweep(0, x, r);
-            } else {
-                x.par_chunks_mut(CHUNK_ROWS)
-                    .zip(r.par_chunks_mut(CHUNK_ROWS))
-                    .enumerate()
-                    .for_each(|(ci, (xs, rs))| sweep(ci * CHUNK_ROWS, xs, rs));
-            }
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    self.cheb_chunk_wide::<$K>(alpha, p, 0, x, r);
-                } else {
-                    x.par_chunks_mut(CHUNK_ROWS * k)
-                        .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                        .enumerate()
-                        .for_each(|(ci, (xs, rs))| {
-                            self.cheb_chunk_wide::<$K>(alpha, p, ci * CHUNK_ROWS, xs, rs)
-                        });
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base_row: usize, xs: &mut [f64], rs: &mut [f64]| {
-            let mut acc = [[0.0f32; 32]; 4];
-            for (rr, (xrow, rrow)) in xs
-                .chunks_exact_mut(k)
-                .zip(rs.chunks_exact_mut(k))
-                .enumerate()
-            {
-                let v = base_row + rr;
-                let (cols, coefs) = self.row(v);
-                let pvrow = &p[v * k..(v + 1) * k];
-                if k <= 32 {
-                    acc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let prow = &p[c as usize * k..(c as usize + 1) * k];
-                        let ch = &mut acc[t & 3][..k];
-                        for (a, &pv) in ch.iter_mut().zip(prow) {
-                            *a += w * pv;
-                        }
-                    }
-                    for j in 0..k {
-                        xrow[j] += alpha * pvrow[j] as f64;
-                        rrow[j] -=
-                            alpha * (((acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j])) as f64);
-                    }
-                } else {
-                    for j in 0..k {
-                        let mut a = [0.0f32; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a[t & 3] += w * p[c as usize * k + j];
-                        }
-                        xrow[j] += alpha * pvrow[j] as f64;
-                        rrow[j] -= alpha * (((a[0] + a[1]) + (a[2] + a[3])) as f64);
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            kernel(0, x, r);
-        } else {
-            x.par_chunks_mut(CHUNK_ROWS * k)
-                .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                .enumerate()
-                .for_each(|(ci, (xs, rs))| {
-                    kernel(ci * CHUNK_ROWS, xs, rs);
-                });
-        }
-    }
-
-    /// [`cheb_fused_sweep`](Self::cheb_fused_sweep) with **f32 iterates**:
-    /// `x ← x + α·p`, `r ← r − α·(L p)` where `p`, `x`, and `r` are all
-    /// f32 blocks — the inner W-cycle's form, where every vector below
-    /// the outer interface lives in f32. The step scalar is narrowed
-    /// once per sweep; the row dots and updates then run entirely in
-    /// f32 (four position-mod-4 chains per dot, identical per element at
-    /// every block width and pool width).
+    /// One fused Chebyshev sweep on f32 blocks: `x ← x + α·p`,
+    /// `r ← r − α·(L p)` in a single matrix pass, where `p`, `x`, and `r`
+    /// are row-major f32 blocks of width `k` — the inner W-cycle's form,
+    /// where every vector below the outer interface lives in f32. The
+    /// step scalar is narrowed once per sweep; the row dots and updates
+    /// then run entirely in f32 (four position-mod-4 chains per dot,
+    /// identical per element at every block width and pool width).
     pub fn cheb_fused_sweep32(
         &self,
         alpha: f64,
@@ -1305,179 +994,6 @@ impl PermutedLevelF32 {
                 .for_each(|(ci, (xs, rs))| {
                     kernel(ci * CHUNK_ROWS, xs, rs);
                 });
-        }
-    }
-
-    /// `AP ← L P` plus the per-column `pᵀ(L p)` inner products in one
-    /// matrix pass (f64 blocks in and out; reductions accumulate in f64
-    /// over the same fixed 512-row block tree as the f64 tier).
-    pub fn fused_apply_dot(&self, p: &[f64], ap: &mut [f64], k: usize) -> Vec<f64> {
-        let mut dots = Vec::new();
-        let mut partial = Vec::new();
-        self.fused_apply_dot_into(p, ap, k, &mut dots, &mut partial);
-        dots
-    }
-
-    /// [`fused_apply_dot`](Self::fused_apply_dot) into caller-owned
-    /// buffers; allocation-free on the sequential dispatch path once both
-    /// buffers have capacity `k`.
-    pub fn fused_apply_dot_into(
-        &self,
-        p: &[f64],
-        ap: &mut [f64],
-        k: usize,
-        dots: &mut Vec<f64>,
-        partial: &mut Vec<f64>,
-    ) {
-        assert_eq!(p.len(), self.n * k);
-        assert_eq!(ap.len(), self.n * k);
-        dots.clear();
-        dots.resize(k, 0.0);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            let sweep = |base: usize, rows: &mut [f64]| -> f64 {
-                let mut acc = 0.0;
-                let mut e = self.offsets[base] as usize;
-                let mut v = base;
-                let mut pairs = rows.chunks_exact_mut(2);
-                for pair in pairs.by_ref() {
-                    let mid = self.offsets[v + 1] as usize;
-                    let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot_x(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot_x(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    pair[0] = a0;
-                    pair[1] = a1;
-                    acc += p[v] * a0;
-                    acc += p[v + 1] * a1;
-                    e = hi;
-                    v += 2;
-                }
-                if let [apv] = pairs.into_remainder() {
-                    let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot_x(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *apv = a;
-                    acc += p[v] * a;
-                }
-                acc
-            };
-            if self.n < SEQ_ROWS {
-                for (ci, rows) in ap.chunks_mut(CHUNK_ROWS).enumerate() {
-                    dots[0] += sweep(ci * CHUNK_ROWS, rows);
-                }
-            } else {
-                let partials: Vec<f64> = ap
-                    .par_chunks_mut(CHUNK_ROWS)
-                    .enumerate()
-                    .map(|(ci, rows)| sweep(ci * CHUNK_ROWS, rows))
-                    .collect();
-                for v in partials {
-                    dots[0] += v;
-                }
-            }
-            return;
-        }
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    for (ci, rows) in ap.chunks_mut(CHUNK_ROWS * k).enumerate() {
-                        partial.clear();
-                        partial.resize(k, 0.0);
-                        self.fused_apply_dot_chunk_wide::<$K>(p, ci * CHUNK_ROWS, rows, partial);
-                        for (o, &v) in dots.iter_mut().zip(partial.iter()) {
-                            *o += v;
-                        }
-                    }
-                } else {
-                    let partials: Vec<Vec<f64>> = ap
-                        .par_chunks_mut(CHUNK_ROWS * k)
-                        .enumerate()
-                        .map(|(ci, rows)| {
-                            let mut acc = vec![0.0f64; k];
-                            self.fused_apply_dot_chunk_wide::<$K>(
-                                p,
-                                ci * CHUNK_ROWS,
-                                rows,
-                                &mut acc,
-                            );
-                            acc
-                        })
-                        .collect();
-                    for part in &partials {
-                        for (o, &v) in dots.iter_mut().zip(part) {
-                            *o += v;
-                        }
-                    }
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base_row: usize, rows: &mut [f64], acc: &mut [f64]| {
-            let mut rowacc = [[0.0f64; 64]; 4];
-            for (rr, aprow) in rows.chunks_exact_mut(k).enumerate() {
-                let v = base_row + rr;
-                let (cols, coefs) = self.row(v);
-                let prow = &p[v * k..(v + 1) * k];
-                if k <= 64 {
-                    rowacc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
-                    for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                        let pr = &p[c as usize * k..(c as usize + 1) * k];
-                        let wd = w as f64;
-                        let ch = &mut rowacc[t & 3][..k];
-                        for (a, &pv) in ch.iter_mut().zip(pr) {
-                            *a += wd * pv;
-                        }
-                    }
-                    for j in 0..k {
-                        let a = (rowacc[0][j] + rowacc[1][j]) + (rowacc[2][j] + rowacc[3][j]);
-                        aprow[j] = a;
-                        acc[j] += prow[j] * a;
-                    }
-                } else {
-                    for j in 0..k {
-                        let mut a4 = [0.0f64; 4];
-                        for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a4[t & 3] += w as f64 * p[c as usize * k + j];
-                        }
-                        let a = (a4[0] + a4[1]) + (a4[2] + a4[3]);
-                        aprow[j] = a;
-                        acc[j] += prow[j] * a;
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            for (ci, rows) in ap.chunks_mut(CHUNK_ROWS * k).enumerate() {
-                partial.clear();
-                partial.resize(k, 0.0);
-                kernel(ci * CHUNK_ROWS, rows, partial);
-                for (o, &v) in dots.iter_mut().zip(partial.iter()) {
-                    *o += v;
-                }
-            }
-        } else {
-            let partials: Vec<Vec<f64>> = ap
-                .par_chunks_mut(CHUNK_ROWS * k)
-                .enumerate()
-                .map(|(ci, rows)| {
-                    let mut acc = vec![0.0f64; k];
-                    kernel(ci * CHUNK_ROWS, rows, &mut acc);
-                    acc
-                })
-                .collect();
-            for part in &partials {
-                for (o, &v) in dots.iter_mut().zip(part) {
-                    *o += v;
-                }
-            }
         }
     }
 }
@@ -1685,36 +1201,40 @@ mod tests {
         }
     }
 
-    /// k-invariance of the f32 block apply: per column, every block width
-    /// produces bits identical to the k = 1 path.
-    #[test]
-    fn f32_apply_rowmajor_k_invariant_bitwise() {
-        let g = test_graph(true);
-        let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
-        let n = g.n();
-        for k in [2usize, 4, 8, 16, 3, 17] {
-            let cols: Vec<Vec<f64>> = (0..k).map(|s| rhs(n, s)).collect();
-            let mut xr = vec![0.0; n * k];
-            for (j, c) in cols.iter().enumerate() {
-                for i in 0..n {
-                    xr[i * k + j] = c[i];
+    /// All-f32 reference for the fused sweep: the row dot over the four
+    /// position-mod-4 f32 chains written out entry by entry, then the two
+    /// f32 axpys with the step narrowed once.
+    fn f32_sweep_reference(
+        m32: &PermutedLevelF32,
+        alpha: f64,
+        p: &[f32],
+        x: &mut [f32],
+        r: &mut [f32],
+    ) {
+        let af = alpha as f32;
+        let ap: Vec<f32> = (0..m32.n())
+            .map(|v| {
+                let (cols, coefs) = m32.row(v);
+                let mut acc = [0.0f32; 4];
+                for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
+                    acc[t & 3] += w * p[c as usize];
                 }
-            }
-            let mut yr = vec![0.0; n * k];
-            m32.apply_rowmajor(&xr, &mut yr, k);
-            for (j, c) in cols.iter().enumerate() {
-                let mut y1 = vec![0.0; n];
-                m32.apply(c, &mut y1);
-                for i in 0..n {
-                    assert_eq!(yr[i * k + j].to_bits(), y1[i].to_bits(), "k={k} col {j}");
-                }
-            }
+                (acc[0] + acc[1]) + (acc[2] + acc[3])
+            })
+            .collect();
+        for ((xv, rv), (&pv, &av)) in x.iter_mut().zip(r.iter_mut()).zip(p.iter().zip(&ap)) {
+            *xv += af * pv;
+            *rv -= af * av;
         }
     }
 
-    /// The f32 fused sweep matches the unfused sequence (apply in f64
-    /// arithmetic over the f32 coefficients + two axpys) bitwise, on both
-    /// dispatch paths, and every block width matches k = 1 per column.
+    fn rhs32(n: usize, s: usize) -> Vec<f32> {
+        rhs(n, s).iter().map(|&v| v as f32).collect()
+    }
+
+    /// The f32 fused sweep matches the unfused all-f32 sequence (apply +
+    /// two axpys) bitwise, on both dispatch paths, and every block width
+    /// matches k = 1 per column.
     #[test]
     fn f32_fused_sweep_matches_unfused_and_k_invariant() {
         for big in [false, true] {
@@ -1722,19 +1242,13 @@ mod tests {
             let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
             let n = g.n();
             let alpha = 0.37;
-            let p32: Vec<f32> = rhs(n, 1).iter().map(|&v| v as f32).collect();
-            let p64: Vec<f64> = p32.iter().map(|&v| v as f64).collect();
-            let mut x = rhs(n, 2);
-            let mut r = rhs(n, 3);
+            let p = rhs32(n, 1);
+            let mut x = rhs32(n, 2);
+            let mut r = rhs32(n, 3);
             let mut x_ref = x.clone();
             let mut r_ref = r.clone();
-            // Reference: the same f64-accumulated row dots via apply
-            // (which widens each f32 exactly), then two axpys.
-            let mut ap = vec![0.0; n];
-            m32.apply(&p64, &mut ap);
-            axpy(alpha, &p64, &mut x_ref);
-            axpy(-alpha, &ap, &mut r_ref);
-            m32.cheb_fused_sweep(alpha, &p32, &mut x, &mut r, 1);
+            f32_sweep_reference(&m32, alpha, &p, &mut x_ref, &mut r_ref);
+            m32.cheb_fused_sweep32(alpha, &p, &mut x, &mut r, 1);
             for i in 0..n {
                 assert_eq!(x[i].to_bits(), x_ref[i].to_bits(), "x[{i}] big={big}");
                 assert_eq!(r[i].to_bits(), r_ref[i].to_bits(), "r[{i}] big={big}");
@@ -1746,14 +1260,14 @@ mod tests {
         let n = g.n();
         let alpha = -0.21;
         for k in [2usize, 4, 8, 16, 3] {
-            let mut xr = vec![0.0; n * k];
-            let mut rr = vec![0.0; n * k];
+            let mut xr = vec![0.0f32; n * k];
+            let mut rr = vec![0.0f32; n * k];
             let mut pr = vec![0.0f32; n * k];
-            let mut singles: Vec<(Vec<f32>, Vec<f64>, Vec<f64>)> = Vec::new();
+            let mut singles: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = Vec::new();
             for j in 0..k {
-                let p: Vec<f32> = rhs(n, j).iter().map(|&v| v as f32).collect();
-                let x = rhs(n, j + 10);
-                let r = rhs(n, j + 20);
+                let p = rhs32(n, j);
+                let x = rhs32(n, j + 10);
+                let r = rhs32(n, j + 20);
                 for i in 0..n {
                     pr[i * k + j] = p[i];
                     xr[i * k + j] = x[i];
@@ -1761,43 +1275,12 @@ mod tests {
                 }
                 singles.push((p, x, r));
             }
-            m32.cheb_fused_sweep(alpha, &pr, &mut xr, &mut rr, k);
+            m32.cheb_fused_sweep32(alpha, &pr, &mut xr, &mut rr, k);
             for (j, (p, x, r)) in singles.iter_mut().enumerate() {
-                m32.cheb_fused_sweep(alpha, p, x, r, 1);
+                m32.cheb_fused_sweep32(alpha, p, x, r, 1);
                 for i in 0..n {
                     assert_eq!(xr[i * k + j].to_bits(), x[i].to_bits(), "x k={k} col {j}");
                     assert_eq!(rr[i * k + j].to_bits(), r[i].to_bits(), "r k={k} col {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_fused_apply_dot_matches_apply_plus_dot() {
-        for big in [false, true] {
-            let g = test_graph(big);
-            let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
-            let n = g.n();
-            for k in [1usize, 3, 4] {
-                let mut pr = vec![0.0; n * k];
-                for j in 0..k {
-                    let p = rhs(n, j + 2);
-                    for i in 0..n {
-                        pr[i * k + j] = p[i];
-                    }
-                }
-                let mut ap = vec![0.0; n * k];
-                let dots = m32.fused_apply_dot(&pr, &mut ap, k);
-                let mut ap_ref = vec![0.0; n * k];
-                m32.apply_rowmajor(&pr, &mut ap_ref, k);
-                for i in 0..n * k {
-                    assert_eq!(ap[i].to_bits(), ap_ref[i].to_bits(), "big={big} k={k}");
-                }
-                for j in 0..k {
-                    let p1: Vec<f64> = (0..n).map(|i| pr[i * k + j]).collect();
-                    let mut ap1 = vec![0.0; n];
-                    let d1 = m32.fused_apply_dot(&p1, &mut ap1, 1);
-                    assert_eq!(dots[j].to_bits(), d1[0].to_bits(), "col {j} big={big}");
                 }
             }
         }

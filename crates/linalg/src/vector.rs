@@ -321,59 +321,6 @@ pub fn project_out_componentwise_rows_with(
     }
 }
 
-/// Fused componentwise-mean projection **and** f32 narrowing: reads the
-/// f64 block, writes `(v − mean) as f32` into `out32` without an f64
-/// staging copy. The mean accumulation and subtraction run in f64 in
-/// exactly [`project_out_componentwise_rows_with`]'s order, so the
-/// narrowed result is bitwise what projecting in place and then
-/// narrowing would produce — this only deletes the intermediate copy and
-/// the separate narrowing pass (two of the five passes the f32 bottom
-/// prelude used to make per solve).
-pub fn project_out_componentwise_rows_narrowing(
-    xr: &[f64],
-    k: usize,
-    labels: &[u32],
-    count: usize,
-    sums: &mut Vec<f64>,
-    sizes: &mut Vec<usize>,
-    out32: &mut Vec<f32>,
-) {
-    if k == 0 {
-        out32.clear();
-        return;
-    }
-    assert_eq!(xr.len(), labels.len() * k);
-    sums.clear();
-    sums.resize(count * k, 0.0);
-    sizes.clear();
-    sizes.resize(count, 0);
-    for (row, &l) in xr.chunks_exact(k).zip(labels) {
-        let s = &mut sums[l as usize * k..(l as usize + 1) * k];
-        for (acc, &v) in s.iter_mut().zip(row) {
-            *acc += v;
-        }
-        sizes[l as usize] += 1;
-    }
-    for (comp, chunk) in sums.chunks_exact_mut(k).enumerate() {
-        let sz = sizes[comp];
-        for m in chunk.iter_mut() {
-            *m = if sz == 0 { 0.0 } else { *m / sz as f64 };
-        }
-    }
-    out32.clear();
-    out32.resize(xr.len(), 0.0);
-    for ((row, orow), &l) in xr
-        .chunks_exact(k)
-        .zip(out32.chunks_exact_mut(k))
-        .zip(labels)
-    {
-        let means = &sums[l as usize * k..(l as usize + 1) * k];
-        for ((&v, &m), o) in row.iter().zip(means).zip(orow) {
-            *o = (v - m) as f32;
-        }
-    }
-}
-
 /// Componentwise-mean projection of an **f32** row-major block — the
 /// all-f32 inner W-cycle's counterpart of
 /// [`project_out_componentwise_rows_with`]. Sums accumulate in f32 (the
@@ -477,25 +424,29 @@ mod tests {
     }
 
     #[test]
-    fn fused_projection_narrowing_matches_two_step_bitwise() {
-        // The fused project-and-narrow pass must produce exactly the bits
-        // of projecting in place (f64) and then narrowing each entry.
+    fn f32_componentwise_projection_block_matches_per_column_bitwise() {
+        // Column j of a k-wide projected block must carry exactly the bits
+        // of projecting that column alone (k = 1), and every column must
+        // sum to ~0 on each component.
         let n = 37;
         let k = 3;
         let labels: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let xr: Vec<f64> = (0..n * k)
-            .map(|i| ((i * 17) % 31) as f64 / 7.0 - 2.0)
+        let xr: Vec<f32> = (0..n * k)
+            .map(|i| ((i * 17) % 31) as f32 / 7.0 - 2.0)
             .collect();
-        let mut two_step = xr.clone();
-        project_out_componentwise_rows(&mut two_step, k, &labels, 2);
-        let expect: Vec<f32> = two_step.iter().map(|&v| v as f32).collect();
-        let (mut sums, mut sizes, mut got) = (Vec::new(), Vec::new(), Vec::new());
-        project_out_componentwise_rows_narrowing(
-            &xr, k, &labels, 2, &mut sums, &mut sizes, &mut got,
-        );
-        assert_eq!(got.len(), expect.len());
-        for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "entry {i}");
+        let (mut sums, mut sizes) = (Vec::new(), Vec::new());
+        let mut block = xr.clone();
+        project_out_componentwise_rows_f32_with(&mut block, k, &labels, 2, &mut sums, &mut sizes);
+        for j in 0..k {
+            let mut col: Vec<f32> = (0..n).map(|i| xr[i * k + j]).collect();
+            project_out_componentwise_rows_f32_with(&mut col, 1, &labels, 2, &mut sums, &mut sizes);
+            for (i, v) in col.iter().enumerate() {
+                assert_eq!(v.to_bits(), block[i * k + j].to_bits(), "col {j} row {i}");
+            }
+            for comp in 0..2u32 {
+                let s: f32 = (0..n).filter(|&i| labels[i] == comp).map(|i| col[i]).sum();
+                assert!(s.abs() < 1e-5, "col {j} component {comp} sums to {s}");
+            }
         }
     }
 

@@ -55,22 +55,13 @@ use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
 use parsdd_linalg::vector::{
     colwise_dots_rm, colwise_dots_rm_into, dot_strided, project_out_componentwise_constant,
     project_out_componentwise_rows, project_out_componentwise_rows_f32_with,
-    project_out_componentwise_rows_narrowing, project_out_componentwise_rows_with,
+    project_out_componentwise_rows_with,
 };
 use parsdd_lsst::subgraph::{ls_subgraph, LsSubgraphParams};
 
 use crate::elimination::{greedy_elimination, CompiledTraceF32, EliminationResult};
 use crate::error::RecoveryStep;
 use crate::sparsify::{incremental_sparsify, SparsifyParams};
-
-/// How each level of the recursion iterates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IterationMethod {
-    /// Preconditioned Chebyshev with `⌈√κ⌉` iterations (the paper's rPCh).
-    Chebyshev,
-    /// Preconditioned conjugate gradient (adaptive; ablation A1).
-    ConjugateGradient,
-}
 
 /// Vertex ordering baked into every chain level's storage at
 /// [`build_chain`] time. Interior iterations run entirely in the chosen
@@ -123,16 +114,36 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// The environment variable [`from_env`](Self::from_env) reads.
+    const ENV_VAR: &'static str = "PARSDD_PRECISION";
+
     /// Reads the `PARSDD_PRECISION` environment variable (`f32` or `f64`,
     /// case-insensitive). This is the process-wide override the CI
     /// thread-matrix job uses to run whole test suites under the f32
-    /// storage tier without touching call sites; unset or unrecognised
-    /// values return `None` and callers keep their configured default.
+    /// storage tier without touching call sites. Unset returns `None` and
+    /// callers keep their configured default.
+    ///
+    /// # Panics
+    ///
+    /// If the variable is set to anything else (a typo such as `fp32`
+    /// would otherwise silently re-run the f64 suite).
     pub fn from_env() -> Option<Precision> {
-        match std::env::var("PARSDD_PRECISION") {
-            Ok(v) if v.eq_ignore_ascii_case("f32") => Some(Precision::F32),
-            Ok(v) if v.eq_ignore_ascii_case("f64") => Some(Precision::F64),
-            _ => None,
+        std::env::var_os(Self::ENV_VAR).map(|v| Self::parse_env_value(&v.to_string_lossy()))
+    }
+
+    /// Parses a set `PARSDD_PRECISION` value; panics, naming the variable
+    /// and the accepted values, on anything but `f32`/`f64`.
+    fn parse_env_value(v: &str) -> Precision {
+        if v.eq_ignore_ascii_case("f32") {
+            Precision::F32
+        } else if v.eq_ignore_ascii_case("f64") {
+            Precision::F64
+        } else {
+            panic!(
+                "{}={v:?} is not a precision; accepted values are `f32` and `f64` \
+                 (case-insensitive), or leave it unset",
+                Self::ENV_VAR
+            )
         }
     }
 }
@@ -214,8 +225,6 @@ pub struct ChainOptions {
     /// Vertex ordering baked into every level's storage (see
     /// [`LevelOrdering`]).
     pub ordering: LevelOrdering,
-    /// Iteration method used inside the recursion (levels ≥ 1).
-    pub inner_method: IterationMethod,
     /// Extra Chebyshev iterations added to `⌈√κ_eff⌉` at inner levels.
     pub inner_extra_iterations: usize,
     /// Hard cap on the per-level W-cycle width `k_i` (the calibrated
@@ -255,7 +264,6 @@ impl Default for ChainOptions {
             max_levels: 32,
             min_shrink: 1.3,
             ordering: LevelOrdering::BandwidthReducing,
-            inner_method: IterationMethod::Chebyshev,
             inner_extra_iterations: 1,
             max_inner_iterations: 4,
             precision: Precision::F64,
@@ -460,7 +468,7 @@ pub struct ChainLevel {
     pub sparsifier_edges: usize,
     /// Number of edges inherited from the low-stretch subgraph.
     pub subgraph_edges: usize,
-    /// Fixed Chebyshev/CG iteration count used when this level is solved
+    /// Fixed Chebyshev iteration count used when this level is solved
     /// recursively (the W-cycle width `k_i` at this level).
     pub inner_iterations: usize,
     /// Spectrum bounds `[λ_min, λ_max]` of the *effective* preconditioned
@@ -530,10 +538,10 @@ impl ChainLevel {
 }
 
 /// A chain level's streamed matrix in its storage precision. The f64
-/// variant is byte-for-byte the pre-knob [`PermutedLevel`]; the f32
-/// variant stores entries narrow and widens each one once at load, with
-/// every accumulation in f64 (so reduction trees stay width-invariant and
-/// the f32 path is itself bitwise-reproducible across pool widths).
+/// variant is byte-for-byte the pre-knob [`PermutedLevel`] and is swept
+/// only by the f64 W-cycle; the f32 variant is swept only by the all-f32
+/// cycle ([`PermutedLevelF32::cheb_fused_sweep32`]) and is applied to f64
+/// vectors only by the build-time Chebyshev calibration.
 #[derive(Debug, Clone)]
 enum LevelMatrix {
     F64(PermutedLevel),
@@ -541,14 +549,15 @@ enum LevelMatrix {
 }
 
 impl LevelMatrix {
-    /// The f64 matrix, for paths pinned to full precision (the level-0
-    /// operator the outer PCG measures true residuals through).
-    /// Panics if the level was demoted — `build_chain` never demotes
-    /// level 0.
+    /// The f64 matrix, for the paths that run at full precision: the
+    /// level-0 operator the outer PCG measures true residuals through,
+    /// and the f64 W-cycle, which only f64 chains enter. Panics if the
+    /// level was demoted — `build_chain` never demotes level 0, and a
+    /// demoted chain runs its whole cycle in f32.
     fn as_f64(&self) -> &PermutedLevel {
         match self {
             LevelMatrix::F64(m) => m,
-            LevelMatrix::F32(_) => unreachable!("level 0 and the bottom matrix always stay f64"),
+            LevelMatrix::F32(_) => unreachable!("f64 sweep of a demoted level"),
         }
     }
 
@@ -563,13 +572,6 @@ impl LevelMatrix {
         match self {
             LevelMatrix::F64(m) => m.apply(x, y),
             LevelMatrix::F32(m) => m.apply(x, y),
-        }
-    }
-
-    fn apply_rowmajor(&self, xr: &[f64], yr: &mut [f64], k: usize) {
-        match self {
-            LevelMatrix::F64(m) => m.apply_rowmajor(xr, yr, k),
-            LevelMatrix::F32(m) => m.apply_rowmajor(xr, yr, k),
         }
     }
 }
@@ -991,39 +993,28 @@ struct ElimScratch {
     row32: Vec<f32>,
 }
 
-/// Per-level inner-iteration buffers: the Chebyshev/CG sweep at level `i`
+/// Per-level inner-iteration buffers: the Chebyshev sweep at level `i`
 /// owns entry `i` while it iterates (its recursive preconditioner calls
 /// use the elimination frame of the *same* level and the iteration frames
 /// of the levels *below*, so both frames of one level are live at once —
-/// hence two arrays, not one).
+/// hence two arrays, not one). An f64 chain uses the f64 residual,
+/// direction and preconditioned-residual blocks; an f32 chain uses only
+/// their f32 twins, since its whole inner cycle runs in f32.
 #[derive(Debug, Default)]
 struct IterScratch {
     r: Vec<f64>,
     p: Vec<f64>,
-    /// [`Precision::F32`] levels only: the Chebyshev direction block kept
-    /// in f32, so the fused sweep's gather of `p` streams half the bytes.
-    /// On the all-f32 inner cycle the whole recurrence runs in f32; the
-    /// mixed path (f32 storage driven through the f64 interface) updates
-    /// it as `(z + β·p)` in f64 and narrows once per entry. Stays empty
-    /// on f64 levels.
-    p32: Vec<f32>,
     z: Vec<f64>,
-    /// f32 twins of `r`/`z` for the all-f32 inner cycle.
     r32: Vec<f32>,
+    p32: Vec<f32>,
     z32: Vec<f32>,
-    /// CG only: the `A·p` block and per-column recurrence scalars.
-    ap: Vec<f64>,
-    rz: Vec<f64>,
-    alphas: Vec<f64>,
-    live: Vec<bool>,
 }
 
 /// Bottom-solve buffers (rhs copy + componentwise-projection
-/// accumulators, the iterative bottom's CG state, plus the f32 staging
-/// pair the [`BottomSolver::DirectF32`] tier converts through at the
-/// `n·k` boundary), and — because this
-/// struct is the one scratch threaded through the whole W-cycle
-/// recursion — the entry-shim staging pair the f64-facing
+/// accumulators, the iterative bottom's CG state, plus the f32 rhs and
+/// projection accumulators of the [`BottomSolver::DirectF32`] solve), and
+/// — because this struct is the one scratch threaded through the whole
+/// W-cycle recursion — the entry-shim staging pair the f64-facing
 /// `precondition_rm_into` uses to narrow into / widen out of the all-f32
 /// inner cycle (live only across one shim entry, never concurrently with
 /// a deeper shim: the f32 recursion below the shim never re-enters the
@@ -1034,8 +1025,6 @@ struct BottomScratch {
     proj_sums: Vec<f64>,
     proj_sizes: Vec<usize>,
     rhs32: Vec<f32>,
-    out32: Vec<f32>,
-    /// f32 projection accumulators for the all-f32 bottom solve.
     proj_sums32: Vec<f32>,
     /// Entry-shim staging (see the type docs).
     shim_in32: Vec<f32>,
@@ -1914,8 +1903,10 @@ impl SolverChain {
 
     /// [`bottom_solve_rm`](Self::bottom_solve_rm) into a caller-owned
     /// output through the workspace's bottom scratch. Allocation-free in
-    /// steady state: the direct factors at their monomorphised widths,
-    /// the iterative bottom on its sequential dispatch paths.
+    /// steady state: the direct factor at its monomorphised widths, the
+    /// iterative bottom on its sequential dispatch paths. The demoted
+    /// [`BottomSolver::DirectF32`] factor is solved only by the all-f32
+    /// cycle ([`bottom_solve_rm32_into`](Self::bottom_solve_rm32_into)).
     fn bottom_solve_rm_into(
         &self,
         br: &[f64],
@@ -1924,9 +1915,6 @@ impl SolverChain {
         out: &mut Vec<f64>,
         scratch: &mut BottomScratch,
     ) {
-        // The f64-staging projection prelude, shared by the solvers that
-        // consume an f64 rhs. The f32 direct bottom skips it: its fused
-        // project-and-narrow pass below reads `br` directly.
         let project_into_rhs = |scratch: &mut BottomScratch| {
             let rhs = &mut scratch.rhs;
             rhs.clear();
@@ -1949,25 +1937,6 @@ impl SolverChain {
                 project_into_rhs(scratch);
                 env.solve_rowmajor_into(&scratch.rhs, k, out);
             }
-            BottomSolver::DirectF32(env) => {
-                // Project and narrow in one fused pass (no f64 staging
-                // copy), then run both triangular passes entirely in f32
-                // — the rhs is already preconditioner-internal, and
-                // per-entry widening of the factor costs more than it
-                // buys at this rounding scale.
-                project_out_componentwise_rows_narrowing(
-                    br,
-                    k,
-                    &self.bottom_labels,
-                    self.bottom_components,
-                    &mut scratch.proj_sums,
-                    &mut scratch.proj_sizes,
-                    &mut scratch.rhs32,
-                );
-                env.solve_rowmajor_f32_into(&scratch.rhs32, k, &mut scratch.out32);
-                out.clear();
-                out.extend(scratch.out32.iter().map(|&v| v as f64));
-            }
             BottomSolver::Iterative(jacobi) => {
                 project_into_rhs(scratch);
                 jacobi.solve_rm_into(
@@ -1979,6 +1948,7 @@ impl SolverChain {
                     &mut scratch.cg,
                 );
             }
+            BottomSolver::DirectF32(_) => unreachable!("f64 solve of a demoted bottom"),
         }
     }
 
@@ -2074,15 +2044,14 @@ impl SolverChain {
         bottom: &mut BottomScratch,
     ) {
         let lvl = &self.levels[level];
-        // The f32-chain Chebyshev configuration runs the *entire* cycle
-        // below this interface on f32 vectors: narrow the residual once
-        // here, recurse all-f32, widen the correction once on the way
-        // out. The outer iteration keeps measuring true f64 residuals
-        // through the f64 top operator, so the narrowing only perturbs
-        // the preconditioner — which the flexible PCG absorbs. (CG inner
-        // chains keep the mixed path: f32 storage, f64 vectors.)
-        if lvl.trace32.is_some() && matches!(self.options.inner_method, IterationMethod::Chebyshev)
-        {
+        // An f32 chain runs the *entire* cycle below this interface on
+        // f32 vectors: narrow the residual once here, recurse all-f32,
+        // widen the correction once on the way out. This shim is the only
+        // place the cycle changes precision. The outer iteration keeps
+        // measuring true f64 residuals through the f64 top operator, so
+        // the narrowing only perturbs the preconditioner — which the
+        // flexible PCG absorbs.
+        if lvl.trace32.is_some() {
             bottom.shim_in32.clear();
             bottom.shim_in32.extend(rr.iter().map(|&v| v as f32));
             let mut rr32 = std::mem::take(&mut bottom.shim_in32);
@@ -2098,22 +2067,13 @@ impl SolverChain {
         let (mine, elim_rest) = elim_ws
             .split_first_mut()
             .expect("elimination frame per level");
-        match &lvl.trace32 {
-            Some(tr) => tr.forward_rhs_rowmajor_into(
-                rr,
-                k,
-                &mut mine.reduced,
-                &mut mine.work,
-                &mut mine.row,
-            ),
-            None => lvl.elimination.forward_rhs_rowmajor_into(
-                rr,
-                k,
-                &mut mine.reduced,
-                &mut mine.work,
-                &mut mine.row,
-            ),
-        }
+        lvl.elimination.forward_rhs_rowmajor_into(
+            rr,
+            k,
+            &mut mine.reduced,
+            &mut mine.work,
+            &mut mine.row,
+        );
         self.w_cycle_rm_into(
             level + 1,
             &mine.reduced,
@@ -2123,22 +2083,12 @@ impl SolverChain {
             elim_rest,
             bottom,
         );
-        match &lvl.trace32 {
-            Some(tr) => {
-                tr.back_substitute_rowmajor_into(&mine.work, &mine.y, k, out, &mut mine.row)
-            }
-            None => lvl.elimination.back_substitute_rowmajor_into(
-                &mine.work,
-                &mine.y,
-                k,
-                out,
-                &mut mine.row,
-            ),
-        }
+        lvl.elimination
+            .back_substitute_rowmajor_into(&mine.work, &mine.y, k, out, &mut mine.row);
     }
 
-    /// The all-f32 preconditioner application (`Precision::F32` chains
-    /// with the Chebyshev inner method): same sandwich as
+    /// The all-f32 preconditioner application (`Precision::F32` chains):
+    /// same sandwich as
     /// [`precondition_rm_into`](Self::precondition_rm_into), every vector
     /// in f32.
     #[allow(clippy::too_many_arguments)]
@@ -2187,7 +2137,7 @@ impl SolverChain {
     }
 
     /// One W-cycle solve of `A_i X = B` on a row-major block: the level's
-    /// fixed `k_i`-iteration Chebyshev/CG sweep (each iteration recursing
+    /// fixed `k_i`-iteration Chebyshev sweep (each iteration recursing
     /// into level `i+1` with the whole block), or the bottom solver below
     /// the last level. Uniform at every level — the top level's adaptive
     /// outer PCG is the only special case. Every column's arithmetic is
@@ -2208,29 +2158,16 @@ impl SolverChain {
             self.bottom_solve_rm_into(br, k, Self::PRECOND_BOTTOM_TOL, out, bottom);
             return;
         }
-        let lvl = &self.levels[level];
-        match self.options.inner_method {
-            IterationMethod::Chebyshev => self.chebyshev_fixed_rm_into(
-                level,
-                br,
-                k,
-                lvl.inner_iterations,
-                out,
-                iter_ws,
-                elim_ws,
-                bottom,
-            ),
-            IterationMethod::ConjugateGradient => self.pcg_fixed_rm_into(
-                level,
-                br,
-                k,
-                lvl.inner_iterations,
-                out,
-                iter_ws,
-                elim_ws,
-                bottom,
-            ),
-        }
+        self.chebyshev_fixed_rm_into(
+            level,
+            br,
+            k,
+            self.levels[level].inner_iterations,
+            out,
+            iter_ws,
+            elim_ws,
+            bottom,
+        );
     }
 
     /// Calibrates every level's Chebyshev interval bottom-up.
@@ -2247,7 +2184,7 @@ impl SolverChain {
     fn calibrate_chebyshev_bounds(&mut self) {
         const POWER_ITERS: usize = 14;
         // Level 0 is driven by the adaptive outer flexible PCG, which needs
-        // no spectrum interval — only levels >= 1 run the fixed Chebyshev/CG
+        // no spectrum interval — only levels >= 1 run the fixed Chebyshev
         // inner iteration. Skipping level 0 avoids the most expensive
         // calibration pass (two power iterations through the full recursion
         // on the largest graph); its cheb_bounds keep the provisional value.
@@ -2348,81 +2285,32 @@ impl SolverChain {
         out.resize(br.len(), 0.0);
         mine.r.clear();
         mine.r.extend_from_slice(br);
-        match &lvl.matrix {
-            LevelMatrix::F64(matrix) => {
-                mine.p.resize(br.len(), 0.0);
-                let mut alpha = 0.0f64;
-                for it in 0..iterations {
-                    self.precondition_rm_into(
-                        level,
-                        &mine.r,
-                        k,
-                        &mut mine.z,
-                        elim_ws,
-                        iter_rest,
-                        bottom,
-                    );
-                    if it == 0 {
-                        mine.p.copy_from_slice(&mine.z);
-                        alpha = 1.0 / theta;
-                    } else {
-                        let beta = if it == 1 {
-                            0.5 * (delta * alpha) * (delta * alpha)
-                        } else {
-                            (delta * alpha / 2.0) * (delta * alpha / 2.0)
-                        };
-                        alpha = 1.0 / (theta - beta / alpha);
-                        for (pi, zi) in mine.p.iter_mut().zip(&mine.z) {
-                            *pi = zi + beta * *pi;
-                        }
-                    }
-                    matrix.cheb_fused_sweep(alpha, &mine.p, out, &mut mine.r, k);
+        let matrix = lvl.matrix.as_f64();
+        mine.p.resize(br.len(), 0.0);
+        let mut alpha = 0.0f64;
+        for it in 0..iterations {
+            self.precondition_rm_into(level, &mine.r, k, &mut mine.z, elim_ws, iter_rest, bottom);
+            if it == 0 {
+                mine.p.copy_from_slice(&mine.z);
+                alpha = 1.0 / theta;
+            } else {
+                let beta = if it == 1 {
+                    0.5 * (delta * alpha) * (delta * alpha)
+                } else {
+                    (delta * alpha / 2.0) * (delta * alpha / 2.0)
+                };
+                alpha = 1.0 / (theta - beta / alpha);
+                for (pi, zi) in mine.p.iter_mut().zip(&mine.z) {
+                    *pi = zi + beta * *pi;
                 }
             }
-            LevelMatrix::F32(matrix) => {
-                // Same recurrence, but the direction block lives in f32:
-                // the update runs in f64 (`z + β·p`) and narrows once per
-                // entry, so the fused sweep's gather of `p` — the hot
-                // stream besides the matrix itself — moves half the
-                // bytes. x and r stay f64.
-                mine.p32.resize(br.len(), 0.0);
-                let mut alpha = 0.0f64;
-                for it in 0..iterations {
-                    self.precondition_rm_into(
-                        level,
-                        &mine.r,
-                        k,
-                        &mut mine.z,
-                        elim_ws,
-                        iter_rest,
-                        bottom,
-                    );
-                    if it == 0 {
-                        for (pi, zi) in mine.p32.iter_mut().zip(&mine.z) {
-                            *pi = *zi as f32;
-                        }
-                        alpha = 1.0 / theta;
-                    } else {
-                        let beta = if it == 1 {
-                            0.5 * (delta * alpha) * (delta * alpha)
-                        } else {
-                            (delta * alpha / 2.0) * (delta * alpha / 2.0)
-                        };
-                        alpha = 1.0 / (theta - beta / alpha);
-                        for (pi, zi) in mine.p32.iter_mut().zip(&mine.z) {
-                            *pi = (zi + beta * f64::from(*pi)) as f32;
-                        }
-                    }
-                    matrix.cheb_fused_sweep(alpha, &mine.p32, out, &mut mine.r, k);
-                }
-            }
+            matrix.cheb_fused_sweep(alpha, &mine.p, out, &mut mine.r, k);
         }
     }
 
-    /// The W-cycle recursion step of the all-f32 inner cycle. Only the
-    /// Chebyshev inner method enters this width (the shim in
-    /// [`precondition_rm_into`](Self::precondition_rm_into) guards on
-    /// it), so there is no CG arm here.
+    /// The W-cycle recursion step of the all-f32 inner cycle, entered
+    /// only through the shim in
+    /// [`precondition_rm_into`](Self::precondition_rm_into).
     #[allow(clippy::too_many_arguments)]
     fn w_cycle_rm32_into(
         &self,
@@ -2514,87 +2402,6 @@ impl SolverChain {
                 }
             }
             matrix.cheb_fused_sweep32(alpha, &mine.p32, out, &mut mine.r32, k);
-        }
-    }
-
-    /// Fixed-iteration (flexible) PCG on a row-major block at a given
-    /// level — the ablation alternative to Chebyshev. The CG scalars are
-    /// data-dependent, so each column carries its own recurrence
-    /// ([`dot_strided`] runs the same per-column reduction tree at every
-    /// width); a column that breaks down (zero direction energy) freezes
-    /// while the rest of the block keeps iterating.
-    #[allow(clippy::too_many_arguments)]
-    fn pcg_fixed_rm_into(
-        &self,
-        level: usize,
-        br: &[f64],
-        k: usize,
-        iterations: usize,
-        out: &mut Vec<f64>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        let n = lvl.n();
-        let (mine, iter_rest) = iter_ws
-            .split_first_mut()
-            .expect("iteration frame per level");
-        out.clear();
-        out.resize(br.len(), 0.0);
-        let x = &mut *out;
-        mine.r.clear();
-        mine.r.extend_from_slice(br);
-        self.precondition_rm_into(level, &mine.r, k, &mut mine.z, elim_ws, iter_rest, bottom);
-        mine.p.clear();
-        mine.p.extend_from_slice(&mine.z);
-        mine.rz.clear();
-        for j in 0..k {
-            mine.rz.push(dot_strided(&mine.r, &mine.z, k, j));
-        }
-        mine.live.clear();
-        mine.live.resize(k, true);
-        mine.ap.resize(br.len(), 0.0);
-        for _ in 0..iterations {
-            for (j, l) in mine.live.iter_mut().enumerate() {
-                if *l && mine.rz[j].abs() < 1e-300 {
-                    *l = false;
-                }
-            }
-            if mine.live.iter().all(|l| !l) {
-                break;
-            }
-            lvl.matrix.apply_rowmajor(&mine.p, &mut mine.ap, k);
-            mine.alphas.clear();
-            mine.alphas.resize(k, 0.0);
-            for (j, l) in mine.live.iter_mut().enumerate() {
-                if !*l {
-                    continue;
-                }
-                let pap = dot_strided(&mine.p, &mine.ap, k, j);
-                if pap <= 0.0 || !pap.is_finite() {
-                    *l = false;
-                    continue;
-                }
-                mine.alphas[j] = mine.rz[j] / pap;
-                let alpha = mine.alphas[j];
-                for i in 0..n {
-                    x[i * k + j] += alpha * mine.p[i * k + j];
-                    mine.r[i * k + j] -= alpha * mine.ap[i * k + j];
-                }
-            }
-            self.precondition_rm_into(level, &mine.r, k, &mut mine.z, elim_ws, iter_rest, bottom);
-            for (j, &l) in mine.live.iter().enumerate() {
-                if !l {
-                    continue;
-                }
-                let rz_new = dot_strided(&mine.r, &mine.z, k, j);
-                let beta = rz_new / mine.rz[j];
-                mine.rz[j] = rz_new;
-                for i in 0..n {
-                    mine.p[i * k + j] = mine.z[i * k + j] + beta * mine.p[i * k + j];
-                }
-            }
         }
     }
 
@@ -3195,17 +3002,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_inner_method_also_converges() {
-        let g = generators::grid2d(28, 28, |_, _| 1.0);
-        let opts = ChainOptions {
-            inner_method: IterationMethod::ConjugateGradient,
-            bottom_size: 200,
-            ..Default::default()
-        };
-        check_solve(&g, &opts, 1e-8);
-    }
-
-    #[test]
     fn unscaled_chain_still_converges() {
         // tree_scale = 1 recovers the pre-KMP10 behaviour.
         let g = generators::grid2d(30, 30, |_, _| 1.0);
@@ -3627,6 +3423,27 @@ mod tests {
             assert!(lvl.graph().is_none());
             assert_eq!(lvl.storage_precision(), Precision::F64);
         }
+    }
+
+    // `from_env` itself is not exercised here: tests run in parallel and
+    // `SddSolverOptions::default` reads the variable, so mutating the
+    // process environment would race with every other test.
+    #[test]
+    fn precision_env_value_parses_case_insensitively() {
+        for (v, p) in [
+            ("f32", Precision::F32),
+            ("F32", Precision::F32),
+            ("f64", Precision::F64),
+            ("F64", Precision::F64),
+        ] {
+            assert_eq!(Precision::parse_env_value(v), p, "{v}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PARSDD_PRECISION=\"fp32\" is not a precision")]
+    fn precision_env_value_rejects_a_typo() {
+        Precision::parse_env_value("fp32");
     }
 
     #[test]

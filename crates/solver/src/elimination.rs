@@ -39,7 +39,6 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use parsdd_graph::{Edge, Graph, VertexId};
-use parsdd_linalg::block::MultiVector;
 
 /// Tuning knobs of the partial Cholesky pass.
 #[derive(Debug, Clone, Copy)]
@@ -175,38 +174,8 @@ impl EliminationResult {
     /// working_rhs)`; the working vector (original dimension, partially
     /// updated) is needed later by [`back_substitute`](Self::back_substitute).
     pub fn forward_rhs(&self, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut work = b.to_vec();
-        for step in &self.steps {
-            match *step {
-                EliminationStep::Degree1 { v, u, .. } => {
-                    // Schur complement of a degree-1 elimination adds the
-                    // full b_v to the neighbour.
-                    work[u as usize] += work[v as usize];
-                }
-                EliminationStep::Degree2 {
-                    v,
-                    a,
-                    b: nb,
-                    wa,
-                    wb,
-                } => {
-                    let d = wa + wb;
-                    let bv = work[v as usize];
-                    work[a as usize] += (wa / d) * bv;
-                    work[nb as usize] += (wb / d) * bv;
-                }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = self.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    let bv = work[v as usize];
-                    for &(u, w) in star {
-                        work[u as usize] += (w / wtot) * bv;
-                    }
-                }
-                EliminationStep::Isolated { .. } => {}
-            }
-        }
-        let reduced = self.kept.iter().map(|&v| work[v as usize]).collect();
+        let (mut reduced, mut work) = (Vec::new(), Vec::new());
+        self.forward_rhs_rowmajor_into(b, 1, &mut reduced, &mut work, &mut Vec::new());
         (reduced, work)
     }
 
@@ -214,117 +183,22 @@ impl EliminationResult {
     /// the original system, given the working right-hand side returned by
     /// [`forward_rhs`](Self::forward_rhs).
     pub fn back_substitute(&self, working_rhs: &[f64], x_reduced: &[f64]) -> Vec<f64> {
-        assert_eq!(x_reduced.len(), self.kept.len());
-        let n = self.orig_to_reduced.len();
-        let mut x = vec![0.0f64; n];
-        for (r, &orig) in self.kept.iter().enumerate() {
-            x[orig as usize] = x_reduced[r];
-        }
-        for step in self.steps.iter().rev() {
-            match *step {
-                EliminationStep::Degree1 { v, u, w } => {
-                    x[v as usize] = working_rhs[v as usize] / w + x[u as usize];
-                }
-                EliminationStep::Degree2 {
-                    v,
-                    a,
-                    b: nb,
-                    wa,
-                    wb,
-                } => {
-                    let d = wa + wb;
-                    x[v as usize] =
-                        (working_rhs[v as usize] + wa * x[a as usize] + wb * x[nb as usize]) / d;
-                }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = self.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    let acc: f64 = star.iter().map(|&(u, w)| w * x[u as usize]).sum::<f64>();
-                    x[v as usize] = (working_rhs[v as usize] + acc) / wtot;
-                }
-                EliminationStep::Isolated { v } => {
-                    x[v as usize] = 0.0;
-                }
-            }
-        }
+        let mut x = Vec::new();
+        self.back_substitute_rowmajor_into(working_rhs, x_reduced, 1, &mut x, &mut Vec::new());
         x
     }
 
-    /// Blocked [`forward_rhs`](Self::forward_rhs): the elimination trace
-    /// (`steps` + `star_data`) is streamed **once per block** of `k`
-    /// right-hand sides instead of once per vector — on deep chains the
-    /// trace is most of a level's memory footprint. Per column the update
-    /// order is exactly the single-vector pass, so each column of the
-    /// result is bitwise identical to `forward_rhs` of that column.
-    pub fn forward_rhs_block(&self, b: &MultiVector) -> (MultiVector, MultiVector) {
-        let k = b.ncols();
-        let mut work = b.clone();
-        for step in &self.steps {
-            match *step {
-                EliminationStep::Degree1 { v, u, .. } => {
-                    for j in 0..k {
-                        let col = work.col_mut(j);
-                        col[u as usize] += col[v as usize];
-                    }
-                }
-                EliminationStep::Degree2 {
-                    v,
-                    a,
-                    b: nb,
-                    wa,
-                    wb,
-                } => {
-                    let d = wa + wb;
-                    for j in 0..k {
-                        let col = work.col_mut(j);
-                        let bv = col[v as usize];
-                        col[a as usize] += (wa / d) * bv;
-                        col[nb as usize] += (wb / d) * bv;
-                    }
-                }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = self.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    for j in 0..k {
-                        let col = work.col_mut(j);
-                        let bv = col[v as usize];
-                        for &(u, w) in star {
-                            col[u as usize] += (w / wtot) * bv;
-                        }
-                    }
-                }
-                EliminationStep::Isolated { .. } => {}
-            }
-        }
-        let mut reduced = MultiVector::zeros(self.kept.len(), k);
-        for j in 0..k {
-            let src = work.col(j);
-            let dst = reduced.col_mut(j);
-            for (r, &v) in self.kept.iter().enumerate() {
-                dst[r] = src[v as usize];
-            }
-        }
-        (reduced, work)
-    }
-
-    /// Row-major blocked [`forward_rhs`](Self::forward_rhs): `br` holds
+    /// Row-major blocked [`forward_rhs`](Self::forward_rhs) into
+    /// caller-owned buffers (`reduced`, `work`, and a `k`-wide `row`
+    /// temp) — allocation-free once all three have capacity. `br` holds
     /// `k` right-hand sides interleaved (`br[v·k + j]`), the layout the
     /// solver chain's W-cycle uses internally — every step touches two
     /// or three contiguous k-wide rows instead of k strided cache lines
-    /// per vertex. Returns `(reduced, work)` in the same layout. Per
-    /// column the update order matches `forward_rhs` exactly.
-    pub fn forward_rhs_rowmajor(&self, br: &[f64], k: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut reduced = Vec::new();
-        let mut work = Vec::new();
-        let mut row = Vec::new();
-        self.forward_rhs_rowmajor_into(br, k, &mut reduced, &mut work, &mut row);
-        (reduced, work)
-    }
-
-    /// [`forward_rhs_rowmajor`](Self::forward_rhs_rowmajor) into
-    /// caller-owned buffers (`reduced`, `work`, and a `k`-wide `row`
-    /// temp) — allocation-free once all three have capacity; identical
-    /// arithmetic per column.
+    /// per vertex. `reduced` and `work` come back in the same layout, and
+    /// the trace is streamed once per block. Per column the update order
+    /// and association match the `k = 1` pass exactly, so each column is
+    /// bitwise what [`forward_rhs`](Self::forward_rhs) of that column
+    /// returns.
     pub fn forward_rhs_rowmajor_into(
         &self,
         br: &[f64],
@@ -339,11 +213,12 @@ impl EliminationResult {
         work.extend_from_slice(br);
         if k == 1 {
             // Width 1: row-major and column-major coincide; the scalar
-            // pass avoids the width-1 row plumbing. Update order and
-            // association match `forward_rhs` exactly.
+            // pass avoids the width-1 row plumbing.
             for step in &self.steps {
                 match *step {
                     EliminationStep::Degree1 { v, u, .. } => {
+                        // Schur complement of a degree-1 elimination adds
+                        // the full b_v to the neighbour.
                         work[u as usize] += work[v as usize];
                     }
                     EliminationStep::Degree2 {
@@ -429,24 +304,11 @@ impl EliminationResult {
         }
     }
 
-    /// Row-major blocked [`back_substitute`](Self::back_substitute); the
-    /// counterpart of [`forward_rhs_rowmajor`](Self::forward_rhs_rowmajor),
-    /// with the same layout and bitwise-per-column contract.
-    pub fn back_substitute_rowmajor(
-        &self,
-        working_rhs: &[f64],
-        xr_reduced: &[f64],
-        k: usize,
-    ) -> Vec<f64> {
-        let mut x = Vec::new();
-        let mut row = Vec::new();
-        self.back_substitute_rowmajor_into(working_rhs, xr_reduced, k, &mut x, &mut row);
-        x
-    }
-
-    /// [`back_substitute_rowmajor`](Self::back_substitute_rowmajor) into
+    /// Row-major blocked [`back_substitute`](Self::back_substitute) into
     /// caller-owned buffers — allocation-free once `x` and the `k`-wide
-    /// `row` temp have capacity; identical arithmetic per column.
+    /// `row` temp have capacity. The counterpart of
+    /// [`forward_rhs_rowmajor_into`](Self::forward_rhs_rowmajor_into),
+    /// with the same layout and bitwise-per-column contract.
     ///
     /// `x` is sized but **not** zeroed: every entry is written before it
     /// is read — kept rows by the scatter, each eliminated vertex by its
@@ -467,8 +329,8 @@ impl EliminationResult {
         assert_eq!(xr_reduced.len(), self.kept.len() * k);
         x.resize(n * k, 0.0);
         if k == 1 {
-            // Scalar pass; update order and association match
-            // `back_substitute` exactly.
+            // Scalar pass; the k-wide pass below matches its update order
+            // and association per column.
             for (r, &orig) in self.kept.iter().enumerate() {
                 x[orig as usize] = xr_reduced[r];
             }
@@ -571,70 +433,6 @@ impl EliminationResult {
         }
         *row = buf;
     }
-
-    /// Blocked [`back_substitute`](Self::back_substitute); same
-    /// single-trace-stream and bitwise-per-column contract as
-    /// [`forward_rhs_block`](Self::forward_rhs_block).
-    pub fn back_substitute_block(
-        &self,
-        working_rhs: &MultiVector,
-        x_reduced: &MultiVector,
-    ) -> MultiVector {
-        assert_eq!(x_reduced.nrows(), self.kept.len());
-        assert_eq!(working_rhs.ncols(), x_reduced.ncols());
-        let n = self.orig_to_reduced.len();
-        let k = x_reduced.ncols();
-        let mut x = MultiVector::zeros(n, k);
-        for j in 0..k {
-            let src = x_reduced.col(j);
-            let dst = x.col_mut(j);
-            for (r, &orig) in self.kept.iter().enumerate() {
-                dst[orig as usize] = src[r];
-            }
-        }
-        for step in self.steps.iter().rev() {
-            match *step {
-                EliminationStep::Degree1 { v, u, w } => {
-                    for j in 0..k {
-                        let wj = working_rhs.col(j);
-                        let col = x.col_mut(j);
-                        col[v as usize] = wj[v as usize] / w + col[u as usize];
-                    }
-                }
-                EliminationStep::Degree2 {
-                    v,
-                    a,
-                    b: nb,
-                    wa,
-                    wb,
-                } => {
-                    let d = wa + wb;
-                    for j in 0..k {
-                        let wj = working_rhs.col(j);
-                        let col = x.col_mut(j);
-                        col[v as usize] =
-                            (wj[v as usize] + wa * col[a as usize] + wb * col[nb as usize]) / d;
-                    }
-                }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = self.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    for j in 0..k {
-                        let wj = working_rhs.col(j);
-                        let col = x.col_mut(j);
-                        let acc: f64 = star.iter().map(|&(u, w)| w * col[u as usize]).sum::<f64>();
-                        col[v as usize] = (wj[v as usize] + acc) / wtot;
-                    }
-                }
-                EliminationStep::Isolated { v } => {
-                    for j in 0..k {
-                        x.col_mut(j)[v as usize] = 0.0;
-                    }
-                }
-            }
-        }
-        x
-    }
 }
 
 /// One step of a [`CompiledTraceF32`]. Index/coefficient records only —
@@ -675,15 +473,14 @@ enum CompiledStepF32 {
 /// storage tier. The f64 trace recomputes every step's divisions
 /// (`wa/(wa+wb)`, `1/w`, `1/Σw`) on each application — unpipelined
 /// double divides on the hottest recursion path; this form folds them
-/// into f32 coefficients once at build time. Two vector widths share the
-/// compiled steps: the f64-vector entries (level 0's outer interface)
-/// widen each coefficient once per use, and the all-f32 entries (the
-/// inner W-cycle, whose vectors live in f32) run every product and sum
-/// in f32. Both are preconditioner-internal, so rounding at the f32
-/// scale (~6e-8 relative) merely perturbs the preconditioner — the same
-/// argument that lets the level matrices demote. Per column the update
-/// order matches the f64 trace's passes exactly, and blocked
-/// applications are bitwise identical per column at every width `k`.
+/// into f32 coefficients once at build time. Its passes run on f32
+/// vectors only — the all-f32 inner W-cycle below the chain's single
+/// narrowing shim — with every product and sum in f32. The trace is
+/// preconditioner-internal, so rounding at the f32 scale (~6e-8
+/// relative) merely perturbs the preconditioner — the same argument that
+/// lets the level matrices demote. Per column the update order matches
+/// the f64 trace's passes exactly, and blocked applications are bitwise
+/// identical per column at every width `k`.
 #[derive(Debug, Clone)]
 pub struct CompiledTraceF32 {
     /// Dimension of the eliminated (original) vertex space.
@@ -767,230 +564,10 @@ impl CompiledTraceF32 {
         &self.star_data[offset as usize..(offset + len) as usize]
     }
 
-    /// Multiply-only counterpart of
-    /// [`EliminationResult::forward_rhs_rowmajor_into`]: same buffers,
-    /// same per-column update order, coefficients widened from f32.
-    pub fn forward_rhs_rowmajor_into(
-        &self,
-        br: &[f64],
-        k: usize,
-        reduced: &mut Vec<f64>,
-        work: &mut Vec<f64>,
-        row: &mut Vec<f64>,
-    ) {
-        assert_eq!(br.len(), self.n * k);
-        work.clear();
-        work.extend_from_slice(br);
-        if k == 1 {
-            for step in &self.steps {
-                match *step {
-                    CompiledStepF32::Degree1 { v, u, .. } => {
-                        work[u as usize] += work[v as usize];
-                    }
-                    CompiledStepF32::Degree2 {
-                        v, a, b, ca, cb, ..
-                    } => {
-                        let bv = work[v as usize];
-                        work[a as usize] += ca as f64 * bv;
-                        work[b as usize] += cb as f64 * bv;
-                    }
-                    CompiledStepF32::Star { v, offset, len, .. } => {
-                        let bv = work[v as usize];
-                        for &(u, c, _) in self.star(offset, len) {
-                            work[u as usize] += c as f64 * bv;
-                        }
-                    }
-                    CompiledStepF32::Isolated { .. } => {}
-                }
-            }
-            reduced.clear();
-            reduced.extend(self.kept.iter().map(|&v| work[v as usize]));
-            return;
-        }
-        row.clear();
-        row.resize(k, 0.0);
-        let mut buf = std::mem::take(row);
-        for step in &self.steps {
-            match *step {
-                CompiledStepF32::Degree1 { v, u, .. } => {
-                    buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    let dst = &mut work[u as usize * k..(u as usize + 1) * k];
-                    for (d, &s) in dst.iter_mut().zip(&buf) {
-                        *d += s;
-                    }
-                }
-                CompiledStepF32::Degree2 {
-                    v, a, b, ca, cb, ..
-                } => {
-                    buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    let ca = ca as f64;
-                    let dst = &mut work[a as usize * k..(a as usize + 1) * k];
-                    for (t, &s) in dst.iter_mut().zip(&buf) {
-                        *t += ca * s;
-                    }
-                    let cb = cb as f64;
-                    let dst = &mut work[b as usize * k..(b as usize + 1) * k];
-                    for (t, &s) in dst.iter_mut().zip(&buf) {
-                        *t += cb * s;
-                    }
-                }
-                CompiledStepF32::Star { v, offset, len, .. } => {
-                    buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    for &(u, c, _) in self.star(offset, len) {
-                        let c = c as f64;
-                        let dst = &mut work[u as usize * k..(u as usize + 1) * k];
-                        for (t, &s) in dst.iter_mut().zip(&buf) {
-                            *t += c * s;
-                        }
-                    }
-                }
-                CompiledStepF32::Isolated { .. } => {}
-            }
-        }
-        *row = buf;
-        reduced.clear();
-        for &v in &self.kept {
-            reduced.extend_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-        }
-    }
-
-    /// Multiply-only counterpart of
-    /// [`EliminationResult::back_substitute_rowmajor_into`]; same
-    /// write-before-read discipline (`x` is sized, not zeroed).
-    pub fn back_substitute_rowmajor_into(
-        &self,
-        working_rhs: &[f64],
-        xr_reduced: &[f64],
-        k: usize,
-        x: &mut Vec<f64>,
-        row: &mut Vec<f64>,
-    ) {
-        assert_eq!(working_rhs.len(), self.n * k);
-        assert_eq!(xr_reduced.len(), self.kept.len() * k);
-        x.resize(self.n * k, 0.0);
-        if k == 1 {
-            for (r, &orig) in self.kept.iter().enumerate() {
-                x[orig as usize] = xr_reduced[r];
-            }
-            for step in self.steps.iter().rev() {
-                match *step {
-                    CompiledStepF32::Degree1 { v, u, winv } => {
-                        x[v as usize] = working_rhs[v as usize] * winv as f64 + x[u as usize];
-                    }
-                    CompiledStepF32::Degree2 {
-                        v,
-                        a,
-                        b,
-                        wa,
-                        wb,
-                        dinv,
-                        ..
-                    } => {
-                        x[v as usize] = (working_rhs[v as usize]
-                            + wa as f64 * x[a as usize]
-                            + wb as f64 * x[b as usize])
-                            * dinv as f64;
-                    }
-                    CompiledStepF32::Star {
-                        v,
-                        offset,
-                        len,
-                        winv,
-                    } => {
-                        let acc: f64 = self
-                            .star(offset, len)
-                            .iter()
-                            .map(|&(u, _, w)| w as f64 * x[u as usize])
-                            .sum();
-                        x[v as usize] = (working_rhs[v as usize] + acc) * winv as f64;
-                    }
-                    CompiledStepF32::Isolated { v } => {
-                        x[v as usize] = 0.0;
-                    }
-                }
-            }
-            return;
-        }
-        for (src, &orig) in xr_reduced.chunks_exact(k).zip(&self.kept) {
-            x[orig as usize * k..(orig as usize + 1) * k].copy_from_slice(src);
-        }
-        row.clear();
-        row.resize(k, 0.0);
-        let mut buf = std::mem::take(row);
-        for step in self.steps.iter().rev() {
-            match *step {
-                CompiledStepF32::Degree1 { v, u, winv } => {
-                    buf.copy_from_slice(&x[u as usize * k..(u as usize + 1) * k]);
-                    let winv = winv as f64;
-                    let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
-                    let dst = &mut x[v as usize * k..(v as usize + 1) * k];
-                    for ((t, &wv), &xu) in dst.iter_mut().zip(wrow).zip(&buf) {
-                        *t = wv * winv + xu;
-                    }
-                }
-                CompiledStepF32::Degree2 {
-                    v,
-                    a,
-                    b,
-                    wa,
-                    wb,
-                    dinv,
-                    ..
-                } => {
-                    let (wa, wb, dinv) = (wa as f64, wb as f64, dinv as f64);
-                    {
-                        let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
-                        let xa = &x[a as usize * k..(a as usize + 1) * k];
-                        for ((t, &wv), &v) in buf.iter_mut().zip(wrow).zip(xa) {
-                            *t = wv + wa * v;
-                        }
-                    }
-                    {
-                        let xb = &x[b as usize * k..(b as usize + 1) * k];
-                        for (t, &v) in buf.iter_mut().zip(xb) {
-                            *t += wb * v;
-                        }
-                    }
-                    let dst = &mut x[v as usize * k..(v as usize + 1) * k];
-                    for (t, &acc) in dst.iter_mut().zip(&buf) {
-                        *t = acc * dinv;
-                    }
-                }
-                CompiledStepF32::Star {
-                    v,
-                    offset,
-                    len,
-                    winv,
-                } => {
-                    buf.iter_mut().for_each(|t| *t = 0.0);
-                    for &(u, _, w) in self.star(offset, len) {
-                        let w = w as f64;
-                        let xu = &x[u as usize * k..(u as usize + 1) * k];
-                        for (t, &v) in buf.iter_mut().zip(xu) {
-                            *t += w * v;
-                        }
-                    }
-                    let winv = winv as f64;
-                    let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
-                    let dst = &mut x[v as usize * k..(v as usize + 1) * k];
-                    for ((t, &wv), &acc) in dst.iter_mut().zip(wrow).zip(&buf) {
-                        *t = (wv + acc) * winv;
-                    }
-                }
-                CompiledStepF32::Isolated { v } => {
-                    x[v as usize * k..(v as usize + 1) * k]
-                        .iter_mut()
-                        .for_each(|t| *t = 0.0);
-                }
-            }
-        }
-        *row = buf;
-    }
-
-    /// All-f32 counterpart of
-    /// [`forward_rhs_rowmajor_into`](Self::forward_rhs_rowmajor_into) for
-    /// the inner W-cycle, where rhs and working vectors live in f32: same
-    /// per-column update order, every product and sum in f32.
+    /// Multiply-only, all-f32 counterpart of
+    /// [`EliminationResult::forward_rhs_rowmajor_into`] for the inner
+    /// W-cycle, where rhs and working vectors live in f32: same buffers,
+    /// same per-column update order, every product and sum in f32.
     pub fn forward_rhs_rowmajor32_into(
         &self,
         br: &[f32],
@@ -1072,9 +649,9 @@ impl CompiledTraceF32 {
         }
     }
 
-    /// All-f32 counterpart of
-    /// [`back_substitute_rowmajor_into`](Self::back_substitute_rowmajor_into);
-    /// same write-before-read discipline (`x` is sized, not zeroed).
+    /// Multiply-only, all-f32 counterpart of
+    /// [`EliminationResult::back_substitute_rowmajor_into`]; same
+    /// write-before-read discipline (`x` is sized, not zeroed).
     pub fn back_substitute_rowmajor32_into(
         &self,
         working_rhs: &[f32],
@@ -1489,43 +1066,69 @@ mod tests {
         );
     }
 
+    /// Interleaves `k` columns into a row-major block.
+    fn to_rowmajor<T: Copy + Default>(cols: &[Vec<T>]) -> Vec<T> {
+        let (k, n) = (cols.len(), cols[0].len());
+        let mut out = vec![T::default(); n * k];
+        for (j, c) in cols.iter().enumerate() {
+            for (i, &v) in c.iter().enumerate() {
+                out[i * k + j] = v;
+            }
+        }
+        out
+    }
+
+    /// Column `j` of a row-major block of width `k`.
+    fn column<T: Copy>(block: &[T], k: usize, j: usize) -> Vec<T> {
+        block.iter().skip(j).step_by(k).copied().collect()
+    }
+
+    /// The k-wide row-major passes carry, per column, exactly the bits of
+    /// the k = 1 pass (which `forward_rhs`/`back_substitute` wrap).
     #[test]
     fn blocked_substitution_matches_single_bitwise() {
         let g = generators::weighted_random_graph(300, 900, 1.0, 6.0, 11);
         let elim = greedy_elimination(&g, 7);
-        let cols: Vec<Vec<f64>> = (0..3)
-            .map(|j| {
-                let mut b: Vec<f64> = (0..g.n())
-                    .map(|i| ((i * (3 * j + 5)) % 19) as f64 - 9.0)
-                    .collect();
-                project_out_constant(&mut b);
-                b
-            })
-            .collect();
-        let (reduced, work) = elim.forward_rhs_block(&MultiVector::from_columns(&cols));
-        for (j, col) in cols.iter().enumerate() {
-            let (reduced_1, work_1) = elim.forward_rhs(col);
-            for (a, b) in reduced.col(j).iter().zip(&reduced_1) {
-                assert_eq!(a.to_bits(), b.to_bits(), "reduced column {j}");
-            }
-            for (a, b) in work.col(j).iter().zip(&work_1) {
-                assert_eq!(a.to_bits(), b.to_bits(), "work column {j}");
-            }
-        }
-        // Back-substitute an arbitrary reduced block and compare per column.
-        let xr_cols: Vec<Vec<f64>> = (0..3)
-            .map(|j| {
-                (0..elim.kept.len())
-                    .map(|i| ((i + j) as f64 * 0.37).sin())
-                    .collect()
-            })
-            .collect();
-        let x = elim.back_substitute_block(&work, &MultiVector::from_columns(&xr_cols));
-        for (j, xr) in xr_cols.iter().enumerate() {
-            let (_, work_1) = elim.forward_rhs(&cols[j]);
-            let single = elim.back_substitute(&work_1, xr);
-            for (a, b) in x.col(j).iter().zip(&single) {
-                assert_eq!(a.to_bits(), b.to_bits(), "solution column {j}");
+        for k in [2usize, 3, 4] {
+            let cols: Vec<Vec<f64>> = (0..k)
+                .map(|j| {
+                    let mut b: Vec<f64> = (0..g.n())
+                        .map(|i| ((i * (3 * j + 5)) % 19) as f64 - 9.0)
+                        .collect();
+                    project_out_constant(&mut b);
+                    b
+                })
+                .collect();
+            let (mut reduced, mut work, mut row) = (Vec::new(), Vec::new(), Vec::new());
+            elim.forward_rhs_rowmajor_into(
+                &to_rowmajor(&cols),
+                k,
+                &mut reduced,
+                &mut work,
+                &mut row,
+            );
+            // Back-substitute an arbitrary reduced block.
+            let xr_cols: Vec<Vec<f64>> = (0..k)
+                .map(|j| {
+                    (0..elim.kept.len())
+                        .map(|i| ((i + j) as f64 * 0.37).sin())
+                        .collect()
+                })
+                .collect();
+            let mut x = Vec::new();
+            elim.back_substitute_rowmajor_into(&work, &to_rowmajor(&xr_cols), k, &mut x, &mut row);
+            for (j, col) in cols.iter().enumerate() {
+                let (reduced_1, work_1) = elim.forward_rhs(col);
+                for (a, b) in column(&reduced, k, j).iter().zip(&reduced_1) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} reduced column {j}");
+                }
+                for (a, b) in column(&work, k, j).iter().zip(&work_1) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} work column {j}");
+                }
+                let single = elim.back_substitute(&work_1, &xr_cols[j]);
+                for (a, b) in column(&x, k, j).iter().zip(&single) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} solution column {j}");
+                }
             }
         }
     }
@@ -1533,8 +1136,8 @@ mod tests {
     #[test]
     fn compiled_trace_matches_f64_trace_closely() {
         // The compiled multiply-only trace replaces every division by a
-        // prefolded f32 reciprocal; per entry its passes must agree with
-        // the f64 trace to f32 relative accuracy.
+        // prefolded f32 reciprocal and runs on f32 vectors; per entry its
+        // passes must agree with the f64 trace to f32 relative accuracy.
         let g = generators::weighted_random_graph(400, 1100, 0.3, 9.0, 17);
         let elim = greedy_elimination(&g, 9);
         assert!(
@@ -1545,22 +1148,24 @@ mod tests {
         );
         let compiled = CompiledTraceF32::from_elimination(&elim);
         let b: Vec<f64> = (0..g.n()).map(|i| ((i * 23) % 17) as f64 - 8.0).collect();
+        let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
         let (reduced, work) = elim.forward_rhs(&b);
         let (mut creduced, mut cwork, mut row) = (Vec::new(), Vec::new(), Vec::new());
-        compiled.forward_rhs_rowmajor_into(&b, 1, &mut creduced, &mut cwork, &mut row);
+        compiled.forward_rhs_rowmajor32_into(&b32, 1, &mut creduced, &mut cwork, &mut row);
         let scale = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (a, c) in reduced.iter().zip(&creduced) {
-            assert!((a - c).abs() <= 1e-5 * scale, "forward {a} vs {c}");
+        for (a, &c) in reduced.iter().zip(&creduced) {
+            assert!((a - c as f64).abs() <= 1e-5 * scale, "forward {a} vs {c}");
         }
         let xr: Vec<f64> = (0..elim.kept.len())
             .map(|i| (i as f64 * 0.31).sin())
             .collect();
+        let xr32: Vec<f32> = xr.iter().map(|&v| v as f32).collect();
         let x = elim.back_substitute(&work, &xr);
         let mut cx = Vec::new();
-        compiled.back_substitute_rowmajor_into(&cwork, &xr, 1, &mut cx, &mut row);
+        compiled.back_substitute_rowmajor32_into(&cwork, &xr32, 1, &mut cx, &mut row);
         let xscale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for (a, c) in x.iter().zip(&cx) {
-            assert!((a - c).abs() <= 1e-4 * xscale, "backward {a} vs {c}");
+        for (a, &c) in x.iter().zip(&cx) {
+            assert!((a - c as f64).abs() <= 1e-4 * xscale, "backward {a} vs {c}");
         }
     }
 
@@ -1570,31 +1175,38 @@ mod tests {
         let elim = greedy_elimination(&g, 7);
         let compiled = CompiledTraceF32::from_elimination(&elim);
         let n = g.n();
-        let k = 3;
-        let br: Vec<f64> = (0..n * k).map(|i| ((i * 7) % 23) as f64 - 11.0).collect();
-        let (mut reduced, mut work, mut row) = (Vec::new(), Vec::new(), Vec::new());
-        compiled.forward_rhs_rowmajor_into(&br, k, &mut reduced, &mut work, &mut row);
-        let xr: Vec<f64> = (0..elim.kept.len() * k)
-            .map(|i| (i as f64 * 0.17).cos())
-            .collect();
-        let mut x = Vec::new();
-        compiled.back_substitute_rowmajor_into(&work, &xr, k, &mut x, &mut row);
-        for j in 0..k {
-            let bj: Vec<f64> = (0..n).map(|v| br[v * k + j]).collect();
-            let (mut red1, mut work1, mut row1) = (Vec::new(), Vec::new(), Vec::new());
-            compiled.forward_rhs_rowmajor_into(&bj, 1, &mut red1, &mut work1, &mut row1);
-            for (r, (a, b)) in red1
-                .iter()
-                .zip(reduced.iter().skip(j).step_by(k))
-                .enumerate()
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "reduced col {j} row {r}");
-            }
-            let xj: Vec<f64> = (0..elim.kept.len()).map(|v| xr[v * k + j]).collect();
-            let mut x1 = Vec::new();
-            compiled.back_substitute_rowmajor_into(&work1, &xj, 1, &mut x1, &mut row1);
-            for (r, (a, b)) in x1.iter().zip(x.iter().skip(j).step_by(k)).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "solution col {j} row {r}");
+        for k in [2usize, 3, 4] {
+            let br: Vec<f32> = (0..n * k).map(|i| ((i * 7) % 23) as f32 - 11.0).collect();
+            let (mut reduced, mut work, mut row) = (Vec::new(), Vec::new(), Vec::new());
+            compiled.forward_rhs_rowmajor32_into(&br, k, &mut reduced, &mut work, &mut row);
+            let xr: Vec<f32> = (0..elim.kept.len() * k)
+                .map(|i| (i as f32 * 0.17).cos())
+                .collect();
+            let mut x = Vec::new();
+            compiled.back_substitute_rowmajor32_into(&work, &xr, k, &mut x, &mut row);
+            for j in 0..k {
+                let (mut red1, mut work1, mut row1) = (Vec::new(), Vec::new(), Vec::new());
+                compiled.forward_rhs_rowmajor32_into(
+                    &column(&br, k, j),
+                    1,
+                    &mut red1,
+                    &mut work1,
+                    &mut row1,
+                );
+                for (r, (a, b)) in red1.iter().zip(column(&reduced, k, j)).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} reduced col {j} row {r}");
+                }
+                let mut x1 = Vec::new();
+                compiled.back_substitute_rowmajor32_into(
+                    &work1,
+                    &column(&xr, k, j),
+                    1,
+                    &mut x1,
+                    &mut row1,
+                );
+                for (r, (a, b)) in x1.iter().zip(column(&x, k, j)).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} solution col {j} row {r}");
+                }
             }
         }
     }

@@ -18,7 +18,7 @@
 //!   weighted-degree-dominated vertices, with a recorded trace for
 //!   forward/backward substitution.
 //! * [`chain`] — the preconditioner chain (Definition 6.3) and the
-//!   recursive W-cycle Chebyshev/CG solver (Lemmas 6.6–6.8, Section 6.3's
+//!   recursive W-cycle Chebyshev solver (Lemmas 6.6–6.8, Section 6.3's
 //!   `m^{1/3}` termination, depth driven by measured shrink).
 //! * [`sdd_solve`] — `SDDSolve` (Theorem 1.1): the public solver for graph
 //!   Laplacians and general SDD matrices (via Gremban's reduction), with
@@ -40,8 +40,8 @@ pub mod sdd_solve;
 pub mod sparsify;
 
 pub use chain::{
-    build_chain, ChainOptions, ChainPreconditioner, ChainQuality, ChainStats, IterationMethod,
-    LevelQuality, Precision, SolveOutcome, SolverChain,
+    build_chain, ChainOptions, ChainPreconditioner, ChainQuality, ChainStats, LevelQuality,
+    Precision, SolveOutcome, SolverChain,
 };
 pub use elimination::{
     greedy_elimination, greedy_elimination_with_params, EliminationParams, EliminationResult,

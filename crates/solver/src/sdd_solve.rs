@@ -226,48 +226,15 @@ impl SddSolver {
 
     /// Solves `A x = b` to the configured tolerance.
     pub fn solve(&self, b: &[f64]) -> SolveOutcome {
-        assert_eq!(b.len(), self.original_dim, "rhs dimension mismatch");
-        match &self.problem {
-            Problem::Laplacian => {
-                self.chain
-                    .solve(b, self.options.tolerance, self.options.max_iterations)
-            }
-            Problem::Sdd(reduction) => {
-                let rhs = reduction.reduce_rhs(b);
-                let inner =
-                    self.chain
-                        .solve(&rhs, self.options.tolerance, self.options.max_iterations);
-                SolveOutcome {
-                    x: reduction.recover_solution(&inner.x),
-                    iterations: inner.iterations,
-                    relative_residual: inner.relative_residual,
-                    converged: inner.converged,
-                    breakdown: inner.breakdown,
-                    recovery: inner.recovery,
-                }
-            }
-        }
+        self.solve_with_tolerance(b, self.options.tolerance)
     }
 
-    /// Solves with an explicit tolerance override.
+    /// Solves with an explicit tolerance override — the `k = 1` case of
+    /// [`solve_many_with_tolerance`](Self::solve_many_with_tolerance).
     pub fn solve_with_tolerance(&self, b: &[f64], tol: f64) -> SolveOutcome {
-        let mut opts = self.options;
-        opts.tolerance = tol;
-        match &self.problem {
-            Problem::Laplacian => self.chain.solve(b, tol, opts.max_iterations),
-            Problem::Sdd(reduction) => {
-                let rhs = reduction.reduce_rhs(b);
-                let inner = self.chain.solve(&rhs, tol, opts.max_iterations);
-                SolveOutcome {
-                    x: reduction.recover_solution(&inner.x),
-                    iterations: inner.iterations,
-                    relative_residual: inner.relative_residual,
-                    converged: inner.converged,
-                    breakdown: inner.breakdown,
-                    recovery: inner.recovery,
-                }
-            }
-        }
+        self.solve_many_with_tolerance(&[b], tol)
+            .pop()
+            .expect("one column")
     }
 
     /// Solves `A x_i = b_i` for many right-hand sides against the one
@@ -289,39 +256,48 @@ impl SddSolver {
     /// [`solve_many`](Self::solve_many) with an explicit tolerance
     /// override (the blocked counterpart of
     /// [`solve_with_tolerance`](Self::solve_with_tolerance)).
-    pub fn solve_many_with_tolerance(&self, bs: &[Vec<f64>], tol: f64) -> Vec<SolveOutcome> {
+    /// Each right-hand side is anything that views as `&[f64]`.
+    pub fn solve_many_with_tolerance<C: AsRef<[f64]>>(
+        &self,
+        bs: &[C],
+        tol: f64,
+    ) -> Vec<SolveOutcome> {
         for b in bs {
-            assert_eq!(b.len(), self.original_dim, "rhs dimension mismatch");
+            assert_eq!(
+                b.as_ref().len(),
+                self.original_dim,
+                "rhs dimension mismatch"
+            );
         }
         let mut out = Vec::with_capacity(bs.len());
         for chunk in bs.chunks(MAX_BLOCK_WIDTH.max(1)) {
-            match &self.problem {
-                Problem::Laplacian => {
-                    let block = MultiVector::from_columns(chunk);
-                    out.extend(
-                        self.chain
-                            .solve_block(&block, tol, self.options.max_iterations),
-                    );
-                }
-                Problem::Sdd(reduction) => {
-                    let reduced: Vec<Vec<f64>> =
-                        chunk.iter().map(|b| reduction.reduce_rhs(b)).collect();
-                    let block = MultiVector::from_columns(&reduced);
-                    let inner = self
-                        .chain
-                        .solve_block(&block, tol, self.options.max_iterations);
-                    out.extend(inner.into_iter().map(|o| SolveOutcome {
-                        x: reduction.recover_solution(&o.x),
-                        iterations: o.iterations,
-                        relative_residual: o.relative_residual,
-                        converged: o.converged,
-                        breakdown: o.breakdown,
-                        recovery: o.recovery,
-                    }));
-                }
-            }
+            let block = match &self.problem {
+                Problem::Laplacian => MultiVector::from_columns(chunk),
+                Problem::Sdd(reduction) => MultiVector::from_columns(
+                    &chunk
+                        .iter()
+                        .map(|b| reduction.reduce_rhs(b.as_ref()))
+                        .collect::<Vec<_>>(),
+                ),
+            };
+            let solved = self
+                .chain
+                .solve_block(&block, tol, self.options.max_iterations);
+            out.extend(solved.into_iter().map(|o| self.original_outcome(o)));
         }
         out
+    }
+
+    /// Maps a chain-space outcome back to the original system (recovers
+    /// the SDD solution from the Gremban one; identity on Laplacians).
+    fn original_outcome(&self, o: SolveOutcome) -> SolveOutcome {
+        match &self.problem {
+            Problem::Laplacian => o,
+            Problem::Sdd(reduction) => SolveOutcome {
+                x: reduction.recover_solution(&o.x),
+                ..o
+            },
+        }
     }
 
     /// Fallible [`solve`](Self::solve): classifies bad input as a typed
@@ -434,13 +410,7 @@ impl SddSolver {
                         },
                     });
                 }
-                out.push(match &self.problem {
-                    Problem::Laplacian => o,
-                    Problem::Sdd(reduction) => SolveOutcome {
-                        x: reduction.recover_solution(&o.x),
-                        ..o
-                    },
-                });
+                out.push(self.original_outcome(o));
             }
         }
         Ok(out)
