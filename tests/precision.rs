@@ -153,6 +153,81 @@ fn f32_batched_solves_match_looped_bitwise() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of one 64-bit word.
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &byte| {
+        (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One `u64` over everything a chain of `precision` computes: structure
+/// (level sizes, W-cycle widths, bottom kind and size), calibrated
+/// `cheb_bounds`, and outcome bits (iterations, residual, every solution
+/// entry) of a width-1 solve and a width-3 block solve. Runs a 48×48
+/// weighted grid (direct bottom) and zoo smallworld/small with
+/// `dense_bottom_limit: 0` (iterative bottom).
+fn golden_fingerprint(precision: Precision) -> u64 {
+    use parsdd_linalg::MultiVector;
+    let grid = parsdd_graph::generators::grid2d(48, 48, |x, y| 1.0 + ((x * 3 + y) % 5) as f64);
+    let smallworld = zoo::build("smallworld", Tier::Small);
+    let iterative_bottom = ChainOptions {
+        dense_bottom_limit: 0,
+        ..ChainOptions::default()
+    };
+    let mut words: Vec<u64> = Vec::new();
+    for (g, options) in [
+        (&grid, ChainOptions::default()),
+        (&smallworld, iterative_bottom),
+    ] {
+        let chain = build_chain(g, &options.with_precision(precision));
+        let stats = chain.stats();
+        words.extend([
+            stats.direct_bottom as u64,
+            stats.bottom_envelope_nnz as u64,
+            stats.bottom_iterations as u64,
+        ]);
+        words.extend(
+            (stats.level_vertices.iter())
+                .chain(&stats.level_edges)
+                .chain(&stats.inner_iterations)
+                .map(|&v| v as u64),
+        );
+        for lvl in chain.levels() {
+            words.extend([lvl.cheb_bounds.0.to_bits(), lvl.cheb_bounds.1.to_bits()]);
+        }
+        let cols: Vec<Vec<f64>> = (0..3).map(|s| rhs(g.n(), 41 + s)).collect();
+        let single = chain.solve(&cols[0], TOLERANCE, 300);
+        let block = chain.solve_block(&MultiVector::from_columns(&cols), TOLERANCE, 300);
+        for out in std::iter::once(&single).chain(&block) {
+            words.extend([out.iterations as u64, out.relative_residual.to_bits()]);
+            words.extend(out.x.iter().map(|v| v.to_bits()));
+        }
+    }
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, fnv1a)
+}
+
+/// Absolute golden bits of both precisions. Every other bitwise pin
+/// compares a build with itself (pool widths, batched vs looped, knob
+/// absent vs explicit), so a change that moves the arithmetic the same
+/// way in every run passes them all; this one does not. The constants
+/// change only together with a numeric change stated in CHANGES.md.
+/// Gated to x86-64, where they were captured (the libm calls of the build
+/// may round differently elsewhere).
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn golden_fingerprints_match_committed_bits() {
+    assert_eq!(
+        golden_fingerprint(Precision::F64),
+        0xf9e3_df58_3301_a3a7,
+        "f64 golden fingerprint moved"
+    );
+    assert_eq!(
+        golden_fingerprint(Precision::F32),
+        0xcd68_acbc_19ca_bc1b,
+        "f32 golden fingerprint moved"
+    );
+}
+
 /// The committed f64 behavior is unchanged by the knob's existence: a
 /// default build and an explicit `F64` build produce bitwise-identical
 /// structure and solves, and every level drops its build-time CSR after
