@@ -11,20 +11,23 @@
 //!   never materialised (the kernel the chain's W-cycle actually runs).
 //!
 //! Also reports the fused `A·p` + `pᵀAp` kernel of the top-level PCG
-//! against the unfused apply-then-dot pair, and the f32 storage tier's
-//! sweep (`fused_f32`: [`PermutedLevelF32::cheb_fused_sweep32`] on f32
-//! direction, iterate and residual vectors, the kernel the f32 chain's
-//! inner W-cycle runs) — the per-kernel view of the precision knob's
-//! bandwidth saving (8 vs 12 bytes per matrix entry, half-width vectors).
+//! against the unfused apply-then-dot pair, and the same generic sweep at
+//! f32 storage (`fused_f32`: `PermutedLevel<f32>` on f32 direction,
+//! iterate and residual vectors, the kernel the f32 chain's W-cycle runs)
+//! — the per-kernel view of the precision knob's bandwidth saving (8 vs
+//! 12 bytes per matrix entry, half-width vectors).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use parsdd_graph::reorder::{rcm_order, relabel};
 use parsdd_graph::Graph;
 use parsdd_linalg::laplacian::laplacian_apply_rowmajor;
-use parsdd_linalg::permuted::{PermutedLevel, PermutedLevelF32};
+use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::vector::{axpy, colwise_dots_rm};
+use parsdd_linalg::Scalar;
+
+const ALPHA: f64 = 0.37;
 
 fn workload(side: usize) -> (Graph, PermutedLevel, Vec<f64>, Vec<f64>, Vec<f64>) {
     let g = parsdd_graph::generators::grid2d(side, side, |_, _| 1.0);
@@ -37,13 +40,32 @@ fn workload(side: usize) -> (Graph, PermutedLevel, Vec<f64>, Vec<f64>, Vec<f64>)
     (g, m, p, x, r)
 }
 
+/// Times the one generic fused sweep at storage precision `T`, on the
+/// workload's vectors rounded to `T`.
+fn bench_fused<T: Scalar>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    side: usize,
+    m: &PermutedLevel<T>,
+    vectors: [&[f64]; 3],
+) {
+    let [p, x0, r0] = vectors.map(|v| v.iter().map(|&x| T::from_f64(x)).collect::<Vec<T>>());
+    group.bench_with_input(BenchmarkId::new(name, side), &side, |b, _| {
+        let (mut x, mut r) = (x0.clone(), r0.clone());
+        b.iter(|| {
+            m.cheb_fused_sweep(ALPHA, &p, &mut x, &mut r, 1);
+            black_box(r[0]);
+        });
+    });
+}
+
 fn bench_sweeps(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_fused_sweep");
     for side in [96usize, 48] {
         let (g, m, p, x0, r0) = workload(side);
         let n = g.n();
         let diag: Vec<f64> = (0..n).map(|v| g.weighted_degree(v as u32)).collect();
-        let alpha = 0.37f64;
+        let alpha = ALPHA;
 
         group.bench_with_input(BenchmarkId::new("unfused", side), &side, |b, _| {
             let mut x = x0.clone();
@@ -67,24 +89,9 @@ fn bench_sweeps(c: &mut Criterion) {
                 black_box(r[0]);
             });
         });
-        group.bench_with_input(BenchmarkId::new("fused", side), &side, |b, _| {
-            let mut x = x0.clone();
-            let mut r = r0.clone();
-            b.iter(|| {
-                m.cheb_fused_sweep(alpha, &p, &mut x, &mut r, 1);
-                black_box(r[0]);
-            });
-        });
-        let m32 = PermutedLevelF32::from_level(&m);
-        let p32: Vec<f32> = p.iter().map(|&v| v as f32).collect();
-        group.bench_with_input(BenchmarkId::new("fused_f32", side), &side, |b, _| {
-            let mut x: Vec<f32> = x0.iter().map(|&v| v as f32).collect();
-            let mut r: Vec<f32> = r0.iter().map(|&v| v as f32).collect();
-            b.iter(|| {
-                m32.cheb_fused_sweep32(alpha, &p32, &mut x, &mut r, 1);
-                black_box(r[0]);
-            });
-        });
+        let m32 = PermutedLevel::<f32>::from_level(&m);
+        bench_fused(&mut group, "fused", side, &m, [&p, &x0, &r0]);
+        bench_fused(&mut group, "fused_f32", side, &m32, [&p, &x0, &r0]);
 
         group.bench_with_input(BenchmarkId::new("apply_then_dot", side), &side, |b, _| {
             let mut ap = vec![0.0f64; n];

@@ -1,11 +1,8 @@
 //! Connected components, sequentially and in parallel.
 
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::frontier::{edge_map, CsrLike, EdgeMapOp, EdgeMapOptions, Frontier};
 use crate::graph::{Graph, VertexId};
-use crate::parutil::SEQ_CUTOFF;
 use crate::unionfind::{ConcurrentUnionFind, UnionFind};
 
 /// A labelling of vertices by connected component.
@@ -61,74 +58,6 @@ pub fn parallel_connected_components(g: &Graph) -> Components {
     });
     let (labels, count) = uf.dense_labels();
     Components { labels, count }
-}
-
-/// Min-label propagation step reading a frozen snapshot of the previous
-/// round's labels, so every round is a pure function of the last — the
-/// frontier sequence and final labels are identical at every pool width.
-struct MinLabelStep<'a> {
-    prev: &'a [u32],
-    next: &'a [AtomicU32],
-}
-
-impl EdgeMapOp for MinLabelStep<'_> {
-    fn update(&self, src: VertexId, dst: VertexId, _w: f64, _arc: usize) -> bool {
-        let ls = self.prev[src as usize];
-        let prev = self.next[dst as usize].fetch_min(ls, Ordering::AcqRel);
-        ls < prev
-    }
-    fn update_atomic(&self, src: VertexId, dst: VertexId, w: f64, arc: usize) -> bool {
-        self.update(src, dst, w, arc)
-    }
-    fn cond(&self, _dst: VertexId) -> bool {
-        true
-    }
-}
-
-/// Connected components by frontier-based min-label propagation over
-/// [`edge_map`] — runs on any [`CsrLike`] graph (including the lean
-/// [`Csr`](crate::csr::Csr) and the mmap views, which union–find cannot
-/// serve because they have no edge list). Deterministic at every pool
-/// width; `O(diameter)` rounds.
-pub fn frontier_connected_components<G: CsrLike>(g: &G) -> Components {
-    let n = g.n();
-    let labels: Vec<AtomicU32> = (0..n)
-        .into_par_iter()
-        .with_min_len(SEQ_CUTOFF)
-        .map(|v| AtomicU32::new(v as u32))
-        .collect();
-    let mut frontier = Frontier::all(n);
-    while !frontier.is_empty() {
-        let prev: Vec<u32> = labels
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|l| l.load(Ordering::Relaxed))
-            .collect();
-        let step = MinLabelStep {
-            prev: &prev,
-            next: &labels,
-        };
-        frontier = edge_map(g, &frontier, &step, EdgeMapOptions::default()).frontier;
-    }
-    // Labels now hold each component's minimum vertex id; compact them to
-    // dense `0..count` in increasing order.
-    let raw: Vec<u32> = labels
-        .into_par_iter()
-        .with_min_len(SEQ_CUTOFF)
-        .map(|l| l.into_inner())
-        .collect();
-    let mut reps: Vec<u32> = raw.to_vec();
-    reps.par_sort_unstable();
-    reps.dedup();
-    let labels: Vec<u32> = raw
-        .par_iter()
-        .with_min_len(SEQ_CUTOFF)
-        .map(|r| reps.binary_search(r).expect("rep present") as u32)
-        .collect();
-    Components {
-        count: reps.len(),
-        labels,
-    }
 }
 
 /// True when the graph is connected (the empty graph and the single-vertex
@@ -232,19 +161,6 @@ mod tests {
         let total: usize = groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, 100);
         assert_eq!(groups.len(), c.count);
-    }
-
-    #[test]
-    fn frontier_cc_matches_union_find() {
-        let g = generators::erdos_renyi_gnm(400, 420, 7);
-        let uf = connected_components(&g);
-        let fp = frontier_connected_components(&g);
-        assert_eq!(uf.count, fp.count);
-        assert_eq!(uf.labels, fp.labels, "dense relabellings must agree");
-        // Also on the lean CSR (no edge list available there).
-        let c = crate::csr::Csr::from_graph(&g);
-        let fc = frontier_connected_components(&c);
-        assert_eq!(fc.labels, fp.labels);
     }
 
     #[test]

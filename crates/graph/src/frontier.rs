@@ -451,24 +451,24 @@ pub fn vertex_map<F: Fn(VertexId) + Sync>(frontier: &Frontier, grain: usize, f: 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::generators;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// BFS-style visit op: claim unvisited destinations with
     /// `fetch_min(source id)` — commutative and deterministic.
-    struct MinClaim {
+    pub(crate) struct MinClaim {
         label: Vec<AtomicU64>,
     }
 
     impl MinClaim {
-        fn new(n: usize) -> Self {
+        pub(crate) fn new(n: usize) -> Self {
             MinClaim {
                 label: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
             }
         }
-        fn labels(&self) -> Vec<u64> {
+        pub(crate) fn labels(&self) -> Vec<u64> {
             self.label
                 .iter()
                 .map(|a| a.load(Ordering::Relaxed))

@@ -825,10 +825,24 @@ mod tests {
         for (a, b) in mapped.weights().iter().zip(c.raw_weights()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // The CsrLike view drives traversals identically to the owned Csr.
-        let from_map = crate::components::frontier_connected_components(&mapped);
-        let from_csr = crate::components::frontier_connected_components(&c);
-        assert_eq!(from_map.labels, from_csr.labels);
+        // The CsrLike view drives traversals identically to the owned Csr:
+        // edge_map rounds from vertex 0 until the frontier empties.
+        fn traversal<G: CsrLike>(g: &G) -> (Vec<Vec<u32>>, Vec<u64>) {
+            use crate::frontier::{edge_map, tests::MinClaim, EdgeMapOptions, Frontier};
+            let op = MinClaim::new(g.n());
+            let (mut frontier, mut rounds) = (Frontier::singleton(0), Vec::new());
+            while !frontier.is_empty() {
+                frontier = edge_map(g, &frontier, &op, EdgeMapOptions::default()).frontier;
+                rounds.push(frontier.to_sorted_vec());
+            }
+            (rounds, op.labels())
+        }
+        let owned_view = traversal(&c);
+        assert!(
+            owned_view.1.iter().all(|&l| l != u64::MAX),
+            "reaches every vertex"
+        );
+        assert_eq!(traversal(&mapped), owned_view);
         assert_eq!(CsrLike::arc_count(&mapped), c.arc_count());
         let owned = mapped.to_csr();
         assert_eq!(owned.raw_neighbors(), c.raw_neighbors());

@@ -18,9 +18,15 @@
 //! zero (null directions get solution coordinate 0), callers project the
 //! right-hand side onto the range. A full profile degrades gracefully to
 //! exactly the dense factorisation.
+//!
+//! The factorisation always runs in f64; [`EnvelopeLdl::from_f64`] stores a
+//! finished factor at the chain's storage precision, and the solve is
+//! written once over [`Scalar`] (forward-pass chains and pivot form are
+//! the trait's items).
 
 use crate::block::MultiVector;
 use crate::operator::LinearOperator;
+use crate::scalar::Scalar;
 use parsdd_graph::Graph;
 
 /// First column of each row of the Laplacian's lower envelope under the
@@ -50,9 +56,20 @@ pub fn envelope_profile(g: &Graph) -> usize {
         .sum()
 }
 
-/// An envelope (skyline) LDLᵀ factorisation of a graph Laplacian.
+/// An envelope (skyline) LDLᵀ factorisation of a graph Laplacian, stored
+/// at precision `T`.
+///
+/// At f32 each solve streams half the envelope bytes, and the diagonal is
+/// kept as reciprocals, so the pivot pass is a branch-free multiply (a
+/// zero reciprocal marks a null direction). The f32 forward pass splits
+/// each row's products over four chains by band position
+/// ([`Scalar::CHAINS`]): the bottom solve is the W-cycle's largest work
+/// term, and four independent chains break the latency-bound serial
+/// reduction. The f64 solve keeps its pinned serial order. At either
+/// precision the order depends only on the band position, so batched
+/// solves are bitwise identical to looped single solves.
 #[derive(Debug, Clone)]
-pub struct EnvelopeLdl {
+pub struct EnvelopeLdl<T = f64> {
     n: usize,
     /// First stored column of each row (`first[i] ≤ i`); row `i` of `L`
     /// occupies columns `[first[i], i)`.
@@ -61,12 +78,14 @@ pub struct EnvelopeLdl {
     /// `l[offsets[i]..offsets[i+1]]` (length `i − first[i]`).
     offsets: Vec<usize>,
     /// Packed strictly-lower rows of the unit lower-triangular factor.
-    l: Vec<f64>,
-    /// Diagonal factor; zeros mark numerically null directions.
-    d: Vec<f64>,
+    l: Vec<T>,
+    /// Diagonal factor in [`Scalar::fold_divisor`] form (the pivot at
+    /// f64, its reciprocal at f32); zeros mark numerically null
+    /// directions.
+    d: Vec<T>,
 }
 
-impl EnvelopeLdl {
+impl EnvelopeLdl<f64> {
     /// Factors the Laplacian of `g` under its **current** numbering (the
     /// caller is expected to have applied a bandwidth-reducing relabel
     /// first; the profile — and so the cost — is whatever the numbering
@@ -134,32 +153,6 @@ impl EnvelopeLdl {
         }
     }
 
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of zero pivots (dimension of the detected null space).
-    pub fn null_dim(&self) -> usize {
-        self.d.iter().filter(|&&d| d == 0.0).count()
-    }
-
-    /// Stored strictly-lower entries (the envelope size). Each solve
-    /// streams this twice (forward + backward); the dense factor streams
-    /// `n(n−1)/2` twice. The ratio is the bottom's per-solve byte saving.
-    pub fn envelope_nnz(&self) -> usize {
-        self.l.len()
-    }
-
-    /// Heap bytes the factor keeps resident (row starts + offsets +
-    /// packed lower entries + diagonal).
-    pub fn resident_bytes(&self) -> usize {
-        self.first.len() * std::mem::size_of::<u32>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.l.len() * std::mem::size_of::<f64>()
-            + self.d.len() * std::mem::size_of::<f64>()
-    }
-
     /// Solves `A x = b` (particular solution when `A` is singular and `b`
     /// is in the range) — the `k = 1` case of
     /// [`solve_rowmajor`](Self::solve_rowmajor).
@@ -178,11 +171,79 @@ impl EnvelopeLdl {
         z
     }
 
-    /// [`solve_rowmajor`](Self::solve_rowmajor) into a caller-owned
-    /// output buffer. For the monomorphised widths (`k ∈ {1, 2, 4, 8, 16,
-    /// 32}`) this performs no heap allocation once `out` has capacity
-    /// `n·k`; identical arithmetic at every width.
-    pub fn solve_rowmajor_into(&self, b: &[f64], k: usize, out: &mut Vec<f64>) {
+    /// Column-major blocked solve (transposes at the boundary; the chain
+    /// itself calls [`solve_rowmajor_into`](Self::solve_rowmajor_into)
+    /// directly).
+    pub fn solve_block(&self, b: &MultiVector) -> MultiVector {
+        assert_eq!(b.nrows(), self.n);
+        MultiVector::from_rowmajor(&self.solve_rowmajor(&b.to_rowmajor(), b.ncols()), b.ncols())
+    }
+}
+
+impl<T: Scalar> EnvelopeLdl<T> {
+    /// Stores a completed f64 factorisation at precision `T`: clones the
+    /// envelope structure, rounds each strictly-lower entry once, and
+    /// folds each nonzero pivot ([`Scalar::fold_divisor`]; null-direction
+    /// pivots stay exactly zero). A copy at f64.
+    pub fn from_f64(src: &EnvelopeLdl<f64>) -> Self {
+        EnvelopeLdl {
+            n: src.n,
+            first: src.first.clone(),
+            offsets: src.offsets.clone(),
+            l: src.l.iter().map(|&v| T::from_f64(v)).collect(),
+            d: src
+                .d
+                .iter()
+                .map(|&d| {
+                    if d == 0.0 {
+                        T::ZERO
+                    } else {
+                        T::fold_divisor(d)
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// Dimension of the factored system.
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// Number of zero pivots (dimension of the detected null space).
+    pub fn null_dim(&self) -> usize {
+        self.d.iter().filter(|&&d| d == T::ZERO).count()
+    }
+
+    /// Stored strictly-lower entries (the envelope size). Each solve
+    /// streams this twice (forward + backward); the dense factor streams
+    /// `n(n−1)/2` twice. The ratio is the bottom's per-solve byte saving.
+    pub fn envelope_nnz(&self) -> usize {
+        self.l.len()
+    }
+
+    /// Bytes one solve streams: the packed lower entries twice (forward
+    /// and backward) plus the diagonal, at the storage width.
+    pub fn stream_bytes(&self) -> usize {
+        (2 * self.l.len() + self.d.len()) * std::mem::size_of::<T>()
+    }
+
+    /// Heap bytes the factor keeps resident (row starts + offsets +
+    /// packed lower entries + diagonal).
+    pub fn resident_bytes(&self) -> usize {
+        self.first.len() * std::mem::size_of::<u32>()
+            + self.offsets.len() * std::mem::size_of::<usize>()
+            + (self.l.len() + self.d.len()) * std::mem::size_of::<T>()
+    }
+
+    /// Solves `A X = B` for `k` row-major right-hand sides into a
+    /// caller-owned output buffer, every product and partial sum at
+    /// precision `T`. Performs no heap allocation once `out` has capacity
+    /// `n·k`, at every width: the widths `k ∈ {1, 2, 4, 8, 16, 32}` run
+    /// monomorphised kernels with register-resident rows, the others a
+    /// kernel that needs no temporaries. Identical arithmetic per column
+    /// at every width.
+    pub fn solve_rowmajor_into(&self, b: &[T], k: usize, out: &mut Vec<T>) {
         assert_eq!(b.len(), self.n * k);
         out.clear();
         out.extend_from_slice(b);
@@ -207,7 +268,7 @@ impl EnvelopeLdl {
     /// the packed row), diagonal scale, backward `Lᵀ X = Z` in scatter
     /// form (row `i`, once final, updates rows `first[i]..i` along the
     /// same packed row — both passes stream the envelope contiguously).
-    fn tri_solve<const K: usize>(&self, zr: &mut [f64]) {
+    fn tri_solve<const K: usize>(&self, zr: &mut [T]) {
         let n = self.n;
         for i in 0..n {
             let fi = self.first[i] as usize;
@@ -215,33 +276,52 @@ impl EnvelopeLdl {
                 continue;
             }
             let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f64] = &mut tail[..K];
-            let mut acc = [0.0f64; K];
-            acc.copy_from_slice(acc_row);
+            let zi: &mut [T] = &mut tail[..K];
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * K..].chunks_exact(K).zip(lrow) {
+            let zrows = &head[fi * K..];
+            if T::CHAINS == 1 {
+                // Serial, subtracting from z_i entry by entry.
+                let mut acc = [T::ZERO; K];
+                acc.copy_from_slice(zi);
+                for (row, &lij) in zrows.chunks_exact(K).zip(lrow) {
+                    for jj in 0..K {
+                        acc[jj] -= lij * row[jj];
+                    }
+                }
+                zi.copy_from_slice(&acc);
+            } else {
+                // Products summed into chains by band position, starting
+                // from zero, then subtracted from z_i once.
+                let mut acc = [[T::ZERO; K]; 4];
+                let mut zq = zrows.chunks_exact(T::CHAINS * K);
+                let mut lq = lrow.chunks_exact(T::CHAINS);
+                for (zquad, lquad) in (&mut zq).zip(&mut lq) {
+                    for c in 0..T::CHAINS {
+                        let zc = &zquad[c * K..(c + 1) * K];
+                        for jj in 0..K {
+                            acc[c][jj] += lquad[c] * zc[jj];
+                        }
+                    }
+                }
+                let rest = zq.remainder().chunks_exact(K).zip(lq.remainder());
+                for (ch, (zc, &lij)) in acc.iter_mut().zip(rest) {
+                    for jj in 0..K {
+                        ch[jj] += lij * zc[jj];
+                    }
+                }
                 for jj in 0..K {
-                    acc[jj] -= lij * row[jj];
-                }
-            }
-            acc_row.copy_from_slice(&acc);
-        }
-        for (row, &di) in zr.chunks_exact_mut(K).zip(&self.d) {
-            for v in row {
-                if di == 0.0 {
-                    *v = 0.0;
-                } else {
-                    *v /= di;
+                    zi[jj] -= T::sum_chains([acc[0][jj], acc[1][jj], acc[2][jj], acc[3][jj]]);
                 }
             }
         }
+        self.scale_by_pivots(zr, K);
         for i in (0..n).rev() {
             let fi = self.first[i] as usize;
             if fi == i {
                 continue;
             }
             let (head, tail) = zr.split_at_mut(i * K);
-            let mut xi = [0.0f64; K];
+            let mut xi = [T::ZERO; K];
             xi.copy_from_slice(&tail[..K]);
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
             for (row, &lij) in head[fi * K..].chunks_exact_mut(K).zip(lrow) {
@@ -252,52 +332,56 @@ impl EnvelopeLdl {
         }
     }
 
-    /// Fallback for block widths outside the monomorphised set; same
-    /// operation order per column.
-    fn tri_solve_generic(&self, zr: &mut [f64], k: usize) {
+    /// Fallback for block widths outside the monomorphised set; the same
+    /// operation order per column. It reads row `i` where it lies instead
+    /// of staging it in a k-wide temporary, and the chained forward pass
+    /// runs one column at a time.
+    fn tri_solve_generic(&self, zr: &mut [T], k: usize) {
         let n = self.n;
         for i in 0..n {
             let fi = self.first[i] as usize;
             let (head, tail) = zr.split_at_mut(i * k);
-            let acc = &mut tail[..k];
+            let zi = &mut tail[..k];
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * k..].chunks_exact(k).zip(lrow) {
-                for (a, &zj) in acc.iter_mut().zip(row) {
-                    *a -= lij * zj;
+            let zrows = &head[fi * k..];
+            if T::CHAINS == 1 {
+                for (row, &lij) in zrows.chunks_exact(k).zip(lrow) {
+                    for (a, &zj) in zi.iter_mut().zip(row) {
+                        *a -= lij * zj;
+                    }
+                }
+            } else {
+                for (jj, a) in zi.iter_mut().enumerate() {
+                    let mut s = [T::ZERO; 4];
+                    for (t, &lij) in lrow.iter().enumerate() {
+                        s[t % T::CHAINS] += lij * zrows[t * k + jj];
+                    }
+                    *a -= T::sum_chains(s);
                 }
             }
         }
-        for (row, &di) in zr.chunks_exact_mut(k).zip(&self.d) {
-            for v in row {
-                if di == 0.0 {
-                    *v = 0.0;
-                } else {
-                    *v /= di;
-                }
-            }
-        }
-        let mut xi = vec![0.0f64; k];
+        self.scale_by_pivots(zr, k);
         for i in (0..n).rev() {
             let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
             let (head, tail) = zr.split_at_mut(i * k);
-            xi.copy_from_slice(&tail[..k]);
+            let xi = &tail[..k];
             let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
             for (row, &lij) in head[fi * k..].chunks_exact_mut(k).zip(lrow) {
-                for (x, &v) in row.iter_mut().zip(&xi) {
+                for (x, &v) in row.iter_mut().zip(xi) {
                     *x -= lij * v;
                 }
             }
         }
     }
 
-    /// Column-major blocked solve (transposes at the boundary; the chain
-    /// itself calls [`solve_rowmajor`](Self::solve_rowmajor) directly).
-    pub fn solve_block(&self, b: &MultiVector) -> MultiVector {
-        assert_eq!(b.nrows(), self.n);
-        MultiVector::from_rowmajor(&self.solve_rowmajor(&b.to_rowmajor(), b.ncols()), b.ncols())
+    /// The diagonal pass `Z ← D⁻¹ Z` ([`Scalar::pivot`]).
+    #[inline(always)]
+    fn scale_by_pivots(&self, zr: &mut [T], k: usize) {
+        for (row, &di) in zr.chunks_exact_mut(k).zip(&self.d) {
+            for v in row {
+                *v = v.pivot(di);
+            }
+        }
     }
 }
 
@@ -310,250 +394,6 @@ impl LinearOperator for EnvelopeLdl {
     /// for plugging the bottom into generic iterative drivers).
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         y.copy_from_slice(&self.solve(x));
-    }
-}
-
-/// The f32 storage tier of [`EnvelopeLdl`]: the packed strictly-lower
-/// factor rows are stored as `f32` (each solve streams half the envelope
-/// bytes), while the diagonal is kept as a precomputed f64 *reciprocal* —
-/// it is only `n` entries (no bandwidth to save), and storing `1/d`
-/// turns the pivot pass into a branch-free multiply (a zero reciprocal
-/// marks a null direction and zeroes its coordinate exactly like the f64
-/// tier's branch).
-///
-/// Built only by **demotion** from a completed f64 factorisation
-/// ([`from_f64`](Self::from_f64)) — the elimination itself always runs in
-/// f64. Its one solve,
-/// [`solve_rowmajor_f32_into`](Self::solve_rowmajor_f32_into), takes f32
-/// right-hand sides and runs both triangular passes entirely in f32 — no
-/// per-entry widenings at all: its caller (the all-f32 inner W-cycle's
-/// bottom solve) holds a preconditioner-internal right-hand side that is
-/// already at f32 rounding scale.
-///
-/// **Chained-accumulation order.** The bottom solve is the W-cycle's
-/// single largest work term (`∏k_i` leaf solves per preconditioner
-/// application), and the forward pass is a per-row reduction whose serial
-/// FP-add chain is latency-bound. Unlike the f64 tier — whose operation
-/// order is pinned to the committed behavior — this tier defines its own
-/// fixed order: each row's products are split round-robin over **four
-/// partial-sum chains** (band position mod 4, remainder entries in
-/// order), combined as `(s0 + s1) + (s2 + s3)`. The four chains are
-/// independent, so the core overlaps them and the compiler can pack the
-/// contiguous f32 loads; the assignment depends only on the band
-/// position, so every column sees the identical tree at every block
-/// width and batched solves stay bitwise identical to looped singles.
-#[derive(Debug, Clone)]
-pub struct EnvelopeLdlF32 {
-    n: usize,
-    /// First stored column of each row (`first[i] ≤ i`).
-    first: Vec<u32>,
-    /// Offsets into `l`: row `i`'s packed entries at
-    /// `l[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<usize>,
-    /// Packed strictly-lower factor rows, narrowed from f64.
-    l: Vec<f32>,
-    /// Reciprocal diagonal factor (f64); exact zeros mark null
-    /// directions.
-    dinv: Vec<f64>,
-}
-
-impl EnvelopeLdlF32 {
-    /// Demotes a completed f64 factorisation: clones the envelope
-    /// structure, narrows each strictly-lower entry with a single
-    /// `as f32` rounding, and precomputes the reciprocal diagonal
-    /// (null-direction pivots stay exactly zero).
-    pub fn from_f64(src: &EnvelopeLdl) -> Self {
-        EnvelopeLdlF32 {
-            n: src.n,
-            first: src.first.clone(),
-            offsets: src.offsets.clone(),
-            l: src.l.iter().map(|&v| v as f32).collect(),
-            dinv: src
-                .d
-                .iter()
-                .map(|&d| if d == 0.0 { 0.0 } else { 1.0 / d })
-                .collect(),
-        }
-    }
-
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of zero pivots (dimension of the detected null space).
-    pub fn null_dim(&self) -> usize {
-        self.dinv.iter().filter(|&&d| d == 0.0).count()
-    }
-
-    /// Stored strictly-lower entries (the envelope size); each solve
-    /// streams this twice at 4 bytes per entry against the f64 tier's 8.
-    pub fn envelope_nnz(&self) -> usize {
-        self.l.len()
-    }
-
-    /// Heap bytes the factor keeps resident (row starts + offsets +
-    /// packed f32 lower entries + f64 reciprocal diagonal).
-    pub fn resident_bytes(&self) -> usize {
-        self.first.len() * std::mem::size_of::<u32>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.l.len() * std::mem::size_of::<f32>()
-            + self.dinv.len() * std::mem::size_of::<f64>()
-    }
-
-    /// Solves `A X = B` for `k` row-major **f32** right-hand sides into a
-    /// caller-owned **f32** buffer; allocation-free for the monomorphised
-    /// widths (`k ∈ {1, 2, 4, 8, 16, 32}`) once `out` has capacity `n·k`.
-    /// Every product and partial sum stays in f32 (one narrowing per
-    /// reciprocal-diagonal entry aside) — the whole solve is at the
-    /// rounding scale the factor demotion already set, so nothing is
-    /// gained by carrying f64 partials through it. Bitwise identical per
-    /// column at every block width.
-    pub fn solve_rowmajor_f32_into(&self, b: &[f32], k: usize, out: &mut Vec<f32>) {
-        assert_eq!(b.len(), self.n * k);
-        out.clear();
-        out.extend_from_slice(b);
-        let z = out;
-        if self.n == 0 || k == 0 {
-            return;
-        }
-        match k {
-            1 => self.tri_solve32::<1>(z),
-            2 => self.tri_solve32::<2>(z),
-            4 => self.tri_solve32::<4>(z),
-            8 => self.tri_solve32::<8>(z),
-            16 => self.tri_solve32::<16>(z),
-            32 => self.tri_solve32::<32>(z),
-            _ => self.tri_solve32_generic(z, k),
-        }
-    }
-
-    /// K-wide all-f32 triangular solves: forward gather in the four-chain
-    /// order, reciprocal-diagonal scale (each f64 reciprocal narrowed
-    /// once per row), backward scatter — f32 products and f32 partial
-    /// sums throughout.
-    fn tri_solve32<const K: usize>(&self, zr: &mut [f32]) {
-        let n = self.n;
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f32] = &mut tail[..K];
-            let mut acc = [[0.0f32; K]; 4];
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * K..(fi + (i - fi)) * K];
-            let mut zq = zrow.chunks_exact(4 * K);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c];
-                    let zc = &zquad[c * K..(c + 1) * K];
-                    for jj in 0..K {
-                        acc[c][jj] += lw * zc[jj];
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(K)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                for jj in 0..K {
-                    acc[c][jj] += lij * zc[jj];
-                }
-            }
-            for jj in 0..K {
-                acc_row[jj] -= (acc[0][jj] + acc[1][jj]) + (acc[2][jj] + acc[3][jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(K).zip(&self.dinv) {
-            let di = di as f32;
-            for v in row {
-                *v *= di;
-            }
-        }
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * K);
-            let mut xi = [0.0f32; K];
-            xi.copy_from_slice(&tail[..K]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * K..].chunks_exact_mut(K).zip(lrow) {
-                for jj in 0..K {
-                    row[jj] -= lij * xi[jj];
-                }
-            }
-        }
-    }
-
-    /// Fallback for block widths outside the monomorphised set; same
-    /// four-chain all-f32 arithmetic per column as
-    /// [`tri_solve32`](Self::tri_solve32).
-    fn tri_solve32_generic(&self, zr: &mut [f32], k: usize) {
-        let n = self.n;
-        let mut acc = vec![0.0f32; 4 * k];
-        for i in 0..n {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            let acc_row = &mut tail[..k];
-            acc.iter_mut().for_each(|a| *a = 0.0);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            let zrow = &head[fi * k..(fi + (i - fi)) * k];
-            let mut zq = zrow.chunks_exact(4 * k);
-            let mut lq = lrow.chunks_exact(4);
-            for (zquad, lquad) in (&mut zq).zip(&mut lq) {
-                for c in 0..4 {
-                    let lw = lquad[c];
-                    let zc = &zquad[c * k..(c + 1) * k];
-                    for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                        *a += lw * zj;
-                    }
-                }
-            }
-            for (c, (zc, &lij)) in zq
-                .remainder()
-                .chunks_exact(k)
-                .zip(lq.remainder())
-                .enumerate()
-            {
-                for (a, &zj) in acc[c * k..(c + 1) * k].iter_mut().zip(zc) {
-                    *a += lij * zj;
-                }
-            }
-            for (jj, a) in acc_row.iter_mut().enumerate() {
-                *a -= (acc[jj] + acc[k + jj]) + (acc[2 * k + jj] + acc[3 * k + jj]);
-            }
-        }
-        for (row, &di) in zr.chunks_exact_mut(k).zip(&self.dinv) {
-            let di = di as f32;
-            for v in row {
-                *v *= di;
-            }
-        }
-        let mut xi = vec![0.0f32; k];
-        for i in (0..n).rev() {
-            let fi = self.first[i] as usize;
-            if fi == i {
-                continue;
-            }
-            let (head, tail) = zr.split_at_mut(i * k);
-            xi.copy_from_slice(&tail[..k]);
-            let lrow = &self.l[self.offsets[i]..self.offsets[i + 1]];
-            for (row, &lij) in head[fi * k..].chunks_exact_mut(k).zip(lrow) {
-                for (x, &v) in row.iter_mut().zip(&xi) {
-                    *x -= lij * v;
-                }
-            }
-        }
     }
 }
 
@@ -706,13 +546,13 @@ mod tests {
         let g = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
         let g = relabel(&g, &rcm_order(&g));
         let env = EnvelopeLdl::from_graph(&g, 1e-10);
-        let env32 = EnvelopeLdlF32::from_f64(&env);
+        let env32 = EnvelopeLdl::<f32>::from_f64(&env);
         assert_eq!(env32.dim(), env.dim());
         assert_eq!(env32.envelope_nnz(), env.envelope_nnz());
         assert_eq!(env32.null_dim(), env.null_dim());
         let b32 = rhs32(g.n(), 1);
         let mut x32 = Vec::new();
-        env32.solve_rowmajor_f32_into(&b32, 1, &mut x32);
+        env32.solve_rowmajor_into(&b32, 1, &mut x32);
         let b: Vec<f64> = b32.iter().map(|&v| v as f64).collect();
         let x: Vec<f64> = x32.iter().map(|&v| v as f64).collect();
         let r = sub(&b, &laplacian_of(&g).apply_vec(&x));
@@ -730,13 +570,13 @@ mod tests {
         let g = generators::weighted_random_graph(300, 900, 0.5, 8.0, 5);
         let g = relabel(&g, &rcm_order(&g));
         let env = EnvelopeLdl::from_graph(&g, 1e-10);
-        let env32 = EnvelopeLdlF32::from_f64(&env);
+        let env32 = EnvelopeLdl::<f32>::from_f64(&env);
         let n = g.n();
         for k in [1usize, 3, 4] {
             let cols: Vec<Vec<f32>> = (0..k).map(|s| rhs32(n, s + 2)).collect();
             let br: Vec<f32> = (0..n * k).map(|i| cols[i % k][i / k]).collect();
             let mut xr = Vec::new();
-            env32.solve_rowmajor_f32_into(&br, k, &mut xr);
+            env32.solve_rowmajor_into(&br, k, &mut xr);
             for (j, c) in cols.iter().enumerate() {
                 let x64 = env.solve(&c.iter().map(|&v| v as f64).collect::<Vec<_>>());
                 let scale = x64.iter().fold(1.0f64, |a, &v| a.max(v.abs()));
@@ -757,7 +597,7 @@ mod tests {
     fn f32_vector_block_matches_single_bitwise() {
         let g = generators::grid2d(8, 8, |_, _| 1.0);
         let g = relabel(&g, &rcm_order(&g));
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
+        let env32 = EnvelopeLdl::<f32>::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
         let n = g.n();
         for k in [2usize, 3, 4, 16, 32] {
             let cols: Vec<Vec<f32>> = (0..k).map(|s| rhs32(n, s)).collect();
@@ -768,10 +608,10 @@ mod tests {
                 }
             }
             let mut xr = Vec::new();
-            env32.solve_rowmajor_f32_into(&br, k, &mut xr);
+            env32.solve_rowmajor_into(&br, k, &mut xr);
             let mut single = Vec::new();
             for (j, c) in cols.iter().enumerate() {
-                env32.solve_rowmajor_f32_into(c, 1, &mut single);
+                env32.solve_rowmajor_into(c, 1, &mut single);
                 for i in 0..n {
                     assert_eq!(
                         xr[i * k + j].to_bits(),
@@ -797,12 +637,12 @@ mod tests {
                 Edge::new(3, 4, 1.5),
             ],
         );
-        let env32 = EnvelopeLdlF32::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
+        let env32 = EnvelopeLdl::<f32>::from_f64(&EnvelopeLdl::from_graph(&g, 1e-10));
         assert_eq!(env32.null_dim(), 2);
         let b = [1.0f32, -1.0, 1.0, 0.5, -1.5];
         let mut x = Vec::new();
-        env32.solve_rowmajor_f32_into(&b, 1, &mut x);
-        for (i, &d) in env32.dinv.iter().enumerate() {
+        env32.solve_rowmajor_into(&b, 1, &mut x);
+        for (i, &d) in env32.d.iter().enumerate() {
             if d == 0.0 {
                 assert_eq!(x[i], 0.0, "null direction {i}");
             }

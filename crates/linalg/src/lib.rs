@@ -31,6 +31,9 @@
 //! * [`permuted`] — merged diag+offdiag chain-level storage
 //!   ([`permuted::PermutedLevel`]) and the fused Chebyshev/residual sweep
 //!   kernels the solver's inner loops run on.
+//! * [`scalar`] — the [`Scalar`] trait the chain's per-application
+//!   kernels are generic over (f64 or f32 storage), and the one place
+//!   their precision-specific arithmetic lives.
 //! * [`breakdown`] — typed reasons iterative kernels stop early (NaN/Inf
 //!   residuals, indefinite directions, divergence, stalls) instead of
 //!   spinning their budget.
@@ -56,6 +59,7 @@ pub mod laplacian;
 pub mod operator;
 pub mod permuted;
 pub mod power;
+pub mod scalar;
 pub mod sdd;
 pub mod vector;
 
@@ -65,8 +69,9 @@ pub use cg::{block_pcg_solve, cg_solve, pcg_solve, CgOptions, CgOutcome};
 pub use chebyshev::{block_chebyshev_solve, chebyshev_solve, ChebyshevOptions};
 pub use cholesky::DenseLdl;
 pub use csr::CsrMatrix;
-pub use envelope::{envelope_profile, EnvelopeLdl, EnvelopeLdlF32};
+pub use envelope::{envelope_profile, EnvelopeLdl};
 pub use laplacian::{laplacian_of, LaplacianOp};
 pub use operator::{IdentityPreconditioner, LinearOperator, Preconditioner};
-pub use permuted::{PermutedLevel, PermutedLevelF32};
+pub use permuted::PermutedLevel;
+pub use scalar::Scalar;
 pub use sdd::{GrembanReduction, SddClass, SddInputError};

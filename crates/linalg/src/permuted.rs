@@ -10,9 +10,10 @@
 //!   (coefficient `+deg(v)`, off-diagonals `−w`), so one matrix stream
 //!   serves both the operator apply and the Jacobi-style diagonal — no
 //!   second `diag[]` array to stream;
-//! * entries are 12 bytes (`u32` column + `f64` coefficient) against the
-//!   graph-walk kernel's 16 (`target` + `weight` + the `arc_edge` id the
-//!   solver never uses), and offsets are `u32`;
+//! * entries are a `u32` column plus a coefficient of the storage
+//!   precision — 12 bytes at f64 against the graph-walk kernel's 16
+//!   (`target` + `weight` + the `arc_edge` id the solver never uses), 8 at
+//!   f32 — and offsets are `u32`;
 //! * under a reverse Cuthill–McKee numbering (see
 //!   `parsdd_graph::reorder`) the column indices of a row span a narrow
 //!   band, so the `x[col]` gathers hit lines that are already hot.
@@ -25,17 +26,28 @@
 //! together with the per-column `pᵀA p` the outer PCG needs, saving the
 //! separate reduction pass.
 //!
-//! **Determinism contract.** Per row, accumulation order is: diagonal
-//! first, then off-diagonals in ascending column order — exactly the
-//! order the graph-walk kernel used, so results are bitwise identical to
-//! it. Rows are independent, row-parallel splits are length-based, and
-//! the fused reductions combine fixed 512-row block partials in block
-//! order: every result is bitwise identical at every pool width, and per
-//! column identical at every block width `k` (batched ≡ looped).
+//! **Precision.** The chain's W-cycle runs at f64 or, on demoted levels,
+//! at f32 ([`PermutedLevel::from_level`] narrows each coefficient once);
+//! the sweep and [`apply`](PermutedLevel::apply) are written once over
+//! [`Scalar`]. The f64-only kernels serve the outer PCG, which always
+//! runs at f64: [`apply_rowmajor`](PermutedLevel::apply_rowmajor) and
+//! [`fused_apply_dot`](PermutedLevel::fused_apply_dot).
+//!
+//! **Determinism contract.** Per row, accumulation follows
+//! [`Scalar::CHAINS`]: at f64, diagonal first, then off-diagonals in
+//! ascending column order — exactly the order the graph-walk kernel used,
+//! so results are bitwise identical to it; at f32, four chains by entry
+//! position combined `(s0 + s1) + (s2 + s3)`. Rows are independent,
+//! row-parallel splits are length-based, and the fused reductions combine
+//! fixed 512-row block partials in block order: every result is bitwise
+//! identical at every pool width, and per column identical at every block
+//! width `k` (batched ≡ looped).
 
 use rayon::prelude::*;
 
 use parsdd_graph::Graph;
+
+use crate::scalar::Scalar;
 
 /// Rows per parallel task (and per partial-sum block of the fused
 /// reductions — fixed so the reduction tree is independent of both the
@@ -47,10 +59,10 @@ const CHUNK_ROWS: usize = 1 << 9;
 const SEQ_ROWS: usize = 1 << 13;
 
 /// A chain level's Laplacian in merged-row CSR form, in the level's
-/// (already permuted) index space. See the module docs for the layout and
-/// determinism contract.
+/// (already permuted) index space, with coefficients stored as `T`. See
+/// the module docs for the layout and determinism contract.
 #[derive(Debug, Clone)]
-pub struct PermutedLevel {
+pub struct PermutedLevel<T = f64> {
     n: usize,
     /// Row offsets into `cols`/`coefs`, length `n + 1`.
     offsets: Vec<u32>,
@@ -58,10 +70,64 @@ pub struct PermutedLevel {
     cols: Vec<u32>,
     /// Coefficient of each entry: `+weighted_degree(v)` for the diagonal,
     /// `−w` for off-diagonals.
-    coefs: Vec<f64>,
+    coefs: Vec<T>,
 }
 
-impl PermutedLevel {
+/// Row `cols`/`coefs` dotted with the `K` columns of the row-major block
+/// `xr` (row `c` at `xr[c·K..(c+1)·K]`), one pass over the row's entries
+/// updating all `K` accumulators per entry. Products go to
+/// [`Scalar::CHAINS`] partial-sum chains of the storage type `T` by entry
+/// position (the diagonal is position 0) and accumulate in `V`; one chain
+/// is the pinned serial order. Each column sees the same order at every
+/// `K`, and `K` is a compile-time constant so the `K`-lane update
+/// vectorises with fixed-size stack accumulators.
+///
+/// # Safety-by-invariant
+/// `cols` only holds indices `< n` (checked at construction), and callers
+/// pass `xr` of length `n·K`, so every gather is in bounds.
+#[inline(always)]
+fn row_dot<T: Scalar + Into<V>, V: Scalar, const K: usize>(
+    cols: &[u32],
+    coefs: &[T],
+    xr: &[V],
+) -> [V; K] {
+    let mut acc = [[V::ZERO; K]; 4];
+    let mut cq = cols.chunks_exact(T::CHAINS);
+    let mut wq = coefs.chunks_exact(T::CHAINS);
+    for (cs, ws) in (&mut cq).zip(&mut wq) {
+        for c in 0..T::CHAINS {
+            let o = cs[c] as usize * K;
+            debug_assert!(o + K <= xr.len());
+            // SAFETY: stored columns are < n and `xr` has length n·K (see
+            // the function docs), so `o + K <= xr.len()`.
+            let xrow = unsafe { xr.get_unchecked(o..o + K) };
+            let w: V = ws[c].into();
+            for j in 0..K {
+                acc[c][j] += w * xrow[j];
+            }
+        }
+    }
+    for (ch, (&ci, &w)) in acc
+        .iter_mut()
+        .zip(cq.remainder().iter().zip(wq.remainder()))
+    {
+        let o = ci as usize * K;
+        debug_assert!(o + K <= xr.len());
+        // SAFETY: as above.
+        let xrow = unsafe { xr.get_unchecked(o..o + K) };
+        let w: V = w.into();
+        for j in 0..K {
+            ch[j] += w * xrow[j];
+        }
+    }
+    let mut out = [V::ZERO; K];
+    for j in 0..K {
+        out[j] = T::sum_chains([acc[0][j], acc[1][j], acc[2][j], acc[3][j]]);
+    }
+    out
+}
+
+impl PermutedLevel<f64> {
     /// Builds the merged-row Laplacian of `g` (weighted degrees are
     /// computed here; rows follow `g`'s CSR arc order, which after a
     /// [`parsdd_graph::reorder::relabel`] is ascending by column).
@@ -87,81 +153,14 @@ impl PermutedLevel {
             offsets.push(cols.len() as u32);
         }
         // Kernel invariant: every stored column index addresses a vertex
-        // of this level. The k = 1 hot loops rely on this to gather from
-        // `x`/`p` without per-entry bounds checks.
+        // of this level. The hot loops rely on this to gather from `x`/`p`
+        // without per-entry bounds checks.
         debug_assert!(cols.iter().all(|&c| (c as usize) < n));
         PermutedLevel {
             n,
             offsets,
             cols,
             coefs,
-        }
-    }
-
-    /// Row-`v`'s merged entries as a dot product with `x`, accumulated in
-    /// the pinned order (diagonal first, then ascending columns), without
-    /// per-entry bounds checks on the gather.
-    ///
-    /// # Safety-by-invariant
-    /// `cols` only holds indices `< n` (checked at construction), and the
-    /// caller passes `x` of length `n·1`, so every gather is in bounds.
-    #[inline(always)]
-    fn row_dot(cols: &[u32], coefs: &[f64], x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (&c, &w) in cols.iter().zip(coefs) {
-            debug_assert!((c as usize) < x.len());
-            acc += w * unsafe { *x.get_unchecked(c as usize) };
-        }
-        acc
-    }
-
-    /// Width-`K` variant of [`row_dot`]: one pass over the row's entries
-    /// updating all `K` column accumulators per entry (entry-outer), so
-    /// each column sees the entries in the same pinned order as the
-    /// scalar path. `K` is a compile-time constant so the `K`-lane update
-    /// vectorises with fixed-size stack accumulators.
-    #[inline(always)]
-    fn row_dot_wide<const K: usize>(cols: &[u32], coefs: &[f64], xr: &[f64]) -> [f64; K] {
-        let mut acc = [0.0f64; K];
-        for (&c, &w) in cols.iter().zip(coefs) {
-            let o = c as usize * K;
-            debug_assert!(o + K <= xr.len());
-            // Invariant: stored columns are < n (checked at construction)
-            // and the caller passes `xr` of length `n·K`.
-            let xrow = unsafe { xr.get_unchecked(o..o + K) };
-            for j in 0..K {
-                acc[j] += w * xrow[j];
-            }
-        }
-        acc
-    }
-
-    /// Monomorphised fused-sweep chunk: `x ← x + α·p`, `r ← r − α·(L p)`
-    /// over rows `[base, base + rows)` at compile-time width `K`.
-    #[inline(always)]
-    fn cheb_chunk_wide<const K: usize>(
-        &self,
-        alpha: f64,
-        p: &[f64],
-        base: usize,
-        xs: &mut [f64],
-        rs: &mut [f64],
-    ) {
-        let mut e = self.offsets[base] as usize;
-        for (rr, (xrow, rrow)) in xs
-            .chunks_exact_mut(K)
-            .zip(rs.chunks_exact_mut(K))
-            .enumerate()
-        {
-            let v = base + rr;
-            let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
-            let pvrow = &p[v * K..(v + 1) * K];
-            for j in 0..K {
-                xrow[j] += alpha * pvrow[j];
-                rrow[j] -= alpha * acc[j];
-            }
-            e = hi;
         }
     }
 
@@ -173,7 +172,7 @@ impl PermutedLevel {
         for (rr, yrow) in ys.chunks_exact_mut(K).enumerate() {
             let v = base + rr;
             let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], xr);
+            let acc = row_dot::<f64, f64, K>(&self.cols[e..hi], &self.coefs[e..hi], xr);
             yrow.copy_from_slice(&acc);
             e = hi;
         }
@@ -194,77 +193,13 @@ impl PermutedLevel {
         for (rr, aprow) in rows.chunks_exact_mut(K).enumerate() {
             let v = base + rr;
             let hi = self.offsets[v + 1] as usize;
-            let a = Self::row_dot_wide::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
+            let a = row_dot::<f64, f64, K>(&self.cols[e..hi], &self.coefs[e..hi], p);
             let prow = &p[v * K..(v + 1) * K];
             aprow.copy_from_slice(&a);
             for j in 0..K {
                 acc[j] += prow[j] * a[j];
             }
             e = hi;
-        }
-    }
-
-    /// Dimension (vertex count) of the level.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Stored entries (diagonal included).
-    pub fn entries(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Bytes one full matrix stream reads (entries + offsets), the
-    /// quantity the fused sweeps amortise; exposed for the byte
-    /// accounting in DESIGN.md §2.3 and the bench metrics.
-    pub fn stream_bytes(&self) -> usize {
-        self.cols.len() * (4 + 8) + self.offsets.len() * 4
-    }
-
-    /// The diagonal coefficient of row `v` (the weighted degree).
-    pub fn diag(&self, v: usize) -> f64 {
-        self.coefs[self.offsets[v] as usize]
-    }
-
-    #[inline]
-    fn row(&self, v: usize) -> (&[u32], &[f64]) {
-        let lo = self.offsets[v] as usize;
-        let hi = self.offsets[v + 1] as usize;
-        (&self.cols[lo..hi], &self.coefs[lo..hi])
-    }
-
-    /// `y ← L x` (single vector). Bitwise identical to the graph-walk
-    /// kernel (`diag·x[v]` then `−w·x[u]` in arc order).
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        // Walk the merged entry stream once per chunk: `e` advances
-        // monotonically, so each row bound is loaded exactly once. Two
-        // rows per step keeps two independent accumulator chains in
-        // flight; each row's own sum stays in the pinned order.
-        let sweep = |base: usize, ys: &mut [f64]| {
-            let mut e = self.offsets[base] as usize;
-            let mut v = base;
-            let mut pairs = ys.chunks_exact_mut(2);
-            for pair in pairs.by_ref() {
-                let mid = self.offsets[v + 1] as usize;
-                let hi = self.offsets[v + 2] as usize;
-                pair[0] = Self::row_dot(&self.cols[e..mid], &self.coefs[e..mid], x);
-                pair[1] = Self::row_dot(&self.cols[mid..hi], &self.coefs[mid..hi], x);
-                e = hi;
-                v += 2;
-            }
-            if let [yv] = pairs.into_remainder() {
-                let hi = self.offsets[v + 1] as usize;
-                *yv = Self::row_dot(&self.cols[e..hi], &self.coefs[e..hi], x);
-            }
-        };
-        if self.n < SEQ_ROWS {
-            sweep(0, y);
-        } else {
-            y.par_chunks_mut(CHUNK_ROWS)
-                .enumerate()
-                .for_each(|(ci, ys)| sweep(ci * CHUNK_ROWS, ys));
         }
     }
 
@@ -336,137 +271,6 @@ impl PermutedLevel {
         }
     }
 
-    /// One fused Chebyshev sweep on a row-major block:
-    /// `x ← x + α·p` and `r ← r − α·(L p)` in a **single pass** over the
-    /// matrix rows — `L p` is consumed row by row, never materialised.
-    /// With the separate p-update this makes the whole inner iteration
-    /// two n-length passes (down from five) and one matrix stream.
-    ///
-    /// Per element the arithmetic matches the unfused sequence
-    /// (`axpy(α, p, x)`; `apply(p, ap)`; `axpy(−α, ap, r)`) bitwise, at
-    /// every block width and pool width.
-    pub fn cheb_fused_sweep(&self, alpha: f64, p: &[f64], x: &mut [f64], r: &mut [f64], k: usize) {
-        assert_eq!(p.len(), self.n * k);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(r.len(), self.n * k);
-        if k == 0 || self.n == 0 {
-            return;
-        }
-        if k == 1 {
-            // Streaming walk with a two-row unroll: the two rows'
-            // accumulator chains are independent (the core overlaps
-            // them), while each row's own sum keeps the pinned order
-            // (diagonal first, then ascending columns) — bitwise
-            // identical to the one-row-at-a-time loop.
-            let sweep = |base: usize, xs: &mut [f64], rs: &mut [f64]| {
-                let mut e = self.offsets[base] as usize;
-                let mut v = base;
-                let mut xp = xs.chunks_exact_mut(2);
-                let mut rp = rs.chunks_exact_mut(2);
-                for (xpair, rpair) in xp.by_ref().zip(rp.by_ref()) {
-                    let mid = self.offsets[v + 1] as usize;
-                    let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    xpair[0] += alpha * p[v];
-                    rpair[0] -= alpha * a0;
-                    xpair[1] += alpha * p[v + 1];
-                    rpair[1] -= alpha * a1;
-                    e = hi;
-                    v += 2;
-                }
-                if let ([xv], [rv]) = (xp.into_remainder(), rp.into_remainder()) {
-                    let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *xv += alpha * p[v];
-                    *rv -= alpha * a;
-                }
-            };
-            if self.n < SEQ_ROWS {
-                sweep(0, x, r);
-            } else {
-                // Zipped chunk producers: each task owns one row range of
-                // both vectors (no unsafe splitting, no intermediate Vec).
-                x.par_chunks_mut(CHUNK_ROWS)
-                    .zip(r.par_chunks_mut(CHUNK_ROWS))
-                    .enumerate()
-                    .for_each(|(ci, (xs, rs))| sweep(ci * CHUNK_ROWS, xs, rs));
-            }
-            return;
-        }
-        // Common block widths get a monomorphised kernel: fixed-size
-        // stack accumulators let the K-lane entry update vectorise.
-        macro_rules! wide {
-            ($K:literal) => {{
-                if self.n < SEQ_ROWS {
-                    self.cheb_chunk_wide::<$K>(alpha, p, 0, x, r);
-                } else {
-                    x.par_chunks_mut(CHUNK_ROWS * k)
-                        .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                        .enumerate()
-                        .for_each(|(ci, (xs, rs))| {
-                            self.cheb_chunk_wide::<$K>(alpha, p, ci * CHUNK_ROWS, xs, rs)
-                        });
-                }
-                return;
-            }};
-        }
-        match k {
-            2 => wide!(2),
-            4 => wide!(4),
-            8 => wide!(8),
-            16 => wide!(16),
-            _ => {}
-        }
-        let kernel = |base_row: usize, xs: &mut [f64], rs: &mut [f64]| {
-            let mut acc = [0.0f64; 32];
-            for (rr, (xrow, rrow)) in xs
-                .chunks_exact_mut(k)
-                .zip(rs.chunks_exact_mut(k))
-                .enumerate()
-            {
-                let v = base_row + rr;
-                let (cols, coefs) = self.row(v);
-                if k <= 32 {
-                    let acc = &mut acc[..k];
-                    acc.iter_mut().for_each(|a| *a = 0.0);
-                    for (&c, &w) in cols.iter().zip(coefs) {
-                        let prow = &p[c as usize * k..(c as usize + 1) * k];
-                        for (a, &pv) in acc.iter_mut().zip(prow) {
-                            *a += w * pv;
-                        }
-                    }
-                    let pvrow = &p[v * k..(v + 1) * k];
-                    for j in 0..k {
-                        xrow[j] += alpha * pvrow[j];
-                        rrow[j] -= alpha * acc[j];
-                    }
-                } else {
-                    let pvrow = &p[v * k..(v + 1) * k];
-                    for j in 0..k {
-                        let (cs, ws) = (cols, coefs);
-                        let mut a = 0.0;
-                        for (&c, &w) in cs.iter().zip(ws) {
-                            a += w * p[c as usize * k + j];
-                        }
-                        xrow[j] += alpha * pvrow[j];
-                        rrow[j] -= alpha * a;
-                    }
-                }
-            }
-        };
-        if self.n < SEQ_ROWS {
-            kernel(0, x, r);
-        } else {
-            x.par_chunks_mut(CHUNK_ROWS * k)
-                .zip(r.par_chunks_mut(CHUNK_ROWS * k))
-                .enumerate()
-                .for_each(|(ci, (xs, rs))| {
-                    kernel(ci * CHUNK_ROWS, xs, rs);
-                });
-        }
-    }
-
     /// `AP ← L P` and, in the same matrix pass, the per-column inner
     /// products `pᵀ(L p)` the PCG step size needs (saving the separate
     /// reduction pass over two n-vectors). Row-major, width `k`.
@@ -513,8 +317,8 @@ impl PermutedLevel {
                 for pair in pairs.by_ref() {
                     let mid = self.offsets[v + 1] as usize;
                     let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot(&self.cols[mid..hi], &self.coefs[mid..hi], p);
+                    let [a0] = row_dot::<f64, f64, 1>(&self.cols[e..mid], &self.coefs[e..mid], p);
+                    let [a1] = row_dot::<f64, f64, 1>(&self.cols[mid..hi], &self.coefs[mid..hi], p);
                     pair[0] = a0;
                     pair[1] = a1;
                     acc += p[v] * a0;
@@ -524,7 +328,7 @@ impl PermutedLevel {
                 }
                 if let [apv] = pairs.into_remainder() {
                     let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot(&self.cols[e..hi], &self.coefs[e..hi], p);
+                    let [a] = row_dot::<f64, f64, 1>(&self.cols[e..hi], &self.coefs[e..hi], p);
                     *apv = a;
                     acc += p[v] * a;
                 }
@@ -653,145 +457,30 @@ impl PermutedLevel {
     }
 }
 
-/// The f32 storage tier of [`PermutedLevel`]: identical merged-row CSR
-/// layout, but coefficients stored as `f32` — 8 bytes per entry
-/// (`u32` column + `f32` coefficient) against the f64 level's 12, so a
-/// full matrix stream moves two-thirds the bytes and the coefficient
-/// array alone halves.
-///
-/// Built only by **demotion** from an already-constructed f64 level
-/// ([`from_level`](Self::from_level)): the chain always builds, scales and
-/// eliminates in f64, then narrows the storage once. One kernel runs per
-/// preconditioner application:
-/// [`cheb_fused_sweep32`](Self::cheb_fused_sweep32), the fused Chebyshev
-/// sweep of the all-f32 inner W-cycle, on f32 direction, iterate and
-/// residual blocks. [`apply`](Self::apply) takes f64 vectors and serves
-/// the chain's build-time Chebyshev calibration only.
-///
-/// **Accumulation rule.** This tier defines its own fixed intra-row order
-/// (the f64 tier's serial order is pinned to the committed behavior; this
-/// tier is free to pick a faster one): each row's products are split
-/// round-robin over **four partial chains** by entry position (diagonal is
-/// position 0), combined as `(s0 + s1) + (s2 + s3)`. The four chains are
-/// independent, which breaks the serial FP-add latency chain the
-/// gather-bound kernels are otherwise stuck on. In `apply` the product is
-/// `f64(w) · x` and the chains accumulate in f64 — exact sums of rounded
-/// products. In the sweep the whole row dot runs **in f32** — f32
-/// products, f32 chains: each step rounds at the same relative scale
-/// (~6e-8) the storage demotion already introduced, the dot is over a
-/// handful of entries (sparse rows), and the result only steers a
-/// preconditioner-internal solve that the flexible outer loop re-measures
-/// in f64 anyway. The chain assignment depends only on the entry
-/// position, so every result remains bitwise identical at every pool
-/// width and block width `k`.
-#[derive(Debug, Clone)]
-pub struct PermutedLevelF32 {
-    n: usize,
-    /// Row offsets into `cols`/`coefs`, length `n + 1`.
-    offsets: Vec<u32>,
-    /// Column of each entry; `cols[offsets[v]] == v` (the inline diagonal).
-    cols: Vec<u32>,
-    /// Coefficient of each entry, narrowed from the f64 level's value.
-    coefs: Vec<f32>,
-}
-
-impl PermutedLevelF32 {
-    /// Demotes an f64 level: clones the integer structure, narrows each
-    /// coefficient with a single `as f32` rounding (round-to-nearest).
-    pub fn from_level(src: &PermutedLevel) -> Self {
-        PermutedLevelF32 {
+impl<T: Scalar> PermutedLevel<T> {
+    /// Stores an f64 level at precision `T`: clones the integer structure
+    /// and rounds each coefficient once (a copy at f64). The chain always
+    /// builds, scales and eliminates in f64, then narrows the storage of
+    /// its demoted levels.
+    pub fn from_level(src: &PermutedLevel<f64>) -> Self {
+        PermutedLevel {
             n: src.n,
             offsets: src.offsets.clone(),
             cols: src.cols.clone(),
-            coefs: src.coefs.iter().map(|&w| w as f32).collect(),
+            coefs: src.coefs.iter().map(|&w| T::from_f64(w)).collect(),
         }
     }
 
-    /// Row dot against an f64 vector: four position-mod-4 partial chains
-    /// in f64 (see the type docs), combined `(s0 + s1) + (s2 + s3)`.
-    /// Same safety-by-invariant as the f64 tier: stored columns are `< n`.
+    /// Monomorphised fused-sweep chunk: `x ← x + α·p`, `r ← r − α·(L p)`
+    /// over rows `[base, base + rows)` at compile-time width `K`.
     #[inline(always)]
-    fn row_dot_x(cols: &[u32], coefs: &[f32], x: &[f64]) -> f64 {
-        let mut acc = [0.0f64; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                debug_assert!((cs[c] as usize) < x.len());
-                acc[c] += ws[c] as f64 * unsafe { *x.get_unchecked(cs[c] as usize) };
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            debug_assert!((ci as usize) < x.len());
-            acc[c] += w as f64 * unsafe { *x.get_unchecked(ci as usize) };
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    /// Row dot against an f32 vector (the Chebyshev direction): f32
-    /// products summed over four position-mod-4 f32 chains (see the type
-    /// docs).
-    #[inline(always)]
-    fn row_dot_p32(cols: &[u32], coefs: &[f32], p: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                debug_assert!((cs[c] as usize) < p.len());
-                acc[c] += ws[c] * unsafe { *p.get_unchecked(cs[c] as usize) };
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            debug_assert!((ci as usize) < p.len());
-            acc[c] += w * unsafe { *p.get_unchecked(ci as usize) };
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3])
-    }
-
-    /// Width-`K` row dot against an f32 block: per column, the same
-    /// four-chain all-f32 dot as [`row_dot_p32`](Self::row_dot_p32).
-    #[inline(always)]
-    fn row_dot_p_wide32<const K: usize>(cols: &[u32], coefs: &[f32], pr: &[f32]) -> [f32; K] {
-        let mut acc = [[0.0f32; K]; 4];
-        let mut cq = cols.chunks_exact(4);
-        let mut wq = coefs.chunks_exact(4);
-        for (cs, ws) in (&mut cq).zip(&mut wq) {
-            for c in 0..4 {
-                let o = cs[c] as usize * K;
-                debug_assert!(o + K <= pr.len());
-                let prow = unsafe { pr.get_unchecked(o..o + K) };
-                let w = ws[c];
-                for j in 0..K {
-                    acc[c][j] += w * prow[j];
-                }
-            }
-        }
-        for (c, (&ci, &w)) in cq.remainder().iter().zip(wq.remainder()).enumerate() {
-            let o = ci as usize * K;
-            debug_assert!(o + K <= pr.len());
-            let prow = unsafe { pr.get_unchecked(o..o + K) };
-            for j in 0..K {
-                acc[c][j] += w * prow[j];
-            }
-        }
-        let mut out = [0.0f32; K];
-        for j in 0..K {
-            out[j] = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
-        }
-        out
-    }
-
-    /// Monomorphised fused-sweep chunk with **f32 iterates** (`af` is the
-    /// step scalar already narrowed once per sweep).
-    #[inline(always)]
-    fn cheb_chunk_wide32<const K: usize>(
+    fn cheb_chunk_wide<const K: usize>(
         &self,
-        af: f32,
-        p: &[f32],
+        alpha: T,
+        p: &[T],
         base: usize,
-        xs: &mut [f32],
-        rs: &mut [f32],
+        xs: &mut [T],
+        rs: &mut [T],
     ) {
         let mut e = self.offsets[base] as usize;
         for (rr, (xrow, rrow)) in xs
@@ -801,11 +490,11 @@ impl PermutedLevelF32 {
         {
             let v = base + rr;
             let hi = self.offsets[v + 1] as usize;
-            let acc = Self::row_dot_p_wide32::<K>(&self.cols[e..hi], &self.coefs[e..hi], p);
+            let acc = row_dot::<T, T, K>(&self.cols[e..hi], &self.coefs[e..hi], p);
             let pvrow = &p[v * K..(v + 1) * K];
             for j in 0..K {
-                xrow[j] += af * pvrow[j];
-                rrow[j] -= af * acc[j];
+                xrow[j] += alpha * pvrow[j];
+                rrow[j] -= alpha * acc[j];
             }
             e = hi;
         }
@@ -821,30 +510,38 @@ impl PermutedLevelF32 {
         self.cols.len()
     }
 
-    /// Bytes one full matrix stream reads (entries + offsets): 8 per
-    /// entry against the f64 tier's 12.
+    /// Bytes one full matrix stream reads (entries + offsets), the
+    /// quantity the fused sweeps amortise; exposed for the byte
+    /// accounting in DESIGN.md §2.3 and the bench metrics.
     pub fn stream_bytes(&self) -> usize {
-        self.cols.len() * (4 + 4) + self.offsets.len() * 4
+        self.cols.len() * (4 + std::mem::size_of::<T>()) + self.offsets.len() * 4
     }
 
-    /// The diagonal coefficient of row `v`, widened back to f64.
+    /// The diagonal coefficient of row `v` (the weighted degree), widened
+    /// to f64.
     pub fn diag(&self, v: usize) -> f64 {
-        self.coefs[self.offsets[v] as usize] as f64
+        self.coefs[self.offsets[v] as usize].into()
     }
 
     #[inline]
-    fn row(&self, v: usize) -> (&[u32], &[f32]) {
+    fn row(&self, v: usize) -> (&[u32], &[T]) {
         let lo = self.offsets[v] as usize;
         let hi = self.offsets[v + 1] as usize;
         (&self.cols[lo..hi], &self.coefs[lo..hi])
     }
 
-    /// `y ← L x` (single f64 vector, f64 accumulation) — the chain's
-    /// build-time calibration operator. Same streaming two-row-unrolled
-    /// walk as the f64 tier.
+    /// `y ← L x` on a single f64 vector, accumulated in f64 over the
+    /// storage's [`Scalar::CHAINS`] chains: at f64 bitwise the graph-walk
+    /// kernel (`diag·x[v]` then `−w·x[u]` in arc order); at f32 the
+    /// chain's build-time calibration operator, exact sums of widened
+    /// products.
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
+        // Walk the merged entry stream once per chunk: `e` advances
+        // monotonically, so each row bound is loaded exactly once. Two
+        // rows per step keeps two independent accumulator chains in
+        // flight; each row's own sum stays in the pinned order.
         let sweep = |base: usize, ys: &mut [f64]| {
             let mut e = self.offsets[base] as usize;
             let mut v = base;
@@ -852,14 +549,14 @@ impl PermutedLevelF32 {
             for pair in pairs.by_ref() {
                 let mid = self.offsets[v + 1] as usize;
                 let hi = self.offsets[v + 2] as usize;
-                pair[0] = Self::row_dot_x(&self.cols[e..mid], &self.coefs[e..mid], x);
-                pair[1] = Self::row_dot_x(&self.cols[mid..hi], &self.coefs[mid..hi], x);
+                [pair[0]] = row_dot::<T, f64, 1>(&self.cols[e..mid], &self.coefs[e..mid], x);
+                [pair[1]] = row_dot::<T, f64, 1>(&self.cols[mid..hi], &self.coefs[mid..hi], x);
                 e = hi;
                 v += 2;
             }
             if let [yv] = pairs.into_remainder() {
                 let hi = self.offsets[v + 1] as usize;
-                *yv = Self::row_dot_x(&self.cols[e..hi], &self.coefs[e..hi], x);
+                [*yv] = row_dot::<T, f64, 1>(&self.cols[e..hi], &self.coefs[e..hi], x);
             }
         };
         if self.n < SEQ_ROWS {
@@ -871,30 +568,30 @@ impl PermutedLevelF32 {
         }
     }
 
-    /// One fused Chebyshev sweep on f32 blocks: `x ← x + α·p`,
-    /// `r ← r − α·(L p)` in a single matrix pass, where `p`, `x`, and `r`
-    /// are row-major f32 blocks of width `k` — the inner W-cycle's form,
-    /// where every vector below the outer interface lives in f32. The
-    /// step scalar is narrowed once per sweep; the row dots and updates
-    /// then run entirely in f32 (four position-mod-4 chains per dot,
-    /// identical per element at every block width and pool width).
-    pub fn cheb_fused_sweep32(
-        &self,
-        alpha: f64,
-        p: &[f32],
-        x: &mut [f32],
-        r: &mut [f32],
-        k: usize,
-    ) {
+    /// One fused Chebyshev sweep on row-major blocks of width `k` at the
+    /// storage precision: `x ← x + α·p` and `r ← r − α·(L p)` in a
+    /// **single pass** over the matrix rows — `L p` is consumed row by
+    /// row, never materialised. With the separate p-update this makes the
+    /// whole inner iteration two n-length passes (down from five) and one
+    /// matrix stream. The step `α` is rounded to `T` once per sweep.
+    ///
+    /// Per element the arithmetic matches the unfused sequence
+    /// (`axpy(α, p, x)`; `apply(p, ap)`; `axpy(−α, ap, r)`, all in `T`)
+    /// bitwise, at every block width and pool width.
+    pub fn cheb_fused_sweep(&self, alpha: f64, p: &[T], x: &mut [T], r: &mut [T], k: usize) {
         assert_eq!(p.len(), self.n * k);
         assert_eq!(x.len(), self.n * k);
         assert_eq!(r.len(), self.n * k);
         if k == 0 || self.n == 0 {
             return;
         }
-        let af = alpha as f32;
+        let alpha = T::from_f64(alpha);
         if k == 1 {
-            let sweep = |base: usize, xs: &mut [f32], rs: &mut [f32]| {
+            // Streaming walk with a two-row unroll: the two rows'
+            // accumulator chains are independent (the core overlaps
+            // them), while each row's own sum keeps its order — bitwise
+            // identical to the one-row-at-a-time loop.
+            let sweep = |base: usize, xs: &mut [T], rs: &mut [T]| {
                 let mut e = self.offsets[base] as usize;
                 let mut v = base;
                 let mut xp = xs.chunks_exact_mut(2);
@@ -902,25 +599,27 @@ impl PermutedLevelF32 {
                 for (xpair, rpair) in xp.by_ref().zip(rp.by_ref()) {
                     let mid = self.offsets[v + 1] as usize;
                     let hi = self.offsets[v + 2] as usize;
-                    let a0 = Self::row_dot_p32(&self.cols[e..mid], &self.coefs[e..mid], p);
-                    let a1 = Self::row_dot_p32(&self.cols[mid..hi], &self.coefs[mid..hi], p);
-                    xpair[0] += af * p[v];
-                    rpair[0] -= af * a0;
-                    xpair[1] += af * p[v + 1];
-                    rpair[1] -= af * a1;
+                    let [a0] = row_dot::<T, T, 1>(&self.cols[e..mid], &self.coefs[e..mid], p);
+                    let [a1] = row_dot::<T, T, 1>(&self.cols[mid..hi], &self.coefs[mid..hi], p);
+                    xpair[0] += alpha * p[v];
+                    rpair[0] -= alpha * a0;
+                    xpair[1] += alpha * p[v + 1];
+                    rpair[1] -= alpha * a1;
                     e = hi;
                     v += 2;
                 }
                 if let ([xv], [rv]) = (xp.into_remainder(), rp.into_remainder()) {
                     let hi = self.offsets[v + 1] as usize;
-                    let a = Self::row_dot_p32(&self.cols[e..hi], &self.coefs[e..hi], p);
-                    *xv += af * p[v];
-                    *rv -= af * a;
+                    let [a] = row_dot::<T, T, 1>(&self.cols[e..hi], &self.coefs[e..hi], p);
+                    *xv += alpha * p[v];
+                    *rv -= alpha * a;
                 }
             };
             if self.n < SEQ_ROWS {
                 sweep(0, x, r);
             } else {
+                // Zipped chunk producers: each task owns one row range of
+                // both vectors (no unsafe splitting, no intermediate Vec).
                 x.par_chunks_mut(CHUNK_ROWS)
                     .zip(r.par_chunks_mut(CHUNK_ROWS))
                     .enumerate()
@@ -928,16 +627,18 @@ impl PermutedLevelF32 {
             }
             return;
         }
+        // Common block widths get a monomorphised kernel: fixed-size
+        // stack accumulators let the K-lane entry update vectorise.
         macro_rules! wide {
             ($K:literal) => {{
                 if self.n < SEQ_ROWS {
-                    self.cheb_chunk_wide32::<$K>(af, p, 0, x, r);
+                    self.cheb_chunk_wide::<$K>(alpha, p, 0, x, r);
                 } else {
                     x.par_chunks_mut(CHUNK_ROWS * k)
                         .zip(r.par_chunks_mut(CHUNK_ROWS * k))
                         .enumerate()
                         .for_each(|(ci, (xs, rs))| {
-                            self.cheb_chunk_wide32::<$K>(af, p, ci * CHUNK_ROWS, xs, rs)
+                            self.cheb_chunk_wide::<$K>(alpha, p, ci * CHUNK_ROWS, xs, rs)
                         });
                 }
                 return;
@@ -950,8 +651,10 @@ impl PermutedLevelF32 {
             16 => wide!(16),
             _ => {}
         }
-        let kernel = |base_row: usize, xs: &mut [f32], rs: &mut [f32]| {
-            let mut acc = [[0.0f32; 32]; 4];
+        // Other widths: entry `t` of a row feeds chain `t mod CHAINS`, the
+        // assignment `row_dot` makes.
+        let kernel = |base_row: usize, xs: &mut [T], rs: &mut [T]| {
+            let mut acc = [[T::ZERO; 32]; 4];
             for (rr, (xrow, rrow)) in xs
                 .chunks_exact_mut(k)
                 .zip(rs.chunks_exact_mut(k))
@@ -961,26 +664,26 @@ impl PermutedLevelF32 {
                 let (cols, coefs) = self.row(v);
                 let pvrow = &p[v * k..(v + 1) * k];
                 if k <= 32 {
-                    acc.iter_mut().for_each(|ch| ch[..k].fill(0.0));
+                    acc.iter_mut().for_each(|ch| ch[..k].fill(T::ZERO));
                     for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
                         let prow = &p[c as usize * k..(c as usize + 1) * k];
-                        let ch = &mut acc[t & 3][..k];
-                        for (a, &pv) in ch.iter_mut().zip(prow) {
+                        for (a, &pv) in acc[t % T::CHAINS][..k].iter_mut().zip(prow) {
                             *a += w * pv;
                         }
                     }
                     for j in 0..k {
-                        xrow[j] += af * pvrow[j];
-                        rrow[j] -= af * ((acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]));
+                        xrow[j] += alpha * pvrow[j];
+                        rrow[j] -=
+                            alpha * T::sum_chains([acc[0][j], acc[1][j], acc[2][j], acc[3][j]]);
                     }
                 } else {
                     for j in 0..k {
-                        let mut a = [0.0f32; 4];
+                        let mut s = [T::ZERO; 4];
                         for (t, (&c, &w)) in cols.iter().zip(coefs).enumerate() {
-                            a[t & 3] += w * p[c as usize * k + j];
+                            s[t % T::CHAINS] += w * p[c as usize * k + j];
                         }
-                        xrow[j] += af * pvrow[j];
-                        rrow[j] -= af * ((a[0] + a[1]) + (a[2] + a[3]));
+                        xrow[j] += alpha * pvrow[j];
+                        rrow[j] -= alpha * T::sum_chains(s);
                     }
                 }
             }
@@ -1166,7 +869,7 @@ mod tests {
     fn f32_demotion_structure_and_bytes() {
         let g = test_graph(false);
         let m = PermutedLevel::from_graph(&g);
-        let m32 = PermutedLevelF32::from_level(&m);
+        let m32 = PermutedLevel::<f32>::from_level(&m);
         assert_eq!(m32.n(), m.n());
         assert_eq!(m32.entries(), m.entries());
         // 8 bytes/entry against 12 — the coefficient stream halves.
@@ -1188,7 +891,7 @@ mod tests {
         for big in [false, true] {
             let g = test_graph(big);
             let m = PermutedLevel::from_graph(&g);
-            let m32 = PermutedLevelF32::from_level(&m);
+            let m32 = PermutedLevel::<f32>::from_level(&m);
             let x = rhs(g.n(), 0);
             let mut y64 = vec![0.0; g.n()];
             let mut y32 = vec![0.0; g.n()];
@@ -1205,7 +908,7 @@ mod tests {
     /// position-mod-4 f32 chains written out entry by entry, then the two
     /// f32 axpys with the step narrowed once.
     fn f32_sweep_reference(
-        m32: &PermutedLevelF32,
+        m32: &PermutedLevel<f32>,
         alpha: f64,
         p: &[f32],
         x: &mut [f32],
@@ -1239,7 +942,7 @@ mod tests {
     fn f32_fused_sweep_matches_unfused_and_k_invariant() {
         for big in [false, true] {
             let g = test_graph(big);
-            let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
+            let m32 = PermutedLevel::<f32>::from_level(&PermutedLevel::from_graph(&g));
             let n = g.n();
             let alpha = 0.37;
             let p = rhs32(n, 1);
@@ -1248,7 +951,7 @@ mod tests {
             let mut x_ref = x.clone();
             let mut r_ref = r.clone();
             f32_sweep_reference(&m32, alpha, &p, &mut x_ref, &mut r_ref);
-            m32.cheb_fused_sweep32(alpha, &p, &mut x, &mut r, 1);
+            m32.cheb_fused_sweep(alpha, &p, &mut x, &mut r, 1);
             for i in 0..n {
                 assert_eq!(x[i].to_bits(), x_ref[i].to_bits(), "x[{i}] big={big}");
                 assert_eq!(r[i].to_bits(), r_ref[i].to_bits(), "r[{i}] big={big}");
@@ -1256,7 +959,7 @@ mod tests {
         }
         // Block widths (monomorphised and generic) match k = 1 per column.
         let g = test_graph(true);
-        let m32 = PermutedLevelF32::from_level(&PermutedLevel::from_graph(&g));
+        let m32 = PermutedLevel::<f32>::from_level(&PermutedLevel::from_graph(&g));
         let n = g.n();
         let alpha = -0.21;
         for k in [2usize, 4, 8, 16, 3] {
@@ -1275,9 +978,9 @@ mod tests {
                 }
                 singles.push((p, x, r));
             }
-            m32.cheb_fused_sweep32(alpha, &pr, &mut xr, &mut rr, k);
+            m32.cheb_fused_sweep(alpha, &pr, &mut xr, &mut rr, k);
             for (j, (p, x, r)) in singles.iter_mut().enumerate() {
-                m32.cheb_fused_sweep32(alpha, p, x, r, 1);
+                m32.cheb_fused_sweep(alpha, p, x, r, 1);
                 for i in 0..n {
                     assert_eq!(xr[i * k + j].to_bits(), x[i].to_bits(), "x k={k} col {j}");
                     assert_eq!(rr[i * k + j].to_bits(), r[i].to_bits(), "r k={k} col {j}");

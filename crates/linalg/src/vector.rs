@@ -14,6 +14,8 @@
 
 use rayon::prelude::*;
 
+use crate::scalar::Scalar;
+
 /// Below this length, vector kernels run sequentially.
 const SEQ_CUTOFF: usize = 1 << 13;
 
@@ -281,15 +283,17 @@ pub fn project_out_componentwise_rows(xr: &mut [f64], k: usize, labels: &[u32], 
     project_out_componentwise_rows_with(xr, k, labels, count, &mut sums, &mut sizes);
 }
 
-/// [`project_out_componentwise_rows`] with caller-owned accumulator
-/// buffers (`count·k` sums, `count` sizes) — allocation-free once both
-/// have capacity; identical arithmetic.
-pub fn project_out_componentwise_rows_with(
-    xr: &mut [f64],
+/// [`project_out_componentwise_rows`] at either storage precision, with
+/// caller-owned accumulator buffers (`count·k` sums, `count` sizes) —
+/// allocation-free once both have capacity; identical arithmetic. Sums
+/// accumulate in `T`: the chain's f32 cycle projects a right-hand side
+/// already at f32 rounding scale, over the small components of the bottom.
+pub fn project_out_componentwise_rows_with<T: Scalar>(
+    xr: &mut [T],
     k: usize,
     labels: &[u32],
     count: usize,
-    sums: &mut Vec<f64>,
+    sums: &mut Vec<T>,
     sizes: &mut Vec<usize>,
 ) {
     if k == 0 {
@@ -297,7 +301,7 @@ pub fn project_out_componentwise_rows_with(
     }
     assert_eq!(xr.len(), labels.len() * k);
     sums.clear();
-    sums.resize(count * k, 0.0);
+    sums.resize(count * k, T::ZERO);
     sizes.clear();
     sizes.resize(count, 0);
     for (row, &l) in xr.chunks_exact(k).zip(labels) {
@@ -310,51 +314,11 @@ pub fn project_out_componentwise_rows_with(
     for (comp, chunk) in sums.chunks_exact_mut(k).enumerate() {
         let sz = sizes[comp];
         for m in chunk.iter_mut() {
-            *m = if sz == 0 { 0.0 } else { *m / sz as f64 };
-        }
-    }
-    for (row, &l) in xr.chunks_exact_mut(k).zip(labels) {
-        let means = &sums[l as usize * k..(l as usize + 1) * k];
-        for (v, &m) in row.iter_mut().zip(means) {
-            *v -= m;
-        }
-    }
-}
-
-/// Componentwise-mean projection of an **f32** row-major block — the
-/// all-f32 inner W-cycle's counterpart of
-/// [`project_out_componentwise_rows_with`]. Sums accumulate in f32 (the
-/// rhs is already at f32 rounding scale; components are small at the
-/// bottom where this runs); per column the accumulation order over rows
-/// matches the f64 helper's, so every block width produces the same bits
-/// as width 1.
-pub fn project_out_componentwise_rows_f32_with(
-    xr: &mut [f32],
-    k: usize,
-    labels: &[u32],
-    count: usize,
-    sums: &mut Vec<f32>,
-    sizes: &mut Vec<usize>,
-) {
-    if k == 0 {
-        return;
-    }
-    assert_eq!(xr.len(), labels.len() * k);
-    sums.clear();
-    sums.resize(count * k, 0.0);
-    sizes.clear();
-    sizes.resize(count, 0);
-    for (row, &l) in xr.chunks_exact(k).zip(labels) {
-        let s = &mut sums[l as usize * k..(l as usize + 1) * k];
-        for (acc, &v) in s.iter_mut().zip(row) {
-            *acc += v;
-        }
-        sizes[l as usize] += 1;
-    }
-    for (comp, chunk) in sums.chunks_exact_mut(k).enumerate() {
-        let sz = sizes[comp];
-        for m in chunk.iter_mut() {
-            *m = if sz == 0 { 0.0 } else { *m / sz as f32 };
+            *m = if sz == 0 {
+                T::ZERO
+            } else {
+                *m / T::from_f64(sz as f64)
+            };
         }
     }
     for (row, &l) in xr.chunks_exact_mut(k).zip(labels) {
@@ -436,10 +400,10 @@ mod tests {
             .collect();
         let (mut sums, mut sizes) = (Vec::new(), Vec::new());
         let mut block = xr.clone();
-        project_out_componentwise_rows_f32_with(&mut block, k, &labels, 2, &mut sums, &mut sizes);
+        project_out_componentwise_rows_with(&mut block, k, &labels, 2, &mut sums, &mut sizes);
         for j in 0..k {
             let mut col: Vec<f32> = (0..n).map(|i| xr[i * k + j]).collect();
-            project_out_componentwise_rows_f32_with(&mut col, 1, &labels, 2, &mut sums, &mut sizes);
+            project_out_componentwise_rows_with(&mut col, 1, &labels, 2, &mut sums, &mut sizes);
             for (i, v) in col.iter().enumerate() {
                 assert_eq!(v.to_bits(), block[i * k + j].to_bits(), "col {j} row {i}");
             }

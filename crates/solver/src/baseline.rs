@@ -19,7 +19,7 @@ use parsdd_linalg::jacobi::JacobiPreconditioner;
 use parsdd_linalg::laplacian::{laplacian_of, LaplacianOp};
 use parsdd_linalg::operator::Preconditioner;
 
-use crate::elimination::{greedy_elimination, EliminationResult};
+use crate::elimination::{greedy_elimination, CompiledTrace};
 
 /// Solves the Laplacian system of `g` with plain CG.
 pub fn solve_cg(g: &Graph, b: &[f64], tol: f64, max_iters: usize) -> CgOutcome {
@@ -39,7 +39,7 @@ pub fn solve_jacobi_pcg(g: &Graph, b: &[f64], tol: f64, max_iters: usize) -> CgO
 /// used as a preconditioner for CG. This is the classical support-graph
 /// baseline that low-stretch trees improve upon.
 pub struct TreePreconditioner {
-    elimination: EliminationResult,
+    trace: CompiledTrace<f64>,
     dim: usize,
 }
 
@@ -57,9 +57,8 @@ impl TreePreconditioner {
         );
         let tree_edges = kruskal(&lengths);
         let tree = g.edge_subgraph(&tree_edges);
-        let elimination = greedy_elimination(&tree, 0x7ee);
         TreePreconditioner {
-            elimination,
+            trace: CompiledTrace::from_elimination(&greedy_elimination(&tree, 0x7ee)),
             dim: g.n(),
         }
     }
@@ -71,12 +70,12 @@ impl Preconditioner for TreePreconditioner {
     }
 
     fn precondition(&self, r: &[f64], z: &mut [f64]) {
-        let (reduced, work) = self.elimination.forward_rhs(r);
+        let (reduced, work) = self.trace.forward_rhs(r);
         // A tree eliminates (almost) completely; any residual reduced
         // system is tiny and solved by zero (it has no edges) — its rhs is
         // ~0 for balanced inputs.
         let x_reduced = vec![0.0; reduced.len()];
-        let x = self.elimination.back_substitute(&work, &x_reduced);
+        let x = self.trace.back_substitute(&work, &x_reduced);
         z.copy_from_slice(&x);
     }
 }

@@ -48,18 +48,18 @@ use parsdd_graph::reorder::{identity_order, rcm_order, relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
-use parsdd_linalg::envelope::{envelope_profile, EnvelopeLdl, EnvelopeLdlF32};
+use parsdd_linalg::envelope::{envelope_profile, EnvelopeLdl};
 use parsdd_linalg::operator::Preconditioner;
-use parsdd_linalg::permuted::{PermutedLevel, PermutedLevelF32};
+use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
 use parsdd_linalg::vector::{
     colwise_dots_rm, colwise_dots_rm_into, dot_strided, project_out_componentwise_constant,
-    project_out_componentwise_rows, project_out_componentwise_rows_f32_with,
-    project_out_componentwise_rows_with,
+    project_out_componentwise_rows, project_out_componentwise_rows_with,
 };
+use parsdd_linalg::Scalar;
 use parsdd_lsst::subgraph::{ls_subgraph, LsSubgraphParams};
 
-use crate::elimination::{greedy_elimination, CompiledTraceF32, EliminationResult};
+use crate::elimination::{greedy_elimination, CompiledTrace, EliminationResult};
 use crate::error::RecoveryStep;
 use crate::sparsify::{incremental_sparsify, SparsifyParams};
 
@@ -102,14 +102,13 @@ pub enum Precision {
     /// precision knob existed.
     #[default]
     F64,
-    /// f32 storage for the per-level matrices of levels ≥ 1 and the
-    /// bottom envelope factor, demoted once after an all-f64 build;
-    /// Chebyshev intervals are recalibrated against the demoted operator,
-    /// the duplicate per-level `Graph` CSR is dropped (roughly halving
-    /// both streamed and resident chain bytes), and every level's
-    /// elimination trace gains a multiply-only compiled form with f32
-    /// coefficients ([`CompiledTraceF32`]) that replaces the f64 trace's
-    /// per-application divisions.
+    /// f32 storage for the per-level matrices of levels ≥ 1, the bottom
+    /// envelope factor and every level's compiled elimination trace
+    /// ([`CompiledTrace`], divisions prefolded into f32 reciprocals),
+    /// demoted once after an all-f64 build; Chebyshev intervals are
+    /// calibrated against the demoted operator. The whole W-cycle below
+    /// the outer PCG then runs on f32 vectors. A depth-0 chain has no
+    /// cycle and keeps its f64 bottom, whose solve is the final answer.
     F32,
 }
 
@@ -436,17 +435,15 @@ pub struct ChainLevel {
     n: usize,
     /// Edge count of `A_i` (kept after `graph` is dropped).
     m: usize,
-    /// Merged diag+offdiag Laplacian rows of `graph` — the single matrix
-    /// stream every inner sweep at this level runs on.
-    matrix: LevelMatrix,
-    /// The elimination taking the sparsifier `B_i` to `A_{i+1}`.
+    /// Bytes the level's streamed matrix (merged diag+offdiag rows of
+    /// `graph` at its storage precision) reads per sweep.
+    stream_bytes: usize,
+    /// Storage precision of the level's streamed matrix.
+    storage_precision: Precision,
+    /// The elimination taking the sparsifier `B_i` to `A_{i+1}`: the build
+    /// record. Its step records are dropped once the chain's cycle holds
+    /// the compiled trace.
     pub elimination: EliminationResult,
-    /// [`Precision::F32`] chains only: the multiply-only compiled form of
-    /// `elimination` (divisions prefolded into f32 reciprocals; see
-    /// [`CompiledTraceF32`]). When present, the W-cycle's forward/backward
-    /// substitution passes run on it instead of the f64 trace. `None` on
-    /// f64 chains — their trace arithmetic is pinned.
-    trace32: Option<CompiledTraceF32>,
     /// Sampling condition target `κ_i` carried by the sampled edges (the
     /// level's full target is `tree_scale · κ_i`).
     pub kappa: f64,
@@ -514,65 +511,20 @@ impl ChainLevel {
 
     /// Storage precision of this level's streamed matrix.
     pub fn storage_precision(&self) -> Precision {
-        match self.matrix {
-            LevelMatrix::F64(_) => Precision::F64,
-            LevelMatrix::F32(_) => Precision::F32,
-        }
+        self.storage_precision
     }
 
     /// Bytes this level's matrix streams per sparse sweep (coefficients +
     /// column indices + row offsets).
     pub fn stream_bytes(&self) -> usize {
-        self.matrix.stream_bytes()
+        self.stream_bytes
     }
 
     /// Heap bytes this level keeps resident: the streamed matrix plus the
-    /// retained `Graph` CSR (zero once dropped). The elimination trace is
-    /// excluded from the accounting — f64 chains hold the build-time f64
-    /// record, f32 chains swap it for the leaner compiled form
-    /// ([`CompiledTraceF32`]) and drop the wide records, so the trace
-    /// never works against the demoted tier.
+    /// retained `Graph` CSR (zero once dropped). The compiled elimination
+    /// trace is excluded from the accounting.
     pub fn resident_bytes(&self) -> usize {
-        self.matrix.stream_bytes() + self.graph.as_ref().map_or(0, |g| g.resident_bytes())
-    }
-}
-
-/// A chain level's streamed matrix in its storage precision. The f64
-/// variant is byte-for-byte the pre-knob [`PermutedLevel`] and is swept
-/// only by the f64 W-cycle; the f32 variant is swept only by the all-f32
-/// cycle ([`PermutedLevelF32::cheb_fused_sweep32`]) and is applied to f64
-/// vectors only by the build-time Chebyshev calibration.
-#[derive(Debug, Clone)]
-enum LevelMatrix {
-    F64(PermutedLevel),
-    F32(PermutedLevelF32),
-}
-
-impl LevelMatrix {
-    /// The f64 matrix, for the paths that run at full precision: the
-    /// level-0 operator the outer PCG measures true residuals through,
-    /// and the f64 W-cycle, which only f64 chains enter. Panics if the
-    /// level was demoted — `build_chain` never demotes level 0, and a
-    /// demoted chain runs its whole cycle in f32.
-    fn as_f64(&self) -> &PermutedLevel {
-        match self {
-            LevelMatrix::F64(m) => m,
-            LevelMatrix::F32(_) => unreachable!("f64 sweep of a demoted level"),
-        }
-    }
-
-    fn stream_bytes(&self) -> usize {
-        match self {
-            LevelMatrix::F64(m) => m.stream_bytes(),
-            LevelMatrix::F32(m) => m.stream_bytes(),
-        }
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            LevelMatrix::F64(m) => m.apply(x, y),
-            LevelMatrix::F32(m) => m.apply(x, y),
-        }
+        self.stream_bytes + self.graph.as_ref().map_or(0, |g| g.resident_bytes())
     }
 }
 
@@ -585,13 +537,9 @@ enum BottomSolver {
     /// of the dense triangle (the recursion solves the bottom `∏k_i`
     /// times per preconditioner application, so this stream dominates the
     /// application's byte budget). A full profile degrades to exactly the
-    /// dense factorisation.
-    Direct(EnvelopeLdl),
-    /// The same envelope factor with f32 off-diagonal storage and f64
-    /// accumulation/diagonal ([`Precision::F32`] chains): both triangular
-    /// streams — the dominant bytes of a deep application — at half
-    /// width.
-    DirectF32(EnvelopeLdlF32),
+    /// dense factorisation. The factor lives in the chain's [`Cycle`], at
+    /// its storage precision.
+    Direct,
     /// Jacobi-preconditioned CG on the bottom's merged-row matrix
     /// (fallback when the bottom is too large to factor). Inside a
     /// preconditioner application it stops at the loose
@@ -976,117 +924,185 @@ impl ChainQuality {
 /// the duration of its forward-eliminate / recurse / back-substitute
 /// sandwich.
 #[derive(Debug, Default)]
-struct ElimScratch {
+struct ElimScratch<T> {
     /// Reduced right-hand side (`n_{i+1}·k`).
-    reduced: Vec<f64>,
+    reduced: Vec<T>,
     /// Forward-pass working rhs (`n_i·k`), kept for back-substitution.
-    work: Vec<f64>,
+    work: Vec<T>,
     /// Solution of the reduced system (`n_{i+1}·k`).
-    y: Vec<f64>,
+    y: Vec<T>,
     /// `k`-wide row temp for streaming the elimination trace.
-    row: Vec<f64>,
-    /// f32 twins of the four buffers above, used by the all-f32 inner
-    /// W-cycle of [`Precision::F32`] chains (empty on f64 chains).
-    reduced32: Vec<f32>,
-    work32: Vec<f32>,
-    y32: Vec<f32>,
-    row32: Vec<f32>,
+    row: Vec<T>,
 }
 
 /// Per-level inner-iteration buffers: the Chebyshev sweep at level `i`
 /// owns entry `i` while it iterates (its recursive preconditioner calls
 /// use the elimination frame of the *same* level and the iteration frames
 /// of the levels *below*, so both frames of one level are live at once —
-/// hence two arrays, not one). An f64 chain uses the f64 residual,
-/// direction and preconditioned-residual blocks; an f32 chain uses only
-/// their f32 twins, since its whole inner cycle runs in f32.
+/// hence two arrays, not one).
 #[derive(Debug, Default)]
-struct IterScratch {
-    r: Vec<f64>,
-    p: Vec<f64>,
-    z: Vec<f64>,
-    r32: Vec<f32>,
-    p32: Vec<f32>,
-    z32: Vec<f32>,
+struct IterScratch<T> {
+    r: Vec<T>,
+    p: Vec<T>,
+    z: Vec<T>,
 }
 
-/// Bottom-solve buffers (rhs copy + componentwise-projection
-/// accumulators, the iterative bottom's CG state, plus the f32 rhs and
-/// projection accumulators of the [`BottomSolver::DirectF32`] solve), and
-/// — because this struct is the one scratch threaded through the whole
-/// W-cycle recursion — the entry-shim staging pair the f64-facing
-/// `precondition_rm_into` uses to narrow into / widen out of the all-f32
-/// inner cycle (live only across one shim entry, never concurrently with
-/// a deeper shim: the f32 recursion below the shim never re-enters the
-/// f64 interface).
+/// Bottom-solve buffers: the rhs copy and componentwise-projection
+/// accumulators of the direct bottom at the cycle's precision, and the
+/// f64 staging of the iterative bottom — its rhs widened from the cycle's
+/// precision, projection sums and solution — plus its CG state.
 #[derive(Debug, Default)]
-struct BottomScratch {
-    rhs: Vec<f64>,
-    proj_sums: Vec<f64>,
+struct BottomScratch<T> {
+    rhs: Vec<T>,
+    proj_sums: Vec<T>,
     proj_sizes: Vec<usize>,
-    rhs32: Vec<f32>,
-    proj_sums32: Vec<f32>,
-    /// Entry-shim staging (see the type docs).
-    shim_in32: Vec<f32>,
-    shim_out32: Vec<f32>,
-    /// f64 staging the all-f32 cycle widens into and narrows out of
-    /// around a bottom that only has an f64 solve.
-    wide_in: Vec<f64>,
+    wide_rhs: Vec<f64>,
+    wide_sums: Vec<f64>,
     wide_out: Vec<f64>,
     cg: CgScratch,
 }
 
-/// One checked-out set of scratch buffers for a chain application. All
-/// buffers start empty and grow to their steady-state size on the first
-/// application ("warming" the arena); after that a W-cycle performs no
-/// heap allocation on the sequential kernel dispatch paths. Buffers are
-/// sized per use but **not** cleared — every kernel either overwrites its
-/// output completely or (back-substitution) provably writes each entry
-/// before reading it, so stale contents from a previous application are
-/// unobservable; see DESIGN.md §2.6.
+/// One checked-out set of scratch buffers for a chain application at the
+/// cycle's precision `T`. All buffers start empty and grow to their
+/// steady-state size on the first application ("warming" the arena);
+/// after that a W-cycle performs no heap allocation on the sequential
+/// kernel dispatch paths. Buffers are sized per use but **not** cleared —
+/// every kernel either overwrites its output completely or
+/// (back-substitution) provably writes each entry before reading it, so
+/// stale contents from a previous application are unobservable; see
+/// DESIGN.md §2.6.
 #[derive(Debug, Default)]
-pub(crate) struct ChainWorkspace {
+struct ChainWorkspace<T> {
     /// Indexed by the level running its elimination sandwich.
-    elim: Vec<ElimScratch>,
+    elim: Vec<ElimScratch<T>>,
     /// Indexed by the level running its inner iteration (entry 0 is
     /// unused — the adaptive outer PCG drives level 0 with its own
     /// locals).
-    iter: Vec<IterScratch>,
-    bottom: BottomScratch,
+    iter: Vec<IterScratch<T>>,
+    bottom: BottomScratch<T>,
+    /// The f64-facing shim's staging when `T` is narrower: the residual
+    /// narrowed in, the correction before it is widened out.
+    shim_in: Vec<T>,
+    shim_out: Vec<T>,
 }
 
 /// Checkout pool of [`ChainWorkspace`]s: one per concurrent application,
 /// recycled through a mutex-guarded free list (two uncontended lock ops
 /// per application). Cloning a chain clones none of the scratch — the
 /// clone starts with an empty pool and warms its own.
-struct WorkspacePool(Mutex<Vec<ChainWorkspace>>);
+struct WorkspacePool<T>(Mutex<Vec<ChainWorkspace<T>>>);
 
-impl WorkspacePool {
-    fn new() -> Self {
+impl<T> Clone for WorkspacePool<T> {
+    fn clone(&self) -> Self {
         WorkspacePool(Mutex::new(Vec::new()))
     }
 }
 
-impl Clone for WorkspacePool {
-    fn clone(&self) -> Self {
-        WorkspacePool::new()
-    }
-}
-
-impl std::fmt::Debug for WorkspacePool {
+impl<T> std::fmt::Debug for WorkspacePool<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let held = self.0.lock().map(|v| v.len()).unwrap_or(0);
         write!(f, "WorkspacePool({held} idle)")
     }
 }
 
+/// What one preconditioner application streams below the outer PCG, all
+/// at the chain's storage precision `T`, with the scratch arena it runs
+/// on. One W-cycle, generic over `T`, runs on it.
+#[derive(Debug, Clone)]
+struct Cycle<T> {
+    /// Merged-row matrix of level `i ≥ 1` at index `i − 1` (level 0's
+    /// stays f64 in [`SolverChain::top_matrix`]: the outer PCG measures
+    /// true residuals through it).
+    matrices: Vec<PermutedLevel<T>>,
+    /// Compiled elimination trace of every level.
+    traces: Vec<CompiledTrace<T>>,
+    /// The envelope factor of a [`BottomSolver::Direct`] bottom.
+    factor: Option<EnvelopeLdl<T>>,
+    /// Preallocated per-level scratch: applications check a workspace
+    /// out, run on it, and return it, so the steady state allocates
+    /// nothing per application.
+    workspaces: WorkspacePool<T>,
+}
+
+impl<T: Scalar> Cycle<T> {
+    /// Compiles every level's elimination trace at precision `T` and drops
+    /// the level's step records (the compiled form replaces them), one
+    /// level at a time so the two forms never coexist for the whole chain.
+    fn new(
+        matrices: Vec<PermutedLevel<T>>,
+        levels: &mut [ChainLevel],
+        factor: Option<EnvelopeLdl<T>>,
+    ) -> Self {
+        let traces = levels
+            .iter_mut()
+            .map(|lvl| {
+                let trace = CompiledTrace::from_elimination(&lvl.elimination);
+                lvl.elimination.steps = Vec::new();
+                lvl.elimination.star_data = Vec::new();
+                trace
+            })
+            .collect();
+        for (lvl, m) in levels.iter_mut().skip(1).zip(&matrices) {
+            lvl.stream_bytes = m.stream_bytes();
+        }
+        Cycle {
+            matrices,
+            traces,
+            factor,
+            workspaces: WorkspacePool(Mutex::new(Vec::new())),
+        }
+    }
+
+    /// Checks a workspace out of the pool (allocating an *empty* one only
+    /// when the pool is dry — its buffers grow to steady-state size during
+    /// the first application), runs `f` on it, and returns it. Concurrent
+    /// applications each get their own workspace; a panic inside `f`
+    /// simply drops the checked-out workspace.
+    fn with_workspace<R>(&self, f: impl FnOnce(&mut ChainWorkspace<T>) -> R) -> R {
+        let mut ws = self
+            .workspaces
+            .0
+            .lock()
+            .expect("workspace pool poisoned")
+            .pop()
+            .unwrap_or_else(|| {
+                let d = self.traces.len();
+                ChainWorkspace {
+                    elim: (0..d).map(|_| ElimScratch::default()).collect(),
+                    iter: (0..d).map(|_| IterScratch::default()).collect(),
+                    bottom: BottomScratch::default(),
+                    shim_in: Vec::new(),
+                    shim_out: Vec::new(),
+                }
+            });
+        let out = f(&mut ws);
+        self.workspaces
+            .0
+            .lock()
+            .expect("workspace pool poisoned")
+            .push(ws);
+        out
+    }
+}
+
+/// A chain's [`Cycle`] at its storage precision (see [`Precision`]). A
+/// depth-0 chain has no cycle to demote and is always `F64`.
+#[derive(Debug, Clone)]
+enum ChainCycle {
+    F64(Cycle<f64>),
+    F32(Cycle<f32>),
+}
+
 /// A fully constructed preconditioner chain for a Laplacian system.
 #[derive(Debug, Clone)]
 pub struct SolverChain {
     levels: Vec<ChainLevel>,
+    /// Merged-row Laplacian of level 0 — the f64 operator the outer PCG
+    /// multiplies by. `None` on depth-0 chains, whose top is the bottom.
+    top_matrix: Option<PermutedLevel>,
     bottom_graph: Graph,
-    /// Merged-row Laplacian of the bottom graph (the operator for
-    /// chains with no levels and for residual checks on such chains).
+    /// Merged-row Laplacian of the bottom graph (the operator of the
+    /// iterative bottom, and of chains with no levels).
     bottom_matrix: PermutedLevel,
     bottom: BottomSolver,
     bottom_labels: Vec<u32>,
@@ -1100,10 +1116,7 @@ pub struct SolverChain {
     /// solutions once on exit; everything between runs in internal order.
     top_perm: Vec<u32>,
     options: ChainOptions,
-    /// Preallocated per-level scratch (see [`ChainWorkspace`]); solves and
-    /// preconditioner applications check a workspace out, run on it, and
-    /// return it, so the steady state allocates nothing per application.
-    workspaces: WorkspacePool,
+    cycle: ChainCycle,
 }
 
 /// Outcome of a chain solve.
@@ -1369,7 +1382,6 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         let inner_iterations = (kappa_target.sqrt().ceil() as usize
             + options.inner_extra_iterations)
             .clamp(2, options.max_inner_iterations);
-        let matrix = LevelMatrix::F64(PermutedLevel::from_graph(&current));
         // Provisional bounds from the sampled ratio; replaced by the
         // power-iteration calibration below once the chain is complete.
         let cheb_bounds = provisional_bounds(measured_ratio, kappa_target);
@@ -1378,9 +1390,9 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
             graph: Some(current),
             n: level_n,
             m: level_m,
-            matrix,
+            stream_bytes: 0,
+            storage_precision: Precision::F64,
             elimination,
-            trace32: None,
             kappa: kappa_used,
             tree_scale: sparsifier.tree_scale,
             kappa_clamped: sparsifier.kappa_clamped,
@@ -1411,23 +1423,15 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // under the scope (same width-independence argument as the per-level
     // passes above).
     let mut bottom_matrix_slot: Option<PermutedLevel> = None;
-    let mut bottom_slot: Option<BottomSolver> = None;
+    let mut factor_slot: Option<EnvelopeLdl> = None;
     let mut comps_slot = None;
     let mut top_comps_slot = None;
     rayon::scope(|s| {
         s.spawn(|_| bottom_matrix_slot = Some(PermutedLevel::from_graph(&current)));
         s.spawn(|_| {
-            // `None` is the iterative bottom, which needs the matrix and
-            // the labels: it is set up after the scope.
-            bottom_slot = if current.m() == 0 {
-                Some(BottomSolver::Trivial)
-            } else if current.n() <= options.dense_bottom_limit {
-                Some(BottomSolver::Direct(EnvelopeLdl::from_graph(
-                    &current, 1e-10,
-                )))
-            } else {
-                None
-            };
+            if current.m() > 0 && current.n() <= options.dense_bottom_limit {
+                factor_slot = Some(EnvelopeLdl::from_graph(&current, 1e-10));
+            }
         });
         // Cache the component structures in the scope body: every solve
         // projects its right-hand sides with them, and recomputing an
@@ -1449,18 +1453,59 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let bottom_matrix = bottom_matrix_slot.expect("scope completed bottom matrix");
     let comps: parsdd_graph::components::Components =
         comps_slot.expect("scope completed components");
-    let bottom = bottom_slot.unwrap_or_else(|| {
+    let bottom = if current.m() == 0 {
+        BottomSolver::Trivial
+    } else if factor_slot.is_some() {
+        BottomSolver::Direct
+    } else {
         BottomSolver::Iterative(JacobiBottom::new(
             &bottom_matrix,
             &comps.labels,
             comps.count,
             options.seed ^ 0xb077_0000,
         ))
-    });
+    };
     let top_comps = top_comps_slot.expect("scope completed top components");
+
+    let mut matrices: Vec<PermutedLevel> = levels
+        .iter()
+        .map(|l| {
+            PermutedLevel::from_graph(
+                l.graph
+                    .as_ref()
+                    .expect("level graphs are resident during build"),
+            )
+        })
+        .collect();
+    let top_matrix = (!matrices.is_empty()).then(|| matrices.remove(0));
+    if let Some(top) = &top_matrix {
+        levels[0].stream_bytes = top.stream_bytes();
+    }
+    // Demote once, after the all-f64 build: the matrices of levels ≥ 1,
+    // the bottom factor and the elimination traces are what the
+    // preconditioner streams per application. Level 0's matrix and the
+    // bottom matrix stay f64 — the outer PCG measures true residuals
+    // through them, and an f32 top operator would cap the reachable
+    // residual near single-precision ε, above the 1e-8 outer tolerances
+    // the solver pins. Level 0's trace demotes too: it is
+    // preconditioner-internal even at the top. A depth-0 chain has no
+    // cycle: its bottom solve is the final answer, which must hit the
+    // caller's tolerance, and a single f32-factor solve caps out near
+    // 1e-7 relative.
+    let cycle = if options.precision == Precision::F32 && !levels.is_empty() {
+        for lvl in levels.iter_mut().skip(1) {
+            lvl.storage_precision = Precision::F32;
+        }
+        let matrices = matrices.iter().map(PermutedLevel::from_level).collect();
+        let factor = factor_slot.as_ref().map(EnvelopeLdl::from_f64);
+        ChainCycle::F32(Cycle::new(matrices, &mut levels, factor))
+    } else {
+        ChainCycle::F64(Cycle::new(matrices, &mut levels, factor_slot))
+    };
 
     let mut chain = SolverChain {
         levels,
+        top_matrix,
         bottom_graph: current,
         bottom_matrix,
         bottom,
@@ -1470,57 +1515,18 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         top_components: top_comps.count,
         top_perm,
         options,
-        workspaces: WorkspacePool::new(),
+        cycle,
     };
-    if options.precision == Precision::F32 {
-        // Demote once, after the all-f64 build: levels ≥ 1 and the bottom
-        // envelope factor are what the preconditioner streams per
-        // application. Level 0 and the bottom matrix stay f64 — the outer
-        // PCG measures true residuals through them, and an f32 top
-        // operator would cap the reachable residual near single-precision
-        // ε, above the 1e-8 outer tolerances the solver pins.
-        for lvl in chain.levels.iter_mut().skip(1) {
-            lvl.matrix = LevelMatrix::F32(PermutedLevelF32::from_level(lvl.matrix.as_f64()));
-        }
-        // Every level's elimination trace (level 0's included — the trace
-        // is preconditioner-internal even at the top) gets its compiled
-        // multiply-only form: the f64 trace re-divides per application
-        // (`wa/(wa+wb)`, `1/w`, `1/Σw` on every step), and those
-        // unpipelined divides sit on the hottest recursion path.
-        for lvl in chain.levels.iter_mut() {
-            lvl.trace32 = Some(CompiledTraceF32::from_elimination(&lvl.elimination));
-        }
-        // The bottom factor demotes only under a recursion: there each
-        // bottom solve feeds a preconditioner application (absorbed by the
-        // outer flexible PCG) and is streamed `∏k_i` times. A depth-0
-        // chain returns its bottom solve *as the final answer*, which must
-        // hit the caller's tolerance — a single f32-factor solve caps out
-        // near 1e-7 relative.
-        if !chain.levels.is_empty() {
-            if let BottomSolver::Direct(env) = &chain.bottom {
-                chain.bottom = BottomSolver::DirectF32(EnvelopeLdlF32::from_f64(env));
-            }
-        }
-    }
     // Calibration runs *after* demotion so the Chebyshev intervals bracket
     // the spectrum of the operator the inner iteration actually applies.
     chain.calibrate_chebyshev_bounds();
     // The per-level Graph CSR is only consulted at build/calibration time
-    // — every per-application sweep runs on `matrix` — so both precision
-    // tiers drop it here and a long-lived chain stops holding ~2× the
-    // matrix memory it streams. (The bottom keeps its graph:
-    // `bottom_graph()` and the stats read it.)
+    // — every per-application sweep runs on the cycle's matrices — so it
+    // is dropped here and a long-lived chain stops holding ~2× the matrix
+    // memory it streams. (The bottom keeps its graph: `bottom_graph()`
+    // and the stats read it.)
     for lvl in chain.levels.iter_mut() {
         lvl.graph = None;
-    }
-    if options.precision == Precision::F32 {
-        // The f64 elimination step records go too: the compiled trace
-        // took over both substitution passes above, so keeping the wide
-        // records would hold duplicate trace memory for nothing.
-        for lvl in chain.levels.iter_mut() {
-            lvl.elimination.steps = Vec::new();
-            lvl.elimination.star_data = Vec::new();
-        }
     }
     chain
 }
@@ -1681,6 +1687,24 @@ impl SolverChain {
         &self.options
     }
 
+    /// The f64 operator of the top level, which the outer PCG multiplies
+    /// by: level 0's matrix, or the bottom's on a depth-0 chain.
+    fn top_matrix(&self) -> &PermutedLevel {
+        self.top_matrix.as_ref().unwrap_or(&self.bottom_matrix)
+    }
+
+    /// Envelope size, resident bytes and bytes streamed per solve of the
+    /// direct bottom's factor, at the cycle's precision.
+    fn factor_shape(&self) -> Option<(usize, usize, usize)> {
+        fn shape<T: Scalar>(f: &EnvelopeLdl<T>) -> (usize, usize, usize) {
+            (f.envelope_nnz(), f.resident_bytes(), f.stream_bytes())
+        }
+        match &self.cycle {
+            ChainCycle::F64(c) => c.factor.as_ref().map(shape),
+            ChainCycle::F32(c) => c.factor.as_ref().map(shape),
+        }
+    }
+
     /// Estimated flops of one bottom solve: two envelope streams of the
     /// direct factor, or the iterative bottom's probe iteration count
     /// times its edges.
@@ -1689,21 +1713,20 @@ impl SolverChain {
         let m = self.bottom_graph.m() as f64;
         match &self.bottom {
             BottomSolver::Trivial => 0.0,
-            BottomSolver::Direct(env) => direct_bottom_flops(n, env.envelope_nnz()),
-            BottomSolver::DirectF32(env) => direct_bottom_flops(n, env.envelope_nnz()),
+            BottomSolver::Direct => {
+                direct_bottom_flops(n, self.factor_shape().map_or(0, |(nnz, ..)| nnz))
+            }
             BottomSolver::Iterative(jacobi) => m * jacobi.probe_iterations as f64,
         }
     }
 
-    /// Bytes one bottom solve streams: both triangular passes of the
-    /// direct factor (at its storage width) plus the f64 diagonal, or the
+    /// Bytes one bottom solve streams: both triangular passes and the
+    /// diagonal of the direct factor (at its storage width), or the
     /// iterative bottom's matrix once per probe iteration.
     fn bottom_stream_bytes(&self) -> f64 {
-        let n = self.bottom_graph.n() as f64;
         match &self.bottom {
             BottomSolver::Trivial => 0.0,
-            BottomSolver::Direct(env) => 2.0 * env.envelope_nnz() as f64 * 8.0 + n * 8.0,
-            BottomSolver::DirectF32(env) => 2.0 * env.envelope_nnz() as f64 * 4.0 + n * 8.0,
+            BottomSolver::Direct => self.factor_shape().map_or(0, |(.., bytes)| bytes) as f64,
             BottomSolver::Iterative(jacobi) => {
                 self.bottom_matrix.stream_bytes() as f64 * jacobi.probe_iterations as f64
             }
@@ -1717,8 +1740,7 @@ impl SolverChain {
         let factor = match &self.bottom {
             BottomSolver::Trivial => 0,
             BottomSolver::Iterative(jacobi) => jacobi.inv_diag.len() * 8,
-            BottomSolver::Direct(env) => env.resident_bytes(),
-            BottomSolver::DirectF32(env) => env.resident_bytes(),
+            BottomSolver::Direct => self.factor_shape().map_or(0, |(_, bytes, _)| bytes),
         };
         self.bottom_matrix.stream_bytes() + self.bottom_graph.resident_bytes() + factor
     }
@@ -1762,15 +1784,8 @@ impl SolverChain {
             level_work,
             work_per_application,
             recursion_leaves,
-            direct_bottom: matches!(
-                self.bottom,
-                BottomSolver::Direct(_) | BottomSolver::DirectF32(_)
-            ),
-            bottom_envelope_nnz: match &self.bottom {
-                BottomSolver::Direct(env) => env.envelope_nnz(),
-                BottomSolver::DirectF32(env) => env.envelope_nnz(),
-                _ => 0,
-            },
+            direct_bottom: matches!(self.bottom, BottomSolver::Direct),
+            bottom_envelope_nnz: self.factor_shape().map_or(0, |(nnz, ..)| nnz),
             bottom_iterations: match &self.bottom {
                 BottomSolver::Iterative(jacobi) => jacobi.probe_iterations,
                 _ => 0,
@@ -1835,35 +1850,6 @@ impl SolverChain {
     /// `[1e-14, MAX_FINAL_BOTTOM_TOL]`.
     const MAX_FINAL_BOTTOM_TOL: f64 = 1e-8;
 
-    /// Checks a workspace out of the pool (allocating an *empty* one only
-    /// when the pool is dry — its buffers grow to steady-state size during
-    /// the first application), runs `f` on it, and returns it. Concurrent
-    /// applications each get their own workspace; a panic inside `f`
-    /// simply drops the checked-out workspace.
-    fn with_workspace<R>(&self, f: impl FnOnce(&mut ChainWorkspace) -> R) -> R {
-        let mut ws = self
-            .workspaces
-            .0
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_else(|| {
-                let d = self.levels.len();
-                ChainWorkspace {
-                    elim: (0..d).map(|_| ElimScratch::default()).collect(),
-                    iter: (0..d).map(|_| IterScratch::default()).collect(),
-                    bottom: BottomScratch::default(),
-                }
-            });
-        let out = f(&mut ws);
-        self.workspaces
-            .0
-            .lock()
-            .expect("workspace pool poisoned")
-            .push(ws);
-        out
-    }
-
     /// Applies the full preconditioner `B₀⁻¹` to `k` row-major right-hand
     /// sides in **internal** (chain) index order, writing into `out`.
     /// Once the chain's scratch arena is warm (one prior application of
@@ -1871,138 +1857,83 @@ impl SolverChain {
     /// the sequential kernel dispatch paths — the contract pinned by
     /// `tests/alloc.rs`.
     pub fn precondition_block_rm(&self, rr: &[f64], k: usize, out: &mut Vec<f64>) {
-        self.with_workspace(|ws| {
-            if self.levels.is_empty() {
-                self.bottom_solve_rm_into(rr, k, Self::PRECOND_BOTTOM_TOL, out, &mut ws.bottom);
-            } else {
-                self.precondition_rm_into(
-                    0,
-                    rr,
-                    k,
-                    out,
-                    &mut ws.elim[..],
-                    &mut ws.iter[1..],
-                    &mut ws.bottom,
-                );
-            }
-        });
+        if self.levels.is_empty() {
+            self.bottom_solve_rm_into(rr, k, Self::PRECOND_BOTTOM_TOL, out);
+        } else {
+            self.precondition_rm_into(0, rr, k, out);
+        }
     }
 
-    /// Solves the bottom system `A_d X = B` for `k` row-major right-hand
-    /// sides (to `tol` per column when iterative). The direct factor's
-    /// envelope is streamed once per block
-    /// ([`EnvelopeLdl::solve_rowmajor`]); the iterative bottom runs
-    /// Jacobi-PCG with per-column deflation.
+    /// Solves the bottom system `A_d X = B` of a depth-0 chain for `k`
+    /// row-major right-hand sides (to `tol` per column when iterative):
+    /// the direct factor's envelope is streamed once per block, the
+    /// iterative bottom runs Jacobi-PCG with per-column deflation.
+    /// Allocation-free in steady state.
+    fn bottom_solve_rm_into(&self, br: &[f64], k: usize, tol: f64, out: &mut Vec<f64>) {
+        let ChainCycle::F64(cycle) = &self.cycle else {
+            unreachable!("a depth-0 chain keeps its f64 bottom")
+        };
+        cycle.with_workspace(|ws| self.bottom_solve(cycle, br, k, tol, out, &mut ws.bottom));
+    }
+
+    /// Allocating [`bottom_solve_rm_into`](Self::bottom_solve_rm_into).
     fn bottom_solve_rm(&self, br: &[f64], k: usize, tol: f64) -> Vec<f64> {
         let mut out = Vec::new();
-        self.with_workspace(|ws| {
-            self.bottom_solve_rm_into(br, k, tol, &mut out, &mut ws.bottom);
-        });
+        self.bottom_solve_rm_into(br, k, tol, &mut out);
         out
     }
 
-    /// [`bottom_solve_rm`](Self::bottom_solve_rm) into a caller-owned
-    /// output through the workspace's bottom scratch. Allocation-free in
-    /// steady state: the direct factor at its monomorphised widths, the
-    /// iterative bottom on its sequential dispatch paths. The demoted
-    /// [`BottomSolver::DirectF32`] factor is solved only by the all-f32
-    /// cycle ([`bottom_solve_rm32_into`](Self::bottom_solve_rm32_into)).
-    fn bottom_solve_rm_into(
+    /// The bottom solve at the cycle's precision. The direct bottom
+    /// projects and solves at `T`; the trivial bottom zeroes. The
+    /// iterative bottom runs at f64: it widens the right-hand side into
+    /// the scratch's f64 staging, projects and solves there, and narrows
+    /// the solution back.
+    fn bottom_solve<T: Scalar>(
         &self,
-        br: &[f64],
+        cycle: &Cycle<T>,
+        br: &[T],
         k: usize,
         tol: f64,
-        out: &mut Vec<f64>,
-        scratch: &mut BottomScratch,
+        out: &mut Vec<T>,
+        s: &mut BottomScratch<T>,
     ) {
-        let project_into_rhs = |scratch: &mut BottomScratch| {
-            let rhs = &mut scratch.rhs;
-            rhs.clear();
-            rhs.extend_from_slice(br);
-            project_out_componentwise_rows_with(
-                rhs,
-                k,
-                &self.bottom_labels,
-                self.bottom_components,
-                &mut scratch.proj_sums,
-                &mut scratch.proj_sizes,
-            );
-        };
+        let (labels, count) = (&self.bottom_labels, self.bottom_components);
         match &self.bottom {
             BottomSolver::Trivial => {
                 out.clear();
-                out.resize(br.len(), 0.0);
+                out.resize(br.len(), T::ZERO);
             }
-            BottomSolver::Direct(env) => {
-                project_into_rhs(scratch);
-                env.solve_rowmajor_into(&scratch.rhs, k, out);
+            BottomSolver::Direct => {
+                s.rhs.clear();
+                s.rhs.extend_from_slice(br);
+                project_out_componentwise_rows_with(
+                    &mut s.rhs,
+                    k,
+                    labels,
+                    count,
+                    &mut s.proj_sums,
+                    &mut s.proj_sizes,
+                );
+                let factor = cycle.factor.as_ref().expect("a direct bottom has a factor");
+                factor.solve_rowmajor_into(&s.rhs, k, out);
             }
             BottomSolver::Iterative(jacobi) => {
-                project_into_rhs(scratch);
-                jacobi.solve_rm_into(
-                    &self.bottom_matrix,
-                    &scratch.rhs,
+                s.wide_rhs.clear();
+                s.wide_rhs.extend(br.iter().map(|&v| v.into()));
+                project_out_componentwise_rows_with(
+                    &mut s.wide_rhs,
                     k,
-                    tol,
-                    out,
-                    &mut scratch.cg,
+                    labels,
+                    count,
+                    &mut s.wide_sums,
+                    &mut s.proj_sizes,
                 );
-            }
-            BottomSolver::DirectF32(_) => unreachable!("f64 solve of a demoted bottom"),
-        }
-    }
-
-    /// The bottom solve of the all-f32 inner cycle. The f32 direct
-    /// bottom projects and solves without touching f64; the trivial
-    /// bottom zeroes. The iterative bottom (an f32 chain whose bottom was
-    /// too large to factor) widens into the scratch's f64 staging, runs
-    /// the f64 solve, and narrows back.
-    fn bottom_solve_rm32_into(
-        &self,
-        br: &[f32],
-        k: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut BottomScratch,
-    ) {
-        match &self.bottom {
-            BottomSolver::Trivial => {
+                let m = &self.bottom_matrix;
+                jacobi.solve_rm_into(m, &s.wide_rhs, k, tol, &mut s.wide_out, &mut s.cg);
                 out.clear();
-                out.resize(br.len(), 0.0);
-            }
-            BottomSolver::DirectF32(env) => {
-                scratch.rhs32.clear();
-                scratch.rhs32.extend_from_slice(br);
-                project_out_componentwise_rows_f32_with(
-                    &mut scratch.rhs32,
-                    k,
-                    &self.bottom_labels,
-                    self.bottom_components,
-                    &mut scratch.proj_sums32,
-                    &mut scratch.proj_sizes,
-                );
-                env.solve_rowmajor_f32_into(&scratch.rhs32, k, out);
-            }
-            BottomSolver::Direct(_) | BottomSolver::Iterative(_) => {
-                // Taken out of the scratch for the call, which borrows the
-                // rest of it, and put back so their capacity is reused.
-                let mut wide = std::mem::take(&mut scratch.wide_in);
-                let mut wout = std::mem::take(&mut scratch.wide_out);
-                wide.clear();
-                wide.extend(br.iter().map(|&v| f64::from(v)));
-                self.bottom_solve_rm_into(&wide, k, Self::PRECOND_BOTTOM_TOL, &mut wout, scratch);
-                out.clear();
-                out.extend(wout.iter().map(|&v| v as f32));
-                scratch.wide_in = wide;
-                scratch.wide_out = wout;
+                out.extend(s.wide_out.iter().map(|&v| T::from_f64(v)));
             }
         }
-    }
-
-    /// Single-vector bottom solve: the `k = 1` case of
-    /// [`bottom_solve_rm`](Self::bottom_solve_rm) (row-major and
-    /// column-major coincide at width 1).
-    fn bottom_solve(&self, b: &[f64], tol: f64) -> Vec<f64> {
-        self.bottom_solve_rm(b, 1, tol)
     }
 
     /// Applies the level-`i` preconditioner `B_i⁻¹ R` to `k` row-major
@@ -2012,162 +1943,74 @@ impl SolverChain {
     /// touches contiguous k-wide rows.
     fn precondition_rm(&self, level: usize, rr: &[f64], k: usize) -> Vec<f64> {
         let mut out = Vec::new();
-        self.with_workspace(|ws| {
-            self.precondition_rm_into(
-                level,
-                rr,
-                k,
-                &mut out,
-                &mut ws.elim[level..],
-                &mut ws.iter[level + 1..],
-                &mut ws.bottom,
-            );
-        });
+        self.precondition_rm_into(level, rr, k, &mut out);
         out
     }
 
-    /// The workspace-threaded preconditioner application. `elim_ws` holds
-    /// the elimination frames of this level and below
-    /// (`levels.len() − level` entries), `iter_ws` the inner-iteration
-    /// frames strictly below (`levels.len() − level − 1` entries); each
-    /// recursion step peels its own frame off the front, so frames of
-    /// distinct in-flight levels never alias.
-    #[allow(clippy::too_many_arguments)]
-    fn precondition_rm_into(
-        &self,
-        level: usize,
-        rr: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
-        elim_ws: &mut [ElimScratch],
-        iter_ws: &mut [IterScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        // An f32 chain runs the *entire* cycle below this interface on
-        // f32 vectors: narrow the residual once here, recurse all-f32,
-        // widen the correction once on the way out. This shim is the only
-        // place the cycle changes precision. The outer iteration keeps
-        // measuring true f64 residuals through the f64 top operator, so
-        // the narrowing only perturbs the preconditioner — which the
-        // flexible PCG absorbs.
-        if lvl.trace32.is_some() {
-            bottom.shim_in32.clear();
-            bottom.shim_in32.extend(rr.iter().map(|&v| v as f32));
-            let mut rr32 = std::mem::take(&mut bottom.shim_in32);
-            let mut out32 = std::mem::take(&mut bottom.shim_out32);
-            self.precondition_rm32_into(level, &rr32, k, &mut out32, elim_ws, iter_ws, bottom);
-            out.clear();
-            out.extend(out32.iter().map(|&v| v as f64));
-            rr32.clear();
-            bottom.shim_in32 = rr32;
-            bottom.shim_out32 = out32;
-            return;
+    /// [`precondition_rm`](Self::precondition_rm) into `out`, on a
+    /// workspace checked out of the cycle's pool. This is the only place
+    /// the W-cycle changes precision: an f32 chain narrows the residual
+    /// once here, runs the whole cycle below on f32 vectors, and widens
+    /// the correction once on the way out. The outer iteration keeps
+    /// measuring true f64 residuals through the f64 top operator, so the
+    /// narrowing only perturbs the preconditioner — which the flexible
+    /// PCG absorbs.
+    fn precondition_rm_into(&self, level: usize, rr: &[f64], k: usize, out: &mut Vec<f64>) {
+        match &self.cycle {
+            ChainCycle::F64(cycle) => cycle.with_workspace(|ws| {
+                let (elim, iter) = (&mut ws.elim[level..], &mut ws.iter[level + 1..]);
+                self.precondition(cycle, level, rr, k, out, elim, iter, &mut ws.bottom);
+            }),
+            ChainCycle::F32(cycle) => cycle.with_workspace(|ws| {
+                ws.shim_in.clear();
+                ws.shim_in.extend(rr.iter().map(|&v| v as f32));
+                let (elim, iter) = (&mut ws.elim[level..], &mut ws.iter[level + 1..]);
+                let (rr32, out32) = (&ws.shim_in, &mut ws.shim_out);
+                self.precondition(cycle, level, rr32, k, out32, elim, iter, &mut ws.bottom);
+                out.clear();
+                out.extend(ws.shim_out.iter().map(|&v| f64::from(v)));
+            }),
         }
+    }
+
+    /// The W-cycle's preconditioner application at level `level` and
+    /// precision `T`. `elim_ws` holds the elimination frames of this level
+    /// and below (`levels.len() − level` entries), `iter_ws` the
+    /// inner-iteration frames strictly below (`levels.len() − level − 1`
+    /// entries); each recursion step peels its own frame off the front,
+    /// so frames of distinct in-flight levels never alias.
+    ///
+    /// Below the level's elimination, level `i + 1` is solved by its fixed
+    /// Chebyshev sweep or, below the last level, by the bottom solver.
+    /// Uniform at every level — the top level's adaptive outer PCG is the
+    /// only special case. Every column's arithmetic is exactly the
+    /// `k = 1` cycle's, so `solve_many` answers match looped `solve` calls
+    /// bitwise.
+    #[allow(clippy::too_many_arguments)]
+    fn precondition<T: Scalar>(
+        &self,
+        cycle: &Cycle<T>,
+        level: usize,
+        rr: &[T],
+        k: usize,
+        out: &mut Vec<T>,
+        elim_ws: &mut [ElimScratch<T>],
+        iter_ws: &mut [IterScratch<T>],
+        bottom: &mut BottomScratch<T>,
+    ) {
         let (mine, elim_rest) = elim_ws
             .split_first_mut()
             .expect("elimination frame per level");
-        lvl.elimination.forward_rhs_rowmajor_into(
-            rr,
-            k,
-            &mut mine.reduced,
-            &mut mine.work,
-            &mut mine.row,
-        );
-        self.w_cycle_rm_into(
-            level + 1,
-            &mine.reduced,
-            k,
-            &mut mine.y,
-            iter_ws,
-            elim_rest,
-            bottom,
-        );
-        lvl.elimination
-            .back_substitute_rowmajor_into(&mine.work, &mine.y, k, out, &mut mine.row);
-    }
-
-    /// The all-f32 preconditioner application (`Precision::F32` chains):
-    /// same sandwich as
-    /// [`precondition_rm_into`](Self::precondition_rm_into), every vector
-    /// in f32.
-    #[allow(clippy::too_many_arguments)]
-    fn precondition_rm32_into(
-        &self,
-        level: usize,
-        rr: &[f32],
-        k: usize,
-        out: &mut Vec<f32>,
-        elim_ws: &mut [ElimScratch],
-        iter_ws: &mut [IterScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        let (mine, elim_rest) = elim_ws
-            .split_first_mut()
-            .expect("elimination frame per level");
-        let tr = lvl
-            .trace32
-            .as_ref()
-            .expect("the all-f32 cycle requires a compiled trace");
-        tr.forward_rhs_rowmajor32_into(
-            rr,
-            k,
-            &mut mine.reduced32,
-            &mut mine.work32,
-            &mut mine.row32,
-        );
-        self.w_cycle_rm32_into(
-            level + 1,
-            &mine.reduced32,
-            k,
-            &mut mine.y32,
-            iter_ws,
-            elim_rest,
-            bottom,
-        );
-        tr.back_substitute_rowmajor32_into(&mine.work32, &mine.y32, k, out, &mut mine.row32);
-    }
-
-    /// Single-vector preconditioner application: the `k = 1` case of
-    /// [`precondition_rm`](Self::precondition_rm) — there is one W-cycle
-    /// implementation, not two.
-    fn precondition(&self, level: usize, r: &[f64]) -> Vec<f64> {
-        self.precondition_rm(level, r, 1)
-    }
-
-    /// One W-cycle solve of `A_i X = B` on a row-major block: the level's
-    /// fixed `k_i`-iteration Chebyshev sweep (each iteration recursing
-    /// into level `i+1` with the whole block), or the bottom solver below
-    /// the last level. Uniform at every level — the top level's adaptive
-    /// outer PCG is the only special case. Every column's arithmetic is
-    /// exactly the `k = 1` cycle's, so `solve_many` answers match looped
-    /// `solve` calls bitwise.
-    #[allow(clippy::too_many_arguments)]
-    fn w_cycle_rm_into(
-        &self,
-        level: usize,
-        br: &[f64],
-        k: usize,
-        out: &mut Vec<f64>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        if level >= self.levels.len() {
-            self.bottom_solve_rm_into(br, k, Self::PRECOND_BOTTOM_TOL, out, bottom);
-            return;
+        let trace = &cycle.traces[level];
+        trace.forward_rhs_rowmajor_into(rr, k, &mut mine.reduced, &mut mine.work, &mut mine.row);
+        if level + 1 == self.levels.len() {
+            let tol = Self::PRECOND_BOTTOM_TOL;
+            self.bottom_solve(cycle, &mine.reduced, k, tol, &mut mine.y, bottom);
+        } else {
+            let (reduced, y) = (&mine.reduced, &mut mine.y);
+            self.chebyshev_fixed(cycle, level + 1, reduced, k, y, iter_ws, elim_rest, bottom);
         }
-        self.chebyshev_fixed_rm_into(
-            level,
-            br,
-            k,
-            self.levels[level].inner_iterations,
-            out,
-            iter_ws,
-            elim_ws,
-            bottom,
-        );
+        trace.back_substitute_rowmajor_into(&mine.work, &mine.y, k, out, &mut mine.row);
     }
 
     /// Calibrates every level's Chebyshev interval bottom-up.
@@ -2214,8 +2057,11 @@ impl SolverChain {
                 spectrum_bounds_of_map(
                     n,
                     |v| {
-                        this.levels[level].matrix.apply(v, &mut av);
-                        this.precondition(level, &av)
+                        match &this.cycle {
+                            ChainCycle::F64(c) => c.matrices[level - 1].apply(v, &mut av),
+                            ChainCycle::F32(c) => c.matrices[level - 1].apply(v, &mut av),
+                        }
+                        this.precondition_rm(level, &av, 1)
                     },
                     |x| project_out_componentwise_constant(x, &comps.labels, comps.count),
                     POWER_ITERS,
@@ -2247,28 +2093,30 @@ impl SolverChain {
     }
 
     /// Fixed-iteration preconditioned Chebyshev on a row-major block at a
-    /// given level (the rPCh inner iteration of Lemma 6.7). The
-    /// recurrence scalars depend only on the level's calibrated interval,
-    /// so the whole block shares them, and each iteration is **two**
-    /// passes plus the recursion: the `p ← z + β·p` elementwise update,
-    /// and one fused matrix sweep
-    /// ([`PermutedLevel::cheb_fused_sweep`]) that applies `x ← x + α·p`,
-    /// `r ← r − α·(A p)` while streaming the level's merged rows once —
-    /// `A·p` is never materialised. (The unfused form was five passes:
-    /// p-update, x-axpy, SpMV write, r-axpy read, plus the separate diag
-    /// stream.) Per-element arithmetic is identical at every block width
-    /// and pool width.
+    /// given level (the rPCh inner iteration of Lemma 6.7), `k_i` steps at
+    /// the cycle's precision. The recurrence scalars depend only on the
+    /// level's calibrated interval, so the whole block shares them; they
+    /// stay f64 — O(iterations) scalar operations whose accuracy steers
+    /// the polynomial — and each is rounded to `T` once per iteration for
+    /// the vector updates. Each iteration is **two** passes plus the
+    /// recursion: the `p ← z + β·p` elementwise update, and one fused
+    /// matrix sweep ([`PermutedLevel::cheb_fused_sweep`]) that applies
+    /// `x ← x + α·p`, `r ← r − α·(A p)` while streaming the level's merged
+    /// rows once — `A·p` is never materialised. (The unfused form was
+    /// five passes: p-update, x-axpy, SpMV write, r-axpy read, plus the
+    /// separate diag stream.) Per-element arithmetic is identical at every
+    /// block width and pool width.
     #[allow(clippy::too_many_arguments)]
-    fn chebyshev_fixed_rm_into(
+    fn chebyshev_fixed<T: Scalar>(
         &self,
+        cycle: &Cycle<T>,
         level: usize,
-        br: &[f64],
+        br: &[T],
         k: usize,
-        iterations: usize,
-        out: &mut Vec<f64>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
+        out: &mut Vec<T>,
+        iter_ws: &mut [IterScratch<T>],
+        elim_ws: &mut [ElimScratch<T>],
+        bottom: &mut BottomScratch<T>,
     ) {
         let lvl = &self.levels[level];
         // Spectrum bounds of the effective preconditioned operator,
@@ -2282,14 +2130,23 @@ impl SolverChain {
         // The accumulator starts at zero (semantic, not hygiene); r is a
         // copy of the rhs; p is fully overwritten before first read.
         out.clear();
-        out.resize(br.len(), 0.0);
+        out.resize(br.len(), T::ZERO);
         mine.r.clear();
         mine.r.extend_from_slice(br);
-        let matrix = lvl.matrix.as_f64();
-        mine.p.resize(br.len(), 0.0);
+        let matrix = &cycle.matrices[level - 1];
+        mine.p.resize(br.len(), T::ZERO);
         let mut alpha = 0.0f64;
-        for it in 0..iterations {
-            self.precondition_rm_into(level, &mine.r, k, &mut mine.z, elim_ws, iter_rest, bottom);
+        for it in 0..lvl.inner_iterations {
+            self.precondition(
+                cycle,
+                level,
+                &mine.r,
+                k,
+                &mut mine.z,
+                elim_ws,
+                iter_rest,
+                bottom,
+            );
             if it == 0 {
                 mine.p.copy_from_slice(&mine.z);
                 alpha = 1.0 / theta;
@@ -2300,108 +2157,12 @@ impl SolverChain {
                     (delta * alpha / 2.0) * (delta * alpha / 2.0)
                 };
                 alpha = 1.0 / (theta - beta / alpha);
-                for (pi, zi) in mine.p.iter_mut().zip(&mine.z) {
+                let beta = T::from_f64(beta);
+                for (pi, &zi) in mine.p.iter_mut().zip(&mine.z) {
                     *pi = zi + beta * *pi;
                 }
             }
             matrix.cheb_fused_sweep(alpha, &mine.p, out, &mut mine.r, k);
-        }
-    }
-
-    /// The W-cycle recursion step of the all-f32 inner cycle, entered
-    /// only through the shim in
-    /// [`precondition_rm_into`](Self::precondition_rm_into).
-    #[allow(clippy::too_many_arguments)]
-    fn w_cycle_rm32_into(
-        &self,
-        level: usize,
-        br: &[f32],
-        k: usize,
-        out: &mut Vec<f32>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        if level >= self.levels.len() {
-            self.bottom_solve_rm32_into(br, k, out, bottom);
-            return;
-        }
-        let lvl = &self.levels[level];
-        self.chebyshev_fixed_rm32_into(
-            level,
-            br,
-            k,
-            lvl.inner_iterations,
-            out,
-            iter_ws,
-            elim_ws,
-            bottom,
-        );
-    }
-
-    /// [`chebyshev_fixed_rm_into`](Self::chebyshev_fixed_rm_into) at f32
-    /// vector width. The recurrence scalars stay in f64 — they are
-    /// O(iterations) scalar operations and their accuracy steers the
-    /// polynomial — and β is narrowed once per iteration for the
-    /// elementwise p-update; x, r, z, p all stream in f32, halving the
-    /// elementwise traffic on top of the halved matrix stream.
-    #[allow(clippy::too_many_arguments)]
-    fn chebyshev_fixed_rm32_into(
-        &self,
-        level: usize,
-        br: &[f32],
-        k: usize,
-        iterations: usize,
-        out: &mut Vec<f32>,
-        iter_ws: &mut [IterScratch],
-        elim_ws: &mut [ElimScratch],
-        bottom: &mut BottomScratch,
-    ) {
-        let lvl = &self.levels[level];
-        let (lambda_min, lambda_max) = lvl.cheb_bounds;
-        let theta = 0.5 * (lambda_max + lambda_min);
-        let delta = 0.5 * (lambda_max - lambda_min);
-        let (mine, iter_rest) = iter_ws
-            .split_first_mut()
-            .expect("iteration frame per level");
-        out.clear();
-        out.resize(br.len(), 0.0);
-        mine.r32.clear();
-        mine.r32.extend_from_slice(br);
-        // Demotion stores every level ≥ 1 of an f32 chain as an f32
-        // matrix alongside its compiled trace; the shim only admits such
-        // chains, so this arm is total here.
-        let LevelMatrix::F32(matrix) = &lvl.matrix else {
-            unreachable!("all-f32 cycle on a level without a demoted matrix")
-        };
-        mine.p32.resize(br.len(), 0.0);
-        let mut alpha = 0.0f64;
-        for it in 0..iterations {
-            self.precondition_rm32_into(
-                level,
-                &mine.r32,
-                k,
-                &mut mine.z32,
-                elim_ws,
-                iter_rest,
-                bottom,
-            );
-            if it == 0 {
-                mine.p32.copy_from_slice(&mine.z32);
-                alpha = 1.0 / theta;
-            } else {
-                let beta = if it == 1 {
-                    0.5 * (delta * alpha) * (delta * alpha)
-                } else {
-                    (delta * alpha / 2.0) * (delta * alpha / 2.0)
-                };
-                alpha = 1.0 / (theta - beta / alpha);
-                let bf = beta as f32;
-                for (pi, zi) in mine.p32.iter_mut().zip(&mine.z32) {
-                    *pi = zi + bf * *pi;
-                }
-            }
-            matrix.cheb_fused_sweep32(alpha, &mine.p32, out, &mut mine.r32, k);
         }
     }
 
@@ -2420,11 +2181,7 @@ impl SolverChain {
     /// ladder uses this to measure residuals of candidate iterates
     /// without materialising a second Laplacian operator.
     pub fn apply_top(&self, x: &[f64]) -> Vec<f64> {
-        let top_matrix: &PermutedLevel = if let Some(l) = self.levels.first() {
-            l.matrix.as_f64()
-        } else {
-            &self.bottom_matrix
-        };
+        let top_matrix = self.top_matrix();
         let n = top_matrix.n();
         assert_eq!(x.len(), n, "vector has wrong dimension");
         let xi = permute_into(x, &self.top_perm);
@@ -2475,34 +2232,19 @@ impl SolverChain {
     /// independent of the block width, so each outcome is bitwise
     /// identical to a single [`solve`](Self::solve) of that column, at
     /// every block composition and pool width.
+    ///
+    /// The outer iteration keeps its own locals (allocated once per solve
+    /// and reused across iterations), so together with the
+    /// workspace-threaded W-cycle no per-*iteration* heap allocation
+    /// remains on the sequential dispatch paths; deflation events (bounded
+    /// by the column count, not the iteration count) compact in place.
     pub fn solve_block(
         &self,
         b: &MultiVector,
         tol: f64,
         max_iterations: usize,
     ) -> Vec<SolveOutcome> {
-        self.with_workspace(|ws| self.solve_block_ws(b, tol, max_iterations, ws))
-    }
-
-    /// [`solve_block`](Self::solve_block) on a checked-out workspace. The
-    /// outer iteration keeps its own locals (allocated once per solve and
-    /// reused across iterations), so together with the workspace-threaded
-    /// W-cycle no per-*iteration* heap allocation remains on the
-    /// sequential dispatch paths; deflation events (bounded by the column
-    /// count, not the iteration count) compact in place.
-    fn solve_block_ws(
-        &self,
-        b: &MultiVector,
-        tol: f64,
-        max_iterations: usize,
-        ws: &mut ChainWorkspace,
-    ) -> Vec<SolveOutcome> {
-        let ChainWorkspace { elim, iter, bottom } = ws;
-        let top_matrix: &PermutedLevel = if let Some(l) = self.levels.first() {
-            l.matrix.as_f64()
-        } else {
-            &self.bottom_matrix
-        };
+        let top_matrix = self.top_matrix();
         let n = top_matrix.n();
         assert_eq!(b.nrows(), n, "right-hand side has wrong dimension");
         let k = b.ncols();
@@ -2540,13 +2282,10 @@ impl SolverChain {
             if !active.is_empty() {
                 let ka = active.len();
                 let ba = compact_columns_rm(&rr, k, &active);
-                let mut xa = Vec::new();
-                self.bottom_solve_rm_into(
+                let xa = self.bottom_solve_rm(
                     &ba,
                     ka,
                     (tol * 0.1).clamp(1e-14, Self::MAX_FINAL_BOTTOM_TOL),
-                    &mut xa,
-                    bottom,
                 );
                 let mut diff = vec![0.0f64; n * ka];
                 self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
@@ -2618,7 +2357,7 @@ impl SolverChain {
         let mut breakdowns: Vec<Option<BreakdownReason>> = vec![None; k];
         let mut r = compact_columns_rm(&rr, k, &active);
         let mut z = Vec::new();
-        self.precondition_rm_into(0, &r, active.len(), &mut z, elim, &mut iter[1..], bottom);
+        self.precondition_rm_into(0, &r, active.len(), &mut z);
         let mut p = z.clone();
         let mut rz: Vec<f64> = colwise_dots_rm(&r, &z, active.len());
         let mut ap = vec![0.0f64; n * active.len()];
@@ -2728,7 +2467,7 @@ impl SolverChain {
                     rrow[c] -= alphas[c] * aprow[c];
                 }
             }
-            self.precondition_rm_into(0, &r, ka, &mut z, elim, &mut iter[1..], bottom);
+            self.precondition_rm_into(0, &r, ka, &mut z);
             // Flexible (Polak–Ribière) beta tolerates the slightly varying
             // preconditioner produced by the recursion. The numerator
             // `(r_new − r_old)ᵀ z` uses r_new − r_old = −α·(A p) — an
@@ -2867,9 +2606,9 @@ impl Preconditioner for ChainPreconditioner<'_> {
         let rp = permute_into(r, &self.chain.top_perm);
         let out = if self.chain.levels.is_empty() {
             self.chain
-                .bottom_solve(&rp, SolverChain::PRECOND_BOTTOM_TOL)
+                .bottom_solve_rm(&rp, 1, SolverChain::PRECOND_BOTTOM_TOL)
         } else {
-            self.chain.precondition(0, &rp)
+            self.chain.precondition_rm(0, &rp, 1)
         };
         z.copy_from_slice(&permute_back(&out, &self.chain.top_perm));
     }

@@ -31,14 +31,16 @@
 //! graph to at most `2m−2` vertices; the stronger vertex classes only
 //! eliminate more.
 //!
-//! The elimination is recorded step by step so that the solver can
-//! *forward-substitute* a right-hand side down to the reduced system and
-//! *back-substitute* the reduced solution up to the full one.
+//! The elimination is recorded step by step, and [`CompiledTrace`]
+//! compiles the record, at the chain's storage precision, into the passes
+//! that *forward-substitute* a right-hand side down to the reduced system
+//! and *back-substitute* the reduced solution up to the full one.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use parsdd_graph::{Edge, Graph, VertexId};
+use parsdd_linalg::Scalar;
 
 /// Tuning knobs of the partial Cholesky pass.
 #[derive(Debug, Clone, Copy)]
@@ -117,7 +119,10 @@ pub enum EliminationStep {
 }
 
 /// The result of greedy elimination: the reduced graph, the mapping between
-/// original and reduced vertex ids, and the recorded elimination trace.
+/// original and reduced vertex ids, and the recorded elimination trace —
+/// the build record [`CompiledTrace::from_elimination`] compiles into the
+/// substitution passes. The solver chain drops `steps` and `star_data`
+/// once its levels' traces are compiled.
 #[derive(Debug, Clone)]
 pub struct EliminationResult {
     /// The reduced (eliminated) graph, on `kept.len()` vertices with
@@ -168,12 +173,142 @@ impl EliminationResult {
             }
         }
     }
+}
 
-    /// Forward-substitutes a right-hand side of the original system into a
-    /// right-hand side of the reduced system. Returns `(reduced_rhs,
-    /// working_rhs)`; the working vector (original dimension, partially
-    /// updated) is needed later by [`back_substitute`](Self::back_substitute).
-    pub fn forward_rhs(&self, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
+/// One step of a [`CompiledTrace`]: index/coefficient records only, with
+/// every quotient the passes need (`wa/(wa+wb)`, `w/Σw`) and every divisor
+/// (`w`, `wa+wb`, `Σw`) folded at compile time, the divisors in
+/// [`Scalar::fold_divisor`] form.
+#[derive(Debug, Clone, Copy)]
+enum CompiledStep<T> {
+    /// Degree-1 elimination of `v` attached to `u` by conductance `w`.
+    Degree1 { v: u32, u: u32, w: T },
+    /// Degree-2 elimination of `v` attached to `a`/`b`: `ca = wa/d` and
+    /// `cb = wb/d` drive the forward pass, `wa`/`wb` and `d = wa + wb` the
+    /// backward one.
+    Degree2 {
+        v: u32,
+        a: u32,
+        b: u32,
+        ca: T,
+        cb: T,
+        wa: T,
+        wb: T,
+        d: T,
+    },
+    /// Star elimination of `v`; neighbours live in
+    /// [`CompiledTrace::star_data`] at `[offset, offset + len)`, and
+    /// `wtot = Σw`.
+    Star {
+        v: u32,
+        offset: u32,
+        len: u32,
+        wtot: T,
+    },
+    /// Isolated vertex removed from the system.
+    Isolated { v: u32 },
+}
+
+/// An [`EliminationResult`]'s trace compiled into the solver's forward
+/// elimination and back-substitution passes, stored at precision `T` — the
+/// form every level of the chain's W-cycle applies. Compiling folds the
+/// quotients the passes need once instead of on every application. At
+/// f64 the passes reproduce the division-based trace arithmetic bit for
+/// bit (a cached quotient is the quotient). At f32 the divisors are
+/// stored as reciprocals ([`Scalar::fold_divisor`]), so a pass is
+/// multiply-adds only and every product and sum is f32: the trace is
+/// preconditioner-internal, and rounding at the f32 scale (~6e-8
+/// relative) merely perturbs the preconditioner, the same argument that
+/// lets the level matrices demote.
+///
+/// Blocked passes take `k` right-hand sides interleaved row-major
+/// (`br[v·k + j]`), the layout the chain's W-cycle uses internally: every
+/// step touches two or three contiguous k-wide rows, and the trace is
+/// streamed once per block. Per column the update order and association
+/// match the `k = 1` pass exactly, so blocked passes are bitwise
+/// identical per column at every width.
+#[derive(Debug, Clone)]
+pub struct CompiledTrace<T> {
+    /// Dimension of the eliminated (original) vertex space.
+    n: usize,
+    steps: Vec<CompiledStep<T>>,
+    /// `(neighbour, w/Σw, w)` records of the star steps.
+    star_data: Vec<(u32, T, T)>,
+    /// Reduced id → original id (the gather producing the reduced rhs).
+    kept: Vec<VertexId>,
+}
+
+impl<T: Scalar> CompiledTrace<T> {
+    /// Compiles an elimination trace: one pass over the recorded steps,
+    /// every quotient and divisor folded.
+    pub fn from_elimination(elim: &EliminationResult) -> Self {
+        let mut star_data = Vec::with_capacity(elim.star_data.len());
+        let steps = elim
+            .steps
+            .iter()
+            .map(|step| match *step {
+                EliminationStep::Degree1 { v, u, w } => CompiledStep::Degree1 {
+                    v,
+                    u,
+                    w: T::fold_divisor(w),
+                },
+                EliminationStep::Degree2 { v, a, b, wa, wb } => {
+                    let d = wa + wb;
+                    CompiledStep::Degree2 {
+                        v,
+                        a,
+                        b,
+                        ca: T::from_f64(wa / d),
+                        cb: T::from_f64(wb / d),
+                        wa: T::from_f64(wa),
+                        wb: T::from_f64(wb),
+                        d: T::fold_divisor(d),
+                    }
+                }
+                EliminationStep::Star { v, offset, len } => {
+                    let star = elim.star(offset, len);
+                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
+                    debug_assert_eq!(star_data.len(), offset as usize);
+                    star_data.extend(
+                        star.iter()
+                            .map(|&(u, w)| (u, T::from_f64(w / wtot), T::from_f64(w))),
+                    );
+                    CompiledStep::Star {
+                        v,
+                        offset,
+                        len,
+                        wtot: T::fold_divisor(wtot),
+                    }
+                }
+                EliminationStep::Isolated { v } => CompiledStep::Isolated { v },
+            })
+            .collect();
+        CompiledTrace {
+            n: elim.orig_to_reduced.len(),
+            steps,
+            star_data,
+            kept: elim.kept.clone(),
+        }
+    }
+
+    /// Heap bytes the compiled trace keeps resident.
+    pub fn resident_bytes(&self) -> usize {
+        self.steps.len() * std::mem::size_of::<CompiledStep<T>>()
+            + self.star_data.len() * std::mem::size_of::<(u32, T, T)>()
+            + self.kept.len() * std::mem::size_of::<VertexId>()
+    }
+
+    fn star(&self, offset: u32, len: u32) -> &[(u32, T, T)] {
+        &self.star_data[offset as usize..(offset + len) as usize]
+    }
+
+    /// Forward-eliminates a right-hand side of the original system into
+    /// one of the reduced system. Returns `(reduced_rhs, working_rhs)`;
+    /// the working vector (original dimension, partially updated) is
+    /// needed later by [`back_substitute`](Self::back_substitute). The
+    /// `k = 1` case of
+    /// [`forward_rhs_rowmajor_into`](Self::forward_rhs_rowmajor_into).
+    pub fn forward_rhs(&self, b: &[T]) -> (Vec<T>, Vec<T>) {
         let (mut reduced, mut work) = (Vec::new(), Vec::new());
         self.forward_rhs_rowmajor_into(b, 1, &mut reduced, &mut work, &mut Vec::new());
         (reduced, work)
@@ -182,33 +317,25 @@ impl EliminationResult {
     /// Back-substitutes a solution of the reduced system into a solution of
     /// the original system, given the working right-hand side returned by
     /// [`forward_rhs`](Self::forward_rhs).
-    pub fn back_substitute(&self, working_rhs: &[f64], x_reduced: &[f64]) -> Vec<f64> {
+    pub fn back_substitute(&self, working_rhs: &[T], x_reduced: &[T]) -> Vec<T> {
         let mut x = Vec::new();
         self.back_substitute_rowmajor_into(working_rhs, x_reduced, 1, &mut x, &mut Vec::new());
         x
     }
 
-    /// Row-major blocked [`forward_rhs`](Self::forward_rhs) into
-    /// caller-owned buffers (`reduced`, `work`, and a `k`-wide `row`
-    /// temp) — allocation-free once all three have capacity. `br` holds
-    /// `k` right-hand sides interleaved (`br[v·k + j]`), the layout the
-    /// solver chain's W-cycle uses internally — every step touches two
-    /// or three contiguous k-wide rows instead of k strided cache lines
-    /// per vertex. `reduced` and `work` come back in the same layout, and
-    /// the trace is streamed once per block. Per column the update order
-    /// and association match the `k = 1` pass exactly, so each column is
-    /// bitwise what [`forward_rhs`](Self::forward_rhs) of that column
-    /// returns.
+    /// Blocked [`forward_rhs`](Self::forward_rhs) into caller-owned
+    /// buffers (`reduced`, `work`, and a `k`-wide `row` temp) —
+    /// allocation-free once all three have capacity. `reduced` and `work`
+    /// come back in the row-major layout of `br` (see the type docs).
     pub fn forward_rhs_rowmajor_into(
         &self,
-        br: &[f64],
+        br: &[T],
         k: usize,
-        reduced: &mut Vec<f64>,
-        work: &mut Vec<f64>,
-        row: &mut Vec<f64>,
+        reduced: &mut Vec<T>,
+        work: &mut Vec<T>,
+        row: &mut Vec<T>,
     ) {
-        let n = self.orig_to_reduced.len();
-        assert_eq!(br.len(), n * k);
+        assert_eq!(br.len(), self.n * k);
         work.clear();
         work.extend_from_slice(br);
         if k == 1 {
@@ -216,32 +343,26 @@ impl EliminationResult {
             // pass avoids the width-1 row plumbing.
             for step in &self.steps {
                 match *step {
-                    EliminationStep::Degree1 { v, u, .. } => {
+                    CompiledStep::Degree1 { v, u, .. } => {
                         // Schur complement of a degree-1 elimination adds
                         // the full b_v to the neighbour.
-                        work[u as usize] += work[v as usize];
+                        let bv = work[v as usize];
+                        work[u as usize] += bv;
                     }
-                    EliminationStep::Degree2 {
-                        v,
-                        a,
-                        b: nb,
-                        wa,
-                        wb,
+                    CompiledStep::Degree2 {
+                        v, a, b, ca, cb, ..
                     } => {
-                        let d = wa + wb;
                         let bv = work[v as usize];
-                        work[a as usize] += (wa / d) * bv;
-                        work[nb as usize] += (wb / d) * bv;
+                        work[a as usize] += ca * bv;
+                        work[b as usize] += cb * bv;
                     }
-                    EliminationStep::Star { v, offset, len } => {
-                        let star = self.star(offset, len);
-                        let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
+                    CompiledStep::Star { v, offset, len, .. } => {
                         let bv = work[v as usize];
-                        for &(u, w) in star {
-                            work[u as usize] += (w / wtot) * bv;
+                        for &(u, c, _) in self.star(offset, len) {
+                            work[u as usize] += c * bv;
                         }
                     }
-                    EliminationStep::Isolated { .. } => {}
+                    CompiledStep::Isolated { .. } => {}
                 }
             }
             reduced.clear();
@@ -249,52 +370,42 @@ impl EliminationResult {
             return;
         }
         row.clear();
-        row.resize(k, 0.0);
+        row.resize(k, T::ZERO);
         // Take the temp out of the caller's slot for the duration of the
         // pass (returned below — no allocation either way).
         let mut buf = std::mem::take(row);
         for step in &self.steps {
             match *step {
-                EliminationStep::Degree1 { v, u, .. } => {
+                CompiledStep::Degree1 { v, u, .. } => {
                     buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
                     let dst = &mut work[u as usize * k..(u as usize + 1) * k];
                     for (d, &s) in dst.iter_mut().zip(&buf) {
                         *d += s;
                     }
                 }
-                EliminationStep::Degree2 {
-                    v,
-                    a,
-                    b: nb,
-                    wa,
-                    wb,
+                CompiledStep::Degree2 {
+                    v, a, b, ca, cb, ..
                 } => {
-                    let d = wa + wb;
                     buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    let ca = wa / d;
                     let dst = &mut work[a as usize * k..(a as usize + 1) * k];
                     for (t, &s) in dst.iter_mut().zip(&buf) {
                         *t += ca * s;
                     }
-                    let cb = wb / d;
-                    let dst = &mut work[nb as usize * k..(nb as usize + 1) * k];
+                    let dst = &mut work[b as usize * k..(b as usize + 1) * k];
                     for (t, &s) in dst.iter_mut().zip(&buf) {
                         *t += cb * s;
                     }
                 }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = self.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
+                CompiledStep::Star { v, offset, len, .. } => {
                     buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    for &(u, w) in star {
-                        let c = w / wtot;
+                    for &(u, c, _) in self.star(offset, len) {
                         let dst = &mut work[u as usize * k..(u as usize + 1) * k];
                         for (t, &s) in dst.iter_mut().zip(&buf) {
                             *t += c * s;
                         }
                     }
                 }
-                EliminationStep::Isolated { .. } => {}
+                CompiledStep::Isolated { .. } => {}
             }
         }
         *row = buf;
@@ -304,7 +415,7 @@ impl EliminationResult {
         }
     }
 
-    /// Row-major blocked [`back_substitute`](Self::back_substitute) into
+    /// Blocked [`back_substitute`](Self::back_substitute) into
     /// caller-owned buffers — allocation-free once `x` and the `k`-wide
     /// `row` temp have capacity. The counterpart of
     /// [`forward_rhs_rowmajor_into`](Self::forward_rhs_rowmajor_into),
@@ -318,16 +429,15 @@ impl EliminationResult {
     /// previous application are never observed.
     pub fn back_substitute_rowmajor_into(
         &self,
-        working_rhs: &[f64],
-        xr_reduced: &[f64],
+        working_rhs: &[T],
+        xr_reduced: &[T],
         k: usize,
-        x: &mut Vec<f64>,
-        row: &mut Vec<f64>,
+        x: &mut Vec<T>,
+        row: &mut Vec<T>,
     ) {
-        let n = self.orig_to_reduced.len();
-        assert_eq!(working_rhs.len(), n * k);
+        assert_eq!(working_rhs.len(), self.n * k);
         assert_eq!(xr_reduced.len(), self.kept.len() * k);
-        x.resize(n * k, 0.0);
+        x.resize(self.n * k, T::ZERO);
         if k == 1 {
             // Scalar pass; the k-wide pass below matches its update order
             // and association per column.
@@ -336,370 +446,31 @@ impl EliminationResult {
             }
             for step in self.steps.iter().rev() {
                 match *step {
-                    EliminationStep::Degree1 { v, u, w } => {
-                        x[v as usize] = working_rhs[v as usize] / w + x[u as usize];
+                    CompiledStep::Degree1 { v, u, w } => {
+                        x[v as usize] = working_rhs[v as usize].div_folded(w) + x[u as usize];
                     }
-                    EliminationStep::Degree2 {
-                        v,
-                        a,
-                        b: nb,
-                        wa,
-                        wb,
-                    } => {
-                        let d = wa + wb;
-                        x[v as usize] =
-                            (working_rhs[v as usize] + wa * x[a as usize] + wb * x[nb as usize])
-                                / d;
-                    }
-                    EliminationStep::Star { v, offset, len } => {
-                        let star = self.star(offset, len);
-                        let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                        let acc: f64 = star.iter().map(|&(u, w)| w * x[u as usize]).sum::<f64>();
-                        x[v as usize] = (working_rhs[v as usize] + acc) / wtot;
-                    }
-                    EliminationStep::Isolated { v } => {
-                        x[v as usize] = 0.0;
-                    }
-                }
-            }
-            return;
-        }
-        for (src, &orig) in xr_reduced.chunks_exact(k).zip(&self.kept) {
-            x[orig as usize * k..(orig as usize + 1) * k].copy_from_slice(src);
-        }
-        row.clear();
-        row.resize(k, 0.0);
-        let mut buf = std::mem::take(row);
-        for step in self.steps.iter().rev() {
-            match *step {
-                EliminationStep::Degree1 { v, u, w } => {
-                    buf.copy_from_slice(&x[u as usize * k..(u as usize + 1) * k]);
-                    let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
-                    let dst = &mut x[v as usize * k..(v as usize + 1) * k];
-                    for ((t, &wv), &xu) in dst.iter_mut().zip(wrow).zip(&buf) {
-                        *t = wv / w + xu;
-                    }
-                }
-                EliminationStep::Degree2 {
-                    v,
-                    a,
-                    b: nb,
-                    wa,
-                    wb,
-                } => {
-                    let d = wa + wb;
-                    // buf ← (w_rhs[v] + wa·x_a) + wb·x_b, associated
-                    // exactly like the single-vector pass.
-                    {
-                        let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
-                        let xa = &x[a as usize * k..(a as usize + 1) * k];
-                        for ((t, &wv), &v) in buf.iter_mut().zip(wrow).zip(xa) {
-                            *t = wv + wa * v;
-                        }
-                    }
-                    {
-                        let xb = &x[nb as usize * k..(nb as usize + 1) * k];
-                        for (t, &v) in buf.iter_mut().zip(xb) {
-                            *t += wb * v;
-                        }
-                    }
-                    let dst = &mut x[v as usize * k..(v as usize + 1) * k];
-                    for (t, &acc) in dst.iter_mut().zip(&buf) {
-                        *t = acc / d;
-                    }
-                }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = self.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    buf.iter_mut().for_each(|t| *t = 0.0);
-                    for &(u, w) in star {
-                        let xu = &x[u as usize * k..(u as usize + 1) * k];
-                        for (t, &v) in buf.iter_mut().zip(xu) {
-                            *t += w * v;
-                        }
-                    }
-                    let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
-                    let dst = &mut x[v as usize * k..(v as usize + 1) * k];
-                    for ((t, &wv), &acc) in dst.iter_mut().zip(wrow).zip(&buf) {
-                        *t = (wv + acc) / wtot;
-                    }
-                }
-                EliminationStep::Isolated { v } => {
-                    x[v as usize * k..(v as usize + 1) * k]
-                        .iter_mut()
-                        .for_each(|t| *t = 0.0);
-                }
-            }
-        }
-        *row = buf;
-    }
-}
-
-/// One step of a [`CompiledTraceF32`]. Index/coefficient records only —
-/// everything a pass divides by in the f64 trace is stored here as a
-/// prefolded reciprocal (or normalised ratio), so applying a step is
-/// multiply-adds and nothing else.
-#[derive(Debug, Clone, Copy)]
-enum CompiledStepF32 {
-    /// Degree-1 elimination of `v` attached to `u`; `winv = 1/w`.
-    Degree1 { v: u32, u: u32, winv: f32 },
-    /// Degree-2 elimination of `v` attached to `a`/`b`: `ca = wa/(wa+wb)`,
-    /// `cb = wb/(wa+wb)` drive the forward pass, `wa`/`wb` plus
-    /// `dinv = 1/(wa+wb)` the backward one.
-    Degree2 {
-        v: u32,
-        a: u32,
-        b: u32,
-        ca: f32,
-        cb: f32,
-        wa: f32,
-        wb: f32,
-        dinv: f32,
-    },
-    /// Star elimination of `v`; neighbours live in
-    /// [`CompiledTraceF32::star_data`] at `[offset, offset + len)` and
-    /// `winv = 1/Σw`.
-    Star {
-        v: u32,
-        offset: u32,
-        len: u32,
-        winv: f32,
-    },
-    /// Isolated vertex removed from the system.
-    Isolated { v: u32 },
-}
-
-/// Multiply-only compiled form of an [`EliminationResult`] for the f32
-/// storage tier. The f64 trace recomputes every step's divisions
-/// (`wa/(wa+wb)`, `1/w`, `1/Σw`) on each application — unpipelined
-/// double divides on the hottest recursion path; this form folds them
-/// into f32 coefficients once at build time. Its passes run on f32
-/// vectors only — the all-f32 inner W-cycle below the chain's single
-/// narrowing shim — with every product and sum in f32. The trace is
-/// preconditioner-internal, so rounding at the f32 scale (~6e-8
-/// relative) merely perturbs the preconditioner — the same argument that
-/// lets the level matrices demote. Per column the update order matches
-/// the f64 trace's passes exactly, and blocked applications are bitwise
-/// identical per column at every width `k`.
-#[derive(Debug, Clone)]
-pub struct CompiledTraceF32 {
-    /// Dimension of the eliminated (original) vertex space.
-    n: usize,
-    steps: Vec<CompiledStepF32>,
-    /// `(neighbour, w/Σw, w)` records of the star steps.
-    star_data: Vec<(u32, f32, f32)>,
-    /// Reduced id → original id (the gather producing the reduced rhs).
-    kept: Vec<VertexId>,
-}
-
-impl CompiledTraceF32 {
-    /// Compiles an elimination trace: one pass over the f64 steps, all
-    /// divisions folded.
-    pub fn from_elimination(elim: &EliminationResult) -> Self {
-        let steps = elim
-            .steps
-            .iter()
-            .map(|step| match *step {
-                EliminationStep::Degree1 { v, u, w } => CompiledStepF32::Degree1 {
-                    v,
-                    u,
-                    winv: (1.0 / w) as f32,
-                },
-                EliminationStep::Degree2 { v, a, b, wa, wb } => {
-                    let d = wa + wb;
-                    CompiledStepF32::Degree2 {
-                        v,
-                        a,
-                        b,
-                        ca: (wa / d) as f32,
-                        cb: (wb / d) as f32,
-                        wa: wa as f32,
-                        wb: wb as f32,
-                        dinv: (1.0 / d) as f32,
-                    }
-                }
-                EliminationStep::Star { v, offset, len } => {
-                    let star = elim.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    CompiledStepF32::Star {
-                        v,
-                        offset,
-                        len,
-                        winv: (1.0 / wtot) as f32,
-                    }
-                }
-                EliminationStep::Isolated { v } => CompiledStepF32::Isolated { v },
-            })
-            .collect();
-        let star_data = {
-            // Rebuild the normalised records star-by-star so each entry
-            // carries its own `w/Σw` (Σ over that star only).
-            let mut data = Vec::with_capacity(elim.star_data.len());
-            for step in &elim.steps {
-                if let EliminationStep::Star { offset, len, .. } = *step {
-                    let star = elim.star(offset, len);
-                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    debug_assert_eq!(data.len(), offset as usize);
-                    data.extend(star.iter().map(|&(u, w)| (u, (w / wtot) as f32, w as f32)));
-                }
-            }
-            data
-        };
-        CompiledTraceF32 {
-            n: elim.orig_to_reduced.len(),
-            steps,
-            star_data,
-            kept: elim.kept.clone(),
-        }
-    }
-
-    /// Heap bytes the compiled trace keeps resident.
-    pub fn resident_bytes(&self) -> usize {
-        self.steps.len() * std::mem::size_of::<CompiledStepF32>()
-            + self.star_data.len() * std::mem::size_of::<(u32, f32, f32)>()
-            + self.kept.len() * 4
-    }
-
-    fn star(&self, offset: u32, len: u32) -> &[(u32, f32, f32)] {
-        &self.star_data[offset as usize..(offset + len) as usize]
-    }
-
-    /// Multiply-only, all-f32 counterpart of
-    /// [`EliminationResult::forward_rhs_rowmajor_into`] for the inner
-    /// W-cycle, where rhs and working vectors live in f32: same buffers,
-    /// same per-column update order, every product and sum in f32.
-    pub fn forward_rhs_rowmajor32_into(
-        &self,
-        br: &[f32],
-        k: usize,
-        reduced: &mut Vec<f32>,
-        work: &mut Vec<f32>,
-        row: &mut Vec<f32>,
-    ) {
-        assert_eq!(br.len(), self.n * k);
-        work.clear();
-        work.extend_from_slice(br);
-        if k == 1 {
-            for step in &self.steps {
-                match *step {
-                    CompiledStepF32::Degree1 { v, u, .. } => {
-                        work[u as usize] += work[v as usize];
-                    }
-                    CompiledStepF32::Degree2 {
-                        v, a, b, ca, cb, ..
-                    } => {
-                        let bv = work[v as usize];
-                        work[a as usize] += ca * bv;
-                        work[b as usize] += cb * bv;
-                    }
-                    CompiledStepF32::Star { v, offset, len, .. } => {
-                        let bv = work[v as usize];
-                        for &(u, c, _) in self.star(offset, len) {
-                            work[u as usize] += c * bv;
-                        }
-                    }
-                    CompiledStepF32::Isolated { .. } => {}
-                }
-            }
-            reduced.clear();
-            reduced.extend(self.kept.iter().map(|&v| work[v as usize]));
-            return;
-        }
-        row.clear();
-        row.resize(k, 0.0);
-        let mut buf = std::mem::take(row);
-        for step in &self.steps {
-            match *step {
-                CompiledStepF32::Degree1 { v, u, .. } => {
-                    buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    let dst = &mut work[u as usize * k..(u as usize + 1) * k];
-                    for (d, &s) in dst.iter_mut().zip(&buf) {
-                        *d += s;
-                    }
-                }
-                CompiledStepF32::Degree2 {
-                    v, a, b, ca, cb, ..
-                } => {
-                    buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    let dst = &mut work[a as usize * k..(a as usize + 1) * k];
-                    for (t, &s) in dst.iter_mut().zip(&buf) {
-                        *t += ca * s;
-                    }
-                    let dst = &mut work[b as usize * k..(b as usize + 1) * k];
-                    for (t, &s) in dst.iter_mut().zip(&buf) {
-                        *t += cb * s;
-                    }
-                }
-                CompiledStepF32::Star { v, offset, len, .. } => {
-                    buf.copy_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-                    for &(u, c, _) in self.star(offset, len) {
-                        let dst = &mut work[u as usize * k..(u as usize + 1) * k];
-                        for (t, &s) in dst.iter_mut().zip(&buf) {
-                            *t += c * s;
-                        }
-                    }
-                }
-                CompiledStepF32::Isolated { .. } => {}
-            }
-        }
-        *row = buf;
-        reduced.clear();
-        for &v in &self.kept {
-            reduced.extend_from_slice(&work[v as usize * k..(v as usize + 1) * k]);
-        }
-    }
-
-    /// Multiply-only, all-f32 counterpart of
-    /// [`EliminationResult::back_substitute_rowmajor_into`]; same
-    /// write-before-read discipline (`x` is sized, not zeroed).
-    pub fn back_substitute_rowmajor32_into(
-        &self,
-        working_rhs: &[f32],
-        xr_reduced: &[f32],
-        k: usize,
-        x: &mut Vec<f32>,
-        row: &mut Vec<f32>,
-    ) {
-        assert_eq!(working_rhs.len(), self.n * k);
-        assert_eq!(xr_reduced.len(), self.kept.len() * k);
-        x.resize(self.n * k, 0.0);
-        if k == 1 {
-            for (r, &orig) in self.kept.iter().enumerate() {
-                x[orig as usize] = xr_reduced[r];
-            }
-            for step in self.steps.iter().rev() {
-                match *step {
-                    CompiledStepF32::Degree1 { v, u, winv } => {
-                        x[v as usize] = working_rhs[v as usize] * winv + x[u as usize];
-                    }
-                    CompiledStepF32::Degree2 {
-                        v,
-                        a,
-                        b,
-                        wa,
-                        wb,
-                        dinv,
-                        ..
+                    CompiledStep::Degree2 {
+                        v, a, b, wa, wb, d, ..
                     } => {
                         x[v as usize] =
                             (working_rhs[v as usize] + wa * x[a as usize] + wb * x[b as usize])
-                                * dinv;
+                                .div_folded(d);
                     }
-                    CompiledStepF32::Star {
+                    CompiledStep::Star {
                         v,
                         offset,
                         len,
-                        winv,
+                        wtot,
                     } => {
-                        let acc: f32 = self
+                        let acc: T = self
                             .star(offset, len)
                             .iter()
                             .map(|&(u, _, w)| w * x[u as usize])
                             .sum();
-                        x[v as usize] = (working_rhs[v as usize] + acc) * winv;
+                        x[v as usize] = (working_rhs[v as usize] + acc).div_folded(wtot);
                     }
-                    CompiledStepF32::Isolated { v } => {
-                        x[v as usize] = 0.0;
+                    CompiledStep::Isolated { v } => {
+                        x[v as usize] = T::ZERO;
                     }
                 }
             }
@@ -709,27 +480,23 @@ impl CompiledTraceF32 {
             x[orig as usize * k..(orig as usize + 1) * k].copy_from_slice(src);
         }
         row.clear();
-        row.resize(k, 0.0);
+        row.resize(k, T::ZERO);
         let mut buf = std::mem::take(row);
         for step in self.steps.iter().rev() {
             match *step {
-                CompiledStepF32::Degree1 { v, u, winv } => {
+                CompiledStep::Degree1 { v, u, w } => {
                     buf.copy_from_slice(&x[u as usize * k..(u as usize + 1) * k]);
                     let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
                     let dst = &mut x[v as usize * k..(v as usize + 1) * k];
                     for ((t, &wv), &xu) in dst.iter_mut().zip(wrow).zip(&buf) {
-                        *t = wv * winv + xu;
+                        *t = wv.div_folded(w) + xu;
                     }
                 }
-                CompiledStepF32::Degree2 {
-                    v,
-                    a,
-                    b,
-                    wa,
-                    wb,
-                    dinv,
-                    ..
+                CompiledStep::Degree2 {
+                    v, a, b, wa, wb, d, ..
                 } => {
+                    // buf ← (w_rhs[v] + wa·x_a) + wb·x_b, associated
+                    // exactly like the single-vector pass.
                     {
                         let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
                         let xa = &x[a as usize * k..(a as usize + 1) * k];
@@ -745,16 +512,16 @@ impl CompiledTraceF32 {
                     }
                     let dst = &mut x[v as usize * k..(v as usize + 1) * k];
                     for (t, &acc) in dst.iter_mut().zip(&buf) {
-                        *t = acc * dinv;
+                        *t = acc.div_folded(d);
                     }
                 }
-                CompiledStepF32::Star {
+                CompiledStep::Star {
                     v,
                     offset,
                     len,
-                    winv,
+                    wtot,
                 } => {
-                    buf.iter_mut().for_each(|t| *t = 0.0);
+                    buf.iter_mut().for_each(|t| *t = T::ZERO);
                     for &(u, _, w) in self.star(offset, len) {
                         let xu = &x[u as usize * k..(u as usize + 1) * k];
                         for (t, &v) in buf.iter_mut().zip(xu) {
@@ -764,13 +531,13 @@ impl CompiledTraceF32 {
                     let wrow = &working_rhs[v as usize * k..(v as usize + 1) * k];
                     let dst = &mut x[v as usize * k..(v as usize + 1) * k];
                     for ((t, &wv), &acc) in dst.iter_mut().zip(wrow).zip(&buf) {
-                        *t = (wv + acc) * winv;
+                        *t = (wv + acc).div_folded(wtot);
                     }
                 }
-                CompiledStepF32::Isolated { v } => {
+                CompiledStep::Isolated { v } => {
                     x[v as usize * k..(v as usize + 1) * k]
                         .iter_mut()
-                        .for_each(|t| *t = 0.0);
+                        .for_each(|t| *t = T::ZERO);
                 }
             }
         }
@@ -1038,7 +805,8 @@ mod tests {
         let op = LaplacianOp::new(g);
         let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 29) % 13) as f64 - 6.0).collect();
         project_out_constant(&mut b);
-        let (reduced_b, work) = elim.forward_rhs(&b);
+        let trace = CompiledTrace::<f64>::from_elimination(&elim);
+        let (reduced_b, work) = trace.forward_rhs(&b);
         let x_reduced = if elim.reduced_graph.n() == 0 {
             Vec::new()
         } else if elim.reduced_graph.m() == 0 {
@@ -1055,7 +823,7 @@ mod tests {
             );
             out.x
         };
-        let x = elim.back_substitute(&work, &x_reduced);
+        let x = trace.back_substitute(&work, &x_reduced);
         let r = op.residual(&x, &b);
         assert!(
             norm2(&r) <= 1e-6 * norm2(&b).max(1.0),
@@ -1083,12 +851,92 @@ mod tests {
         block.iter().skip(j).step_by(k).copied().collect()
     }
 
+    /// The division-based f64 trace passes (forward `(w/Σw)·b_v`,
+    /// backward `(…)/w`), written out entry by entry as the reference the
+    /// compiled f64 trace must reproduce bit for bit.
+    fn reference_passes(elim: &EliminationResult, b: &[f64], xr: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut work = b.to_vec();
+        for step in &elim.steps {
+            match *step {
+                EliminationStep::Degree1 { v, u, .. } => work[u as usize] += work[v as usize],
+                EliminationStep::Degree2 { v, a, b, wa, wb } => {
+                    let d = wa + wb;
+                    let bv = work[v as usize];
+                    work[a as usize] += (wa / d) * bv;
+                    work[b as usize] += (wb / d) * bv;
+                }
+                EliminationStep::Star { v, offset, len } => {
+                    let star = elim.star(offset, len);
+                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
+                    let bv = work[v as usize];
+                    for &(u, w) in star {
+                        work[u as usize] += (w / wtot) * bv;
+                    }
+                }
+                EliminationStep::Isolated { .. } => {}
+            }
+        }
+        let mut x = vec![0.0; b.len()];
+        for (r, &orig) in elim.kept.iter().enumerate() {
+            x[orig as usize] = xr[r];
+        }
+        for step in elim.steps.iter().rev() {
+            x[step_vertex(step)] = match *step {
+                EliminationStep::Degree1 { v, u, w } => work[v as usize] / w + x[u as usize],
+                EliminationStep::Degree2 { v, a, b, wa, wb } => {
+                    (work[v as usize] + wa * x[a as usize] + wb * x[b as usize]) / (wa + wb)
+                }
+                EliminationStep::Star { v, offset, len } => {
+                    let star = elim.star(offset, len);
+                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
+                    let acc: f64 = star.iter().map(|&(u, w)| w * x[u as usize]).sum();
+                    (work[v as usize] + acc) / wtot
+                }
+                EliminationStep::Isolated { .. } => 0.0,
+            };
+        }
+        let reduced = elim.kept.iter().map(|&v| work[v as usize]).collect();
+        (reduced, x)
+    }
+
+    fn step_vertex(step: &EliminationStep) -> usize {
+        match *step {
+            EliminationStep::Degree1 { v, .. }
+            | EliminationStep::Degree2 { v, .. }
+            | EliminationStep::Star { v, .. }
+            | EliminationStep::Isolated { v } => v as usize,
+        }
+    }
+
+    /// The compiled f64 trace reproduces the division-based passes bit for
+    /// bit: a quotient cached at compile time is the quotient.
+    #[test]
+    fn compiled_f64_trace_matches_division_reference_bitwise() {
+        let g = generators::weighted_random_graph(400, 1100, 0.3, 9.0, 17);
+        let elim = greedy_elimination(&g, 9);
+        let trace = CompiledTrace::<f64>::from_elimination(&elim);
+        let b: Vec<f64> = (0..g.n()).map(|i| ((i * 23) % 17) as f64 - 8.0).collect();
+        let xr: Vec<f64> = (0..elim.kept.len())
+            .map(|i| (i as f64 * 0.31).sin())
+            .collect();
+        let (reduced_ref, x_ref) = reference_passes(&elim, &b, &xr);
+        let (reduced, work) = trace.forward_rhs(&b);
+        let x = trace.back_substitute(&work, &xr);
+        for (a, r) in reduced.iter().zip(&reduced_ref) {
+            assert_eq!(a.to_bits(), r.to_bits(), "forward");
+        }
+        for (a, r) in x.iter().zip(&x_ref) {
+            assert_eq!(a.to_bits(), r.to_bits(), "backward");
+        }
+    }
+
     /// The k-wide row-major passes carry, per column, exactly the bits of
     /// the k = 1 pass (which `forward_rhs`/`back_substitute` wrap).
     #[test]
     fn blocked_substitution_matches_single_bitwise() {
         let g = generators::weighted_random_graph(300, 900, 1.0, 6.0, 11);
         let elim = greedy_elimination(&g, 7);
+        let trace = CompiledTrace::<f64>::from_elimination(&elim);
         for k in [2usize, 3, 4] {
             let cols: Vec<Vec<f64>> = (0..k)
                 .map(|j| {
@@ -1100,7 +948,7 @@ mod tests {
                 })
                 .collect();
             let (mut reduced, mut work, mut row) = (Vec::new(), Vec::new(), Vec::new());
-            elim.forward_rhs_rowmajor_into(
+            trace.forward_rhs_rowmajor_into(
                 &to_rowmajor(&cols),
                 k,
                 &mut reduced,
@@ -1116,16 +964,16 @@ mod tests {
                 })
                 .collect();
             let mut x = Vec::new();
-            elim.back_substitute_rowmajor_into(&work, &to_rowmajor(&xr_cols), k, &mut x, &mut row);
+            trace.back_substitute_rowmajor_into(&work, &to_rowmajor(&xr_cols), k, &mut x, &mut row);
             for (j, col) in cols.iter().enumerate() {
-                let (reduced_1, work_1) = elim.forward_rhs(col);
+                let (reduced_1, work_1) = trace.forward_rhs(col);
                 for (a, b) in column(&reduced, k, j).iter().zip(&reduced_1) {
                     assert_eq!(a.to_bits(), b.to_bits(), "k={k} reduced column {j}");
                 }
                 for (a, b) in column(&work, k, j).iter().zip(&work_1) {
                     assert_eq!(a.to_bits(), b.to_bits(), "k={k} work column {j}");
                 }
-                let single = elim.back_substitute(&work_1, &xr_cols[j]);
+                let single = trace.back_substitute(&work_1, &xr_cols[j]);
                 for (a, b) in column(&x, k, j).iter().zip(&single) {
                     assert_eq!(a.to_bits(), b.to_bits(), "k={k} solution column {j}");
                 }
@@ -1135,9 +983,9 @@ mod tests {
 
     #[test]
     fn compiled_trace_matches_f64_trace_closely() {
-        // The compiled multiply-only trace replaces every division by a
-        // prefolded f32 reciprocal and runs on f32 vectors; per entry its
-        // passes must agree with the f64 trace to f32 relative accuracy.
+        // The f32 trace replaces every division by a prefolded f32
+        // reciprocal and runs on f32 vectors; per entry its passes must
+        // agree with the f64 trace to f32 relative accuracy.
         let g = generators::weighted_random_graph(400, 1100, 0.3, 9.0, 17);
         let elim = greedy_elimination(&g, 9);
         assert!(
@@ -1146,12 +994,13 @@ mod tests {
                 .any(|s| matches!(s, EliminationStep::Star { .. })),
             "want star steps in the exercise"
         );
-        let compiled = CompiledTraceF32::from_elimination(&elim);
+        let compiled = CompiledTrace::<f32>::from_elimination(&elim);
+        let trace = CompiledTrace::<f64>::from_elimination(&elim);
         let b: Vec<f64> = (0..g.n()).map(|i| ((i * 23) % 17) as f64 - 8.0).collect();
         let b32: Vec<f32> = b.iter().map(|&v| v as f32).collect();
-        let (reduced, work) = elim.forward_rhs(&b);
+        let (reduced, work) = trace.forward_rhs(&b);
         let (mut creduced, mut cwork, mut row) = (Vec::new(), Vec::new(), Vec::new());
-        compiled.forward_rhs_rowmajor32_into(&b32, 1, &mut creduced, &mut cwork, &mut row);
+        compiled.forward_rhs_rowmajor_into(&b32, 1, &mut creduced, &mut cwork, &mut row);
         let scale = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (a, &c) in reduced.iter().zip(&creduced) {
             assert!((a - c as f64).abs() <= 1e-5 * scale, "forward {a} vs {c}");
@@ -1160,9 +1009,9 @@ mod tests {
             .map(|i| (i as f64 * 0.31).sin())
             .collect();
         let xr32: Vec<f32> = xr.iter().map(|&v| v as f32).collect();
-        let x = elim.back_substitute(&work, &xr);
+        let x = trace.back_substitute(&work, &xr);
         let mut cx = Vec::new();
-        compiled.back_substitute_rowmajor32_into(&cwork, &xr32, 1, &mut cx, &mut row);
+        compiled.back_substitute_rowmajor_into(&cwork, &xr32, 1, &mut cx, &mut row);
         let xscale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for (a, &c) in x.iter().zip(&cx) {
             assert!((a - c as f64).abs() <= 1e-4 * xscale, "backward {a} vs {c}");
@@ -1173,20 +1022,20 @@ mod tests {
     fn compiled_trace_blocked_matches_single_bitwise() {
         let g = generators::weighted_random_graph(300, 900, 1.0, 6.0, 11);
         let elim = greedy_elimination(&g, 7);
-        let compiled = CompiledTraceF32::from_elimination(&elim);
+        let compiled = CompiledTrace::<f32>::from_elimination(&elim);
         let n = g.n();
         for k in [2usize, 3, 4] {
             let br: Vec<f32> = (0..n * k).map(|i| ((i * 7) % 23) as f32 - 11.0).collect();
             let (mut reduced, mut work, mut row) = (Vec::new(), Vec::new(), Vec::new());
-            compiled.forward_rhs_rowmajor32_into(&br, k, &mut reduced, &mut work, &mut row);
+            compiled.forward_rhs_rowmajor_into(&br, k, &mut reduced, &mut work, &mut row);
             let xr: Vec<f32> = (0..elim.kept.len() * k)
                 .map(|i| (i as f32 * 0.17).cos())
                 .collect();
             let mut x = Vec::new();
-            compiled.back_substitute_rowmajor32_into(&work, &xr, k, &mut x, &mut row);
+            compiled.back_substitute_rowmajor_into(&work, &xr, k, &mut x, &mut row);
             for j in 0..k {
                 let (mut red1, mut work1, mut row1) = (Vec::new(), Vec::new(), Vec::new());
-                compiled.forward_rhs_rowmajor32_into(
+                compiled.forward_rhs_rowmajor_into(
                     &column(&br, k, j),
                     1,
                     &mut red1,
@@ -1197,7 +1046,7 @@ mod tests {
                     assert_eq!(a.to_bits(), b.to_bits(), "k={k} reduced col {j} row {r}");
                 }
                 let mut x1 = Vec::new();
-                compiled.back_substitute_rowmajor32_into(
+                compiled.back_substitute_rowmajor_into(
                     &work1,
                     &column(&xr, k, j),
                     1,
@@ -1432,14 +1281,15 @@ mod tests {
         b[20] = -1.0;
         b[30] = 2.0;
         b[45] = -2.0;
-        let (reduced_b, work) = elim.forward_rhs(&b);
+        let trace = CompiledTrace::<f64>::from_elimination(&elim);
+        let (reduced_b, work) = trace.forward_rhs(&b);
         let x_reduced = if elim.reduced_graph.m() == 0 {
             vec![0.0; elim.reduced_graph.n()]
         } else {
             let red_op = LaplacianOp::new(&elim.reduced_graph);
             cg_solve(&red_op, &reduced_b, &CgOptions::default()).x
         };
-        let x = elim.back_substitute(&work, &x_reduced);
+        let x = trace.back_substitute(&work, &x_reduced);
         let r = sub(&b, &op.apply_vec(&x));
         assert!(norm2(&r) < 1e-6);
     }

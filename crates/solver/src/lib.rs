@@ -15,11 +15,14 @@
 //!   absorbs condition number, sample the remaining edges by stretch.
 //! * [`elimination`] — `GreedyElimination` (Lemma 6.5): partial Cholesky
 //!   elimination of degree-1/2 vertices, bounded-fill stars, and
-//!   weighted-degree-dominated vertices, with a recorded trace for
-//!   forward/backward substitution.
+//!   weighted-degree-dominated vertices, with a recorded trace that
+//!   `CompiledTrace<T>` compiles into the forward/backward substitution
+//!   passes at the chain's storage precision.
 //! * [`chain`] — the preconditioner chain (Definition 6.3) and the
 //!   recursive W-cycle Chebyshev solver (Lemmas 6.6–6.8, Section 6.3's
-//!   `m^{1/3}` termination, depth driven by measured shrink).
+//!   `m^{1/3}` termination, depth driven by measured shrink), one
+//!   implementation generic over the storage precision
+//!   ([`parsdd_linalg::Scalar`]).
 //! * [`sdd_solve`] — `SDDSolve` (Theorem 1.1): the public solver for graph
 //!   Laplacians and general SDD matrices (via Gremban's reduction), with
 //!   both panicking and fallible (`try_*`) entry points.

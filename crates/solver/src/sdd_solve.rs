@@ -7,13 +7,11 @@
 //! number of right-hand sides to the requested accuracy
 //! `‖x̃ − A⁺b‖_A ≤ ε·‖A⁺b‖_A`.
 //!
-//! Two front doors share the one chain:
+//! Two front doors share the one chain and one blocked solve loop:
 //!
-//! * the original infallible API ([`SddSolver::new_laplacian`],
+//! * the infallible API ([`SddSolver::new_laplacian`],
 //!   [`SddSolver::solve`], …) panics on malformed input and reports
-//!   non-convergence through [`SolveOutcome::converged`] — its code path
-//!   is untouched by the fallible layer, so its bitwise batched ≡ looped
-//!   contracts are unaffected;
+//!   non-convergence through [`SolveOutcome::converged`];
 //! * the fallible API ([`SddSolver::try_new_laplacian`],
 //!   [`SddSolver::try_solve`], …) classifies every failure as a typed
 //!   [`BuildError`] / [`SolveError`] and, when an iteration breaks down or
@@ -24,6 +22,7 @@
 //!   systems only). Every attempted rung is recorded in
 //!   [`SolveOutcome::recovery`].
 
+use std::convert::Infallible;
 use std::sync::OnceLock;
 
 use parsdd_graph::Graph;
@@ -269,23 +268,45 @@ impl SddSolver {
                 "rhs dimension mismatch"
             );
         }
+        let Ok(out) = self.solve_blocked(bs, tol, |_, _, o| Ok::<_, Infallible>(o));
+        out
+    }
+
+    /// The blocked solve loop both front doors run: right-hand sides go
+    /// to the chain in chunks of up to [`MAX_BLOCK_WIDTH`] columns, reduced
+    /// to chain space first (Gremban's reduction for SDD problems). Each
+    /// column's chain-space rhs and outcome pass through `finish` in
+    /// order, with the column's index; the first error it returns stops
+    /// the loop. Accepted outcomes are mapped back to the original system.
+    fn solve_blocked<C: AsRef<[f64]>, E>(
+        &self,
+        bs: &[C],
+        tol: f64,
+        mut finish: impl FnMut(usize, &[f64], SolveOutcome) -> Result<SolveOutcome, E>,
+    ) -> Result<Vec<SolveOutcome>, E> {
         let mut out = Vec::with_capacity(bs.len());
-        for chunk in bs.chunks(MAX_BLOCK_WIDTH.max(1)) {
-            let block = match &self.problem {
-                Problem::Laplacian => MultiVector::from_columns(chunk),
-                Problem::Sdd(reduction) => MultiVector::from_columns(
-                    &chunk
+        for chunk in bs.chunks(MAX_BLOCK_WIDTH) {
+            let reduced: Vec<Vec<f64>>;
+            let cols: Vec<&[f64]> = match &self.problem {
+                Problem::Laplacian => chunk.iter().map(AsRef::as_ref).collect(),
+                Problem::Sdd(reduction) => {
+                    reduced = chunk
                         .iter()
                         .map(|b| reduction.reduce_rhs(b.as_ref()))
-                        .collect::<Vec<_>>(),
-                ),
+                        .collect();
+                    reduced.iter().map(Vec::as_slice).collect()
+                }
             };
+            let block = MultiVector::from_columns(&cols);
             let solved = self
                 .chain
                 .solve_block(&block, tol, self.options.max_iterations);
-            out.extend(solved.into_iter().map(|o| self.original_outcome(o)));
+            for (b, o) in cols.iter().zip(solved) {
+                let o = finish(out.len(), b, o)?;
+                out.push(self.original_outcome(o));
+            }
         }
-        out
+        Ok(out)
     }
 
     /// Maps a chain-space outcome back to the original system (recovers
@@ -315,7 +336,7 @@ impl SddSolver {
         b: &[f64],
         tol: f64,
     ) -> Result<SolveOutcome, SolveError> {
-        self.try_solve_many_with_tolerance(std::slice::from_ref(&b.to_vec()), tol)
+        self.try_solve_many_with_tolerance(&[b], tol)
             .map(|mut outs| outs.pop().expect("one column"))
     }
 
@@ -324,18 +345,22 @@ impl SddSolver {
     /// balance), then solves in blocks, running the recovery ladder on any
     /// column that does not converge. Fails fast with the first column
     /// that is unusable or unrecoverable.
-    pub fn try_solve_many(&self, bs: &[Vec<f64>]) -> Result<Vec<SolveOutcome>, SolveError> {
+    pub fn try_solve_many<C: AsRef<[f64]>>(
+        &self,
+        bs: &[C],
+    ) -> Result<Vec<SolveOutcome>, SolveError> {
         self.try_solve_many_with_tolerance(bs, self.options.tolerance)
     }
 
     /// [`try_solve_many`](Self::try_solve_many) with an explicit tolerance
-    /// override.
-    pub fn try_solve_many_with_tolerance(
+    /// override. Each right-hand side is anything that views as `&[f64]`.
+    pub fn try_solve_many_with_tolerance<C: AsRef<[f64]>>(
         &self,
-        bs: &[Vec<f64>],
+        bs: &[C],
         tol: f64,
     ) -> Result<Vec<SolveOutcome>, SolveError> {
         for (j, b) in bs.iter().enumerate() {
+            let b = b.as_ref();
             if b.len() != self.original_dim {
                 return Err(SolveError::DimensionMismatch {
                     expected: self.original_dim,
@@ -360,6 +385,7 @@ impl SddSolver {
             let labels = self.chain.component_labels();
             let ncomp = self.chain.components();
             for (j, b) in bs.iter().enumerate() {
+                let b = b.as_ref();
                 let bnorm = norm2(b);
                 if bnorm == 0.0 {
                     continue;
@@ -379,41 +405,27 @@ impl SddSolver {
                 }
             }
         }
-        let width = MAX_BLOCK_WIDTH.max(1);
-        let mut out = Vec::with_capacity(bs.len());
-        for (ci, chunk) in bs.chunks(width).enumerate() {
-            let reduced: Vec<Vec<f64>> = match &self.problem {
-                Problem::Laplacian => chunk.to_vec(),
-                Problem::Sdd(reduction) => chunk.iter().map(|b| reduction.reduce_rhs(b)).collect(),
-            };
-            let block = MultiVector::from_columns(&reduced);
-            let solved = self
-                .chain
-                .solve_block(&block, tol, self.options.max_iterations);
-            for (c, mut o) in solved.into_iter().enumerate() {
-                if !o.converged {
-                    o = self.recover(&reduced[c], o, tol);
-                }
-                if !o.converged {
-                    let column = ci * width + c;
-                    return Err(match o.breakdown {
-                        Some(reason) => SolveError::Breakdown {
-                            column,
-                            reason,
-                            relative_residual: o.relative_residual,
-                            recovery: o.recovery,
-                        },
-                        None => SolveError::BudgetExhausted {
-                            column,
-                            relative_residual: o.relative_residual,
-                            recovery: o.recovery,
-                        },
-                    });
-                }
-                out.push(self.original_outcome(o));
+        self.solve_blocked(bs, tol, |column, b, mut o| {
+            if !o.converged {
+                o = self.recover(b, o, tol);
             }
-        }
-        Ok(out)
+            if o.converged {
+                return Ok(o);
+            }
+            Err(match o.breakdown {
+                Some(reason) => SolveError::Breakdown {
+                    column,
+                    reason,
+                    relative_residual: o.relative_residual,
+                    recovery: o.recovery,
+                },
+                None => SolveError::BudgetExhausted {
+                    column,
+                    relative_residual: o.relative_residual,
+                    recovery: o.recovery,
+                },
+            })
+        })
     }
 
     /// The deterministic recovery ladder (DESIGN.md §2.5). `b` is in chain

@@ -6,7 +6,9 @@
 //! warm. That claim is enforced here with a counting global allocator:
 //!
 //! 1. after one warm-up application, further `precondition_block_rm`
-//!    calls perform no allocation at all (widths 1 and 4), and
+//!    calls perform no allocation at all (widths 1, 3 and 4 — 3 stands
+//!    for the widths outside the monomorphised kernels, which the outer
+//!    PCG reaches by deflating converged columns), and
 //! 2. a longer outer solve allocates exactly as much as a shorter one —
 //!    i.e. the per-iteration allocation count of `solve` is zero (the
 //!    remaining allocations are per-solve boundary work).
@@ -65,11 +67,11 @@ fn grid_rhs(n: usize) -> Vec<f64> {
 }
 
 /// Zero heap allocations per preconditioner application once warm, at
-/// block widths 1 and 4 — in both storage precisions (the f32 tier's
-/// `p32` direction scratch lives in the same `ChainWorkspace` arena, so
-/// demoted chains make no per-application heap traffic either), over a
-/// direct bottom and over an iterative one (whose Jacobi-PCG state, and
-/// the f64 staging the f32 cycle passes it through, live there too).
+/// block widths 1, 3 and 4 — in both storage precisions (each chain's
+/// cycle keeps its scratch in a `ChainWorkspace` arena at its own
+/// precision), over a direct bottom and over an iterative one (whose
+/// Jacobi-PCG state, and the f64 staging the f32 cycle passes it through,
+/// live there too).
 #[test]
 fn preconditioner_application_is_allocation_free_when_warm() {
     with_threads(1, || {
@@ -90,7 +92,7 @@ fn preconditioner_application_is_allocation_free_when_warm() {
             let chain = build_chain(g, &options.with_precision(precision));
             assert_eq!(chain.stats().direct_bottom, *direct);
             let n = g.n();
-            for k in [1usize, 4] {
+            for k in [1usize, 3, 4] {
                 let br: Vec<f64> = (0..n * k).map(|i| ((i % 19) as f64) - 9.0).collect();
                 let mut out = Vec::new();
                 // Warm-up: the first application grows every arena buffer to

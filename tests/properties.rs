@@ -125,11 +125,12 @@ proptest! {
     /// satisfies the original system.
     #[test]
     fn elimination_preserves_solutions(g in connected_graph_strategy(), seed in 0u64..1000) {
-        use parsdd_solver::elimination::greedy_elimination;
+        use parsdd_solver::elimination::{greedy_elimination, CompiledTrace};
         let elim = greedy_elimination(&g, seed);
+        let trace = CompiledTrace::<f64>::from_elimination(&elim);
         let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 31 + 7) % 23) as f64 - 11.0).collect();
         project_out_constant(&mut b);
-        let (reduced, work) = elim.forward_rhs(&b);
+        let (reduced, work) = trace.forward_rhs(&b);
         let x_reduced = if elim.reduced_graph.m() == 0 {
             vec![0.0; elim.reduced_graph.n()]
         } else {
@@ -141,7 +142,7 @@ proptest! {
             )
             .x
         };
-        let x = elim.back_substitute(&work, &x_reduced);
+        let x = trace.back_substitute(&work, &x_reduced);
         let op = LaplacianOp::new(&g);
         let r = op.residual(&x, &b);
         prop_assert!(norm2(&r) <= 1e-5 * norm2(&b).max(1.0), "residual {}", norm2(&r));
