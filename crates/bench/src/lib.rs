@@ -1,45 +1,18 @@
 //! # parsdd-bench
 //!
-//! Shared workloads and reporting helpers for the experiment benches.
-//!
-//! The paper is a theory paper whose "evaluation" is its set of theorem
-//! statements; every bench target in `benches/` regenerates the quantity
-//! one theorem bounds (see DESIGN.md §4 and EXPERIMENTS.md for the index).
-//! Each bench prints a table of measured values (the reproduction of the
-//! corresponding claim) and then registers criterion timing groups for the
-//! work/scaling aspects.
+//! The reproduction's measurements: the [`experiments`] registry (each
+//! experiment's workloads, Markdown tables and headline timing, defined
+//! once and run by the `baseline` bin), the workload suites they share,
+//! the workload [`zoo`] and the [`faults`] injection machinery that the
+//! repository's integration tests also drive. The end-to-end benchmark
+//! package under `src/bin/benchmark/` stands alone.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod experiments;
 pub mod faults;
 pub mod zoo;
-
-/// Prints a Markdown-style table row to stderr (criterion owns stdout).
-pub fn report_row(cols: &[String]) {
-    eprintln!("| {} |", cols.join(" | "));
-}
-
-/// Prints a Markdown-style table header to stderr.
-pub fn report_header(title: &str, cols: &[&str]) {
-    eprintln!("\n### {title}");
-    eprintln!("| {} |", cols.join(" | "));
-    eprintln!(
-        "|{}|",
-        cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-}
-
-/// Formats a float compactly.
-pub fn fmt(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else if x.abs() >= 1000.0 || x.abs() < 0.01 {
-        format!("{x:.3e}")
-    } else {
-        format!("{x:.3}")
-    }
-}
 
 /// The standard set of workload graphs used across the experiments.
 pub mod workloads {
@@ -53,7 +26,7 @@ pub mod workloads {
         pub graph: Graph,
     }
 
-    /// The small workload suite (fast; used by most benches).
+    /// The small workload suite (fast; used by most experiments).
     pub fn small_suite() -> Vec<Workload> {
         vec![
             Workload {

@@ -17,7 +17,7 @@
 //!   (Corollary 4.8 / Theorem 4.1(3)).
 //!
 //! [`stats`] computes the quantities Theorem 4.1 bounds (component radius,
-//! per-class cut fractions, work/depth proxies); the experiment benches E1,
+//! per-class cut fractions, work/depth proxies); the experiments E1,
 //! E2 and E3 are built on it.
 
 #![deny(missing_docs)]

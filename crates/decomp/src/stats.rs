@@ -1,6 +1,6 @@
 //! Measured decomposition statistics — the empirical counterparts of the
 //! quantities Theorem 4.1 bounds. Used by tests and by the E1/E2/E3
-//! experiment benches.
+//! experiments.
 
 use parsdd_graph::bfs::bfs;
 use parsdd_graph::Graph;

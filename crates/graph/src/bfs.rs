@@ -1,6 +1,6 @@
-//! Breadth-first search: sequential, parallel level-synchronous, and the
-//! *shifted multi-source* variant that implements the paper's jittered
-//! ball growing (Section 2 "Parallel Ball Growing" and Algorithm 4.1).
+//! Breadth-first search: the sequential single-source reference and the
+//! parallel *shifted multi-source* variant that implements the paper's
+//! jittered ball growing (Section 2 "Parallel Ball Growing" and Algorithm 4.1).
 //!
 //! The shifted BFS is the engine of `splitGraph`: every center `s` is
 //! injected into the search at round `δ_s` (its random jitter), and every
@@ -304,35 +304,6 @@ pub fn shifted_multi_source_bfs(
     }
 }
 
-/// Parallel single-source BFS (level-synchronous), implemented on top of
-/// the shifted multi-source machinery with a single zero-delay source and
-/// unbounded radius.
-pub fn parallel_bfs(g: &Graph, source: VertexId) -> BfsResult {
-    let res = shifted_multi_source_bfs(
-        g,
-        &[ShiftedSource {
-            vertex: source,
-            delay: 0,
-        }],
-        // The eccentricity is at most n-1; n is a safe radius bound.
-        g.n().max(1) as u32,
-        None,
-    );
-    let rounds = res
-        .dist
-        .iter()
-        .filter(|&&d| d != UNREACHED)
-        .copied()
-        .max()
-        .unwrap_or(0);
-    BfsResult {
-        dist: res.dist,
-        parent: res.parent,
-        parent_edge: res.parent_edge,
-        rounds,
-    }
-}
-
 /// Returns the ball `B_G(s, r)` — all vertices within hop distance `r` of
 /// `s` — as a vector of vertex ids (Section 2, "Parallel Ball Growing").
 pub fn ball(g: &Graph, source: VertexId, radius: u32) -> Vec<VertexId> {
@@ -374,9 +345,14 @@ mod tests {
     fn parallel_bfs_matches_sequential() {
         let g = generators::grid2d(17, 23, |_, _| 1.0);
         let seq = bfs(&g, 0);
-        let par = parallel_bfs(&g, 0);
+        // One zero-delay source with an unbounded radius is a plain BFS.
+        let source = ShiftedSource {
+            vertex: 0,
+            delay: 0,
+        };
+        let par = shifted_multi_source_bfs(&g, &[source], g.n() as u32, None);
         assert_eq!(seq.dist, par.dist);
-        assert_eq!(seq.rounds, par.rounds);
+        assert_eq!(seq.rounds, par.dist.iter().copied().max().unwrap());
         // Parent edges form a valid BFS tree: dist[parent] + 1 == dist[v].
         for v in 0..g.n() {
             if par.parent[v] != INVALID_VERTEX {
@@ -388,7 +364,7 @@ mod tests {
     #[test]
     fn bfs_disconnected() {
         let g = Graph::from_edges(4, vec![Edge::new(0, 1, 1.0), Edge::new(2, 3, 1.0)]);
-        let r = parallel_bfs(&g, 0);
+        let r = bfs(&g, 0);
         assert_eq!(r.dist[1], 1);
         assert_eq!(r.dist[2], UNREACHED);
         assert_eq!(r.dist[3], UNREACHED);

@@ -21,12 +21,12 @@
 //!   traversal kernels, the binary on-disk format and the scale workloads.
 //! * [`frontier`] — Ligra/GBBS-style `edge_map`/`vertex_map` primitives
 //!   with a direction-optimizing dense/sparse switch.
-//! * [`bfs`] — sequential and level-synchronous parallel breadth-first
-//!   search, including the *shifted* multi-source BFS that implements the
-//!   paper's jittered ball growing (Section 2, "Parallel Ball Growing").
+//! * [`bfs`] — sequential breadth-first search and the parallel *shifted*
+//!   multi-source BFS that implements the paper's jittered ball growing
+//!   (Section 2, "Parallel Ball Growing").
 //! * [`components`] — connected components (sequential and parallel).
 //! * [`unionfind`] — sequential and concurrent union–find.
-//! * [`mst`] — Kruskal and parallel Borůvka minimum spanning forests.
+//! * [`mst`] — Kruskal minimum spanning forests.
 //! * [`tree`] — rooted spanning forests with binary-lifting LCA and
 //!   weighted path queries (used for stretch computation).
 //! * [`dijkstra`] — weighted shortest paths, used to verify subgraph

@@ -1,16 +1,12 @@
-//! Minimum spanning forests: sequential Kruskal and parallel Borůvka.
+//! Minimum spanning forests (Kruskal).
 //!
 //! The low-stretch subgraph construction (Lemma 5.8) uses an MST to
 //! shortcut the AKPW iteration chain at "special" weight classes; the
 //! solver's greedy elimination tests also use spanning forests to build
 //! ultra-sparse inputs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use rayon::prelude::*;
-
 use crate::graph::{EdgeId, Graph};
-use crate::unionfind::{ConcurrentUnionFind, UnionFind};
+use crate::unionfind::UnionFind;
 
 /// Kruskal's algorithm. Returns edge ids of a minimum spanning forest
 /// (spanning tree per connected component), sorted by weight.
@@ -32,95 +28,6 @@ pub fn kruskal(g: &Graph) -> Vec<EdgeId> {
         }
     }
     out
-}
-
-/// Parallel Borůvka. Each round every component selects its minimum-weight
-/// outgoing edge in parallel (atomic min over packed `(weight_bits, edge)`
-/// keys), the selected edges are united, and the process repeats for
-/// O(log n) rounds. Returns edge ids of a minimum spanning forest.
-///
-/// With distinct weights the result matches Kruskal exactly; ties are
-/// broken by edge id so the output is deterministic either way.
-pub fn boruvka(g: &Graph) -> Vec<EdgeId> {
-    let n = g.n();
-    let m = g.m();
-    if m == 0 {
-        return Vec::new();
-    }
-    let uf = ConcurrentUnionFind::new(n);
-    let mut in_forest = vec![false; m];
-
-    // Minimum-candidate registers, one per vertex. Each register stores an
-    // edge id (or NONE); updates go through a CAS loop that compares the
-    // *exact* f64 weight of the stored edge against the proposed one, ties
-    // broken by edge id, so the selection is deterministic and exact.
-    const NONE: u64 = u64::MAX;
-    let propose = |reg: &AtomicU64, w: f64, e: EdgeId| {
-        let mut cur = reg.load(Ordering::Acquire);
-        loop {
-            let better = if cur == NONE {
-                true
-            } else {
-                let cur_e = cur as u32;
-                let cur_w = g.edge(cur_e).w;
-                w < cur_w || (w == cur_w && e < cur_e)
-            };
-            if !better {
-                return;
-            }
-            match reg.compare_exchange_weak(cur, e as u64, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    };
-
-    let mut forest_edges: Vec<EdgeId> = Vec::with_capacity(n.saturating_sub(1));
-    loop {
-        // Min outgoing candidate per component root.
-        let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
-        let mut any = false;
-        (0..m as u32).into_par_iter().for_each(|e| {
-            if in_forest[e as usize] {
-                return;
-            }
-            let edge = g.edge(e);
-            let ru = uf.find(edge.u);
-            let rv = uf.find(edge.v);
-            if ru == rv {
-                return;
-            }
-            propose(&best[ru as usize], edge.w, e);
-            propose(&best[rv as usize], edge.w, e);
-        });
-        // Collect selected edges (deduplicated) and unite.
-        let mut selected: Vec<EdgeId> = best
-            .par_iter()
-            .filter_map(|b| {
-                let v = b.load(Ordering::Acquire);
-                if v == NONE {
-                    None
-                } else {
-                    Some(v as EdgeId)
-                }
-            })
-            .collect();
-        selected.par_sort_unstable();
-        selected.dedup();
-        for &e in &selected {
-            let edge = g.edge(e);
-            if uf.unite(edge.u, edge.v) {
-                in_forest[e as usize] = true;
-                forest_edges.push(e);
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    forest_edges.sort_unstable();
-    forest_edges
 }
 
 /// Total weight of a set of edges.
@@ -153,24 +60,10 @@ mod tests {
     }
 
     #[test]
-    fn boruvka_matches_kruskal_weight() {
-        let g = generators::weighted_random_graph(200, 800, 1.0, 100.0, 11);
-        let k = kruskal(&g);
-        let b = boruvka(&g);
-        assert_eq!(k.len(), b.len());
-        let wk = total_weight(&g, &k);
-        let wb = total_weight(&g, &b);
-        assert!(
-            (wk - wb).abs() < 1e-9 * wk.max(1.0),
-            "Kruskal weight {wk} vs Borůvka weight {wb}"
-        );
-    }
-
-    #[test]
     fn spanning_forest_spans_components() {
         let g = generators::erdos_renyi_gnm(300, 250, 5);
         let comps = parallel_connected_components(&g);
-        let t = boruvka(&g);
+        let t = kruskal(&g);
         assert_eq!(t.len(), g.n() - comps.count);
         // The forest edges must connect exactly the same components.
         let sub = g.edge_subgraph(&t);
@@ -188,7 +81,7 @@ mod tests {
     #[test]
     fn forest_is_acyclic() {
         let g = generators::grid2d(10, 10, |u, v| ((u + v) % 7 + 1) as f64);
-        let t = boruvka(&g);
+        let t = kruskal(&g);
         assert_eq!(t.len(), g.n() - 1);
         let mut uf = UnionFind::new(g.n());
         for &e in &t {
@@ -201,6 +94,5 @@ mod tests {
     fn empty_graph() {
         let g = Graph::from_edges(4, vec![]);
         assert!(kruskal(&g).is_empty());
-        assert!(boruvka(&g).is_empty());
     }
 }

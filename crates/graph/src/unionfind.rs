@@ -7,12 +7,10 @@
 //!   bookkeeping.
 //! * [`ConcurrentUnionFind`] — a lock-free structure supporting concurrent
 //!   `unite`/`find` via CAS on parent pointers (Anderson–Woll style "union
-//!   by index" with path compression), used by the parallel Borůvka MST and
-//!   the parallel connected-components routine.
+//!   by index" with path compression), used by the parallel
+//!   connected-components routine.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-
-use crate::graph::VertexId;
 
 /// Sequential union–find with union by rank and path halving.
 #[derive(Debug, Clone)]
@@ -53,14 +51,6 @@ impl UnionFind {
             let gp = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = gp;
             x = gp;
-        }
-        x
-    }
-
-    /// Finds the representative without mutating (no compression).
-    pub fn find_const(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
         }
         x
     }
@@ -214,21 +204,19 @@ impl ConcurrentUnionFind {
     }
 }
 
-/// Convenience: compute component labels of a set of vertex pairs over `n`
-/// vertices using the concurrent structure and rayon.
-pub fn union_pairs_parallel(n: usize, pairs: &[(VertexId, VertexId)]) -> (Vec<u32>, usize) {
-    use rayon::prelude::*;
-    let uf = ConcurrentUnionFind::new(n);
-    pairs.par_iter().for_each(|&(a, b)| {
-        uf.unite(a, b);
-    });
-    uf.dense_labels()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rayon::prelude::*;
+
+    /// Unites every pair concurrently and returns the dense labels.
+    fn unite_pairs_concurrently(n: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, usize) {
+        let uf = ConcurrentUnionFind::new(n);
+        pairs.par_iter().for_each(|&(a, b)| {
+            uf.unite(a, b);
+        });
+        uf.dense_labels()
+    }
 
     #[test]
     fn sequential_basic() {
@@ -252,7 +240,7 @@ mod tests {
         let n = 2000usize;
         // Chain unions in random-ish order.
         let pairs: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        let (labels, k) = union_pairs_parallel(n, &pairs);
+        let (labels, k) = unite_pairs_concurrently(n, &pairs);
         assert_eq!(k, 1);
         assert!(labels.iter().all(|&l| l == labels[0]));
     }
@@ -262,11 +250,7 @@ mod tests {
         let n = 10_000usize;
         // Pair up evens with odds within blocks of 2.
         let pairs: Vec<(u32, u32)> = (0..n as u32 / 2).map(|i| (2 * i, 2 * i + 1)).collect();
-        let uf = ConcurrentUnionFind::new(n);
-        pairs.par_iter().for_each(|&(a, b)| {
-            uf.unite(a, b);
-        });
-        let (_, k) = uf.dense_labels();
+        let (_, k) = unite_pairs_concurrently(n, &pairs);
         assert_eq!(k, n / 2);
     }
 
@@ -281,7 +265,7 @@ mod tests {
             .filter(|(a, b)| a != b)
             .collect();
         // Compare parallel result against sequential result.
-        let (par_labels, pk) = union_pairs_parallel(n, &pairs);
+        let (par_labels, pk) = unite_pairs_concurrently(n, &pairs);
         let mut uf = UnionFind::new(n);
         for &(a, b) in &pairs {
             uf.unite(a, b);

@@ -29,8 +29,6 @@
 
 use rayon::prelude::*;
 
-use crate::vector;
-
 /// A column-major block of `ncols` dense vectors of length `nrows`
 /// (`k` right-hand sides or iterates travelling together).
 #[derive(Debug, Clone, PartialEq)]
@@ -211,46 +209,6 @@ impl MultiVector {
     }
 }
 
-/// Per-column dot products `x_jᵀ y_j` (each column runs the exact
-/// reduction tree of [`vector::dot`], so results match the single-vector
-/// kernel bitwise).
-pub fn column_dots(x: &MultiVector, y: &MultiVector) -> Vec<f64> {
-    assert_eq!(x.nrows(), y.nrows());
-    assert_eq!(x.ncols(), y.ncols());
-    (0..x.ncols())
-        .map(|j| vector::dot(x.col(j), y.col(j)))
-        .collect()
-}
-
-/// Per-column Euclidean norms.
-pub fn column_norms(x: &MultiVector) -> Vec<f64> {
-    (0..x.ncols()).map(|j| vector::norm2(x.col(j))).collect()
-}
-
-/// Per-column `y_j ← y_j + alpha_j · x_j`.
-pub fn column_axpy(alphas: &[f64], x: &MultiVector, y: &mut MultiVector) {
-    assert_eq!(alphas.len(), x.ncols());
-    assert_eq!(x.ncols(), y.ncols());
-    assert_eq!(x.nrows(), y.nrows());
-    for (j, &a) in alphas.iter().enumerate() {
-        vector::axpy(a, x.col(j), y.col_mut(j));
-    }
-}
-
-/// Per-column `p_j ← z_j + beta_j · p_j` (the CG direction update).
-pub fn column_direction_update(betas: &[f64], z: &MultiVector, p: &mut MultiVector) {
-    assert_eq!(betas.len(), z.ncols());
-    assert_eq!(z.ncols(), p.ncols());
-    let n = z.nrows();
-    for (j, &beta) in betas.iter().enumerate() {
-        let zj = z.col(j);
-        let pj = p.col_mut(j);
-        for i in 0..n {
-            pj[i] = zj[i] + beta * pj[i];
-        }
-    }
-}
-
 /// Row-chunk size of the blocked sparse kernels: big enough to amortise
 /// task dispatch over rows with ~2 nonzeros, small enough to keep a
 /// 16-wide pool fed on bench-size levels. Fixed (never width-dependent)
@@ -337,24 +295,6 @@ mod tests {
                 assert_eq!(v, r as f64 + 1000.0 * j as f64);
             }
         }
-    }
-
-    #[test]
-    fn column_kernels_match_vector_kernels() {
-        let a: Vec<f64> = (0..300).map(|i| (i as f64 * 0.1).sin()).collect();
-        let b: Vec<f64> = (0..300).map(|i| (i as f64 * 0.2).cos()).collect();
-        let x = MultiVector::from_columns(&[a.clone(), b.clone()]);
-        let dots = column_dots(&x, &x);
-        assert_eq!(dots[0].to_bits(), vector::dot(&a, &a).to_bits());
-        assert_eq!(dots[1].to_bits(), vector::dot(&b, &b).to_bits());
-        let norms = column_norms(&x);
-        assert_eq!(norms[0].to_bits(), vector::norm2(&a).to_bits());
-
-        let mut y = MultiVector::from_columns(&[b.clone(), a.clone()]);
-        column_axpy(&[2.0, -1.0], &x, &mut y);
-        let mut yb = b.clone();
-        vector::axpy(2.0, &a, &mut yb);
-        assert_eq!(y.col(0), yb.as_slice());
     }
 
     #[test]

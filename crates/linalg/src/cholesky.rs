@@ -1,9 +1,11 @@
-//! Dense LDLᵀ factorisation for the bottom of the preconditioner chain.
+//! Dense LDLᵀ factorisation: the reference direct solver.
 //!
-//! Fact 6.4 of the paper: once the chain has reduced the problem to a
-//! graph with ~m^{1/3} vertices, a dense factorisation is computed once
-//! (O(n³) work, O(n) depth in theory) and each subsequent bottom-level
-//! solve is two triangular solves (O(n²) work, O(log n) depth).
+//! Fact 6.4 of the paper bottoms the chain out in a direct factorisation
+//! of a graph with ~m^{1/3} vertices. The chain's bottom factor is the
+//! envelope (skyline) [`crate::envelope::EnvelopeLdl`]; this dense
+//! factor (O(n³) work, every entry of `L` stored) is the independent
+//! reference that tests and `solve_dense` in the solver's baselines
+//! check it against.
 //!
 //! Laplacians are only positive *semi*-definite: the all-ones vector of
 //! every connected component is in the null space. The factorisation
@@ -11,9 +13,7 @@
 //! which yields a particular solution whenever the right-hand side lies in
 //! the range (callers project it there).
 
-use crate::block::MultiVector;
 use crate::csr::CsrMatrix;
-use crate::operator::LinearOperator;
 
 /// A dense LDLᵀ factorisation of a symmetric positive semi-definite matrix.
 #[derive(Debug, Clone)]
@@ -114,9 +114,7 @@ impl DenseLdl {
         // Backward solve Lᵀ x = z, in scatter form: once x[k] is final,
         // its updates to every earlier coordinate walk *row* k of `L`
         // contiguously (the gather form walks a column — one cache line
-        // per entry on the row-major factor). [`solve_block`](Self::solve_block)
-        // uses the same update order, which keeps the two bitwise
-        // consistent per column.
+        // per entry on the row-major factor).
         let mut x = z;
         for k in (0..n).rev() {
             let xk = x[k];
@@ -127,162 +125,13 @@ impl DenseLdl {
         }
         x
     }
-
-    /// Solves `A X = B` for a block of `k` right-hand sides with **one**
-    /// stream of the `n²` factor per block: the triangular loops run rows
-    /// outermost and columns innermost, so each `L` entry is loaded once
-    /// and reused `k` times (the dense factor is the largest object the
-    /// bottom of the preconditioner chain streams — per-RHS traffic drops
-    /// by the block width). Internally the block is transposed to
-    /// row-major and the kernel is monomorphised over a handful of fixed
-    /// widths (padding with zero columns up to the next one), so the
-    /// per-entry update is a register-resident K-wide fused-multiply-add
-    /// with no per-element slice arithmetic. Per column the operation
-    /// order matches [`solve`](Self::solve) exactly, so each column is
-    /// bitwise identical to a single solve of that column.
-    pub fn solve_block(&self, b: &MultiVector) -> MultiVector {
-        assert_eq!(b.nrows(), self.n);
-        let n = self.n;
-        let k = b.ncols();
-        if k == 1 {
-            // The width-1 block is the single solve (same code would run,
-            // minus the block plumbing).
-            return MultiVector::from_columns(&[self.solve(b.col(0))]);
-        }
-        if k > 32 {
-            // Wider than the widest monomorphised kernel: split.
-            let first: Vec<usize> = (0..32).collect();
-            let rest: Vec<usize> = (32..k).collect();
-            let a = self.solve_block(&b.select_columns(&first));
-            let z = self.solve_block(&b.select_columns(&rest));
-            let mut cols: Vec<Vec<f64>> = a.into_columns();
-            cols.extend(z.into_columns());
-            return MultiVector::from_columns(&cols);
-        }
-        // Transpose to row-major, solve, transpose back.
-        let mut br = vec![0.0f64; n * k];
-        for j in 0..k {
-            for (i, &v) in b.col(j).iter().enumerate() {
-                br[i * k + j] = v;
-            }
-        }
-        let xr = self.solve_rowmajor(&br, k);
-        let mut out = MultiVector::zeros(n, k);
-        for j in 0..k {
-            let col = out.col_mut(j);
-            for (i, slot) in col.iter_mut().enumerate() {
-                *slot = xr[i * k + j];
-            }
-        }
-        out
-    }
-
-    /// Solves `A X = B` for `k` right-hand sides given **row-major**
-    /// (`b[i·k + j]`), returning the solution in the same layout — the
-    /// entry point the solver chain's row-major W-cycle uses, so the
-    /// block needs no transposes at the bottom boundary. Pads to the next
-    /// monomorphised width internally; `k = 1` takes the single-vector
-    /// path. Bitwise identical per column to [`solve`](Self::solve).
-    pub fn solve_rowmajor(&self, b: &[f64], k: usize) -> Vec<f64> {
-        let n = self.n;
-        assert_eq!(b.len(), n * k);
-        if k == 1 {
-            return self.solve(b);
-        }
-        assert!(k <= 32, "row-major bottom solves are capped at width 32");
-        let kp = k.next_power_of_two().max(2);
-        let mut zr = vec![0.0f64; n * kp];
-        if kp == k {
-            zr.copy_from_slice(b);
-        } else {
-            for (dst, src) in zr.chunks_exact_mut(kp).zip(b.chunks_exact(k)) {
-                dst[..k].copy_from_slice(src);
-            }
-        }
-        match kp {
-            2 => self.tri_solve_rowmajor::<2>(&mut zr),
-            4 => self.tri_solve_rowmajor::<4>(&mut zr),
-            8 => self.tri_solve_rowmajor::<8>(&mut zr),
-            16 => self.tri_solve_rowmajor::<16>(&mut zr),
-            32 => self.tri_solve_rowmajor::<32>(&mut zr),
-            _ => unreachable!("padded width is a power of two ≤ 32"),
-        }
-        if kp == k {
-            zr
-        } else {
-            let mut out = vec![0.0f64; n * k];
-            for (dst, src) in out.chunks_exact_mut(k).zip(zr.chunks_exact(kp)) {
-                dst.copy_from_slice(&src[..k]);
-            }
-            out
-        }
-    }
-
-    /// The K-wide row-major triangular solve: forward gather (row `i`
-    /// accumulates over earlier rows, accumulator in registers), diagonal
-    /// scaling, and the scatter-form backward pass of
-    /// [`solve`](Self::solve) (row `kk`, once final, updates all earlier
-    /// rows along a contiguous row of `L`). `chunks_exact` over the
-    /// row-major block plus `[f64; K]` rows keep the inner loops free of
-    /// per-element bounds checks.
-    fn tri_solve_rowmajor<const K: usize>(&self, zr: &mut [f64]) {
-        let n = self.n;
-        // Forward solve L Z = B.
-        for i in 0..n {
-            let (head, tail) = zr.split_at_mut(i * K);
-            let acc_row: &mut [f64; K] = (&mut tail[..K]).try_into().expect("row width K");
-            let mut acc = *acc_row;
-            for (row, &lik) in head.chunks_exact(K).zip(&self.l[i * n..i * n + i]) {
-                let row: &[f64; K] = row.try_into().expect("row width K");
-                for j in 0..K {
-                    acc[j] -= lik * row[j];
-                }
-            }
-            *acc_row = acc;
-        }
-        // Diagonal solve.
-        for (row, &di) in zr.chunks_exact_mut(K).zip(&self.d) {
-            for v in row {
-                if di == 0.0 {
-                    *v = 0.0;
-                } else {
-                    *v /= di;
-                }
-            }
-        }
-        // Backward solve Lᵀ X = Z (scatter form, same update order as the
-        // single-vector solve).
-        for kk in (0..n).rev() {
-            let (head, tail) = zr.split_at_mut(kk * K);
-            let xk: &[f64; K] = (&tail[..K]).try_into().expect("row width K");
-            let xk = *xk;
-            for (row, &lki) in head.chunks_exact_mut(K).zip(&self.l[kk * n..kk * n + kk]) {
-                let row: &mut [f64; K] = row.try_into().expect("row width K");
-                for j in 0..K {
-                    row[j] -= lki * xk[j];
-                }
-            }
-        }
-    }
-}
-
-impl LinearOperator for DenseLdl {
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Applies the (pseudo)inverse: `y ← A⁺-ish b` via the stored factors.
-    /// Exposed as an operator so the bottom level plugs into the chain.
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let sol = self.solve(x);
-        y.copy_from_slice(&sol);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::laplacian::laplacian_of;
+    use crate::operator::LinearOperator;
     use crate::vector::{norm2, project_out_constant, sub};
     use parsdd_graph::generators;
 
@@ -340,35 +189,5 @@ mod tests {
         let x = f.solve(&b);
         let r = sub(&b, &l.apply_vec(&x));
         assert!(norm2(&r) < 1e-9);
-    }
-
-    #[test]
-    fn solve_block_matches_single_bitwise() {
-        let g = generators::grid2d(7, 7, |_, _| 1.0);
-        let l = laplacian_of(&g);
-        let f = DenseLdl::from_csr(&l, 1e-10);
-        let cols: Vec<Vec<f64>> = (0..3)
-            .map(|j| {
-                let mut b: Vec<f64> = (0..49).map(|i| ((i * (j + 3)) % 13) as f64).collect();
-                project_out_constant(&mut b);
-                b
-            })
-            .collect();
-        let x = f.solve_block(&crate::block::MultiVector::from_columns(&cols));
-        for (j, col) in cols.iter().enumerate() {
-            let single = f.solve(col);
-            for (a, b) in x.col(j).iter().zip(&single) {
-                assert_eq!(a.to_bits(), b.to_bits(), "column {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn operator_interface_solves() {
-        let a = vec![vec![2.0, 0.0], vec![0.0, 5.0]];
-        let f = DenseLdl::from_dense(&a, 1e-12);
-        let y = f.apply_vec(&[2.0, 10.0]);
-        assert!((y[0] - 1.0).abs() < 1e-12);
-        assert!((y[1] - 2.0).abs() < 1e-12);
     }
 }

@@ -263,8 +263,7 @@ impl<T: Scalar> EnvelopeLdl<T> {
     }
 
     /// The K-wide triangular solves, monomorphised so the inner update is
-    /// a register-resident K-wide fused multiply-add (same technique as
-    /// `DenseLdl::tri_solve_rowmajor`): forward `L Z = B` (gather along
+    /// a register-resident K-wide fused multiply-add: forward `L Z = B` (gather along
     /// the packed row), diagonal scale, backward `Lᵀ X = Z` in scatter
     /// form (row `i`, once final, updates rows `first[i]..i` along the
     /// same packed row — both passes stream the envelope contiguously).

@@ -23,11 +23,11 @@
 //!   [`parsdd_graph::Graph`].
 //! * [`sdd`] — SDD matrix classification and Gremban's reduction of an SDD
 //!   system to a Laplacian system (Section 2 / Section 6 of the paper).
-//! * [`cholesky`] — dense LDLᵀ factorisation used at the bottom of the
-//!   preconditioner chain (Fact 6.4).
-//! * [`envelope`] — envelope (skyline) LDLᵀ factorisation: the
-//!   cache-resident bottom factor for bandwidth-reduced (RCM-ordered)
-//!   bottom systems.
+//! * [`cholesky`] — dense LDLᵀ factorisation: the reference direct solver
+//!   the envelope factor and the baselines are checked against.
+//! * [`envelope`] — envelope (skyline) LDLᵀ factorisation: the chain's
+//!   bottom factor (Fact 6.4), cache-resident on bandwidth-reduced
+//!   (RCM-ordered) bottom systems.
 //! * [`permuted`] — merged diag+offdiag chain-level storage
 //!   ([`permuted::PermutedLevel`]) and the fused Chebyshev/residual sweep
 //!   kernels the solver's inner loops run on.
@@ -38,8 +38,6 @@
 //!   residuals, indefinite directions, divergence, stalls) instead of
 //!   spinning their budget.
 //! * [`cg`] — conjugate gradient and preconditioned conjugate gradient.
-//! * [`chebyshev`] — preconditioned Chebyshev iteration (the paper's rPCh
-//!   inner iteration, Lemma 6.7).
 //! * [`jacobi`] — diagonal (Jacobi) preconditioner baseline.
 //! * [`power`] — power iteration / generalized Rayleigh quotient bounds
 //!   used to verify `G ⪯ H ⪯ κG` relations experimentally.
@@ -50,7 +48,6 @@
 pub mod block;
 pub mod breakdown;
 pub mod cg;
-pub mod chebyshev;
 pub mod cholesky;
 pub mod csr;
 pub mod envelope;
@@ -66,7 +63,6 @@ pub mod vector;
 pub use block::MultiVector;
 pub use breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
 pub use cg::{block_pcg_solve, cg_solve, pcg_solve, CgOptions, CgOutcome};
-pub use chebyshev::{block_chebyshev_solve, chebyshev_solve, ChebyshevOptions};
 pub use cholesky::DenseLdl;
 pub use csr::CsrMatrix;
 pub use envelope::{envelope_profile, EnvelopeLdl};

@@ -113,11 +113,6 @@ pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     }
 }
 
-/// `y ← x` (copy in place).
-pub fn copy_into(x: &[f64], y: &mut [f64]) {
-    y.copy_from_slice(x);
-}
-
 /// Sum of all entries.
 pub fn sum(x: &[f64]) -> f64 {
     if x.len() < SEQ_CUTOFF {

@@ -15,7 +15,7 @@ fn main() {
     // A 120 x 120 grid — the discrete Poisson problem that motivates SDD
     // solvers in vision/graphics applications. (Large enough that the
     // preconditioner chain matters, small enough that the demo finishes in
-    // seconds; scaling behaviour is measured by the E8/E9 benches.)
+    // seconds; scaling behaviour is measured by the E8/E9 experiments.)
     let rows = 120;
     let cols = 120;
     println!("Building a {rows}x{cols} grid Laplacian ...");
