@@ -54,7 +54,7 @@ impl Timer {
 
     /// One warm-up run, then `samples` timed runs of `f` on one
     /// `threads`-wide pool, reused across the samples.
-    fn time_at<R>(&self, threads: usize, mut f: impl FnMut() -> R) -> Timing {
+    pub(crate) fn time_at<R>(&self, threads: usize, mut f: impl FnMut() -> R) -> Timing {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -90,10 +90,10 @@ impl Timer {
 }
 
 /// Minimum and mean wall time of one point.
-struct Timing {
-    threads: usize,
-    min_ms: f64,
-    mean_ms: f64,
+pub(crate) struct Timing {
+    pub(crate) threads: usize,
+    pub(crate) min_ms: f64,
+    pub(crate) mean_ms: f64,
 }
 
 impl Timing {

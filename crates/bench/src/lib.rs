@@ -79,3 +79,29 @@ pub mod workloads {
         b
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::experiments::Timer;
+
+    /// Each point of a headline is one warm-up and `samples` timed runs,
+    /// all on one pool of the point's width.
+    #[test]
+    fn group_runs_and_counts() {
+        for (quick, samples) in [(true, 1), (false, 3)] {
+            let timer = Timer::new(quick, 3);
+            for threads in [1, 3] {
+                let mut widths = Vec::new();
+                let timing = timer.time_at(threads, || widths.push(rayon::current_num_threads()));
+                assert_eq!(widths, vec![threads; 1 + samples]);
+                assert_eq!(timing.threads, threads);
+                assert!(
+                    timing.min_ms <= timing.mean_ms,
+                    "{} > {}",
+                    timing.min_ms,
+                    timing.mean_ms
+                );
+            }
+        }
+    }
+}
