@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use parsdd_solver::chain::SolverChain;
+use parsdd_solver::chain::{Level0Decision, Level0Path, SolverChain};
 
 use super::{Record, Timer};
 
@@ -46,6 +46,28 @@ impl Json {
 
     pub(super) fn usizes(vs: &[usize]) -> Json {
         Json::Arr(vs.iter().map(|&v| v.into()).collect())
+    }
+
+    /// The level-0 cut's decision, `null` when no probe ran.
+    pub(super) fn level0(decision: Option<Level0Decision>) -> Json {
+        decision.map_or(Json::Null, |d| {
+            Json::obj([
+                (
+                    "path",
+                    match d.path {
+                        Level0Path::Chain => "chain",
+                        Level0Path::JacobiPcg => "jacobi_pcg",
+                    }
+                    .into(),
+                ),
+                ("probe_sweeps", d.probe_sweeps.into()),
+                ("cap", d.cap.into()),
+                (
+                    "predicted_iterations",
+                    d.predicted_iterations.map_or(Json::Null, Json::from),
+                ),
+            ])
+        })
     }
 
     fn is_scalar(&self) -> bool {

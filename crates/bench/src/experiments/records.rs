@@ -307,6 +307,7 @@ pub(super) fn zoo(timer: &Timer) -> Record {
                 ("recursion_leaves", Json::f64(q.recursion_leaves)),
                 ("max_kappa_eff", Json::f64(q.max_kappa_eff())),
                 ("kappa_clamp_hits", q.kappa_clamp_hits.into()),
+                ("level0", Json::level0(q.level0)),
                 ("build_solve_ms", Json::ms(ms)),
             ]));
         }

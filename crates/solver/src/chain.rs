@@ -44,6 +44,7 @@
 
 use std::sync::Mutex;
 
+use parsdd_graph::components::{parallel_connected_components, Components};
 use parsdd_graph::reorder::{identity_order, rcm_order, relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::block::MultiVector;
@@ -562,10 +563,27 @@ struct JacobiBottom {
 }
 
 impl JacobiBottom {
+    /// Seed offset of the probe's right-hand side.
+    const PROBE_SEED: u64 = 0xb077_0000;
+
+    /// Iteration budget of one solve on an `n`-vertex matrix.
+    fn budget(n: usize) -> usize {
+        (2 * n).clamp(100, 4000)
+    }
+
     /// Caches `D⁻¹` of the bottom matrix and runs the work model's probe:
     /// one solve of a seeded right-hand side, projected onto the range
-    /// componentwise, at [`SolverChain::PRECOND_BOTTOM_TOL`].
-    fn new(matrix: &PermutedLevel, labels: &[u32], components: usize, seed: u64) -> Self {
+    /// componentwise, at [`SolverChain::PRECOND_BOTTOM_TOL`], for at most
+    /// `cap` iterations (the solve budget when larger). Returns the bottom,
+    /// whose `probe_iterations` is the probe's count, and whether the
+    /// probe converged within the cap.
+    fn probe(
+        matrix: &PermutedLevel,
+        labels: &[u32],
+        components: usize,
+        seed: u64,
+        cap: usize,
+    ) -> (Self, bool) {
         let inv_diag = (0..matrix.n())
             .map(|v| {
                 let d = matrix.diag(v);
@@ -584,51 +602,53 @@ impl JacobiBottom {
             .map(|i| 2.0 * parsdd_graph::generators::counter_unit(seed, i) - 1.0)
             .collect();
         project_out_componentwise_constant(&mut b, labels, components);
-        bottom.probe_iterations = bottom.solve_rm_into(
-            matrix,
-            &b,
-            1,
-            SolverChain::PRECOND_BOTTOM_TOL,
-            &mut Vec::new(),
-            &mut CgScratch::default(),
-        );
-        bottom
+        let mut s = CgScratch::default();
+        let tol = SolverChain::PRECOND_BOTTOM_TOL;
+        let cap = cap.min(Self::budget(matrix.n()));
+        bottom.solve_rm_into(matrix, &b, 1, tol, cap, &mut Vec::new(), &mut s);
+        bottom.probe_iterations = s.iterations[0];
+        (bottom, s.converged[0])
     }
 
     /// Jacobi-PCG on `k` row-major right-hand sides `b` (already in the
-    /// range of `matrix`), each column to relative residual `tol` or the
-    /// `(2n).clamp(100, 4000)` iteration budget; writes the solutions
-    /// into `x` and returns the matrix applications run (the slowest
-    /// column's count).
+    /// range of `matrix`), each column to relative residual `tol` or
+    /// `max_iters` iterations; writes the solutions into `x`, and each
+    /// column's iteration count and whether it reached `tol` into
+    /// `s.iterations` and `s.converged`.
     ///
     /// Columns that converge, go non-finite or lose direction energy are
     /// frozen and compacted out of the working block, as in the outer
     /// PCG. Every per-column quantity comes from a kernel whose reduction
     /// tree depends only on `n` ([`dot_strided`],
     /// [`PermutedLevel::fused_apply_dot_into`]), so each column's result
-    /// is bitwise identical at every block composition and pool width.
-    /// All state lives in `s`: warm, the sequential dispatch paths do not
-    /// allocate.
+    /// and count are bitwise identical at every block composition and
+    /// pool width. All state lives in `s`: warm, the sequential dispatch
+    /// paths do not allocate.
+    #[allow(clippy::too_many_arguments)]
     fn solve_rm_into(
         &self,
         matrix: &PermutedLevel,
         b: &[f64],
         k: usize,
         tol: f64,
+        max_iters: usize,
         x: &mut Vec<f64>,
         s: &mut CgScratch,
-    ) -> usize {
+    ) {
         let n = matrix.n();
-        let max_iters = (2 * n).clamp(100, 4000);
         x.clear();
         x.resize(n * k, 0.0);
         s.bnorms.clear();
         s.active.clear();
+        s.iterations.clear();
+        s.iterations.resize(k, 0);
+        s.converged.clear();
         for j in 0..k {
             let bn = dot_strided(b, b, k, j).sqrt();
             s.bnorms.push(bn);
-            // A zero column is solved by zero; so is a non-finite one,
-            // which the outer iteration classifies.
+            // A zero column is solved by zero; a non-finite one is left
+            // unconverged for the outer iteration to classify.
+            s.converged.push(bn == 0.0);
             if bn > 0.0 && bn.is_finite() {
                 s.active.push(j);
             }
@@ -647,25 +667,33 @@ impl JacobiBottom {
         }
         s.ap.resize(n * ka, 0.0);
         let mut applies = 0;
-        for _ in 0..max_iters {
+        loop {
             // Per-column convergence check; finished columns freeze.
             s.keep.clear();
             for c in 0..ka {
                 let rel = dot_strided(&s.r, &s.r, ka, c).sqrt() / s.bnorms[s.active[c]];
                 if rel > tol && rel.is_finite() {
                     s.keep.push(c);
+                } else {
+                    s.iterations[s.active[c]] = applies;
+                    s.converged[s.active[c]] = rel <= tol;
                 }
             }
             ka = s.compact(ka);
-            if ka == 0 {
+            if ka == 0 || applies == max_iters {
                 break;
             }
             matrix.fused_apply_dot_into(&s.p, &mut s.ap, ka, &mut s.pap, &mut s.partial);
             applies += 1;
             // No direction energy: the column freezes where it stands.
             s.keep.clear();
-            s.keep
-                .extend((0..ka).filter(|&c| s.pap[c] > 0.0 && s.pap[c].is_finite()));
+            for c in 0..ka {
+                if s.pap[c] > 0.0 && s.pap[c].is_finite() {
+                    s.keep.push(c);
+                } else {
+                    s.iterations[s.active[c]] = applies;
+                }
+            }
             compact_scalars_inplace(&mut s.pap, &s.keep);
             ka = s.compact(ka);
             if ka == 0 {
@@ -695,7 +723,10 @@ impl JacobiBottom {
                 }
             }
         }
-        applies
+        // Columns still active ran out of budget.
+        for &j in &s.active {
+            s.iterations[j] = applies;
+        }
     }
 
     /// `z ← D⁻¹ r` on a row-major block of width `k`.
@@ -728,6 +759,10 @@ struct CgScratch {
     /// Block columns still iterating, ascending.
     active: Vec<usize>,
     keep: Vec<usize>,
+    /// Iterations each block column ran before it froze.
+    iterations: Vec<usize>,
+    /// Whether each block column reached the tolerance.
+    converged: Vec<bool>,
 }
 
 impl CgScratch {
@@ -889,6 +924,54 @@ pub struct ChainQuality {
     /// Matrix/factor bytes streamed per top-level preconditioner
     /// application (see [`ChainStats::streamed_bytes_per_application`]).
     pub streamed_bytes_per_application: f64,
+    /// The level-0 cut's decision, on chains
+    /// [`SddSolver`](crate::sdd_solve::SddSolver) built with a probe
+    /// (`None` on [`build_chain`]'s chains, and when no level could be
+    /// built or the tolerance is 0).
+    pub level0: Option<Level0Decision>,
+}
+
+/// Which solver runs level 0 (DESIGN.md §2.10).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level0Path {
+    /// The preconditioner chain, as [`build_chain`] builds it.
+    Chain,
+    /// Jacobi-PCG on the input: a depth-0 chain with an iterative bottom.
+    JacobiPcg,
+}
+
+/// The level-0 cut's record: what the capped Jacobi-PCG probe on level 0
+/// saw, and the path it chose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Level0Decision {
+    /// The path taken.
+    pub path: Level0Path,
+    /// Jacobi-PCG sweeps the probe ran on level 0, at most `cap`.
+    pub probe_sweeps: usize,
+    /// Most sweeps to the probe's 3e-2 that still send level 0 to
+    /// Jacobi-PCG at the solve tolerance.
+    pub cap: usize,
+    /// Jacobi-PCG iterations to the solve's final tolerance, extrapolated
+    /// from the probe; `None` when the probe did not converge within the
+    /// cap.
+    pub predicted_iterations: Option<usize>,
+}
+
+impl std::fmt::Display for Level0Decision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.path {
+            Level0Path::JacobiPcg => write!(
+                f,
+                "level 0: Jacobi-PCG, probe {} sweeps ≤ cap {}",
+                self.probe_sweeps, self.cap
+            ),
+            Level0Path::Chain => write!(
+                f,
+                "level 0: chain, probe unconverged at {} sweeps (cap {})",
+                self.probe_sweeps, self.cap
+            ),
+        }
+    }
 }
 
 impl ChainQuality {
@@ -898,16 +981,29 @@ impl ChainQuality {
         self.levels.iter().map(|l| l.kappa_eff).fold(0.0, f64::max)
     }
 
-    /// One-line human-readable digest for logs and bench output.
+    /// One-line human-readable digest for logs and bench output. A
+    /// depth-0 chain has no levels to fold κ_eff or leaves over; its line
+    /// names the level-0 decision instead.
     pub fn summary(&self) -> String {
-        format!(
-            "depth {} · bottom {}v/{}e ({}) · work/app {:.3e} ({:.1}×m) · leaves {:.0} · max κ_eff {:.1}{}",
-            self.depth,
+        let level0 = self.level0.map(|d| format!(" · {d}")).unwrap_or_default();
+        let bottom = format!(
+            "bottom {}v/{}e ({}) · work/app {:.3e} ({:.1}×m)",
             self.bottom_vertices,
             self.bottom_edges,
-            if self.direct_bottom { "direct" } else { "iterative" },
+            if self.direct_bottom {
+                "direct"
+            } else {
+                "iterative"
+            },
             self.work_per_application,
             self.work_per_input_edge,
+        );
+        if self.depth == 0 {
+            return format!("depth 0{level0} · {bottom}");
+        }
+        format!(
+            "depth {} · {bottom} · leaves {:.0} · max κ_eff {:.1}{}{level0}",
+            self.depth,
             self.recursion_leaves,
             self.max_kappa_eff(),
             if self.kappa_clamp_hits > 0 {
@@ -1117,6 +1213,8 @@ pub struct SolverChain {
     top_perm: Vec<u32>,
     options: ChainOptions,
     cycle: ChainCycle,
+    /// The level-0 cut's decision (see [`ChainQuality::level0`]).
+    level0: Option<Level0Decision>,
 }
 
 /// Outcome of a chain solve.
@@ -1201,23 +1299,191 @@ fn scatter_block_rm(src: &[f64], perm: &[u32], z: &mut MultiVector) {
 /// anything except the top-level boundary vectors.
 pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let options = options.sanitized();
-    let input_m = g.m().max(1);
-    let bottom_target = options
-        .bottom_size
-        .max((input_m as f64).powf(options.bottom_exponent).ceil() as usize);
+    build_from_top(TopLevel::new(g, &options), options)
+}
 
+/// The chain [`SddSolver`](crate::sdd_solve::SddSolver) solves with at
+/// tolerance `tol`: the level-0 cut (DESIGN.md §2.10). After
+/// [`build_chain`]'s prologue ([`TopLevel`]), when the level loop would
+/// build a level, a seeded Jacobi-PCG probe runs on level 0's merged-row
+/// matrix for at most [`level0_probe_cap`]`(tol)` sweeps. If it converges
+/// within the cap, the chain is the depth-0 chain with an iterative
+/// bottom on that matrix, whose probe it reuses, whatever
+/// `dense_bottom_limit` says. Otherwise the matrix is dropped and the
+/// chain is [`build_chain`]'s, bit for bit: the level loop rebuilds the
+/// matrix after it ends, as it always has, since holding it through the
+/// loop raises the build's peak memory (2.6 MiB, 5%, on a 200×200
+/// grid). Either way the decision is recorded in
+/// [`ChainQuality::level0`].
+pub(crate) fn build_solver_chain(g: &Graph, options: &ChainOptions, tol: f64) -> SolverChain {
+    let options = options.sanitized();
+    let top = TopLevel::new(g, &options);
+    let cap = level0_probe_cap(tol);
+    if cap == 0 || !grows_level(&top.graph, 0, top.bottom_target, &options) {
+        return build_from_top(top, options);
+    }
+    let matrix = PermutedLevel::from_graph(&top.graph);
+    let (labels, count) = (&top.comps.labels, top.comps.count);
+    let seed = options.seed ^ JacobiBottom::PROBE_SEED;
+    let (jacobi, converged) = JacobiBottom::probe(&matrix, labels, count, seed, cap);
+    let probe_sweeps = jacobi.probe_iterations;
+    let decision = Level0Decision {
+        path: if converged {
+            Level0Path::JacobiPcg
+        } else {
+            Level0Path::Chain
+        },
+        probe_sweeps,
+        cap,
+        predicted_iterations: converged
+            .then(|| (probe_sweeps as f64 * iterations_per_probe_sweep(tol)).ceil() as usize),
+    };
+    let mut chain = if converged {
+        top.into_depth0(matrix, BottomSolver::Iterative(jacobi), None, options)
+    } else {
+        drop(matrix);
+        build_from_top(top, options)
+    };
+    chain.level0 = Some(decision);
+    chain
+}
+
+/// The chain's per-solve floor in level-0 sweeps, the price the level-0
+/// cut holds Jacobi-PCG's predicted iterations against (DESIGN.md
+/// §2.10): at 1e-8 no chain in the zoo or the benchmark converges in
+/// fewer than ~25 outer iterations, and each costs at least ~3 level-0
+/// sweeps (the outer product, level 0's elimination passes and the
+/// W-cycle's ≥ 2 sweeps of level 1). The floor leaves out the chain's
+/// build, so it errs toward the chain.
+const CHAIN_FLOOR_SWEEPS: f64 = 75.0;
+
+/// Jacobi-PCG iterations to a depth-0 chain's final tolerance at solve
+/// tolerance `tol`, per probe sweep to
+/// [`SolverChain::PRECOND_BOTTOM_TOL`]: `ln(1/tol_final) / ln(1/3e-2)`.
+fn iterations_per_probe_sweep(tol: f64) -> f64 {
+    SolverChain::final_bottom_tol(tol).ln() / SolverChain::PRECOND_BOTTOM_TOL.ln()
+}
+
+/// Most probe sweeps that still send level 0 to Jacobi-PCG at solve
+/// tolerance `tol`: the largest whose extrapolated iteration count stays
+/// within [`CHAIN_FLOOR_SWEEPS`] (12 at 1e-8). Zero, so no probe, at
+/// `tol = 0`, which asks for the full iteration budget.
+fn level0_probe_cap(tol: f64) -> usize {
+    if tol > 0.0 {
+        (CHAIN_FLOOR_SWEEPS / iterations_per_probe_sweep(tol)).floor() as usize
+    } else {
+        0
+    }
+}
+
+/// Level 0 as every chain starts it, built once: the input simplified
+/// and relabelled into the configured [`LevelOrdering`], and its
+/// components. [`build_chain`] builds its levels on it; the level-0 cut
+/// probes it first.
+struct TopLevel {
+    /// The simplified input in its baked-in order.
+    graph: Graph,
+    /// Boundary permutation (`original id → internal id`).
+    perm: Vec<u32>,
+    /// Connected components of `graph`.
+    comps: Components,
+    /// Size floor of the level loop: `max(bottom_size, m^bottom_exponent)`
+    /// of the input.
+    bottom_target: usize,
+}
+
+impl TopLevel {
+    /// The prologue of a build under sanitized `options`.
+    fn new(g: &Graph, options: &ChainOptions) -> Self {
+        let input_m = g.m().max(1);
+        let bottom_target = options
+            .bottom_size
+            .max((input_m as f64).powf(options.bottom_exponent).ceil() as usize);
+        let simple = g.simplify();
+        // Bake the boundary permutation into the top system before
+        // anything downstream (subgraph, sampling, elimination) sees it.
+        let perm = level_order(&simple, options.ordering);
+        let graph = relabel(&simple, &perm);
+        drop(simple);
+        // Every solve projects its right-hand sides with the components:
+        // recomputing an O(n + m) labelling per solve is exactly the
+        // per-RHS overhead blocking is meant to remove.
+        let comps = parallel_connected_components(&graph);
+        TopLevel {
+            graph,
+            perm,
+            comps,
+            bottom_target,
+        }
+    }
+
+    /// The depth-0 chain whose bottom is this system, with merged-row
+    /// matrix `matrix`, solved by `bottom` (`factor` is a direct bottom's
+    /// envelope factor). It has no cycle to demote or calibrate.
+    fn into_depth0(
+        self,
+        matrix: PermutedLevel,
+        bottom: BottomSolver,
+        factor: Option<EnvelopeLdl>,
+        options: ChainOptions,
+    ) -> SolverChain {
+        SolverChain {
+            levels: Vec::new(),
+            top_matrix: None,
+            bottom_graph: self.graph,
+            bottom_matrix: matrix,
+            bottom,
+            bottom_labels: self.comps.labels.clone(),
+            bottom_components: self.comps.count,
+            top_labels: self.comps.labels,
+            top_components: self.comps.count,
+            top_perm: self.perm,
+            options,
+            cycle: ChainCycle::F64(Cycle::new(Vec::new(), &mut [], factor)),
+            level0: None,
+        }
+    }
+}
+
+/// Whether the level loop builds another level on `g` with `depth`
+/// levels above it: `g` is above the size floor, has more edges than a
+/// forest, and the depth backstop allows it.
+fn grows_level(g: &Graph, depth: usize, bottom_target: usize, options: &ChainOptions) -> bool {
+    g.n() > bottom_target && g.m() > g.n() && depth < options.max_levels
+}
+
+/// The bottom solver of a bottom system: trivial without edges, direct
+/// when it was `factored`, otherwise Jacobi-PCG with its build-time probe.
+fn bottom_solver(
+    g: &Graph,
+    matrix: &PermutedLevel,
+    comps: &Components,
+    factored: bool,
+    seed: u64,
+) -> BottomSolver {
+    if g.m() == 0 {
+        BottomSolver::Trivial
+    } else if factored {
+        BottomSolver::Direct
+    } else {
+        let seed = seed ^ JacobiBottom::PROBE_SEED;
+        let (labels, count) = (&comps.labels, comps.count);
+        BottomSolver::Iterative(JacobiBottom::probe(matrix, labels, count, seed, usize::MAX).0)
+    }
+}
+
+/// [`build_chain`] on its prologue.
+fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
+    let TopLevel {
+        graph: mut current,
+        perm: top_perm,
+        comps: top_comps,
+        bottom_target,
+    } = top;
     let mut levels: Vec<ChainLevel> = Vec::new();
-    let mut current = g.simplify();
-    // Bake the boundary permutation into the top system before anything
-    // downstream (subgraph, sampling, elimination) sees it.
-    let top_perm = level_order(&current, options.ordering);
-    current = relabel(&current, &top_perm);
     let mut seed = options.seed;
 
-    while current.n() > bottom_target
-        && current.m() > current.n()
-        && levels.len() < options.max_levels
-    {
+    while grows_level(&current, levels.len(), bottom_target, &options) {
         seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
 
         // 1. Low-stretch ultra-sparse subgraph of the current level.
@@ -1413,59 +1679,57 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
 
     // The loop stops at a size floor, not at the cheapest bottom.
     let current = cut_at_cheapest_bottom(&mut levels, current, options.dense_bottom_limit);
+    let factor_bottom = |g: &Graph| {
+        (g.m() > 0 && g.n() <= options.dense_bottom_limit)
+            .then(|| EnvelopeLdl::from_graph(g, 1e-10))
+    };
 
-    // Bottom solver. The bottom graph arrived here already in its baked-in
-    // order (the top permutation when there are no levels, the last
-    // elimination's relabel otherwise), so the envelope factor sees the
-    // bandwidth-reduced profile directly. The merged-row matrix, the
-    // envelope factorization, and the component labellings are independent
-    // pure functions of the finished graphs, so they run concurrently
-    // under the scope (same width-independence argument as the per-level
-    // passes above).
+    if levels.is_empty() {
+        // The loop built no level: the top system is the bottom.
+        let top = TopLevel {
+            graph: current,
+            perm: top_perm,
+            comps: top_comps,
+            bottom_target,
+        };
+        let (matrix, factor) = rayon::join(
+            || PermutedLevel::from_graph(&top.graph),
+            || factor_bottom(&top.graph),
+        );
+        let bottom = bottom_solver(
+            &top.graph,
+            &matrix,
+            &top.comps,
+            factor.is_some(),
+            options.seed,
+        );
+        return top.into_depth0(matrix, bottom, factor, options);
+    }
+
+    // Bottom solver. The bottom graph arrived here already in the order
+    // the last elimination's relabel baked in, so the envelope factor
+    // sees the bandwidth-reduced profile directly. The merged-row matrix,
+    // the envelope factorization, and the component labelling are
+    // independent pure functions of the finished graph, so they run
+    // concurrently under the scope (same width-independence argument as
+    // the per-level passes above).
     let mut bottom_matrix_slot: Option<PermutedLevel> = None;
     let mut factor_slot: Option<EnvelopeLdl> = None;
     let mut comps_slot = None;
-    let mut top_comps_slot = None;
     rayon::scope(|s| {
         s.spawn(|_| bottom_matrix_slot = Some(PermutedLevel::from_graph(&current)));
-        s.spawn(|_| {
-            if current.m() > 0 && current.n() <= options.dense_bottom_limit {
-                factor_slot = Some(EnvelopeLdl::from_graph(&current, 1e-10));
-            }
-        });
-        // Cache the component structures in the scope body: every solve
-        // projects its right-hand sides with them, and recomputing an
-        // O(n + m) labelling per solve is exactly the per-RHS overhead
-        // blocking is meant to remove. The top labelling reuses the bottom
-        // one when there are no levels, so both stay in one task.
-        let comps = parsdd_graph::components::parallel_connected_components(&current);
-        top_comps_slot = Some(if let Some(l) = levels.first() {
-            parsdd_graph::components::parallel_connected_components(
-                l.graph
-                    .as_ref()
-                    .expect("level graphs are resident during build"),
-            )
-        } else {
-            comps.clone()
-        });
-        comps_slot = Some(comps);
+        s.spawn(|_| factor_slot = factor_bottom(&current));
+        comps_slot = Some(parallel_connected_components(&current));
     });
     let bottom_matrix = bottom_matrix_slot.expect("scope completed bottom matrix");
-    let comps: parsdd_graph::components::Components =
-        comps_slot.expect("scope completed components");
-    let bottom = if current.m() == 0 {
-        BottomSolver::Trivial
-    } else if factor_slot.is_some() {
-        BottomSolver::Direct
-    } else {
-        BottomSolver::Iterative(JacobiBottom::new(
-            &bottom_matrix,
-            &comps.labels,
-            comps.count,
-            options.seed ^ 0xb077_0000,
-        ))
-    };
-    let top_comps = top_comps_slot.expect("scope completed top components");
+    let comps = comps_slot.expect("scope completed components");
+    let bottom = bottom_solver(
+        &current,
+        &bottom_matrix,
+        &comps,
+        factor_slot.is_some(),
+        options.seed,
+    );
 
     let mut matrices: Vec<PermutedLevel> = levels
         .iter()
@@ -1477,10 +1741,8 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
             )
         })
         .collect();
-    let top_matrix = (!matrices.is_empty()).then(|| matrices.remove(0));
-    if let Some(top) = &top_matrix {
-        levels[0].stream_bytes = top.stream_bytes();
-    }
+    let top_matrix = matrices.remove(0);
+    levels[0].stream_bytes = top_matrix.stream_bytes();
     // Demote once, after the all-f64 build: the matrices of levels ≥ 1,
     // the bottom factor and the elimination traces are what the
     // preconditioner streams per application. Level 0's matrix and the
@@ -1488,11 +1750,11 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     // through them, and an f32 top operator would cap the reachable
     // residual near single-precision ε, above the 1e-8 outer tolerances
     // the solver pins. Level 0's trace demotes too: it is
-    // preconditioner-internal even at the top. A depth-0 chain has no
-    // cycle: its bottom solve is the final answer, which must hit the
-    // caller's tolerance, and a single f32-factor solve caps out near
+    // preconditioner-internal even at the top. A depth-0 chain (above)
+    // has no cycle: its bottom solve is the final answer, which must hit
+    // the caller's tolerance, and a single f32-factor solve caps out near
     // 1e-7 relative.
-    let cycle = if options.precision == Precision::F32 && !levels.is_empty() {
+    let cycle = if options.precision == Precision::F32 {
         for lvl in levels.iter_mut().skip(1) {
             lvl.storage_precision = Precision::F32;
         }
@@ -1505,7 +1767,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
 
     let mut chain = SolverChain {
         levels,
-        top_matrix,
+        top_matrix: Some(top_matrix),
         bottom_graph: current,
         bottom_matrix,
         bottom,
@@ -1516,6 +1778,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
         top_perm,
         options,
         cycle,
+        level0: None,
     };
     // Calibration runs *after* demotion so the Chebyshev intervals bracket
     // the spectrum of the operator the inner iteration actually applies.
@@ -1576,12 +1839,13 @@ struct CutLevel {
 /// `Σ_{i<j} sweeps_i·m_i + solves_j·(2·P_j + 2·n_j)`. Candidates are the
 /// levels `j ≥ 1` with `n_j ≤ dense_bottom_limit` and `m_j > 0`; the
 /// natural bottom is always eligible (at zero bottom cost when it has no
-/// edges). Level 0 is never chosen: a depth-0 chain is the direct solver,
-/// a different contract (its bottom is the final answer). When the natural
-/// bottom is iterative nothing is cut — its cost is only known after the
-/// build-time probe, and the levels above it are larger still. Ties keep
-/// the deeper level, so the chain changes only when the cut is strictly
-/// cheaper.
+/// edges). Level 0 is never chosen here: a depth-0 chain's bottom solve
+/// is the final answer, priced per solve rather than per application, so
+/// cutting there is the level-0 cut's call ([`build_solver_chain`]),
+/// made where the solve tolerance is known. When the natural bottom is
+/// iterative nothing is cut — its cost is only known after the build-time
+/// probe, and the levels above it are larger still. Ties keep the deeper
+/// level, so the chain changes only when the cut is strictly cheaper.
 fn cheapest_bottom(levels: &[CutLevel], dense_bottom_limit: usize) -> usize {
     let d = levels.len() - 1;
     let bottom = levels[d];
@@ -1834,6 +2098,7 @@ impl SolverChain {
             kappa_clamp_hits,
             resident_bytes: stats.resident_bytes,
             streamed_bytes_per_application: stats.streamed_bytes_per_application,
+            level0: self.level0,
         }
     }
 
@@ -1846,9 +2111,14 @@ impl SolverChain {
     const PRECOND_BOTTOM_TOL: f64 = 3e-2;
 
     /// Loosest tolerance of a depth-0 chain's bottom solve, which is the
-    /// final answer: it runs to a tenth of the caller's tolerance, within
-    /// `[1e-14, MAX_FINAL_BOTTOM_TOL]`.
+    /// final answer (see [`final_bottom_tol`](Self::final_bottom_tol)).
     const MAX_FINAL_BOTTOM_TOL: f64 = 1e-8;
+
+    /// Tolerance of a depth-0 chain's bottom solve at caller tolerance
+    /// `tol`: a tenth of it, within `[1e-14, MAX_FINAL_BOTTOM_TOL]`.
+    fn final_bottom_tol(tol: f64) -> f64 {
+        (tol * 0.1).clamp(1e-14, Self::MAX_FINAL_BOTTOM_TOL)
+    }
 
     /// Applies the full preconditioner `B₀⁻¹` to `k` row-major right-hand
     /// sides in **internal** (chain) index order, writing into `out`.
@@ -1874,6 +2144,25 @@ impl SolverChain {
             unreachable!("a depth-0 chain keeps its f64 bottom")
         };
         cycle.with_workspace(|ws| self.bottom_solve(cycle, br, k, tol, out, &mut ws.bottom));
+    }
+
+    /// A depth-0 chain's final answer for `k` row-major right-hand sides:
+    /// the bottom solve to `tol`, and each column's iteration count — its
+    /// own Jacobi-PCG iterations on an iterative bottom, one direct solve
+    /// otherwise.
+    fn final_bottom_solve(&self, br: &[f64], k: usize, tol: f64) -> (Vec<f64>, Vec<usize>) {
+        let ChainCycle::F64(cycle) = &self.cycle else {
+            unreachable!("a depth-0 chain keeps its f64 bottom")
+        };
+        cycle.with_workspace(|ws| {
+            let mut out = Vec::new();
+            self.bottom_solve(cycle, br, k, tol, &mut out, &mut ws.bottom);
+            let iterations = match self.bottom {
+                BottomSolver::Iterative(_) => ws.bottom.cg.iterations.clone(),
+                _ => vec![1; k],
+            };
+            (out, iterations)
+        })
     }
 
     /// Allocating [`bottom_solve_rm_into`](Self::bottom_solve_rm_into).
@@ -1928,8 +2217,11 @@ impl SolverChain {
                     &mut s.wide_sums,
                     &mut s.proj_sizes,
                 );
-                let m = &self.bottom_matrix;
-                jacobi.solve_rm_into(m, &s.wide_rhs, k, tol, &mut s.wide_out, &mut s.cg);
+                let (m, budget) = (
+                    &self.bottom_matrix,
+                    JacobiBottom::budget(self.bottom_matrix.n()),
+                );
+                jacobi.solve_rm_into(m, &s.wide_rhs, k, tol, budget, &mut s.wide_out, &mut s.cg);
                 out.clear();
                 out.extend(s.wide_out.iter().map(|&v| T::from_f64(v)));
             }
@@ -2282,11 +2574,7 @@ impl SolverChain {
             if !active.is_empty() {
                 let ka = active.len();
                 let ba = compact_columns_rm(&rr, k, &active);
-                let xa = self.bottom_solve_rm(
-                    &ba,
-                    ka,
-                    (tol * 0.1).clamp(1e-14, Self::MAX_FINAL_BOTTOM_TOL),
-                );
+                let (xa, its) = self.final_bottom_solve(&ba, ka, Self::final_bottom_tol(tol));
                 let mut diff = vec![0.0f64; n * ka];
                 self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
                 for (d, &bv) in diff.iter_mut().zip(&ba) {
@@ -2298,7 +2586,7 @@ impl SolverChain {
                     let x = (0..n).map(|i| xa[perm[i] as usize * ka + c]).collect();
                     outcomes[j] = Some(SolveOutcome {
                         x,
-                        iterations: 1,
+                        iterations: its[c],
                         relative_residual: rel,
                         converged: rel <= tol,
                         breakdown: if rel.is_finite() {

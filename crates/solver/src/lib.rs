@@ -43,8 +43,8 @@ pub mod sdd_solve;
 pub mod sparsify;
 
 pub use chain::{
-    build_chain, ChainOptions, ChainPreconditioner, ChainQuality, ChainStats, LevelQuality,
-    Precision, SolveOutcome, SolverChain,
+    build_chain, ChainOptions, ChainPreconditioner, ChainQuality, ChainStats, Level0Decision,
+    Level0Path, LevelQuality, Precision, SolveOutcome, SolverChain,
 };
 pub use elimination::{
     greedy_elimination, greedy_elimination_with_params, EliminationParams, EliminationResult,

@@ -31,7 +31,10 @@ use parsdd_linalg::csr::CsrMatrix;
 use parsdd_linalg::sdd::GrembanReduction;
 use parsdd_linalg::vector::norm2;
 
-use crate::chain::{build_chain, ChainOptions, ChainStats, SolveOutcome, SolverChain};
+use crate::chain::{
+    build_chain, build_solver_chain, ChainOptions, ChainQuality, ChainStats, SolveOutcome,
+    SolverChain,
+};
 use crate::error::{BuildError, RecoveryRung, RecoveryStep, SolveError};
 
 /// Widest block `solve_many` hands to the chain at once: bounds the
@@ -146,9 +149,15 @@ pub struct SddSolver {
 impl SddSolver {
     /// Builds a solver for the Laplacian of `g`. Options are
     /// [`SddSolverOptions::sanitized`] first.
+    ///
+    /// Level 0 is cut here, because only the solver knows its tolerance
+    /// (DESIGN.md §2.10): a capped Jacobi-PCG probe on the input decides
+    /// between Jacobi-PCG (a depth-0 chain with an iterative bottom) and
+    /// the chain [`build_chain`] builds, bit for bit. The decision is
+    /// recorded in [`ChainQuality::level0`].
     pub fn new_laplacian(g: &Graph, options: SddSolverOptions) -> Self {
         let options = options.sanitized();
-        let chain = build_chain(g, &options.chain);
+        let chain = build_solver_chain(g, &options.chain, options.tolerance);
         SddSolver {
             problem: Problem::Laplacian,
             chain,
@@ -195,7 +204,7 @@ impl SddSolver {
 
     fn from_reduction(reduction: GrembanReduction, dim: usize, options: SddSolverOptions) -> Self {
         let options = options.sanitized();
-        let chain = build_chain(reduction.graph(), &options.chain);
+        let chain = build_solver_chain(reduction.graph(), &options.chain, options.tolerance);
         let source_graph = reduction.graph().clone();
         SddSolver {
             original_dim: dim,
@@ -213,7 +222,8 @@ impl SddSolver {
         self.original_dim
     }
 
-    /// The underlying preconditioner chain.
+    /// The underlying preconditioner chain: depth 0 with an iterative
+    /// bottom when the level-0 cut chose Jacobi-PCG.
     pub fn chain(&self) -> &SolverChain {
         &self.chain
     }
@@ -221,6 +231,11 @@ impl SddSolver {
     /// Chain statistics (level sizes, κ's, recursion width).
     pub fn stats(&self) -> ChainStats {
         self.chain.stats()
+    }
+
+    /// The chain's quality report, the level-0 decision included.
+    pub fn quality(&self) -> ChainQuality {
+        self.chain.quality()
     }
 
     /// Solves `A x = b` to the configured tolerance.
@@ -790,6 +805,27 @@ mod tests {
         for (a, s) in tried.x.iter().zip(&direct.x) {
             assert_eq!(a.to_bits(), s.to_bits());
         }
+    }
+
+    #[test]
+    fn stronger_rung_of_a_depth_0_solver_builds_the_full_chain() {
+        // Zoo rmat/small: the level-0 cut sends it to Jacobi-PCG.
+        let g = generators::rmat(9, 4_096, 0x2001);
+        let options = SddSolverOptions::default();
+        let solver = SddSolver::new_laplacian(&g, options);
+        assert_eq!(solver.chain().depth(), 0);
+        let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        project_out_constant(&mut b);
+        // 1e-17 is below what f64 reaches: the ladder climbs every rung.
+        let out = solver.try_solve_with_tolerance(&b, 1e-17);
+        assert!(matches!(out, Err(SolveError::BudgetExhausted { .. })));
+        let stronger = solver.stronger.get().expect("the stronger rung ran");
+        assert!(stronger.depth() >= 1, "the stronger rung is a full chain");
+        let (o, base) = (stronger.options(), options.chain);
+        assert!(o.adaptive);
+        assert_eq!(o.extra_fraction, (base.extra_fraction * 2.0).min(1.0));
+        assert_eq!(o.max_inner_iterations, base.max_inner_iterations + 2);
+        assert_eq!(o.seed, base.seed);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! built on) and asserts the robustness contract of DESIGN.md §2.5.
 
 use parsdd_bench::faults::{self, Fault, FaultPlan};
+use parsdd_bench::zoo::{self, Tier};
 use parsdd_graph::{generators, Graph, GraphDataError};
 use parsdd_linalg::breakdown::BreakdownReason;
 use parsdd_linalg::cg::{pcg_solve, CgOptions};
 use parsdd_linalg::laplacian::LaplacianOp;
 use parsdd_linalg::operator::LinearOperator;
 use parsdd_linalg::vector::{norm2, project_out_constant, sub};
-use parsdd_solver::chain::{build_chain, ChainOptions, ChainPreconditioner};
+use parsdd_solver::chain::{build_chain, ChainOptions, ChainPreconditioner, SolverChain};
 use parsdd_solver::error::{BuildError, RecoveryRung, SolveError};
 use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
 
@@ -37,9 +38,28 @@ fn balanced_rhs(n: usize, seed: u64) -> Vec<f64> {
 /// converged recovery — exhaustive over the plan, deterministic per seed.
 #[test]
 fn every_planned_fault_is_classified_or_recovered() {
-    let g = barbell();
+    check_plan(&barbell(), |g| build_chain(g, &ChainOptions::default()));
+}
+
+/// The same plan against a solver the level-0 cut sent to Jacobi-PCG
+/// (zoo rmat/small, a depth-0 chain with an iterative bottom): its
+/// preconditioner faults run through that depth-0 chain.
+#[test]
+fn every_planned_fault_on_a_depth_0_solver_is_classified_or_recovered() {
+    let g = zoo::build("rmat", Tier::Small);
+    let depth0 = |g: &Graph| {
+        let solver = SddSolver::new_laplacian(g, SddSolverOptions::default());
+        assert_eq!(solver.chain().depth(), 0, "the probe must cut level 0");
+        solver.chain().clone()
+    };
+    check_plan(&g, depth0);
+}
+
+/// Runs the standard fault plan against `g`'s default solver; `chain_of`
+/// builds the chain the preconditioner faults run through.
+fn check_plan(g: &Graph, chain_of: impl Fn(&Graph) -> SolverChain) {
     let plan = FaultPlan::standard(0xfau64, g.n(), g.m());
-    let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+    let solver = SddSolver::new_laplacian(g, SddSolverOptions::default());
     let b = balanced_rhs(g.n(), 3);
 
     for fault in &plan.faults {
@@ -64,7 +84,7 @@ fn every_planned_fault_is_classified_or_recovered() {
                 ));
             }
             Fault::CorruptWeight { edge, weight } => {
-                let bad = faults::corrupt_weight(&g, edge, weight);
+                let bad = faults::corrupt_weight(g, edge, weight);
                 match SddSolver::try_new_laplacian(&bad, SddSolverOptions::default()) {
                     Err(BuildError::InvalidGraph(
                         GraphDataError::NonFiniteWeight { edge: e, .. }
@@ -81,7 +101,7 @@ fn every_planned_fault_is_classified_or_recovered() {
                 // build must still succeed (disconnected Laplacians are
                 // legal), but the old globally-balanced rhs now has
                 // nonzero sums on the new components → typed rejection.
-                let cut = faults::drop_weakest_edges(&g, count);
+                let cut = faults::drop_weakest_edges(g, count);
                 let cut_solver = SddSolver::try_new_laplacian(&cut, SddSolverOptions::default())
                     .expect("disconnected graphs are legal systems");
                 match cut_solver.try_solve(&b) {
@@ -102,10 +122,10 @@ fn every_planned_fault_is_classified_or_recovered() {
                 // precondition the *original* system: flexible PCG must
                 // still converge (the perturbed chain is spectrally close)
                 // and the answer must be right — never silently wrong.
-                let perturbed = faults::perturb_weights(&g, relative, seed);
-                let chain = build_chain(&perturbed, &ChainOptions::default());
+                let perturbed = faults::perturb_weights(g, relative, seed);
+                let chain = chain_of(&perturbed);
                 let pre = ChainPreconditioner::new(&chain);
-                let op = LaplacianOp::new(&g);
+                let op = LaplacianOp::new(g);
                 let out = pcg_solve(
                     &op,
                     &pre,
@@ -127,10 +147,10 @@ fn every_planned_fault_is_classified_or_recovered() {
                 // NaN injected mid-iteration: the driver must freeze with
                 // a typed non-finite breakdown instead of spinning its
                 // whole budget on NaN arithmetic.
-                let chain = build_chain(&g, &ChainOptions::default());
+                let chain = chain_of(g);
                 let inner = ChainPreconditioner::new(&chain);
                 let pre = faults::PoisonedPreconditioner::new(&inner, application);
-                let op = LaplacianOp::new(&g);
+                let op = LaplacianOp::new(g);
                 let out = pcg_solve(
                     &op,
                     &pre,
@@ -205,6 +225,41 @@ fn recovery_ladder_end_to_end_on_barbell() {
     let again = solver.try_solve(&b).expect("deterministic rescue");
     let rungs2: Vec<RecoveryRung> = again.recovery.iter().map(|s| s.rung).collect();
     assert_eq!(rungs, rungs2);
+}
+
+/// A depth-0 solve asked for more accuracy than its Jacobi-PCG reaches in
+/// one go escalates through the ladder in order and ends in a typed error
+/// or a recovery that meets the tolerance, never a panic. (The stronger
+/// rung's chain is checked by a unit test of the ladder.)
+#[test]
+fn depth_0_solver_escalates_through_the_ladder() {
+    let g = zoo::build("rmat", Tier::Small);
+    let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+    assert_eq!(solver.chain().depth(), 0);
+    let b = balanced_rhs(g.n(), 5);
+    let tol = 1e-15;
+    assert!(!solver.solve_with_tolerance(&b, tol).converged);
+    let expected = [
+        RecoveryRung::IterateRefresh,
+        RecoveryRung::StrongerChain,
+        RecoveryRung::DirectFactor,
+    ];
+    match solver.try_solve_with_tolerance(&b, tol) {
+        Ok(out) => {
+            assert!(out.converged);
+            let rungs: Vec<RecoveryRung> = out.recovery.iter().map(|s| s.rung).collect();
+            assert_eq!(rungs.as_slice(), &expected[..rungs.len()]);
+            let r = sub(&b, &LaplacianOp::new(&g).apply_vec(&out.x));
+            assert!(norm2(&r) <= 10.0 * tol * norm2(&b));
+        }
+        Err(
+            SolveError::BudgetExhausted { recovery, .. } | SolveError::Breakdown { recovery, .. },
+        ) => {
+            let rungs: Vec<RecoveryRung> = recovery.iter().map(|s| s.rung).collect();
+            assert_eq!(rungs, expected, "every rung must have been tried");
+        }
+        Err(other) => panic!("depth-0 escalation misclassified: {other}"),
+    }
 }
 
 /// The recovery ladder escalates a mixed-precision chain to full

@@ -43,17 +43,18 @@ const ENVELOPES: &[Envelope] = &[
     // Iterative bottoms are charged the iterations of their build-time
     // probe solve at the preconditioner-application tolerance.
     //
-    // rmat: measured depth 1/1/2, it 27/31/40, work 14.5/50.5/11.4×m.
-    // The cost cut (DESIGN.md §2.10) stops the medium tier at depth 1
-    // (was depth 2 at 172.1×m). The large tier keeps an iterative bottom
-    // (power-law cores do not eliminate well).
+    // rmat: measured depth 0/0/0, it 17/23/26, work 4.0/4.0/4.0×m. The
+    // level-0 cut (DESIGN.md §2.10) sends every tier to Jacobi-PCG
+    // (probe 4 sweeps); the chain was depth 1/1/2, it 27/31/40, work
+    // 14.5/50.5/11.4×m. Iterations are Jacobi-PCG's at depth 0.
     env("rmat", Tier::Small, 3, 60, 40.0, 0),
     env("rmat", Tier::Medium, 2, 80, 100.0, 0),
     env("rmat", Tier::Large, 4, 80, 25.0, 0),
-    // smallworld: measured depth 1/1/1, it 30/42/54, work 75.3/7.6/6.4×m.
-    // The cut stops the small tier at depth 1 (was depth 3 at 565×m).
-    // Expanders resist both elimination and sparsification; medium/large
-    // run an iterative bottom, which converges fast on them.
+    // smallworld: measured depth 0/0/0, it 70/64/54, work 11.0/10.0/8.0×m.
+    // Expanders resist both elimination and sparsification, and
+    // Jacobi-PCG converges fast on them: the level-0 cut takes every
+    // tier there (probe 11/10/8 sweeps). The chain was depth 1/1/1, it
+    // 30/42/54, work 75.3/7.6/6.4×m.
     env("smallworld", Tier::Small, 2, 80, 150.0, 0),
     env("smallworld", Tier::Medium, 3, 90, 16.0, 0),
     env("smallworld", Tier::Large, 3, 110, 13.0, 0),
