@@ -6,9 +6,8 @@
 //! low-stretch subgraph output, the incremental sparsifier — can refer to
 //! edges of the *original* graph across transformations.
 
-use crate::parutil::{exclusive_prefix_sum, SyncMutPtr, SEQ_CUTOFF};
+use crate::parutil::{counting_sort, counting_sorted, SyncMutPtr, SEQ_CUTOFF};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Vertex identifier. Vertices are numbered `0..n`.
 pub type VertexId = u32;
@@ -22,9 +21,9 @@ pub const INVALID_VERTEX: VertexId = u32::MAX;
 
 /// A structural defect found while validating graph input data.
 ///
-/// Returned by [`Graph::validated`]; every variant pins the offending edge
-/// index so callers (and error messages) can point at the exact input
-/// record. The panicking constructors ([`Graph::from_edges`],
+/// Returned by [`Graph::validated`]; every per-edge variant pins the
+/// offending edge index so callers (and error messages) can point at the
+/// exact input record. The panicking constructors ([`Graph::from_edges`],
 /// [`GraphBuilder::add_edge`](crate::builder::GraphBuilder::add_edge))
 /// enforce the same invariants with `assert!`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,6 +60,14 @@ pub enum GraphDataError {
         /// The declared vertex count.
         n: usize,
     },
+    /// The vertex or edge count reaches `u32::MAX`: ids are `u32`, and
+    /// [`INVALID_VERTEX`] and `EdgeId::MAX` are reserved sentinels.
+    TooLarge {
+        /// The declared vertex count.
+        n: usize,
+        /// The edge count.
+        m: usize,
+    },
 }
 
 impl std::fmt::Display for GraphDataError {
@@ -81,11 +88,27 @@ impl std::fmt::Display for GraphDataError {
                     "edge {edge} references vertex {endpoint} outside the vertex set 0..{n}"
                 )
             }
+            GraphDataError::TooLarge { n, m } => {
+                write!(
+                    f,
+                    "{n} vertices and {m} edges: both counts must stay below u32::MAX = {}",
+                    u32::MAX
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for GraphDataError {}
+
+/// Checks that `n` vertices and `m` edges fit the `u32` ids below their
+/// sentinels.
+pub(crate) fn check_scale(n: usize, m: usize) -> Result<(), GraphDataError> {
+    if n >= INVALID_VERTEX as usize || m >= EdgeId::MAX as usize {
+        return Err(GraphDataError::TooLarge { n, m });
+    }
+    Ok(())
+}
 
 /// Checks one edge against the graph invariants (used by both the
 /// panicking and the fallible constructors).
@@ -195,8 +218,9 @@ impl Graph {
     /// Builds a graph with `n` vertices from an untrusted undirected edge
     /// list, returning a typed [`GraphDataError`] (instead of panicking)
     /// on the first self-loop, out-of-range endpoint, or non-finite /
-    /// non-positive weight.
+    /// non-positive weight, or when `n` or `m` reaches `u32::MAX`.
     pub fn validated(n: usize, edges: Vec<Edge>) -> Result<Self, GraphDataError> {
+        check_scale(n, edges.len())?;
         if edges.len() < SEQ_CUTOFF {
             for (i, e) in edges.iter().enumerate() {
                 check_edge(i, e, n)?;
@@ -215,151 +239,41 @@ impl Graph {
 
     /// Builds a graph assuming the edge list has already been validated.
     ///
-    /// Above [`SEQ_CUTOFF`] edges the CSR is
-    /// assembled in parallel (atomic degree counting, parallel prefix sums,
-    /// atomic-cursor scatter, then a per-vertex segment sort by edge id that
-    /// restores the sequential fill's exact arc order) — the result is
-    /// bitwise identical to the sequential path at every pool width.
+    /// One stable [`counting_sort`] of the `2m` arcs, in edge-id order
+    /// (edge `i`'s arc at `u`, then its arc at `v`), by source vertex: every
+    /// vertex's arcs sit in edge-id order, at every pool width.
+    ///
+    /// Panics if `n` or `m` reaches `u32::MAX` (see
+    /// [`GraphDataError::TooLarge`]).
     pub fn from_edges_unchecked(n: usize, edges: Vec<Edge>) -> Self {
         let m = edges.len();
-        if m < SEQ_CUTOFF {
-            return Self::from_edges_sequential(n, edges);
+        if let Err(e) = check_scale(n, m) {
+            panic!("Graph::from_edges_unchecked: {e}");
         }
-        // Parallel degree counting. Arc counts are exact integers, so the
-        // scatter order does not affect them.
-        let degree: Vec<AtomicU32> = (0..n)
-            .into_par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|_| AtomicU32::new(0))
-            .collect();
-        edges.par_iter().with_min_len(SEQ_CUTOFF).for_each(|e| {
-            degree[e.u as usize].fetch_add(1, Ordering::Relaxed);
-            degree[e.v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let counts: Vec<usize> = degree
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|d| d.load(Ordering::Relaxed) as usize)
-            .collect();
-        // Parallel prefix sums -> offsets.
-        let offsets = exclusive_prefix_sum(&counts);
-        debug_assert_eq!(offsets[n], 2 * m);
-        // Scatter arcs through per-vertex atomic cursors. Arrival order
-        // within a vertex is nondeterministic here; the segment sort below
-        // canonicalises it.
-        let cursor: Vec<AtomicUsize> = offsets[..n]
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
         let mut targets = vec![0 as VertexId; 2 * m];
         let mut weights = vec![0.0f64; 2 * m];
         let mut arc_edge = vec![0 as EdgeId; 2 * m];
-        {
-            let tp = SyncMutPtr(targets.as_mut_ptr());
-            let wp = SyncMutPtr(weights.as_mut_ptr());
-            let ep = SyncMutPtr(arc_edge.as_mut_ptr());
-            edges
-                .par_iter()
-                .enumerate()
-                .with_min_len(SEQ_CUTOFF / 4)
-                .for_each(|(id, e)| {
-                    let pu = cursor[e.u as usize].fetch_add(1, Ordering::Relaxed);
-                    let pv = cursor[e.v as usize].fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: fetch_add hands every arc a distinct slot in
-                    // the vertex's `offsets[u]..offsets[u+1]` segment.
-                    unsafe {
-                        tp.write(pu, e.v);
-                        wp.write(pu, e.w);
-                        ep.write(pu, id as EdgeId);
-                        tp.write(pv, e.u);
-                        wp.write(pv, e.w);
-                        ep.write(pv, id as EdgeId);
-                    }
-                });
-        }
-        // Canonicalise every vertex segment to edge-id order — exactly the
-        // layout the sequential fill produces (each edge contributes one arc
-        // per endpoint, in input order).
-        {
-            let tp = SyncMutPtr(targets.as_mut_ptr());
-            let wp = SyncMutPtr(weights.as_mut_ptr());
-            let ep = SyncMutPtr(arc_edge.as_mut_ptr());
-            let targets_r = &targets;
-            let weights_r = &weights;
-            let arc_edge_r = &arc_edge;
-            let offsets_r = &offsets;
-            (0..n)
-                .into_par_iter()
-                .with_min_len(SEQ_CUTOFF / 4)
-                .for_each(|v| {
-                    let lo = offsets_r[v];
-                    let hi = offsets_r[v + 1];
-                    if hi - lo < 2 {
-                        return;
-                    }
-                    let mut seg: Vec<(EdgeId, VertexId, f64)> = (lo..hi)
-                        .map(|i| (arc_edge_r[i], targets_r[i], weights_r[i]))
-                        .collect();
-                    seg.sort_unstable_by_key(|a| a.0);
-                    for (k, (e, t, w)) in seg.into_iter().enumerate() {
-                        // SAFETY: vertex segments are disjoint; this task
-                        // owns `lo..hi` exclusively.
-                        unsafe {
-                            ep.write(lo + k, e);
-                            tp.write(lo + k, t);
-                            wp.write(lo + k, w);
-                        }
-                    }
-                });
-        }
-        Graph {
+        let tp = SyncMutPtr(targets.as_mut_ptr());
+        let wp = SyncMutPtr(weights.as_mut_ptr());
+        let ep = SyncMutPtr(arc_edge.as_mut_ptr());
+        let offsets = counting_sort(
+            2 * m,
             n,
-            offsets,
-            targets,
-            weights,
-            arc_edge,
-            edges,
-        }
-    }
-
-    /// Sequential CSR assembly (small inputs and the reference layout for
-    /// the parallel path above).
-    fn from_edges_sequential(n: usize, edges: Vec<Edge>) -> Self {
-        let m = edges.len();
-        // Degree counting.
-        let mut degree = vec![0usize; n];
-        for e in &edges {
-            degree[e.u as usize] += 1;
-            degree[e.v as usize] += 1;
-        }
-        // Prefix sums -> offsets.
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        debug_assert_eq!(acc, 2 * m);
-        // Fill arcs.
-        let mut cursor = offsets[..n].to_vec();
-        let mut targets = vec![0 as VertexId; 2 * m];
-        let mut weights = vec![0.0f64; 2 * m];
-        let mut arc_edge = vec![0 as EdgeId; 2 * m];
-        for (id, e) in edges.iter().enumerate() {
-            let pu = cursor[e.u as usize];
-            targets[pu] = e.v;
-            weights[pu] = e.w;
-            arc_edge[pu] = id as EdgeId;
-            cursor[e.u as usize] += 1;
-
-            let pv = cursor[e.v as usize];
-            targets[pv] = e.u;
-            weights[pv] = e.w;
-            arc_edge[pv] = id as EdgeId;
-            cursor[e.v as usize] += 1;
-        }
+            |a| {
+                let e = &edges[a / 2];
+                (if a % 2 == 0 { e.u } else { e.v }) as usize
+            },
+            |a, slot| {
+                let e = &edges[a / 2];
+                // SAFETY: `counting_sort` hands every arc a distinct slot
+                // below `2m`.
+                unsafe {
+                    tp.write(slot, if a % 2 == 0 { e.v } else { e.u });
+                    wp.write(slot, e.w);
+                    ep.write(slot, (a / 2) as EdgeId);
+                }
+            },
+        );
         Graph {
             n,
             offsets,
@@ -478,54 +392,36 @@ impl Graph {
     /// Merges parallel edges by summing their weights, returning a simple
     /// graph (no parallel edges, no self-loops). Edge ids are renumbered.
     ///
-    /// Implemented as a parallel sort + run merge (no hash map, so peak
-    /// memory stays flat at web scale). Parallel edges are summed in input
-    /// order and output edges are sorted by `(u, v)`, matching the original
-    /// hash-map implementation bitwise.
+    /// Two stable [`counting_sort`] passes order the edge ids by larger
+    /// endpoint, then by smaller, so each endpoint pair's edges form one
+    /// run in input order; each run becomes one edge whose weight is summed
+    /// in that order. Output edges are sorted by `(u, v)` with `u < v`.
+    /// O(n + m) work, no hash map.
     pub fn simplify(&self) -> Graph {
         let m = self.m();
-        // (min, max, id) triples; sorting the full triple keeps input order
-        // within each endpoint group, so the weight sums below accumulate
-        // parallel edges in edge-id order.
-        let mut keyed: Vec<(VertexId, VertexId, EdgeId)> = self
-            .edges
-            .par_iter()
-            .enumerate()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|(id, e)| {
-                let (a, b) = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
-                (a, b, id as EdgeId)
-            })
-            .collect();
-        keyed.par_sort_unstable();
-        // Group starts, compacted in order.
-        let keyed_r = &keyed;
-        let starts: Vec<usize> = (0..m)
+        let ends = |id: EdgeId| {
+            let e = &self.edges[id as usize];
+            (e.u.min(e.v), e.u.max(e.v))
+        };
+        let by_max = counting_sorted(m, self.n, |i| ends(i as EdgeId).1 as usize, |i| i as EdgeId);
+        let sorted = counting_sorted(m, self.n, |s| ends(by_max[s]).0 as usize, |s| by_max[s]);
+        drop(by_max);
+        // One output edge per run, from the run's first slot.
+        let sorted_r = &sorted;
+        let edges: Vec<Edge> = (0..m)
             .into_par_iter()
             .with_min_len(SEQ_CUTOFF)
-            .filter(|&i| {
-                i == 0 || (keyed_r[i].0, keyed_r[i].1) != (keyed_r[i - 1].0, keyed_r[i - 1].1)
-            })
-            .collect();
-        let starts_r = &starts;
-        let edges: Vec<Edge> = (0..starts.len())
-            .into_par_iter()
-            .with_min_len(SEQ_CUTOFF / 4)
-            .map(|gi| {
-                let lo = starts_r[gi];
-                let hi = if gi + 1 < starts_r.len() {
-                    starts_r[gi + 1]
-                } else {
-                    m
-                };
-                let (u, v, _) = keyed_r[lo];
+            .filter(|&i| i == 0 || ends(sorted_r[i]) != ends(sorted_r[i - 1]))
+            .map(|lo| {
+                let pair = ends(sorted_r[lo]);
                 let mut w = 0.0;
-                for k in keyed_r[lo..hi].iter() {
-                    w += self.edges[k.2 as usize].w;
+                for &id in sorted_r[lo..].iter().take_while(|&&id| ends(id) == pair) {
+                    w += self.edges[id as usize].w;
                 }
-                Edge::new(u, v, w)
+                Edge::new(pair.0, pair.1, w)
             })
             .collect();
+        drop(sorted);
         Graph::from_edges_unchecked(self.n, edges)
     }
 
@@ -717,20 +613,96 @@ mod tests {
         out
     }
 
+    /// A hub-heavy multigraph in the spirit of rMAT: sources skew towards
+    /// low ids, every 8th edge leaves vertex 0 and every 5th repeats the
+    /// previous pair with another weight.
+    fn hub_edges(n: u32, m: usize) -> Vec<Edge> {
+        let mut out: Vec<Edge> = Vec::with_capacity(m);
+        for (i, e) in scrambled_edges(n, m).into_iter().enumerate() {
+            let skewed = (e.u as u64 * e.v as u64 / n as u64) as u32;
+            let (u, v) = if i % 5 == 4 {
+                (out[i - 1].v, out[i - 1].u)
+            } else if i % 8 == 0 {
+                (0, e.v.max(1))
+            } else {
+                (skewed, e.v)
+            };
+            let v = if u == v { (v + 1) % n } else { v };
+            out.push(Edge::new(u, v, e.w));
+        }
+        out
+    }
+
     #[test]
     fn parallel_build_matches_sequential_layout() {
         let n = 503;
-        let edges = scrambled_edges(n as u32, SEQ_CUTOFF + 1717);
-        let par = Graph::from_edges_unchecked(n, edges.clone());
-        let seq = Graph::from_edges_sequential(n, edges);
-        assert_eq!(par.offsets, seq.offsets);
-        assert_eq!(par.targets, seq.targets);
-        assert_eq!(par.arc_edge, seq.arc_edge);
-        assert!(par
-            .weights
-            .iter()
-            .zip(&seq.weights)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let edges = hub_edges(n as u32, 3 * SEQ_CUTOFF + 1717);
+        // Reference: each vertex's arcs, filtered from the edge list in id
+        // order.
+        let mut expect: Vec<Vec<(VertexId, u64, EdgeId)>> = vec![Vec::new(); n];
+        for (id, e) in edges.iter().enumerate() {
+            expect[e.u as usize].push((e.v, e.w.to_bits(), id as EdgeId));
+            expect[e.v as usize].push((e.u, e.w.to_bits(), id as EdgeId));
+        }
+        for threads in [1, 2, 4] {
+            let g = crate::parutil::with_threads(threads, || {
+                Graph::from_edges_unchecked(n, edges.clone())
+            });
+            assert_eq!(g.edges(), &edges[..]);
+            for (v, want) in expect.iter().enumerate() {
+                let got: Vec<_> = g
+                    .arcs(v as VertexId)
+                    .map(|(t, w, id)| (t, w.to_bits(), id))
+                    .collect();
+                assert_eq!(&got, want, "vertex {v} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn simplify_sums_parallel_edges_in_input_order() {
+        // (1 + 1e16) + 1 rounds to 1e16 twice; any other order keeps a 2.
+        let g = Graph::from_edges(
+            4,
+            vec![
+                Edge::new(2, 3, 5.0),
+                Edge::new(1, 0, 1.0),
+                Edge::new(0, 3, 7.0),
+                Edge::new(0, 1, 1e16),
+                Edge::new(3, 2, 6.0),
+                Edge::new(1, 0, 1.0),
+            ],
+        );
+        let s = g.simplify();
+        let pairs: Vec<_> = s.edges().iter().map(|e| (e.u, e.v)).collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 3), (2, 3)]);
+        assert_eq!(s.edge(0).w.to_bits(), ((1.0 + 1e16) + 1.0f64).to_bits());
+        assert_ne!(s.edge(0).w.to_bits(), (1.0 + 1.0 + 1e16f64).to_bits());
+        assert_eq!(s.edge(2).w, 11.0);
+    }
+
+    #[test]
+    fn scale_guard_rejects_u32_overflow() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_scale(max - 1, max - 1), Ok(()));
+        assert_eq!(
+            check_scale(max, 0),
+            Err(GraphDataError::TooLarge { n: max, m: 0 })
+        );
+        assert_eq!(
+            check_scale(3, max),
+            Err(GraphDataError::TooLarge { n: 3, m: max })
+        );
+        assert!(matches!(
+            Graph::validated(max, vec![]),
+            Err(GraphDataError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn unchecked_build_panics_past_u32_ids() {
+        let _ = Graph::from_edges_unchecked(u32::MAX as usize, vec![]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::io::{BufRead, Read, Write};
 
 use crate::builder::GraphBuilder;
 use crate::csr::Csr;
-use crate::graph::{Edge, Graph, GraphDataError};
+use crate::graph::{check_scale, Edge, Graph, GraphDataError};
 
 /// Errors produced while reading a graph.
 #[derive(Debug)]
@@ -176,6 +176,7 @@ pub fn read_edge_list<R: BufRead>(mut input: R) -> Result<Graph, IoError> {
     // was validated inline, so the edge list moves straight into the
     // constructor — no second copy through a builder.
     let n = declared_n.unwrap_or(max_vertex as usize + 1);
+    check_scale(n, edges.len()).map_err(|error| IoError::InvalidGraph { line: 0, error })?;
     Ok(Graph::from_edges_unchecked(n, edges))
 }
 
@@ -747,6 +748,20 @@ mod tests {
                     },
             } => {}
             other => panic!("expected EndpointOutOfRange, got {other:?}"),
+        }
+        // Declared or implied vertex counts past the u32 ids.
+        for text in ["# 4294967295 1\n0 1 1.0\n", "0 4294967294 1.0\n"] {
+            match read_edge_list(BufReader::new(text.as_bytes())).unwrap_err() {
+                IoError::InvalidGraph {
+                    error:
+                        GraphDataError::TooLarge {
+                            n: 4294967295,
+                            m: 1,
+                        },
+                    ..
+                } => {}
+                other => panic!("expected TooLarge, got {other:?}"),
+            }
         }
     }
 

@@ -56,6 +56,91 @@ pub fn exclusive_prefix_sum(input: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Stable counting sort of the items `0..len` by `key(i) < buckets`.
+///
+/// Calls `place(i, slot)` exactly once for every item, with the slots
+/// forming a permutation of `0..len`: bucket `k` fills
+/// `offsets[k]..offsets[k + 1]` of the returned offsets (length
+/// `buckets + 1`), its items in increasing `i`. That output is unique, so
+/// it does not depend on the pool width.
+///
+/// The items are cut into `B` contiguous blocks, `B` at most the pool
+/// width and 1 below [`SEQ_CUTOFF`] items per block. Each block counts its
+/// keys into its own histogram row; a column-wise scan over the rows gives
+/// every block its first slot in each bucket; the blocks then scatter in
+/// parallel, each through its own row of cursors. Work O(len + B·buckets),
+/// span O(len / B + buckets).
+pub fn counting_sort(
+    len: usize,
+    buckets: usize,
+    key: impl Fn(usize) -> usize + Sync,
+    place: impl Fn(usize, usize) + Sync,
+) -> Vec<usize> {
+    if buckets == 0 {
+        assert_eq!(len, 0, "counting_sort: items but no buckets");
+        return vec![0];
+    }
+    let blocks = rayon::current_num_threads().min(len / SEQ_CUTOFF).max(1);
+    let block = len.div_ceil(blocks).max(1);
+    let block_range = |b: usize| b * block..((b + 1) * block).min(len);
+    let mut rows = vec![0usize; blocks * buckets];
+    rows.par_chunks_mut(buckets)
+        .enumerate()
+        .for_each(|(b, row)| {
+            for i in block_range(b) {
+                row[key(i)] += 1;
+            }
+        });
+    // Column-wise exclusive scan over the blocks: afterwards `rows[b][k]`
+    // counts bucket `k`'s items in blocks before `b`, and `totals[k]` the
+    // whole bucket.
+    let mut totals = vec![0usize; buckets];
+    for row in rows.chunks_mut(buckets) {
+        totals
+            .par_iter_mut()
+            .zip(row.par_iter_mut())
+            .with_min_len(SEQ_CUTOFF)
+            .for_each(|(total, r)| {
+                let count = *r;
+                *r = *total;
+                *total += count;
+            });
+    }
+    let offsets = exclusive_prefix_sum(&totals);
+    drop(totals);
+    rows.par_chunks_mut(buckets)
+        .enumerate()
+        .for_each(|(b, row)| {
+            for i in block_range(b) {
+                let k = key(i);
+                place(i, offsets[k] + row[k]);
+                row[k] += 1;
+            }
+        });
+    offsets
+}
+
+/// [`counting_sort`] collecting `item(i)` into each item's slot: the items
+/// in stable key order. `key` must be a pure function of the item (it is
+/// called twice per item, and the slots are only distinct if it answers
+/// the same both times).
+pub(crate) fn counting_sorted<T: Send>(
+    len: usize,
+    buckets: usize,
+    key: impl Fn(usize) -> usize + Sync,
+    item: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(len);
+    let ptr = SyncMutPtr(out.as_mut_ptr());
+    // SAFETY: `counting_sort` hands every item a distinct slot below `len`.
+    counting_sort(len, buckets, key, |i, slot| unsafe {
+        ptr.write(slot, item(i))
+    });
+    // SAFETY: all `len` slots were written above.
+    unsafe { out.set_len(len) };
+    out
+}
+
 /// A Send/Sync wrapper for a raw mutable pointer used in disjoint parallel
 /// writes. Callers must guarantee disjointness.
 #[derive(Clone, Copy)]
@@ -70,7 +155,7 @@ impl<T> SyncMutPtr<T> {
     /// The caller must guarantee that `idx` is in bounds and that no other
     /// thread writes or reads the same index concurrently.
     pub(crate) unsafe fn write(&self, idx: usize, val: T) {
-        *self.0.add(idx) = val;
+        self.0.add(idx).write(val);
     }
 }
 
@@ -139,6 +224,29 @@ mod tests {
             acc += x;
         }
         assert_eq!(par[xs.len()], acc);
+    }
+
+    #[test]
+    fn counting_sort_is_a_stable_sort_at_every_width() {
+        let key = |i: usize| (crate::generators::counter_u64(5, i as u64) % 1000) as usize;
+        for len in [0, 7, SEQ_CUTOFF - 1, 5 * SEQ_CUTOFF + 3] {
+            let mut expect: Vec<usize> = (0..len).collect();
+            expect.sort_by_key(|&i| key(i));
+            for threads in [1, 2, 4] {
+                let (offsets, sorted) = with_threads(threads, || {
+                    let sorted = counting_sorted(len, 1000, key, |i| i);
+                    (counting_sort(len, 1000, key, |_, _| {}), sorted)
+                });
+                assert_eq!(sorted, expect, "len {len} at {threads} threads");
+                assert_eq!(offsets.len(), 1001);
+                for k in 0..1000 {
+                    assert!(sorted[offsets[k]..offsets[k + 1]]
+                        .iter()
+                        .all(|&i| key(i) == k));
+                }
+            }
+        }
+        assert_eq!(counting_sort(0, 0, |_| 0, |_, _| {}), vec![0]);
     }
 
     #[test]

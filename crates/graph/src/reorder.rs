@@ -14,7 +14,8 @@
 //! ordering — and every f64 the solver computes downstream of it — is a
 //! pure function of the graph.
 
-use crate::graph::{Graph, VertexId, INVALID_VERTEX};
+use crate::graph::{Edge, EdgeId, Graph, VertexId, INVALID_VERTEX};
+use crate::parutil::counting_sorted;
 
 /// Maximum rounds of the pseudo-peripheral search (each round is one BFS;
 /// the eccentricity estimate is non-decreasing, so a handful of rounds
@@ -172,24 +173,32 @@ pub fn bandwidth(g: &Graph) -> usize {
 
 /// Returns a copy of `g` with vertex `v` renamed to `old_to_new[v]`.
 ///
-/// Edges are normalised (`u < v`) and re-sorted by endpoint pair, so the
-/// result — including its CSR arc order, which downstream f64
-/// accumulation orders depend on — is a pure function of the input graph
-/// and the labelling. Edge ids are renumbered; weights are untouched.
+/// Edges are normalised (`u < v`) and sorted by endpoint pair with two
+/// stable counting-sort passes (larger endpoint, then smaller), so
+/// parallel edges keep their input order. The result — including its CSR
+/// arc order, which downstream f64 accumulation orders depend on — is a
+/// pure function of the input graph and the labelling. Edge ids are
+/// renumbered; weights are untouched.
 pub fn relabel(g: &Graph, old_to_new: &[u32]) -> Graph {
     assert_eq!(old_to_new.len(), g.n());
-    let mut edges: Vec<crate::graph::Edge> = g
-        .edges()
-        .iter()
-        .map(|e| {
-            let u = old_to_new[e.u as usize];
-            let v = old_to_new[e.v as usize];
-            let (u, v) = if u < v { (u, v) } else { (v, u) };
-            crate::graph::Edge::new(u, v, e.w)
-        })
-        .collect();
-    edges.sort_unstable_by_key(|e| (e.u, e.v));
-    Graph::from_edges_unchecked(g.n(), edges)
+    let n = g.n();
+    let ends = |id: EdgeId| {
+        let e = g.edge(id);
+        let (u, v) = (old_to_new[e.u as usize], old_to_new[e.v as usize]);
+        (u.min(v), u.max(v), e.w)
+    };
+    let by_max = counting_sorted(g.m(), n, |i| ends(i as EdgeId).1 as usize, |i| i as EdgeId);
+    let edges = counting_sorted(
+        g.m(),
+        n,
+        |s| ends(by_max[s]).0 as usize,
+        |s| {
+            let (u, v, w) = ends(by_max[s]);
+            Edge::new(u, v, w)
+        },
+    );
+    drop(by_max);
+    Graph::from_edges_unchecked(n, edges)
 }
 
 #[cfg(test)]
@@ -244,7 +253,6 @@ mod tests {
 
     #[test]
     fn handles_disconnected_and_isolated() {
-        use crate::graph::{Edge, Graph};
         // Two components plus two isolated vertices.
         let g = Graph::from_edges(
             7,
@@ -277,6 +285,48 @@ mod tests {
         // Weighted degrees too (the Laplacian diagonal).
         for v in 0..g.n() as u32 {
             assert!((g.weighted_degree(v) - r.weighted_degree(p[v as usize])).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn relabel_keeps_parallel_edges_in_input_order() {
+        let g = Graph::from_edges(
+            4,
+            vec![
+                Edge::new(0, 1, 3.0),
+                Edge::new(2, 3, 9.0),
+                Edge::new(1, 0, 1.0),
+                Edge::new(3, 2, 8.0),
+                Edge::new(0, 1, 2.0),
+                Edge::new(0, 3, 4.0),
+            ],
+        );
+        // 0 → 3, 1 → 2, 2 → 1, 3 → 0.
+        let r = relabel(&g, &[3, 2, 1, 0]);
+        let got: Vec<_> = r.edges().iter().map(|e| (e.u, e.v, e.w)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 1, 9.0),
+                (0, 1, 8.0),
+                (0, 3, 4.0),
+                (2, 3, 3.0),
+                (2, 3, 1.0),
+                (2, 3, 2.0),
+            ]
+        );
+        // Long runs too: weights grow in input order along every run.
+        let edges = (0..300)
+            .map(|i| {
+                let (u, v) = [(0, 1), (2, 1), (2, 0)][i % 3];
+                Edge::new(u, v, 1.0 + i as f64)
+            })
+            .collect();
+        let r = relabel(&Graph::from_edges(3, edges), &[2, 0, 1]);
+        for w in r.edges().windows(2) {
+            if (w[0].u, w[0].v) == (w[1].u, w[1].v) {
+                assert!(w[0].w < w[1].w);
+            }
         }
     }
 

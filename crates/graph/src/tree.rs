@@ -8,9 +8,8 @@
 
 use crate::bfs::UNREACHED;
 use crate::graph::{EdgeId, Graph, VertexId, INVALID_VERTEX};
-use crate::parutil::{exclusive_prefix_sum, SyncMutPtr, SEQ_CUTOFF};
+use crate::parutil::{counting_sort, SyncMutPtr, SEQ_CUTOFF};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// A rooted spanning forest of a host graph.
 ///
@@ -47,129 +46,35 @@ struct TreeAdj {
 }
 
 impl TreeAdj {
+    /// One stable [`counting_sort`] of the `2t` tree arcs (tree edge `i`'s
+    /// arc at `u`, then its arc at `v`) by source vertex.
     fn build(g: &Graph, tree_edges: &[EdgeId], length: &(impl Fn(f64) -> f64 + Sync)) -> Self {
-        let n = g.n();
         let t = tree_edges.len();
-        if t < SEQ_CUTOFF {
-            // Sequential two-pass counting sort.
-            let mut counts = vec![0usize; n];
-            for &e in tree_edges {
-                let edge = g.edge(e);
-                counts[edge.u as usize] += 1;
-                counts[edge.v as usize] += 1;
-            }
-            let off = exclusive_prefix_sum(&counts);
-            let mut cursor = off[..n].to_vec();
-            let mut nbr = vec![INVALID_VERTEX; 2 * t];
-            let mut edge_ids = vec![EdgeId::MAX; 2 * t];
-            let mut w = vec![0.0f64; 2 * t];
-            for &e in tree_edges {
-                let edge = g.edge(e);
-                let lw = length(edge.w);
-                let pu = cursor[edge.u as usize];
-                nbr[pu] = edge.v;
-                edge_ids[pu] = e;
-                w[pu] = lw;
-                cursor[edge.u as usize] += 1;
-                let pv = cursor[edge.v as usize];
-                nbr[pv] = edge.u;
-                edge_ids[pv] = e;
-                w[pv] = lw;
-                cursor[edge.v as usize] += 1;
-            }
-            return TreeAdj {
-                off,
-                nbr,
-                edge: edge_ids,
-                w,
-            };
-        }
-        // Parallel counting + prefix sums + atomic-cursor scatter, then a
-        // per-vertex segment sort by position in the tree-edge list to
-        // restore the sequential insertion order.
-        let counts_atomic: Vec<AtomicU32> = (0..n)
-            .into_par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|_| AtomicU32::new(0))
-            .collect();
-        tree_edges
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .for_each(|&e| {
-                let edge = g.edge(e);
-                counts_atomic[edge.u as usize].fetch_add(1, Ordering::Relaxed);
-                counts_atomic[edge.v as usize].fetch_add(1, Ordering::Relaxed);
-            });
-        let counts: Vec<usize> = counts_atomic
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|c| c.load(Ordering::Relaxed) as usize)
-            .collect();
-        let off = exclusive_prefix_sum(&counts);
-        let cursor: Vec<AtomicUsize> = off[..n]
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|&o| AtomicUsize::new(o))
-            .collect();
-        let mut pos = vec![0u32; 2 * t];
         let mut nbr = vec![INVALID_VERTEX; 2 * t];
         let mut edge_ids = vec![EdgeId::MAX; 2 * t];
         let mut w = vec![0.0f64; 2 * t];
-        {
-            let pp = SyncMutPtr(pos.as_mut_ptr());
-            let np = SyncMutPtr(nbr.as_mut_ptr());
-            let ep = SyncMutPtr(edge_ids.as_mut_ptr());
-            let wp = SyncMutPtr(w.as_mut_ptr());
-            tree_edges
-                .par_iter()
-                .enumerate()
-                .with_min_len(SEQ_CUTOFF / 4)
-                .for_each(|(i, &e)| {
-                    let edge = g.edge(e);
-                    let lw = length(edge.w);
-                    let pu = cursor[edge.u as usize].fetch_add(1, Ordering::Relaxed);
-                    let pv = cursor[edge.v as usize].fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: fetch_add hands each arc a distinct slot.
-                    unsafe {
-                        pp.write(pu, i as u32);
-                        np.write(pu, edge.v);
-                        ep.write(pu, e);
-                        wp.write(pu, lw);
-                        pp.write(pv, i as u32);
-                        np.write(pv, edge.u);
-                        ep.write(pv, e);
-                        wp.write(pv, lw);
-                    }
-                });
-            let nbr_r = &nbr;
-            let edge_r = &edge_ids;
-            let w_r = &w;
-            let pos_r = &pos;
-            let off_r = &off;
-            (0..n)
-                .into_par_iter()
-                .with_min_len(SEQ_CUTOFF / 4)
-                .for_each(|v| {
-                    let lo = off_r[v];
-                    let hi = off_r[v + 1];
-                    if hi - lo < 2 {
-                        return;
-                    }
-                    let mut seg: Vec<(u32, VertexId, EdgeId, f64)> = (lo..hi)
-                        .map(|i| (pos_r[i], nbr_r[i], edge_r[i], w_r[i]))
-                        .collect();
-                    seg.sort_unstable_by_key(|s| s.0);
-                    for (k, (p, nb, e, lw)) in seg.into_iter().enumerate() {
-                        // SAFETY: vertex segments are disjoint.
-                        unsafe {
-                            pp.write(lo + k, p);
-                            np.write(lo + k, nb);
-                            ep.write(lo + k, e);
-                            wp.write(lo + k, lw);
-                        }
-                    }
-                });
-        }
+        let np = SyncMutPtr(nbr.as_mut_ptr());
+        let ep = SyncMutPtr(edge_ids.as_mut_ptr());
+        let wp = SyncMutPtr(w.as_mut_ptr());
+        let off = counting_sort(
+            2 * t,
+            g.n(),
+            |a| {
+                let e = g.edge(tree_edges[a / 2]);
+                (if a % 2 == 0 { e.u } else { e.v }) as usize
+            },
+            |a, slot| {
+                let id = tree_edges[a / 2];
+                let e = g.edge(id);
+                // SAFETY: `counting_sort` hands every arc a distinct slot
+                // below `2t`.
+                unsafe {
+                    np.write(slot, if a % 2 == 0 { e.v } else { e.u });
+                    ep.write(slot, id);
+                    wp.write(slot, length(e.w));
+                }
+            },
+        );
         TreeAdj {
             off,
             nbr,
@@ -415,6 +320,72 @@ mod tests {
         let g = generators::cycle(4, 1.0);
         let all: Vec<EdgeId> = (0..g.m() as EdgeId).collect();
         let _ = RootedForest::from_tree_edges(&g, &all);
+    }
+
+    /// A hub-heavy tree on `n` vertices (parents skew towards low ids)
+    /// plus about as many non-tree edges of weight 0.5, and its tree edge
+    /// ids in scrambled order.
+    fn hub_tree(n: usize) -> (Graph, Vec<EdgeId>) {
+        let mix = |x: u64| generators::counter_u64(7, x) as usize;
+        let mut b = crate::builder::GraphBuilder::new(n);
+        for i in 1..n {
+            let p = (mix(i as u64) % i) * (mix((n + i) as u64) % i) / i;
+            b.add_edge(p as VertexId, i as VertexId, 1.0 + (i % 13) as f64);
+            let j = mix((2 * n + i) as u64) % n;
+            if j != i {
+                b.add_edge(i as VertexId, j as VertexId, 0.5);
+            }
+        }
+        let g = b.build();
+        let mut tree: Vec<EdgeId> = (0..g.m() as EdgeId)
+            .filter(|&e| g.edge(e).w != 0.5)
+            .collect();
+        tree.sort_by_key(|&e| mix(3 * n as u64 + e as u64));
+        (g, tree)
+    }
+
+    #[test]
+    fn tree_adjacency_matches_reference_at_every_width() {
+        let (g, tree) = hub_tree(3 * SEQ_CUTOFF);
+        let length = |w: f64| 1.0 / w;
+        // Reference: each vertex's arcs in tree-edge-list order.
+        let mut expect: Vec<Vec<(VertexId, EdgeId, u64)>> = vec![Vec::new(); g.n()];
+        for &id in &tree {
+            let e = g.edge(id);
+            let lw = length(e.w).to_bits();
+            expect[e.u as usize].push((e.v, id, lw));
+            expect[e.v as usize].push((e.u, id, lw));
+        }
+        let mut forests = Vec::new();
+        for threads in [1, 2, 4] {
+            let (adj, forest) = crate::parutil::with_threads(threads, || {
+                (
+                    TreeAdj::build(&g, &tree, &length),
+                    RootedForest::from_tree_edges(&g, &tree),
+                )
+            });
+            for (v, want) in expect.iter().enumerate() {
+                let got: Vec<_> = (adj.off[v]..adj.off[v + 1])
+                    .map(|i| (adj.nbr[i], adj.edge[i], adj.w[i].to_bits()))
+                    .collect();
+                assert_eq!(&got, want, "vertex {v} at {threads} threads");
+            }
+            forests.push(forest);
+        }
+        let f1 = &forests[0];
+        assert_eq!(f1.tree_count(), 1);
+        for f in &forests[1..] {
+            assert_eq!(f.parent, f1.parent);
+            assert_eq!(f.parent_edge, f1.parent_edge);
+            assert_eq!(f.depth, f1.depth);
+            assert_eq!(f.root, f1.root);
+            assert_eq!((&f.up, f.levels), (&f1.up, f1.levels));
+            assert!(f
+                .wdepth
+                .iter()
+                .zip(&f1.wdepth)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]
