@@ -249,7 +249,7 @@ pub(super) fn baseline(
             ),
             ("recursion_leaves", Json::f64(stats.recursion_leaves)),
             ("direct_bottom", stats.direct_bottom.into()),
-            ("bottom_envelope_nnz", stats.bottom_envelope_nnz.into()),
+            ("bottom_factor_nnz", stats.bottom_factor_nnz.into()),
         ]),
     ));
     let mut out = String::new();

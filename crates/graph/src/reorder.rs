@@ -1,4 +1,6 @@
-//! Bandwidth-reducing vertex orderings (reverse Cuthill–McKee).
+//! Vertex orderings: bandwidth-reducing (reverse Cuthill–McKee) for the
+//! chain's streamed levels, fill-reducing (minimum degree) for its direct
+//! bottom factor.
 //!
 //! The solver chain's inner loops are memory-bandwidth-bound sparse
 //! matrix–vector sweeps; how much of each cache line they use is decided
@@ -7,8 +9,9 @@
 //! cold line. A reverse Cuthill–McKee (RCM) ordering — breadth-first from
 //! a pseudo-peripheral vertex, neighbours visited in increasing degree,
 //! order reversed — clusters every vertex's neighbourhood into a narrow
-//! index band, so SpMV gathers, elimination traces, and (crucially)
-//! envelope factorisations of the bottom system stay cache-resident.
+//! index band, so SpMV gathers and elimination traces stay
+//! cache-resident. A direct factorisation wants the opposite trade: an
+//! order that keeps the factor's fill small ([`min_degree_order`]).
 //!
 //! Everything here is deterministic: ties break on vertex id, so the
 //! ordering — and every f64 the solver computes downstream of it — is a
@@ -16,6 +19,8 @@
 
 use crate::graph::{Edge, EdgeId, Graph, VertexId, INVALID_VERTEX};
 use crate::parutil::counting_sorted;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Maximum rounds of the pseudo-peripheral search (each round is one BFS;
 /// the eccentricity estimate is non-decreasing, so a handful of rounds
@@ -144,6 +149,234 @@ pub fn rcm_order(g: &Graph) -> Vec<u32> {
         old_to_new[v as usize] = (n - 1 - i) as u32;
     }
     old_to_new
+}
+
+/// A minimum-degree ordering of `g` and the fill it produces, or `None`
+/// as soon as that fill passes `budget`.
+///
+/// Returns `(old_to_new, entries)`: vertex `v` moves to index
+/// `old_to_new[v]`, and `entries` is the number of strictly-lower entries
+/// the LDLᵀ factor of `g`'s Laplacian stores in that order (each vertex's
+/// degree in the elimination graph when it is eliminated — exactly the
+/// column counts of the linear-algebra crate's `SparseLdl`). The chain
+/// prices a direct bottom with it before factoring, so giving up at
+/// `budget` bounds what pricing an oversized level costs.
+///
+/// The elimination graph is kept as a quotient graph (George–Liu): an
+/// eliminated vertex becomes an *element* standing for the clique of its
+/// neighbours, and absorbs the elements it touched or that lie inside its
+/// clique, so no clique is ever stored edge by edge. Vertices whose closed
+/// neighbourhoods coincide are merged into supervariables and eliminated
+/// together (mass elimination). The next pivot is the supervariable of
+/// least `(degree, id)`, where the degree is AMD's upper bound on the
+/// external degree (Amestoy–Davis–Duff), and its members follow in merge
+/// order. The order is a pure function of the graph and the same at every
+/// pool width; the entry count is exact whatever the degrees were.
+/// Parallel edges count once and self-loops not at all.
+pub fn min_degree_order(g: &Graph, budget: usize) -> Option<(Vec<u32>, usize)> {
+    let n = g.n();
+    // A node is a live supervariable, a live element, or dead (merged
+    // into another supervariable, or an element absorbed by a later one).
+    const VARIABLE: u8 = 0;
+    const ELEMENT: u8 = 1;
+    const DEAD: u8 = 2;
+    // `mark[x] == tick` marks x as seen in the current pass; the first n
+    // ticks are the vertex ids of the adjacency pass.
+    let mut mark = vec![usize::MAX; n];
+    // A variable's adjacent variables; an element's boundary variables.
+    let mut vars: Vec<Vec<VertexId>> = Vec::with_capacity(n);
+    let mut edges = 0usize;
+    for v in 0..n as VertexId {
+        let mut list = Vec::with_capacity(g.degree(v));
+        for &u in g.neighbors(v) {
+            if u != v && mark[u as usize] != v as usize {
+                mark[u as usize] = v as usize;
+                list.push(u);
+            }
+        }
+        edges += list.len();
+        vars.push(list);
+    }
+    // Every edge is an entry of the factor.
+    if edges / 2 > budget {
+        return None;
+    }
+    let mut tick = n;
+    let mut elems: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    let mut state = vec![VARIABLE; n];
+    let mut weight = vec![1usize; n];
+    let mut members: Vec<Vec<VertexId>> = (0..n as VertexId).map(|v| vec![v]).collect();
+    let mut degree: Vec<usize> = vars.iter().map(Vec::len).collect();
+    // Lazy min-heap on (degree, id): an entry is current while its node is
+    // a live variable of that degree; stale entries are skipped. A degree
+    // is pushed only when it differs from the last one pushed.
+    let mut queued = degree.clone();
+    let mut queue: BinaryHeap<Reverse<(usize, VertexId)>> = degree
+        .iter()
+        .enumerate()
+        .map(|(v, &d)| Reverse((d, v as VertexId)))
+        .collect();
+    let mut order = vec![INVALID_VERTEX; n];
+    let mut next = 0u32;
+    let mut entries = 0usize;
+    let mut boundary: Vec<VertexId> = Vec::new();
+    // An element's boundary weight when it was created, and (stamped with
+    // the pivot's tick) the part of it outside the current pivot's.
+    let mut born = vec![0usize; n];
+    let mut outside = vec![0usize; n];
+    let mut outside_at = vec![usize::MAX; n];
+    // Total weight of the live variables.
+    let mut remaining = n;
+    let mut keyed: Vec<(u64, VertexId)> = Vec::new();
+    while let Some(Reverse((d, p))) = queue.pop() {
+        let pi = p as usize;
+        if state[pi] != VARIABLE || degree[pi] != d {
+            continue;
+        }
+        // The pivot's boundary: its variables and those of its elements,
+        // which it absorbs.
+        tick += 1;
+        mark[pi] = tick;
+        boundary.clear();
+        for &u in &vars[pi] {
+            if state[u as usize] == VARIABLE && mark[u as usize] != tick {
+                mark[u as usize] = tick;
+                boundary.push(u);
+            }
+        }
+        for &e in &elems[pi] {
+            for &u in &vars[e as usize] {
+                if state[u as usize] == VARIABLE && mark[u as usize] != tick {
+                    mark[u as usize] = tick;
+                    boundary.push(u);
+                }
+            }
+            state[e as usize] = DEAD;
+            vars[e as usize] = Vec::new();
+        }
+        let external: usize = boundary.iter().map(|&u| weight[u as usize]).sum();
+        let w = weight[pi];
+        entries += w * external + w * (w - 1) / 2;
+        if entries > budget {
+            return None;
+        }
+        for &v in &members[pi] {
+            order[v as usize] = next;
+            next += 1;
+        }
+        members[pi] = Vec::new();
+        elems[pi] = Vec::new();
+        vars[pi] = boundary.clone();
+        born[pi] = external;
+        state[pi] = ELEMENT;
+        // Prune the boundary's lists: absorbed elements give way to the
+        // pivot, and variables now reached through it leave the lists.
+        let in_boundary = tick;
+        for &u in &boundary {
+            let ui = u as usize;
+            elems[ui].retain(|&e| state[e as usize] == ELEMENT);
+            elems[ui].push(p);
+            vars[ui].retain(|&x| state[x as usize] == VARIABLE && mark[x as usize] != in_boundary);
+        }
+        // |L_e \ L_p| of every other element next to the boundary, from
+        // the weight it was born with: merges keep that weight (merged
+        // variables share their elements), and an element loses a
+        // variable only by being absorbed.
+        for &u in &boundary {
+            for &e in &elems[u as usize] {
+                let ei = e as usize;
+                if e != p {
+                    if outside_at[ei] != in_boundary {
+                        outside_at[ei] = in_boundary;
+                        outside[ei] = born[ei];
+                    }
+                    outside[ei] -= weight[u as usize];
+                }
+            }
+        }
+        // Elements inside the pivot's boundary are absorbed by it, and
+        // each boundary variable's degree is bounded by its variables, the
+        // rest of the boundary, and its other elements' parts outside the
+        // boundary (the approximate degree of Amestoy–Davis–Duff's AMD).
+        remaining -= w;
+        for &u in &boundary {
+            let ui = u as usize;
+            elems[ui].retain(|&e| {
+                let inside = e != p && outside[e as usize] == 0;
+                if inside {
+                    state[e as usize] = DEAD;
+                    vars[e as usize] = Vec::new();
+                }
+                !inside
+            });
+            let own: usize = vars[ui].iter().map(|&x| weight[x as usize]).sum();
+            let others: usize = elems[ui]
+                .iter()
+                .filter(|&&e| e != p)
+                .map(|&e| outside[e as usize])
+                .sum();
+            let rest = external - weight[ui];
+            degree[ui] = (own + rest + others)
+                .min(degree[ui] + rest)
+                .min(remaining - weight[ui]);
+        }
+        // Supervariables: boundary variables with the same elements and
+        // variables have the same closed neighbourhood. Candidates share a
+        // hash of their lists; each merges into the least id of its class.
+        keyed.clear();
+        keyed.extend(boundary.iter().map(|&u| {
+            let ui = u as usize;
+            let h = elems[ui].iter().chain(&vars[ui]).fold(0u64, |h, &x| {
+                h.wrapping_add((x as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            });
+            (h, u)
+        }));
+        keyed.sort_unstable();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            for (a, &(_, i)) in run.iter().enumerate() {
+                let ii = i as usize;
+                if state[ii] != VARIABLE {
+                    continue;
+                }
+                for &(_, j) in &run[a + 1..] {
+                    let ji = j as usize;
+                    if state[ji] != VARIABLE
+                        || elems[ii].len() != elems[ji].len()
+                        || vars[ii].len() != vars[ji].len()
+                    {
+                        continue;
+                    }
+                    tick += 1;
+                    for &x in elems[ii].iter().chain(&vars[ii]) {
+                        mark[x as usize] = tick;
+                    }
+                    if elems[ji]
+                        .iter()
+                        .chain(&vars[ji])
+                        .all(|&x| mark[x as usize] == tick)
+                    {
+                        weight[ii] += weight[ji];
+                        degree[ii] -= weight[ji];
+                        weight[ji] = 0;
+                        state[ji] = DEAD;
+                        let merged = std::mem::take(&mut members[ji]);
+                        members[ii].extend(merged);
+                        vars[ji] = Vec::new();
+                        elems[ji] = Vec::new();
+                    }
+                }
+            }
+        }
+        for &u in &boundary {
+            let ui = u as usize;
+            if state[ui] == VARIABLE && degree[ui] != queued[ui] {
+                queued[ui] = degree[ui];
+                queue.push(Reverse((degree[ui], u)));
+            }
+        }
+    }
+    debug_assert_eq!(next as usize, n);
+    Some((order, entries))
 }
 
 /// The identity labelling on `n` vertices (the "no reordering" baseline).
@@ -345,5 +578,69 @@ mod tests {
         let g = Graph::from_edges(0, vec![]);
         assert!(rcm_order(&g).is_empty());
         assert_eq!(bandwidth(&g), 0);
+        assert_eq!(min_degree_order(&g, 0), Some((vec![], 0)));
+    }
+
+    #[test]
+    fn min_degree_is_a_permutation_with_tree_fill_on_a_forest() {
+        // Eliminating leaves first adds no fill: a forest stores exactly
+        // its edges, and isolated vertices none.
+        let mut edges: Vec<Edge> = (1..40).map(|v| Edge::new(v / 3, v, 1.0)).collect();
+        edges.push(Edge::new(41, 42, 2.0));
+        let g = Graph::from_edges(45, edges);
+        let (order, entries) = min_degree_order(&g, usize::MAX).expect("no budget");
+        assert!(is_permutation(&order));
+        assert_eq!(entries, g.m());
+    }
+
+    #[test]
+    fn min_degree_fill_on_a_grid_is_far_below_dense() {
+        let g = generators::grid2d(30, 30, |_, _| 1.0);
+        let (order, entries) = min_degree_order(&g, usize::MAX).expect("no budget");
+        assert!(is_permutation(&order));
+        let dense = g.n() * (g.n() - 1) / 2;
+        assert!(
+            entries >= g.m() && entries * 20 < dense,
+            "{entries} vs {dense}"
+        );
+        // Parallel edges and the vertex numbering's direction change
+        // nothing the ordering sees but ids: the fill of a doubled graph
+        // is the fill of the simple one.
+        let doubled: Vec<Edge> = g.edges().iter().chain(g.edges()).copied().collect();
+        let doubled = Graph::from_edges(g.n(), doubled);
+        assert_eq!(
+            min_degree_order(&doubled, usize::MAX),
+            Some((order, entries))
+        );
+    }
+
+    /// The budget cut-off answers `None` exactly when the fill exceeds it.
+    #[test]
+    fn min_degree_budget_gives_up_exactly_past_the_fill() {
+        for g in [
+            generators::grid2d(12, 9, |_, _| 1.0),
+            generators::weighted_random_graph(150, 450, 0.5, 8.0, 3),
+        ] {
+            let (order, entries) = min_degree_order(&g, usize::MAX).expect("no budget");
+            assert_eq!(
+                min_degree_order(&g, entries),
+                Some((order.clone(), entries))
+            );
+            assert_eq!(min_degree_order(&g, entries - 1), None);
+            assert_eq!(min_degree_order(&g, g.m() / 2), None);
+        }
+    }
+
+    /// Sequential and tie-broken on `(degree, id)`: the same order at every
+    /// pool width.
+    #[test]
+    fn min_degree_is_identical_at_every_pool_width() {
+        let g = generators::weighted_random_graph(400, 1200, 1.0, 9.0, 11);
+        let runs: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|t| crate::parutil::with_threads(t, || min_degree_order(&g, usize::MAX)))
+            .collect();
+        assert!(runs[0].is_some());
+        assert!(runs.iter().all(|r| *r == runs[0]));
     }
 }

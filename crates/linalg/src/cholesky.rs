@@ -2,7 +2,7 @@
 //!
 //! Fact 6.4 of the paper bottoms the chain out in a direct factorisation
 //! of a graph with ~m^{1/3} vertices. The chain's bottom factor is the
-//! envelope (skyline) [`crate::envelope::EnvelopeLdl`]; this dense
+//! sparse [`crate::sparse_ldl::SparseLdl`]; this dense
 //! factor (O(n³) work, every entry of `L` stored) is the independent
 //! reference that tests and `solve_dense` in the solver's baselines
 //! check it against.

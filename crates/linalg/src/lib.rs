@@ -24,10 +24,11 @@
 //! * [`sdd`] — SDD matrix classification and Gremban's reduction of an SDD
 //!   system to a Laplacian system (Section 2 / Section 6 of the paper).
 //! * [`cholesky`] — dense LDLᵀ factorisation: the reference direct solver
-//!   the envelope factor and the baselines are checked against.
-//! * [`envelope`] — envelope (skyline) LDLᵀ factorisation: the chain's
-//!   bottom factor (Fact 6.4), cache-resident on bandwidth-reduced
-//!   (RCM-ordered) bottom systems.
+//!   the sparse factor and the baselines are checked against.
+//! * [`sparse_ldl`] — sparse LDLᵀ factorisation over the elimination tree:
+//!   the chain's bottom factor (Fact 6.4), built in a fill-reducing
+//!   (minimum-degree) order. [`envelope`] re-exports it under its old
+//!   name, [`envelope::EnvelopeLdl`].
 //! * [`permuted`] — merged diag+offdiag chain-level storage
 //!   ([`permuted::PermutedLevel`]) and the fused Chebyshev/residual sweep
 //!   kernels the solver's inner loops run on.
@@ -58,6 +59,7 @@ pub mod permuted;
 pub mod power;
 pub mod scalar;
 pub mod sdd;
+pub mod sparse_ldl;
 pub mod vector;
 
 pub use block::MultiVector;
@@ -65,9 +67,9 @@ pub use breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
 pub use cg::{block_pcg_solve, cg_solve, pcg_solve, CgOptions, CgOutcome};
 pub use cholesky::DenseLdl;
 pub use csr::CsrMatrix;
-pub use envelope::{envelope_profile, EnvelopeLdl};
 pub use laplacian::{laplacian_of, LaplacianOp};
 pub use operator::{IdentityPreconditioner, LinearOperator, Preconditioner};
 pub use permuted::PermutedLevel;
 pub use scalar::Scalar;
 pub use sdd::{GrembanReduction, SddClass, SddInputError};
+pub use sparse_ldl::SparseLdl;

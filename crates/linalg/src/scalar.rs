@@ -1,8 +1,8 @@
 //! The storage precision of the solver chain's per-application kernels.
 //!
 //! The chain's W-cycle is one algorithm at either precision (DESIGN.md
-//! §2.7): the fused Chebyshev sweep ([`crate::permuted`]), the envelope
-//! bottom solve ([`crate::envelope`]), the componentwise projection
+//! §2.7): the fused Chebyshev sweep ([`crate::permuted`]), the sparse
+//! bottom solve ([`crate::sparse_ldl`]), the componentwise projection
 //! ([`crate::vector`]) and the solver's compiled elimination trace are each
 //! written once, generic over [`Scalar`]. The arithmetic that deliberately
 //! differs between the tiers is an item of this trait, so this module is
@@ -15,7 +15,7 @@
 //! * [`Scalar::fold_divisor`] / [`Scalar::div_folded`] — the f64 tier
 //!   stores a divisor and divides by it; the f32 tier stores its
 //!   reciprocal, rounded once at build time, and multiplies.
-//! * [`Scalar::pivot`] — the envelope factor's diagonal scale: the f64
+//! * [`Scalar::pivot`] — the bottom factor's diagonal scale: the f64
 //!   tier branches on a zero pivot, the f32 tier multiplies by a stored
 //!   reciprocal whose zero marks the null direction.
 
@@ -60,7 +60,7 @@ pub trait Scalar:
     /// form.
     fn div_folded(self, folded: Self) -> Self;
 
-    /// The envelope factor's diagonal scale of `self` by a pivot stored as
+    /// The bottom factor's diagonal scale of `self` by a pivot stored as
     /// `0` (a null direction) or [`fold_divisor`](Self::fold_divisor)`(d)`.
     fn pivot(self, folded: Self) -> Self;
 

@@ -15,8 +15,9 @@
 //! until the level is small enough (Section 6.3 stops at ≈ `m^{1/3}`) *or*
 //! the levels stop shrinking (a data-driven cutoff on both `n` and `m` —
 //! deeper levels that do not shrink only add recursion overhead), at which
-//! point the bottom system is factored densely (Fact 6.4) or, if it is
-//! still too large for a dense factor, solved iteratively.
+//! point the bottom system is factored directly (Fact 6.4, a sparse LDLᵀ
+//! in minimum-degree order) or, if that factor would store too many
+//! entries, solved iteratively.
 //!
 //! Solving (`SolverChain::solve`): the top level runs flexible
 //! preconditioned CG; below it the chain is a uniform recursive **W-cycle**
@@ -45,11 +46,10 @@
 use std::sync::Mutex;
 
 use parsdd_graph::components::{parallel_connected_components, Components};
-use parsdd_graph::reorder::{identity_order, rcm_order, relabel};
+use parsdd_graph::reorder::{identity_order, min_degree_order, rcm_order, relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
-use parsdd_linalg::envelope::{envelope_profile, EnvelopeLdl};
 use parsdd_linalg::operator::Preconditioner;
 use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
@@ -57,7 +57,7 @@ use parsdd_linalg::vector::{
     colwise_dots_rm, colwise_dots_rm_into, dot_strided, project_out_componentwise_constant,
     project_out_componentwise_rows, project_out_componentwise_rows_with,
 };
-use parsdd_linalg::Scalar;
+use parsdd_linalg::{Scalar, SparseLdl};
 use parsdd_lsst::subgraph::{ls_subgraph, LsSubgraphParams};
 
 use crate::elimination::{greedy_elimination, CompiledTrace, EliminationResult};
@@ -67,14 +67,14 @@ use crate::sparsify::{incremental_sparsify, SparsifyParams};
 /// Vertex ordering baked into every chain level's storage at
 /// [`build_chain`] time. Interior iterations run entirely in the chosen
 /// index space; [`SolverChain::solve_block`] permutes boundary vectors
-/// once on entry and exit.
+/// once on entry and exit. A direct bottom is relabelled once more, into
+/// its minimum-degree order, whatever this says: its factor's fill, not
+/// its bandwidth, is what that level streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LevelOrdering {
     /// Reverse Cuthill–McKee bandwidth reduction
     /// ([`parsdd_graph::reorder::rcm_order`]): SpMV gathers and the
-    /// elimination trace touch a narrow index band, and the bottom
-    /// system's envelope factor shrinks by the band-to-dense ratio. The
-    /// default.
+    /// elimination trace touch a narrow index band. The default.
     BandwidthReducing,
     /// Keep the generator/elimination order (the pre-permutation
     /// behaviour; ablation and testing baseline).
@@ -83,7 +83,7 @@ pub enum LevelOrdering {
 
 /// Storage precision of the operators the preconditioner streams per
 /// application (the per-level merged CSR matrices of levels ≥ 1 and the
-/// bottom envelope factor).
+/// bottom factor).
 ///
 /// The solve is memory-bandwidth-bound (DESIGN.md §2.3): bytes streamed
 /// per iteration is the cost model, so halving entry width halves the
@@ -104,7 +104,7 @@ pub enum Precision {
     #[default]
     F64,
     /// f32 storage for the per-level matrices of levels ≥ 1, the bottom
-    /// envelope factor and every level's compiled elimination trace
+    /// factor and every level's compiled elimination trace
     /// ([`CompiledTrace`], divisions prefolded into f32 reciprocals),
     /// demoted once after an all-f64 build; Chebyshev intervals are
     /// calibrated against the demoted operator. The whole W-cycle below
@@ -210,11 +210,14 @@ pub struct ChainOptions {
     /// Terminate once a level has at most `m^bottom_exponent` vertices,
     /// where `m` is the edge count of the *input* (Section 6.3 uses 1/3).
     pub bottom_exponent: f64,
-    /// Largest bottom system that is factored directly (envelope LDLᵀ);
-    /// larger bottoms fall back to an iterative bottom solver. Also the
-    /// candidate cap of the cost cut: only levels with at most this many
-    /// vertices may become the bottom (DESIGN.md §2.10).
-    pub dense_bottom_limit: usize,
+    /// Most strictly-lower entries a direct bottom factor may store (its
+    /// fill in minimum-degree order, [`min_degree_order`]). A bottom
+    /// system whose factor would store more is solved iteratively. The
+    /// same cap bounds the cost cut's candidates (DESIGN.md §2.10) and a
+    /// depth-0 system. The default, 2¹⁸ entries (2 MiB at f64), admits
+    /// the bottoms of 2-D meshes and road networks of the benchmark sizes
+    /// and keeps 3-D lattices and dense clusters iterative.
+    pub direct_bottom_entry_limit: usize,
     /// Maximum number of chain levels (a backstop; the data-driven
     /// `min_shrink` cutoff is what normally terminates the chain).
     pub max_levels: usize,
@@ -258,7 +261,7 @@ impl Default for ChainOptions {
             oversample: 2.0,
             bottom_size: 300,
             bottom_exponent: 1.0 / 3.0,
-            dense_bottom_limit: 4000,
+            direct_bottom_entry_limit: 1 << 18,
             // Depth is data-driven (min_shrink); this is only a backstop
             // against pathological non-shrinking inputs.
             max_levels: 32,
@@ -533,16 +536,16 @@ impl ChainLevel {
 /// oversized bottoms).
 #[derive(Debug, Clone)]
 enum BottomSolver {
-    /// Envelope (skyline) LDLᵀ factorisation — the paper's direct bottom
-    /// factor, stored and streamed within the RCM-reduced profile instead
-    /// of the dense triangle (the recursion solves the bottom `∏k_i`
-    /// times per preconditioner application, so this stream dominates the
-    /// application's byte budget). A full profile degrades to exactly the
-    /// dense factorisation. The factor lives in the chain's [`Cycle`], at
-    /// its storage precision.
+    /// Sparse LDLᵀ factorisation in minimum-degree order — the paper's
+    /// direct bottom factor, storing and streaming only its fill (the
+    /// recursion solves the bottom `∏k_i` times per preconditioner
+    /// application, so this stream is a large share of the application's
+    /// byte budget). The factor lives in the chain's [`Cycle`], at its
+    /// storage precision.
     Direct,
     /// Jacobi-preconditioned CG on the bottom's merged-row matrix
-    /// (fallback when the bottom is too large to factor). Inside a
+    /// (fallback when the bottom's factor would store more than
+    /// [`ChainOptions::direct_bottom_entry_limit`] entries). Inside a
     /// preconditioner application it stops at the loose
     /// [`SolverChain::PRECOND_BOTTOM_TOL`]; see DESIGN.md §2.9.
     Iterative(JacobiBottom),
@@ -826,12 +829,12 @@ pub struct ChainStats {
     /// iteration counts below the top (the quantity Lemma 6.6/6.8 bounds
     /// by `∏√κ_i`).
     pub recursion_leaves: f64,
-    /// Whether the bottom is solved by a direct (envelope LDLᵀ) factor.
+    /// Whether the bottom is solved by a direct (sparse LDLᵀ) factor.
     pub direct_bottom: bool,
-    /// Stored strictly-lower entries of the bottom's envelope factor (0
+    /// Stored strictly-lower entries of the bottom's sparse factor (0
     /// for iterative/trivial bottoms). Each bottom solve streams this
     /// twice; the dense triangle it replaces is `n(n−1)/2` entries.
-    pub bottom_envelope_nnz: usize,
+    pub bottom_factor_nnz: usize,
     /// Iterations one seeded probe solve of the iterative bottom took at
     /// build time, at the tolerance of a bottom solve inside a
     /// preconditioner application (0 for direct and trivial bottoms).
@@ -840,7 +843,7 @@ pub struct ChainStats {
     /// Heap bytes each level keeps resident (streamed matrix + retained
     /// `Graph` CSR, zero once dropped; see
     /// [`ChainLevel::resident_bytes`]). The last entry is the bottom's
-    /// share: its f64 matrix, the retained bottom graph and the envelope
+    /// share: its f64 matrix, the retained bottom graph and the direct
     /// factor.
     pub level_resident_bytes: Vec<usize>,
     /// Total resident chain bytes (`Σ level_resident_bytes`).
@@ -848,7 +851,7 @@ pub struct ChainStats {
     /// Matrix/factor bytes streamed per top-level preconditioner
     /// application under the same recursion model as
     /// [`ChainStats::level_work`]: level `i ≥ 1` streams its matrix
-    /// `k_i` times per solve, the bottom streams its envelope factor
+    /// `k_i` times per solve, the bottom streams its direct factor
     /// twice per solve (an iterative bottom its matrix once per
     /// [`ChainStats::bottom_iterations`]), and level 0's entry is the top
     /// application's own elimination pass (counted as its matrix stream
@@ -901,10 +904,10 @@ pub struct ChainQuality {
     pub bottom_vertices: usize,
     /// Edge count of the bottom system.
     pub bottom_edges: usize,
-    /// Whether the bottom is solved by a direct (envelope LDLᵀ) factor.
+    /// Whether the bottom is solved by a direct (sparse LDLᵀ) factor.
     pub direct_bottom: bool,
-    /// Stored strictly-lower entries of the bottom's envelope factor.
-    pub bottom_envelope_nnz: usize,
+    /// Stored strictly-lower entries of the bottom's sparse factor.
+    pub bottom_factor_nnz: usize,
     /// Estimated flops per top-level preconditioner application.
     pub work_per_application: f64,
     /// `work_per_application` divided by the input's edge count — the
@@ -1112,8 +1115,8 @@ struct Cycle<T> {
     matrices: Vec<PermutedLevel<T>>,
     /// Compiled elimination trace of every level.
     traces: Vec<CompiledTrace<T>>,
-    /// The envelope factor of a [`BottomSolver::Direct`] bottom.
-    factor: Option<EnvelopeLdl<T>>,
+    /// The sparse factor of a [`BottomSolver::Direct`] bottom.
+    factor: Option<SparseLdl<T>>,
     /// Preallocated per-level scratch: applications check a workspace
     /// out, run on it, and return it, so the steady state allocates
     /// nothing per application.
@@ -1127,7 +1130,7 @@ impl<T: Scalar> Cycle<T> {
     fn new(
         matrices: Vec<PermutedLevel<T>>,
         levels: &mut [ChainLevel],
-        factor: Option<EnvelopeLdl<T>>,
+        factor: Option<SparseLdl<T>>,
     ) -> Self {
         let traces = levels
             .iter_mut()
@@ -1292,11 +1295,12 @@ fn scatter_block_rm(src: &[f64], perm: &[u32], z: &mut MultiVector) {
 /// are [`ChainOptions::sanitized`] first, so out-of-range values are
 /// clamped instead of diverging mid-build.
 ///
-/// Every level — including the bottom — is stored in the configured
-/// [`LevelOrdering`]'s index space: the ordering is computed here once
-/// per level and baked into the level's graph, merged-row matrix,
-/// elimination maps and bottom factor, so the solve path never permutes
-/// anything except the top-level boundary vectors.
+/// Every level is stored in the configured [`LevelOrdering`]'s index
+/// space: the ordering is computed here once per level and baked into the
+/// level's graph, merged-row matrix and elimination maps. A direct bottom
+/// is stored in its minimum-degree order instead, baked the same way into
+/// the elimination above it. So the solve path never permutes anything
+/// except the top-level boundary vectors.
 pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
     let options = options.sanitized();
     build_from_top(TopLevel::new(g, &options), options)
@@ -1309,7 +1313,7 @@ pub fn build_chain(g: &Graph, options: &ChainOptions) -> SolverChain {
 /// matrix for at most [`level0_probe_cap`]`(tol)` sweeps. If it converges
 /// within the cap, the chain is the depth-0 chain with an iterative
 /// bottom on that matrix, whose probe it reuses, whatever
-/// `dense_bottom_limit` says. Otherwise the matrix is dropped and the
+/// `direct_bottom_entry_limit` says. Otherwise the matrix is dropped and the
 /// chain is [`build_chain`]'s, bit for bit: the level loop rebuilds the
 /// matrix after it ends, as it always has, since holding it through the
 /// loop raises the build's peak memory (2.6 MiB, 5%, on a 200×200
@@ -1419,12 +1423,12 @@ impl TopLevel {
 
     /// The depth-0 chain whose bottom is this system, with merged-row
     /// matrix `matrix`, solved by `bottom` (`factor` is a direct bottom's
-    /// envelope factor). It has no cycle to demote or calibrate.
+    /// sparse factor). It has no cycle to demote or calibrate.
     fn into_depth0(
         self,
         matrix: PermutedLevel,
         bottom: BottomSolver,
-        factor: Option<EnvelopeLdl>,
+        factor: Option<SparseLdl>,
         options: ChainOptions,
     ) -> SolverChain {
         SolverChain {
@@ -1678,10 +1682,35 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     }
 
     // The loop stops at a size floor, not at the cheapest bottom.
-    let current = cut_at_cheapest_bottom(&mut levels, current, options.dense_bottom_limit);
+    let (mut current, direct_order) =
+        cut_at_cheapest_bottom(&mut levels, current, options.direct_bottom_entry_limit);
+    // A direct bottom is relabelled once, into its minimum-degree order,
+    // and so is whatever hands vectors to it: the elimination above it, or
+    // at depth 0 the boundary permutation and component labels. Solves
+    // then never permute at the bottom. An iterative bottom keeps the
+    // level order.
+    let mut top_comps = top_comps;
+    let mut top_perm = top_perm;
+    if let Some(order) = &direct_order {
+        current = relabel(&current, order);
+        match levels.last_mut() {
+            Some(above) => above.elimination.relabel_reduced(order),
+            None => {
+                for p in top_perm.iter_mut() {
+                    *p = order[*p as usize];
+                }
+                let mut labels = vec![0; order.len()];
+                for (&new, &label) in order.iter().zip(&top_comps.labels) {
+                    labels[new as usize] = label;
+                }
+                top_comps.labels = labels;
+            }
+        }
+    }
     let factor_bottom = |g: &Graph| {
-        (g.m() > 0 && g.n() <= options.dense_bottom_limit)
-            .then(|| EnvelopeLdl::from_graph(g, 1e-10))
+        direct_order
+            .is_some()
+            .then(|| SparseLdl::from_graph(g, 1e-10))
     };
 
     if levels.is_empty() {
@@ -1706,15 +1735,15 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         return top.into_depth0(matrix, bottom, factor, options);
     }
 
-    // Bottom solver. The bottom graph arrived here already in the order
-    // the last elimination's relabel baked in, so the envelope factor
-    // sees the bandwidth-reduced profile directly. The merged-row matrix,
-    // the envelope factorization, and the component labelling are
+    // Bottom solver. The bottom graph is already in the order the last
+    // elimination emits: a direct bottom's minimum-degree order, which the
+    // factor takes as given. The merged-row matrix, the sparse
+    // factorization, and the component labelling are
     // independent pure functions of the finished graph, so they run
     // concurrently under the scope (same width-independence argument as
     // the per-level passes above).
     let mut bottom_matrix_slot: Option<PermutedLevel> = None;
-    let mut factor_slot: Option<EnvelopeLdl> = None;
+    let mut factor_slot: Option<SparseLdl> = None;
     let mut comps_slot = None;
     rayon::scope(|s| {
         s.spawn(|_| bottom_matrix_slot = Some(PermutedLevel::from_graph(&current)));
@@ -1759,7 +1788,7 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
             lvl.storage_precision = Precision::F32;
         }
         let matrices = matrices.iter().map(PermutedLevel::from_level).collect();
-        let factor = factor_slot.as_ref().map(EnvelopeLdl::from_f64);
+        let factor = factor_slot.as_ref().map(SparseLdl::from_f64);
         ChainCycle::F32(Cycle::new(matrices, &mut levels, factor))
     } else {
         ChainCycle::F64(Cycle::new(matrices, &mut levels, factor_slot))
@@ -1814,9 +1843,21 @@ fn w_cycle_solves(inner_iterations: impl IntoIterator<Item = usize>) -> Vec<f64>
 }
 
 /// Modelled flops of one direct bottom solve: both triangular passes over
-/// an envelope of `envelope` entries plus the diagonal scaling of `n`.
-fn direct_bottom_flops(n: usize, envelope: usize) -> f64 {
-    2.0 * envelope as f64 + 2.0 * n as f64
+/// a factor of `entries` stored entries plus the diagonal scaling of `n`.
+fn direct_bottom_flops(n: usize, entries: usize) -> f64 {
+    2.0 * entries as f64 + 2.0 * n as f64
+}
+
+/// The minimum-degree order and fill of a bottom candidate `g` (a simple
+/// graph) whose direct factor stores at most `limit` entries; `None` when
+/// it has no edges or its factor would be larger. Every edge is an entry
+/// of the factor, so a level with more than `limit` edges is out without
+/// being ordered.
+fn direct_bottom_order(g: &Graph, limit: usize) -> Option<(Vec<u32>, usize)> {
+    if g.m() == 0 || g.m() > limit {
+        return None;
+    }
+    min_degree_order(g, limit)
 }
 
 /// One level's shape as the bottom cut sees it.
@@ -1828,43 +1869,56 @@ struct CutLevel {
     m: usize,
     /// Provisional W-cycle width `k_j` (unused on the last entry).
     inner_iterations: usize,
-    /// Envelope size `P_j` of the level's graph under its baked-in order
-    /// (only read on candidates).
-    envelope: usize,
 }
 
 /// Chooses where the chain stops: the index `j*` of the level in `levels`
 /// (every chain level top first, then the natural bottom) whose direct
 /// bottom minimises the modelled flops per application,
-/// `Σ_{i<j} sweeps_i·m_i + solves_j·(2·P_j + 2·n_j)`. Candidates are the
-/// levels `j ≥ 1` with `n_j ≤ dense_bottom_limit` and `m_j > 0`; the
-/// natural bottom is always eligible (at zero bottom cost when it has no
-/// edges). Level 0 is never chosen here: a depth-0 chain's bottom solve
-/// is the final answer, priced per solve rather than per application, so
-/// cutting there is the level-0 cut's call ([`build_solver_chain`]),
-/// made where the solve tolerance is known. When the natural bottom is
-/// iterative nothing is cut — its cost is only known after the build-time
-/// probe, and the levels above it are larger still. Ties keep the deeper
-/// level, so the chain changes only when the cut is strictly cheaper.
-fn cheapest_bottom(levels: &[CutLevel], dense_bottom_limit: usize) -> usize {
+/// `Σ_{i<j} sweeps_i·m_i + solves_j·(2·E_j + 2·n_j)`, where `E_j =
+/// entries(j)` is the level's factor size in minimum-degree order, or
+/// `None` when it exceeds the entry cap. Candidates are the levels
+/// `j ≥ 1` with `m_j > 0` and a factor within the cap; the natural bottom
+/// is eligible when its factor is (at zero bottom cost when it has no
+/// edges). `entries` is asked only about levels that could still win: a
+/// level never costs less than the levels above it. Level 0 is never
+/// chosen here: a depth-0 chain's bottom solve is the final answer,
+/// priced per solve rather than per application, so cutting there is the
+/// level-0 cut's call ([`build_solver_chain`]), made where the solve
+/// tolerance is known. When the natural bottom is iterative nothing is
+/// cut — its cost is only known after the build-time probe, and the
+/// levels above it are larger still. Ties keep the deeper level, so the
+/// chain changes only when the cut is strictly cheaper.
+fn cheapest_bottom(levels: &[CutLevel], mut entries: impl FnMut(usize) -> Option<usize>) -> usize {
     let d = levels.len() - 1;
     let bottom = levels[d];
-    if d == 0 || (bottom.m > 0 && bottom.n > dense_bottom_limit) {
+    if d == 0 {
         return d;
     }
+    let bottom_flops = if bottom.m == 0 {
+        0.0
+    } else {
+        match entries(d) {
+            Some(e) => direct_bottom_flops(bottom.n, e),
+            None => return d,
+        }
+    };
     let solves = w_cycle_solves(levels[..d].iter().map(|l| l.inner_iterations));
     // above[j]: flops of levels 0..j, the part a cut at j keeps.
     let mut above = vec![0.0f64];
     for (i, l) in levels[..d].iter().enumerate() {
         above.push(above[i] + solves[i + 1] * l.m as f64);
     }
-    let cost =
-        |j: usize| above[j] + solves[j] * direct_bottom_flops(levels[j].n, levels[j].envelope);
-    let mut best = (d, if bottom.m == 0 { above[d] } else { cost(d) });
+    let mut best = (d, above[d] + solves[d] * bottom_flops);
     for j in (1..d).rev() {
         let l = levels[j];
-        if l.n <= dense_bottom_limit && l.m > 0 && cost(j) < best.1 {
-            best = (j, cost(j));
+        if l.m == 0 || above[j] >= best.1 {
+            continue;
+        }
+        if let Some(e) = entries(j) {
+            let cost = above[j] + solves[j] * direct_bottom_flops(l.n, e);
+            if cost < best.1 {
+                best = (j, cost);
+            }
         }
     }
     best.0
@@ -1874,50 +1928,59 @@ fn cheapest_bottom(levels: &[CutLevel], dense_bottom_limit: usize) -> usize {
 /// W-cycle width, every further level multiplies the bottom solves by `k`
 /// while shrinking the bottom by less; this truncates `levels` at the
 /// level whose direct bottom minimises the modelled flops per application
-/// ([`cheapest_bottom`]) and returns the bottom graph: that level's graph,
-/// or `natural_bottom` when nothing is cut. A level's graph is already
-/// simplified and in the order the elimination above it emits — exactly
-/// what the bottom path takes.
+/// ([`cheapest_bottom`], each candidate priced by
+/// [`direct_bottom_order`] under the entry cap `limit`) and returns the
+/// bottom graph — that level's graph, or `natural_bottom` when nothing is
+/// cut — with its minimum-degree order when it is to be factored. A
+/// level's graph is already simplified and in the order the elimination
+/// above it emits. With no levels, `natural_bottom` is the top system,
+/// factored when its own factor fits the cap.
 fn cut_at_cheapest_bottom(
     levels: &mut Vec<ChainLevel>,
     natural_bottom: Graph,
-    dense_bottom_limit: usize,
-) -> Graph {
+    limit: usize,
+) -> (Graph, Option<Vec<u32>>) {
     if levels.is_empty() {
-        return natural_bottom;
+        let order = direct_bottom_order(&natural_bottom, limit).map(|(order, _)| order);
+        return (natural_bottom, order);
     }
-    let widths = levels.iter().map(|l| l.inner_iterations).chain([0]);
-    let graphs = levels
-        .iter()
-        .map(|l| {
-            l.graph
-                .as_ref()
-                .expect("level graphs are resident during build")
-        })
-        .chain([&natural_bottom]);
-    let shapes: Vec<CutLevel> = graphs
-        .zip(widths)
-        .map(|(g, inner_iterations)| CutLevel {
-            n: g.n(),
-            m: g.m(),
-            inner_iterations,
-            // Only levels small enough to factor need their profile.
-            envelope: if g.n() <= dense_bottom_limit {
-                envelope_profile(g)
-            } else {
-                0
-            },
-        })
-        .collect();
-    let cut = cheapest_bottom(&shapes, dense_bottom_limit);
+    let (cut, order) = {
+        let graphs: Vec<&Graph> = levels
+            .iter()
+            .map(|l| {
+                l.graph
+                    .as_ref()
+                    .expect("level graphs are resident during build")
+            })
+            .chain([&natural_bottom])
+            .collect();
+        let widths = levels.iter().map(|l| l.inner_iterations).chain([0]);
+        let shapes: Vec<CutLevel> = graphs
+            .iter()
+            .zip(widths)
+            .map(|(g, inner_iterations)| CutLevel {
+                n: g.n(),
+                m: g.m(),
+                inner_iterations,
+            })
+            .collect();
+        let mut orders: Vec<Option<Vec<u32>>> = vec![None; graphs.len()];
+        let cut = cheapest_bottom(&shapes, |j| {
+            let (order, entries) = direct_bottom_order(graphs[j], limit)?;
+            orders[j] = Some(order);
+            Some(entries)
+        });
+        (cut, orders.swap_remove(cut))
+    };
     if cut == levels.len() {
-        return natural_bottom;
+        return (natural_bottom, order);
     }
-    levels
+    let bottom = levels
         .drain(cut..)
         .next()
         .and_then(|l| l.graph)
-        .expect("level graphs are resident during build")
+        .expect("level graphs are resident during build");
+    (bottom, order)
 }
 
 /// Fallback Chebyshev interval from the sampled quadratic-form ratio.
@@ -1957,11 +2020,11 @@ impl SolverChain {
         self.top_matrix.as_ref().unwrap_or(&self.bottom_matrix)
     }
 
-    /// Envelope size, resident bytes and bytes streamed per solve of the
+    /// Stored entries, resident bytes and bytes streamed per solve of the
     /// direct bottom's factor, at the cycle's precision.
     fn factor_shape(&self) -> Option<(usize, usize, usize)> {
-        fn shape<T: Scalar>(f: &EnvelopeLdl<T>) -> (usize, usize, usize) {
-            (f.envelope_nnz(), f.resident_bytes(), f.stream_bytes())
+        fn shape<T: Scalar>(f: &SparseLdl<T>) -> (usize, usize, usize) {
+            (f.nnz(), f.resident_bytes(), f.stream_bytes())
         }
         match &self.cycle {
             ChainCycle::F64(c) => c.factor.as_ref().map(shape),
@@ -1969,7 +2032,7 @@ impl SolverChain {
         }
     }
 
-    /// Estimated flops of one bottom solve: two envelope streams of the
+    /// Estimated flops of one bottom solve: two streams of the
     /// direct factor, or the iterative bottom's probe iteration count
     /// times its edges.
     fn bottom_solve_cost(&self) -> f64 {
@@ -1998,7 +2061,7 @@ impl SolverChain {
     }
 
     /// Heap bytes the bottom keeps resident: its f64 merged-row matrix,
-    /// the retained bottom graph, and the envelope factor's arrays or the
+    /// the retained bottom graph, and the direct factor's arrays or the
     /// iterative bottom's inverse diagonal.
     fn bottom_resident_bytes(&self) -> usize {
         let factor = match &self.bottom {
@@ -2049,7 +2112,7 @@ impl SolverChain {
             work_per_application,
             recursion_leaves,
             direct_bottom: matches!(self.bottom, BottomSolver::Direct),
-            bottom_envelope_nnz: self.factor_shape().map_or(0, |(nnz, ..)| nnz),
+            bottom_factor_nnz: self.factor_shape().map_or(0, |(nnz, ..)| nnz),
             bottom_iterations: match &self.bottom {
                 BottomSolver::Iterative(jacobi) => jacobi.probe_iterations,
                 _ => 0,
@@ -2091,7 +2154,7 @@ impl SolverChain {
             bottom_vertices: self.bottom_graph.n(),
             bottom_edges: self.bottom_graph.m(),
             direct_bottom: stats.direct_bottom,
-            bottom_envelope_nnz: stats.bottom_envelope_nnz,
+            bottom_factor_nnz: stats.bottom_factor_nnz,
             work_per_application: stats.work_per_application,
             work_per_input_edge: stats.work_per_application / input_edges.max(1) as f64,
             recursion_leaves: stats.recursion_leaves,
@@ -2136,7 +2199,7 @@ impl SolverChain {
 
     /// Solves the bottom system `A_d X = B` of a depth-0 chain for `k`
     /// row-major right-hand sides (to `tol` per column when iterative):
-    /// the direct factor's envelope is streamed once per block, the
+    /// the direct factor is streamed once per block, the
     /// iterative bottom runs Jacobi-PCG with per-column deflation.
     /// Allocation-free in steady state.
     fn bottom_solve_rm_into(&self, br: &[f64], k: usize, tol: f64, out: &mut Vec<f64>) {
@@ -2967,12 +3030,16 @@ mod tests {
 
     #[test]
     fn depth0_iterative_bottom_reaches_caller_tolerance() {
-        // m ≤ n builds no levels, and n above `dense_bottom_limit` leaves
-        // the bottom iterative: its solve is the final answer, so it must
-        // reach the caller's tolerance, not the loose one a bottom solve
-        // inside a preconditioner application stops at.
+        // m ≤ n builds no levels, and an entry cap below the cycle's fill
+        // leaves the bottom iterative: its solve is the final answer, so
+        // it must reach the caller's tolerance, not the loose one a bottom
+        // solve inside a preconditioner application stops at.
         let g = generators::cycle(4500, 1.0);
-        let chain = build_chain(&g, &ChainOptions::default());
+        let options = ChainOptions {
+            direct_bottom_entry_limit: g.m(),
+            ..Default::default()
+        };
+        let chain = build_chain(&g, &options);
         assert_eq!(chain.depth(), 0);
         assert!(!chain.stats().direct_bottom);
         let b = random_rhs(g.n());
@@ -3155,67 +3222,80 @@ mod tests {
         );
     }
 
-    fn cut_level(n: usize, m: usize, inner_iterations: usize, envelope: usize) -> CutLevel {
+    fn cut_level(n: usize, m: usize, inner_iterations: usize) -> CutLevel {
         CutLevel {
             n,
             m,
             inner_iterations,
-            envelope,
         }
     }
 
     /// Synthetic chain shapes for the bottom cut: each level shrinks by
-    /// `shrink`, keeps `m = 2n`, runs width `k`, and has an envelope of
-    /// `n · band`.
-    fn cut_shapes(n0: usize, shrink: usize, depth: usize, k: usize, band: usize) -> Vec<CutLevel> {
+    /// `shrink`, keeps `m = 2n` and runs width `k`; its factor stores
+    /// `n · fill` entries.
+    fn cut_shapes(
+        n0: usize,
+        shrink: usize,
+        depth: usize,
+        k: usize,
+        fill: usize,
+    ) -> (Vec<CutLevel>, Vec<usize>) {
         (0..=depth as u32)
             .map(|i| {
                 let n = n0 / shrink.pow(i);
-                cut_level(n, 2 * n, k, n * band)
+                (cut_level(n, 2 * n, k), n * fill)
             })
-            .collect()
+            .unzip()
+    }
+
+    /// The cut when level `j`'s factor stores `entries[j]` entries and
+    /// only factors of at most `cap` entries may be built.
+    fn cut(shapes: &[CutLevel], entries: &[usize], cap: usize) -> usize {
+        cheapest_bottom(shapes, |j| Some(entries[j]).filter(|&e| e <= cap))
     }
 
     #[test]
     fn bottom_cut_shortens_a_bottom_heavy_tail() {
-        // Levels halve against k = 4 and the envelope grows like n^1.5
-        // (an RCM grid): each level deeper multiplies the bottom solves by
-        // 4 but shrinks the factor by only ~2.8, so the shallowest
-        // candidate wins.
-        let mut shapes = cut_shapes(64_000, 2, 7, 4, 0);
-        for l in &mut shapes {
-            l.envelope = (l.n as f64).powf(1.5) as usize;
-        }
-        let first_candidate = shapes.iter().position(|l| l.n <= 4000).unwrap();
+        // Levels halve against k = 4 and the factor grows like n^1.5 (a
+        // bandwidth-ordered grid): each level deeper multiplies the bottom
+        // solves by 4 but shrinks the factor by only ~2.8, so the
+        // shallowest candidate wins.
+        let (shapes, _) = cut_shapes(64_000, 2, 7, 4, 0);
+        let entries: Vec<usize> = shapes
+            .iter()
+            .map(|l| (l.n as f64).powf(1.5) as usize)
+            .collect();
+        let cap = 1 << 18;
+        let first_candidate = entries.iter().position(|&e| e <= cap).unwrap();
         assert_eq!(first_candidate, 4);
-        assert_eq!(cheapest_bottom(&shapes, 4000), first_candidate);
+        assert_eq!(cut(&shapes, &entries, cap), first_candidate);
     }
 
     #[test]
     fn bottom_cut_keeps_a_balanced_chain() {
-        // Levels shrink 8× against k = 4 over a narrow band: every level
+        // Levels shrink 8× against k = 4 over a small fill: every level
         // deeper halves the bottom's share, so the natural bottom stays.
-        let shapes = cut_shapes(64_000, 8, 4, 4, 20);
-        assert_eq!(cheapest_bottom(&shapes, 4000), shapes.len() - 1);
+        let (shapes, entries) = cut_shapes(64_000, 8, 4, 4, 20);
+        assert_eq!(cut(&shapes, &entries, 1 << 18), shapes.len() - 1);
     }
 
     #[test]
     fn bottom_cut_never_picks_level_0_or_an_oversized_level() {
         // Level 0 would be the cheapest bottom by far, yet a cut keeps at
         // least one level.
-        let mut shapes = cut_shapes(3000, 2, 4, 4, 1000);
-        shapes[0].envelope = 0;
-        assert!(shapes[0].n <= 4000);
-        assert_eq!(cheapest_bottom(&shapes, 4000), 1);
-        // A free-to-factor level above the candidate cap is skipped.
-        let mut shapes = cut_shapes(64_000, 2, 6, 4, 400);
-        shapes[2].envelope = 0;
-        assert!(shapes[2].n > 4000);
-        assert_ne!(cheapest_bottom(&shapes, 4000), 2);
+        let (shapes, mut entries) = cut_shapes(3000, 2, 4, 4, 1000);
+        entries[0] = 0;
+        assert_eq!(cut(&shapes, &entries, usize::MAX), 1);
+        // A level the model prices cheapest is skipped once its factor
+        // passes the cap.
+        let (shapes, mut entries) = cut_shapes(64_000, 2, 6, 4, 400);
+        entries[2] = 100_000;
+        assert_eq!(cut(&shapes, &entries, usize::MAX), 2);
+        assert_ne!(cut(&shapes, &entries, 99_999), 2);
         // An iterative natural bottom is never cut.
-        assert_eq!(cheapest_bottom(&shapes, 100), shapes.len() - 1);
+        assert_eq!(cut(&shapes, &entries, 100), shapes.len() - 1);
         // Depth 0 stays depth 0.
-        assert_eq!(cheapest_bottom(&shapes[..1], 100_000), 0);
+        assert_eq!(cut(&shapes[..1], &entries, usize::MAX), 0);
     }
 
     #[test]
@@ -3223,15 +3303,45 @@ mod tests {
         // Level 1 as bottom: 200 + (2·30 + 2·10) = 280 flops. The natural
         // bottom: 200 + 2·20 + 2·(2·5 + 2·5) = 280 flops.
         let shapes = [
-            cut_level(100, 200, 4, 0),
-            cut_level(10, 20, 2, 30),
-            cut_level(5, 10, 0, 5),
+            cut_level(100, 200, 4),
+            cut_level(10, 20, 2),
+            cut_level(5, 10, 0),
         ];
-        assert_eq!(cheapest_bottom(&shapes, 4000), 2);
+        assert_eq!(cut(&shapes, &[0, 30, 5], usize::MAX), 2);
         // Two flops cheaper and level 1 wins.
-        let mut cheaper = shapes;
-        cheaper[1].envelope = 29;
-        assert_eq!(cheapest_bottom(&cheaper, 4000), 1);
+        assert_eq!(cut(&shapes, &[0, 29, 5], usize::MAX), 1);
+    }
+
+    #[test]
+    fn bottom_cut_prefers_a_shallow_level_with_a_small_factor() {
+        // The 200×200 grid's chain: minimum-degree fill grows like
+        // n log n, so level 1's factor (≈0.48M flops per application)
+        // beats the deeper tails (≈0.74M at level 2, ≈1.1M at level 3).
+        let shapes = [
+            cut_level(40_000, 79_600, 4),
+            cut_level(12_101, 30_000, 4),
+            cut_level(4_672, 12_000, 4),
+            cut_level(2_028, 5_200, 0),
+        ];
+        let entries = [0, 186_880, 62_348, 24_836];
+        assert_eq!(cut(&shapes, &entries, 1 << 18), 1);
+        // A cap below level 1's factor pushes the chain deeper.
+        assert_eq!(cut(&shapes, &entries, 100_000), 2);
+    }
+
+    #[test]
+    fn bottom_cut_cap_excludes_a_3d_like_level() {
+        // A 3-D-like level 1 whose factor the model prices cheapest but
+        // which stores more than the cap: the cut takes the next level.
+        let shapes = [
+            cut_level(64_000, 190_000, 4),
+            cut_level(20_000, 60_000, 4),
+            cut_level(8_000, 24_000, 4),
+            cut_level(3_000, 9_000, 0),
+        ];
+        let entries = [0, 490_672, 150_000, 40_000];
+        assert_eq!(cut(&shapes, &entries, usize::MAX), 1);
+        assert_eq!(cut(&shapes, &entries, 1 << 18), 2);
     }
 
     #[test]
@@ -3258,11 +3368,13 @@ mod tests {
     }
 
     #[test]
-    fn rcm_reduces_bottom_envelope() {
-        // The point of baking RCM into the bottom: its envelope factor
-        // must be materially smaller than the identity-ordered one.
+    fn min_degree_shrinks_the_bottom_factor() {
+        // A direct bottom is factored in minimum-degree order whatever the
+        // level ordering: the factor stays far below the dense triangle,
+        // and `bottom_graph()` is in that order, so factoring it again
+        // reproduces the chain's factor.
         let g = generators::grid2d(40, 40, |_, _| 1.0);
-        let nnz_of = |ordering: LevelOrdering| {
+        for ordering in [LevelOrdering::BandwidthReducing, LevelOrdering::Identity] {
             let chain = build_chain(
                 &g,
                 &ChainOptions {
@@ -3272,18 +3384,18 @@ mod tests {
             );
             let stats = chain.stats();
             assert!(stats.direct_bottom);
-            (stats.bottom_envelope_nnz, chain.bottom_graph().n())
-        };
-        let (rcm_nnz, rcm_n) = nnz_of(LevelOrdering::BandwidthReducing);
-        let (id_nnz, _) = nnz_of(LevelOrdering::Identity);
-        let dense_triangle = rcm_n * (rcm_n - 1) / 2;
-        assert!(
-            rcm_nnz * 2 < dense_triangle,
-            "RCM envelope {rcm_nnz} vs dense {dense_triangle}"
-        );
-        // The two chains differ (sampling follows the ordering), so only
-        // insist RCM does not lose to identity — in practice it wins big.
-        assert!(rcm_nnz <= id_nnz, "RCM {rcm_nnz} vs identity {id_nnz}");
+            let bottom = chain.bottom_graph();
+            let dense_triangle = bottom.n() * (bottom.n() - 1) / 2;
+            assert!(
+                stats.bottom_factor_nnz * 4 < dense_triangle,
+                "{ordering:?}: factor {} vs dense {dense_triangle}",
+                stats.bottom_factor_nnz
+            );
+            assert_eq!(
+                SparseLdl::from_graph(bottom, 1e-10).nnz(),
+                stats.bottom_factor_nnz
+            );
+        }
     }
 
     #[test]
@@ -3324,14 +3436,18 @@ mod tests {
 
     #[test]
     fn f32_chain_converges_and_slims_residency() {
+        // The default cut stops this grid at depth 1, where only the
+        // bottom factor demotes; a bottom-factor cap keeps levels ≥ 1 in
+        // the chain, so their demotion is what the bounds below measure.
         let g = generators::grid2d(32, 32, |_, _| 1.0);
         let opts = ChainOptions {
             bottom_size: 200,
+            direct_bottom_entry_limit: 3_000,
             ..Default::default()
         };
         let f64_chain = build_chain(&g, &opts);
         let f32_chain = build_chain(&g, &opts.with_precision(Precision::F32));
-        assert!(f32_chain.depth() >= 1);
+        assert!(f32_chain.depth() >= 2);
         // Level 0 stays f64 (the outer PCG's residual operator); every
         // deeper level demotes and drops its graph.
         assert_eq!(
@@ -3351,7 +3467,7 @@ mod tests {
         // nnz·(4+8)+offsets·4, strictly under 2/3 plus slack. Level 0
         // stays f64 on both tiers and must match exactly. (The last
         // entry is the bottom, which keeps its f64 matrix and graph for
-        // the iterative fallback — only its envelope factor halves, so it
+        // the iterative fallback — only its factor's entries halve, so it
         // is bounded separately.)
         let s64 = f64_chain.stats();
         let s32 = f32_chain.stats();
@@ -3390,7 +3506,7 @@ mod tests {
     #[test]
     fn f32_knob_keeps_f64_bottom_on_shallow_chains() {
         // A bottom-only chain returns its bottom solve as the final
-        // answer, so the knob must leave the envelope factor in f64 —
+        // answer, so the knob must leave the bottom factor in f64 —
         // tight tolerances stay reachable in one solve.
         let g = generators::grid2d(12, 12, |x, y| 1.0 + ((x + 2 * y) % 3) as f64);
         let chain = build_chain(&g, &ChainOptions::default().with_precision(Precision::F32));

@@ -14,7 +14,7 @@
 //! * [`RecoveryStep`] / [`RecoveryRung`] — the deterministic escalation
 //!   trace the facade records when the first solve attempt does not reach
 //!   tolerance (DESIGN.md §2.5): iterate refresh, then a one-rung-stronger
-//!   chain, then a direct envelope factorisation of the whole system.
+//!   chain, then a direct sparse factorisation of the whole system.
 
 use parsdd_graph::GraphDataError;
 use parsdd_linalg::breakdown::BreakdownReason;
@@ -177,7 +177,7 @@ pub enum RecoveryRung {
     /// adaptive calibration, more inner iterations) and re-solve from
     /// scratch with a doubled outer budget.
     StrongerChain,
-    /// Factor the whole system directly with the envelope LDLᵀ (no
+    /// Factor the whole system directly with the sparse LDLᵀ (no
     /// levels) and solve exactly — the last resort, only attempted for
     /// systems small enough to factor.
     DirectFactor,

@@ -18,7 +18,7 @@
 //!   runs out of budget, escalates through a deterministic **recovery
 //!   ladder** (DESIGN.md §2.5) before giving up: iterate refresh with the
 //!   existing chain, then a one-rung-stronger chain (built once, cached),
-//!   then a direct envelope factorisation of the whole system (small
+//!   then a direct sparse factorisation of the whole system (small
 //!   systems only). Every attempted rung is recorded in
 //!   [`SolveOutcome::recovery`].
 
@@ -50,10 +50,10 @@ pub const MAX_BLOCK_WIDTH: usize = 32;
 /// solving the projected system.
 const SINGULAR_IMBALANCE_TOL: f64 = 1e-8;
 
-/// Largest system the recovery ladder will factor directly (envelope
-/// LDLᵀ of the whole matrix) as its last resort. Beyond this the direct
-/// rung is skipped — an O(n·bandwidth²) factor of a big system would dwarf
-/// any iterative cost it rescues.
+/// Largest system the recovery ladder will factor directly (sparse LDLᵀ
+/// of the whole matrix, with no cap on its fill) as its last resort.
+/// Beyond this the direct rung is skipped — the fill of a big system's
+/// factor would dwarf any iterative cost it rescues.
 const DIRECT_RECOVERY_LIMIT: usize = 20_000;
 
 /// Options of the top-level solver.
@@ -140,7 +140,7 @@ pub struct SddSolver {
     /// Rung-2 chain (one rung stronger), built on first use and reused
     /// across every subsequent recovery.
     stronger: OnceLock<SolverChain>,
-    /// Rung-3 chain (direct envelope factor of the whole system), built on
+    /// Rung-3 chain (direct sparse factor of the whole system), built on
     /// first use; only populated for systems up to
     /// [`DIRECT_RECOVERY_LIMIT`].
     direct: OnceLock<SolverChain>,
@@ -545,17 +545,12 @@ impl SddSolver {
         }
 
         // Rung 3: last resort — factor the whole system directly with the
-        // envelope LDLᵀ (a chain with zero levels) and solve exactly.
+        // sparse LDLᵀ (a chain with zero levels) and solve exactly.
         // Also built once and cached; skipped for systems too large to
         // factor.
         if self.source_graph.n() <= DIRECT_RECOVERY_LIMIT {
             let chain3 = self.direct.get_or_init(|| {
-                let n = self.source_graph.n();
-                let mut c = self.options.chain;
-                c.bottom_size = n.max(1);
-                c.dense_bottom_limit = n.max(1);
-                // The exact-factor rung is f64 regardless of the knob.
-                c.precision = crate::chain::Precision::F64;
+                let c = direct_recovery_options(&self.options.chain, self.source_graph.n());
                 build_chain(&self.source_graph, &c)
             });
             let out3 = chain3.solve(b, tol, budget);
@@ -579,6 +574,19 @@ impl SddSolver {
 
         best.recovery = trace;
         best
+    }
+}
+
+/// The rung-3 chain's options for an `n`-vertex system: no levels (the
+/// size floor is the whole system), no cap on the factor's fill
+/// ([`DIRECT_RECOVERY_LIMIT`] bounds `n` instead), and f64 regardless of
+/// the precision knob.
+fn direct_recovery_options(chain: &ChainOptions, n: usize) -> ChainOptions {
+    ChainOptions {
+        bottom_size: n.max(1),
+        direct_bottom_entry_limit: usize::MAX,
+        precision: crate::chain::Precision::F64,
+        ..*chain
     }
 }
 
@@ -826,6 +834,28 @@ mod tests {
         assert_eq!(o.extra_fraction, (base.extra_fraction * 2.0).min(1.0));
         assert_eq!(o.max_inner_iterations, base.max_inner_iterations + 2);
         assert_eq!(o.seed, base.seed);
+    }
+
+    #[test]
+    fn direct_rung_factors_past_the_default_entry_cap() {
+        // A 128×128 grid's factor stores more entries than the default
+        // cap admits, so a default build solves it iteratively at the
+        // bottom; the rung-3 options still factor it whole.
+        let g = generators::grid2d(128, 128, |_, _| 1.0);
+        let default = ChainOptions::default();
+        let chain = build_chain(&g, &direct_recovery_options(&default, g.n()));
+        assert_eq!(chain.depth(), 0);
+        let stats = chain.stats();
+        assert!(stats.direct_bottom);
+        assert!(
+            stats.bottom_factor_nnz > default.direct_bottom_entry_limit,
+            "fill {} is within the default cap",
+            stats.bottom_factor_nnz
+        );
+        let mut b: Vec<f64> = (0..g.n()).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
+        project_out_constant(&mut b);
+        let out = chain.solve(&b, 1e-10, 1);
+        assert!(out.converged, "rel {}", out.relative_residual);
     }
 
     #[test]

@@ -36,8 +36,8 @@ fn main() {
     println!("  level sizes (vertices): {:?}", stats.level_vertices);
     println!("  level sizes (edges):    {:?}", stats.level_edges);
     println!(
-        "  direct bottom solve:    {} (envelope nnz {})",
-        stats.direct_bottom, stats.bottom_envelope_nnz
+        "  direct bottom solve:    {} (factor nnz {})",
+        stats.direct_bottom, stats.bottom_factor_nnz
     );
 
     // Solve a few right-hand sides, reusing the chain.

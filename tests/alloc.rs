@@ -78,7 +78,7 @@ fn preconditioner_application_is_allocation_free_when_warm() {
         let grid = parsdd_graph::generators::grid2d(64, 64, |x, y| 1.0 + ((x * 3 + y) % 5) as f64);
         let smallworld = parsdd_bench::zoo::build("smallworld", parsdd_bench::zoo::Tier::Small);
         let iterative_bottom = ChainOptions {
-            dense_bottom_limit: 0,
+            direct_bottom_entry_limit: 0,
             ..ChainOptions::default()
         };
         let cases = [

@@ -2,9 +2,10 @@
 //! Cholesky + W-cycle pipeline must produce chains of depth ≥ 3 that
 //! converge, do no more work than the old depth-2 configuration, and stay
 //! bitwise reproducible across pool widths (DESIGN.md §2.1, §3.1). Where
-//! the chain stops is the cost cut's choice (DESIGN.md §2.10), so the
-//! mid-size test forces depth with a candidate cap and checks the cut
-//! against it.
+//! the chain stops is the cost cut's choice (DESIGN.md §2.10): with a
+//! minimum-degree bottom factor it stops grids at depth 1, so both grid
+//! tests force their deep chains with an explicit cap on the bottom
+//! factor's entries and check the default cut against them.
 //!
 //! The `#[ignore]`d test is the release-mode "deep-chain" CI job's
 //! workload (200×200 grid ≈ 40k vertices); run it with
@@ -53,9 +54,17 @@ fn print_chain(tag: &str, chain: &SolverChain, stats: &ChainStats) {
     );
 }
 
+/// Bottom-factor entry cap that forces a deep chain on the 120×120 grid:
+/// only the levels of at most ~440 vertices factor within it.
+const MIDSIZE_DEEP_CAP: usize = 5_000;
+
+/// Bottom-factor entry cap that forces a deep chain on the 200×200 grid:
+/// only the levels of at most ~1k vertices factor within it.
+const LARGE_DEEP_CAP: usize = 20_000;
+
 /// Debug-friendly scale. The default chain on a 120×120 grid stops where
-/// its work model says the direct bottom is cheapest (depth 2 over a
-/// ~2k-vertex bottom); a candidate cap of 900 vertices leaves the cut
+/// its work model says the direct bottom is cheapest (depth 1 over a
+/// ~4.7k-vertex bottom); a cap of 5,000 factor entries leaves the cut
 /// only the small levels below, so the same build recurses to depth ≥ 4.
 /// Both converge, and the cut chain models no more work per application.
 #[test]
@@ -66,7 +75,7 @@ fn capped_bottom_keeps_depth_4_and_default_cut_is_cheaper_on_midsize_grid() {
     let deep = build_chain(
         &g,
         &ChainOptions {
-            dense_bottom_limit: 900,
+            direct_bottom_entry_limit: MIDSIZE_DEEP_CAP,
             ..Default::default()
         },
     );
@@ -103,18 +112,23 @@ fn capped_bottom_keeps_depth_4_and_default_cut_is_cheaper_on_midsize_grid() {
 }
 
 /// The release-mode CI workload (acceptance criteria of the deep-chain
-/// refactor): on a 200×200 grid the chain reaches depth ≥ 3, converges,
-/// spends no more total solve work (per the `ChainStats` model) than the
-/// depth-2 configuration, and solves bitwise identically at 1 and 4
-/// threads.
+/// refactor): on a 200×200 grid a chain forced deep by a bottom-factor cap
+/// reaches depth ≥ 3, converges, spends no more total solve work (per the
+/// `ChainStats` model) than the depth-2 configuration, and solves bitwise
+/// identically at 1 and 4 threads; the default cut models no more work
+/// per application than the forced deep chain.
 #[test]
 #[ignore = "release-mode deep-chain CI job (multi-second workload)"]
 fn large_grid_deep_chain_beats_depth2_and_is_width_independent() {
     let g = generators::grid2d(200, 200, |_, _| 1.0);
     let b = rhs(g.n());
+    let deep_options = ChainOptions {
+        direct_bottom_entry_limit: LARGE_DEEP_CAP,
+        ..ChainOptions::default()
+    };
 
-    // Deep (default) configuration.
-    let deep = build_chain(&g, &ChainOptions::default());
+    // Deep (capped) configuration.
+    let deep = build_chain(&g, &deep_options);
     let deep_stats = deep.stats();
     print_chain("deep", &deep, &deep_stats);
     assert!(
@@ -134,8 +148,16 @@ fn large_grid_deep_chain_beats_depth2_and_is_width_independent() {
         deep_out.relative_residual
     );
 
-    // Depth-2 (old default) configuration.
-    let shallow = build_chain(&g, &depth2_options());
+    // Depth-2 (old default) configuration, under the same bottom-factor
+    // cap: the comparison is between chain shapes, so neither may stop
+    // on a direct bottom the other is denied.
+    let shallow = build_chain(
+        &g,
+        &ChainOptions {
+            direct_bottom_entry_limit: LARGE_DEEP_CAP,
+            ..depth2_options()
+        },
+    );
     let shallow_stats = shallow.stats();
     print_chain("depth2", &shallow, &shallow_stats);
     let shallow_out = shallow.solve(&b, 1e-8, 300);
@@ -154,13 +176,32 @@ fn large_grid_deep_chain_beats_depth2_and_is_width_independent() {
         "deep chain must not do more solve work: deep={deep_work:.3e} depth2={shallow_work:.3e}"
     );
 
+    // The default cut prices the deep tail against shallower bottoms and
+    // never models more work per application.
+    let cut = build_chain(&g, &ChainOptions::default());
+    let cut_stats = cut.stats();
+    print_chain("default", &cut, &cut_stats);
+    assert!(
+        cut_stats.work_per_application <= deep_stats.work_per_application,
+        "the cost cut must not model more work: default={:.3e} capped={:.3e}",
+        cut_stats.work_per_application,
+        deep_stats.work_per_application
+    );
+    let cut_out = cut.solve(&b, 1e-8, 300);
+    assert!(
+        cut_out.converged,
+        "default chain diverged: rel={}",
+        cut_out.relative_residual
+    );
+
     // Bitwise width-independence at depth ≥ 3: a fixed-work solve through
     // the whole deep pipeline produces identical bits at 1 and 4 threads.
     let options = SddSolverOptions {
         tolerance: 0.0,
         max_iterations: 4,
         ..SddSolverOptions::default()
-    };
+    }
+    .with_chain(deep_options);
     let run = |threads: usize| {
         with_threads(threads, || {
             let solver = SddSolver::new_laplacian(&g, options);

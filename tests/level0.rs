@@ -72,7 +72,7 @@ fn chain_bits(chain: &SolverChain, b: &[f64]) -> Vec<u64> {
     let mut words = vec![
         chain.depth() as u64,
         stats.direct_bottom as u64,
-        stats.bottom_envelope_nnz as u64,
+        stats.bottom_factor_nnz as u64,
         stats.bottom_iterations as u64,
     ];
     words.extend(

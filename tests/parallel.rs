@@ -268,7 +268,7 @@ fn iterative_bottom_chain(
 ) -> parsdd_solver::chain::SolverChain {
     use parsdd_solver::chain::{build_chain, ChainOptions};
     let options = ChainOptions {
-        dense_bottom_limit: 0,
+        direct_bottom_entry_limit: 0,
         ..ChainOptions::default()
     };
     let chain = build_chain(g, &options.with_precision(precision));

@@ -165,13 +165,13 @@ fn fnv1a(hash: u64, word: u64) -> u64 {
 /// `cheb_bounds`, and outcome bits (iterations, residual, every solution
 /// entry) of a width-1 solve and a width-3 block solve. Runs a 48×48
 /// weighted grid (direct bottom) and zoo smallworld/small with
-/// `dense_bottom_limit: 0` (iterative bottom).
+/// `direct_bottom_entry_limit: 0` (iterative bottom).
 fn golden_fingerprint(precision: Precision) -> u64 {
     use parsdd_linalg::MultiVector;
     let grid = parsdd_graph::generators::grid2d(48, 48, |x, y| 1.0 + ((x * 3 + y) % 5) as f64);
     let smallworld = zoo::build("smallworld", Tier::Small);
     let iterative_bottom = ChainOptions {
-        dense_bottom_limit: 0,
+        direct_bottom_entry_limit: 0,
         ..ChainOptions::default()
     };
     let mut words: Vec<u64> = Vec::new();
@@ -183,7 +183,7 @@ fn golden_fingerprint(precision: Precision) -> u64 {
         let stats = chain.stats();
         words.extend([
             stats.direct_bottom as u64,
-            stats.bottom_envelope_nnz as u64,
+            stats.bottom_factor_nnz as u64,
             stats.bottom_iterations as u64,
         ]);
         words.extend(

@@ -233,20 +233,21 @@ fn barbell_upper_tiers_within_envelope() {
 
 /// Light intra-cluster extras starve barbell/medium's stretch budget into
 /// the sampler's κ floor at its 495-vertex level. The default chain's cost
-/// cut stops above that level, so a candidate cap below it keeps the level
-/// in the chain: the clamp path must still fire and the chain converge.
+/// cut stops above that level, so a bottom-factor cap below the fill of
+/// every level down to it keeps the level in the chain: the clamp path
+/// must still fire and the chain converge.
 #[test]
 #[ignore = "release-mode deep-chain job workload"]
 fn barbell_medium_exercises_kappa_clamp() {
     let g = zoo::build("barbell", Tier::Medium);
     let options = ChainOptions {
-        dense_bottom_limit: 400,
+        direct_bottom_entry_limit: 5_000,
         ..zoo::chain_options("barbell", Tier::Medium)
     };
     let run = zoo::run(&g, options, TOLERANCE);
     let q = &run.quality;
     eprintln!(
-        "[zoo barbell/medium, cap 400] it={} res={:.3e} · {}",
+        "[zoo barbell/medium, cap 5000] it={} res={:.3e} · {}",
         run.iterations,
         run.relative_residual,
         q.summary()
