@@ -218,12 +218,12 @@ fn golden_fingerprint(precision: Precision) -> u64 {
 fn golden_fingerprints_match_committed_bits() {
     assert_eq!(
         golden_fingerprint(Precision::F64),
-        0xf9e3_df58_3301_a3a7,
+        0x9909_9978_0df1_16b0,
         "f64 golden fingerprint moved"
     );
     assert_eq!(
         golden_fingerprint(Precision::F32),
-        0xcd68_acbc_19ca_bc1b,
+        0x544e_b9b0_d0e1_5b73,
         "f32 golden fingerprint moved"
     );
 }
