@@ -3316,7 +3316,7 @@ mod tests {
     fn bottom_cut_prefers_a_shallow_level_with_a_small_factor() {
         // The 200×200 grid's chain: minimum-degree fill grows like
         // n log n, so level 1's factor (≈0.48M flops per application)
-        // beats the deeper tails (≈0.74M at level 2, ≈1.1M at level 3).
+        // beats the deeper tails (≈0.74M at level 2, ≈1.25M at level 3).
         let shapes = [
             cut_level(40_000, 79_600, 4),
             cut_level(12_101, 30_000, 4),

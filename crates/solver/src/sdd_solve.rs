@@ -839,8 +839,8 @@ mod tests {
     #[test]
     fn direct_rung_factors_past_the_default_entry_cap() {
         // A 128×128 grid's factor stores more entries than the default
-        // cap admits, so a default build solves it iteratively at the
-        // bottom; the rung-3 options still factor it whole.
+        // cap admits, so under that cap the whole grid is never factored
+        // directly; the rung-3 options still factor it whole.
         let g = generators::grid2d(128, 128, |_, _| 1.0);
         let default = ChainOptions::default();
         let chain = build_chain(&g, &direct_recovery_options(&default, g.n()));
