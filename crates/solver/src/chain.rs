@@ -60,7 +60,7 @@ use parsdd_linalg::vector::{
 use parsdd_linalg::{Scalar, SparseLdl};
 use parsdd_lsst::subgraph::{ls_subgraph, LsSubgraphParams};
 
-use crate::elimination::{greedy_elimination, CompiledTrace, EliminationResult};
+use crate::elimination::{greedy_elimination, CompiledTrace, EliminationResult, EliminationTrace};
 use crate::error::RecoveryStep;
 use crate::sparsify::{incremental_sparsify, SparsifyParams};
 
@@ -444,10 +444,9 @@ pub struct ChainLevel {
     stream_bytes: usize,
     /// Storage precision of the level's streamed matrix.
     storage_precision: Precision,
-    /// The elimination taking the sparsifier `B_i` to `A_{i+1}`: the build
-    /// record. Its step records are dropped once the chain's cycle holds
-    /// the compiled trace.
-    pub elimination: EliminationResult,
+    /// The recorded elimination taking the sparsifier `B_i` to `A_{i+1}`,
+    /// held only until the chain's cycle compiles it (`None` after).
+    trace: Option<EliminationTrace>,
     /// Sampling condition target `κ_i` carried by the sampled edges (the
     /// level's full target is `tree_scale · κ_i`).
     pub kappa: f64,
@@ -1124,8 +1123,8 @@ struct Cycle<T> {
 }
 
 impl<T: Scalar> Cycle<T> {
-    /// Compiles every level's elimination trace at precision `T` and drops
-    /// the level's step records (the compiled form replaces them), one
+    /// Compiles every level's elimination trace at precision `T`, taking
+    /// the level's recorded trace (the compiled form replaces it) one
     /// level at a time so the two forms never coexist for the whole chain.
     fn new(
         matrices: Vec<PermutedLevel<T>>,
@@ -1134,12 +1133,7 @@ impl<T: Scalar> Cycle<T> {
     ) -> Self {
         let traces = levels
             .iter_mut()
-            .map(|lvl| {
-                let trace = CompiledTrace::from_elimination(&lvl.elimination);
-                lvl.elimination.steps = Vec::new();
-                lvl.elimination.star_data = Vec::new();
-                trace
-            })
+            .map(|lvl| CompiledTrace::from_trace(lvl.trace.take().expect("compiled once")))
             .collect();
         for (lvl, m) in levels.iter_mut().skip(1).zip(&matrices) {
             lvl.stream_bytes = m.stream_bytes();
@@ -1486,8 +1480,19 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     } = top;
     let mut levels: Vec<ChainLevel> = Vec::new();
     let mut seed = options.seed;
+    // The cost cut, priced as each level's graph appears: the loop stops
+    // at the natural bottom, or above it once no deeper bottom can win.
+    let mut cut = BottomCut::new(options.direct_bottom_entry_limit);
+    let mut stalled = false;
 
-    while grows_level(&current, levels.len(), bottom_target, &options) {
+    loop {
+        let natural = stalled || !grows_level(&current, levels.len(), bottom_target, &options);
+        cut.offer(current.n(), current.m(), natural, |budget| {
+            direct_bottom_order(&current, budget)
+        });
+        if natural || cut.settles(current.m()) {
+            break;
+        }
         seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
 
         // 1. Low-stretch ultra-sparse subgraph of the current level.
@@ -1628,8 +1633,9 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
                 elim_slot = Some(elimination);
             });
         });
-        let elimination = elim_slot.expect("scope completed elimination");
-        let next = elimination.reduced_graph.simplify();
+        let (reduced, trace) = elim_slot.expect("scope completed elimination").into_parts();
+        let next = reduced.simplify();
+        drop(reduced);
 
         // A level whose sparsifier kept (nearly) the whole graph and whose
         // elimination removed (nearly) nothing is a pure wrapper: it solves
@@ -1639,6 +1645,9 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         // the sampler kept every off-subgraph edge.
         let kappa_target = kappa_used * sparsifier.tree_scale;
         if kappa_used <= 1.5 && next.n() as f64 > 0.85 * current.n() as f64 {
+            cut.reoffer_as_natural(current.n(), current.m(), |budget| {
+                direct_bottom_order(&current, budget)
+            });
             break;
         }
 
@@ -1651,7 +1660,7 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         let shrink_m = current.m() as f64 / next.m().max(1) as f64;
         let inner_iterations = (kappa_target.sqrt().ceil() as usize
             + options.inner_extra_iterations)
-            .clamp(2, options.max_inner_iterations);
+            .clamp(MIN_INNER_ITERATIONS, options.max_inner_iterations);
         // Provisional bounds from the sampled ratio; replaced by the
         // power-iteration calibration below once the chain is complete.
         let cheb_bounds = provisional_bounds(measured_ratio, kappa_target);
@@ -1662,7 +1671,7 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
             m: level_m,
             stream_bytes: 0,
             storage_precision: Precision::F64,
-            elimination,
+            trace: Some(trace),
             kappa: kappa_used,
             tree_scale: sparsifier.tree_scale,
             kappa_clamped: sparsifier.kappa_clamped,
@@ -1672,18 +1681,25 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
             inner_iterations,
             cheb_bounds,
         });
+        cut.descend(level_m, inner_iterations);
         current = next;
         // Data-driven depth cutoff: recursing past a level that stopped
         // shrinking (in vertices *or* edges) only multiplies the W-cycle's
         // work without reducing the bottom; hand over to the bottom solver.
-        if shrink_n < options.min_shrink || shrink_m < 1.05 {
-            break;
-        }
+        stalled = shrink_n < options.min_shrink || shrink_m < 1.05;
     }
 
-    // The loop stops at a size floor, not at the cheapest bottom.
-    let (mut current, direct_order) =
-        cut_at_cheapest_bottom(&mut levels, current, options.direct_bottom_entry_limit);
+    let (bottom_level, direct_order) = cut.finish();
+    let mut current = if bottom_level == levels.len() {
+        current
+    } else {
+        drop(current);
+        levels
+            .drain(bottom_level..)
+            .next()
+            .and_then(|l| l.graph)
+            .expect("level graphs are resident during build")
+    };
     // A direct bottom is relabelled once, into its minimum-degree order,
     // and so is whatever hands vectors to it: the elimination above it, or
     // at depth 0 the boundary permutation and component labels. Solves
@@ -1694,7 +1710,11 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     if let Some(order) = &direct_order {
         current = relabel(&current, order);
         match levels.last_mut() {
-            Some(above) => above.elimination.relabel_reduced(order),
+            Some(above) => above
+                .trace
+                .as_mut()
+                .expect("traces compile after the cut")
+                .relabel_kept(order),
             None => {
                 for p in top_perm.iter_mut() {
                     *p = order[*p as usize];
@@ -1825,22 +1845,35 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
 
 /// Solves of each level per top-level preconditioner application under
 /// the W-cycle recursion — the work model of [`ChainStats`], shared by
-/// [`SolverChain::stats`] and [`cheapest_bottom`] so the reported model
-/// and the cut cannot drift apart. `inner_iterations` holds each level's
-/// W-cycle width `k_i`, top first. Entry 0 is the top application
-/// itself; it sweeps level 0's elimination once and solves level 1 once,
-/// and a solve of level `i ≥ 1` runs `k_i` inner iterations, each one
-/// sweep of `A_i` and one solve of level `i+1`. So entry `i+1` is both
-/// the solves of level `i+1` (the bottom for the last entry: the
-/// recursion leaves) and the sweeps of level `i`'s matrix.
+/// [`SolverChain::stats`] and [`BottomCut`] (through [`solves_below`]) so
+/// the reported model and the cut cannot drift apart. `inner_iterations`
+/// holds each level's W-cycle width `k_i`, top first. Entry 0 is the top
+/// application itself; it sweeps level 0's elimination once and solves
+/// level 1 once, and a solve of level `i ≥ 1` runs `k_i` inner
+/// iterations, each one sweep of `A_i` and one solve of level `i+1`. So
+/// entry `i+1` is both the solves of level `i+1` (the bottom for the last
+/// entry: the recursion leaves) and the sweeps of level `i`'s matrix.
 fn w_cycle_solves(inner_iterations: impl IntoIterator<Item = usize>) -> Vec<f64> {
     let mut solves = vec![1.0f64];
     for (i, k) in inner_iterations.into_iter().enumerate() {
-        let above = solves[i];
-        solves.push(if i == 0 { above } else { above * k as f64 });
+        solves.push(solves_below(i, solves[i], k));
     }
     solves
 }
+
+/// Solves of level `i + 1` per application, given level `i`'s `solves`
+/// and W-cycle width `k` (see [`w_cycle_solves`]).
+fn solves_below(i: usize, solves: f64, k: usize) -> f64 {
+    if i == 0 {
+        solves
+    } else {
+        solves * k as f64
+    }
+}
+
+/// The floor of the W-cycle width clamp: every level below the top is
+/// solved at least this many times per solve of the level above.
+const MIN_INNER_ITERATIONS: usize = 2;
 
 /// Modelled flops of one direct bottom solve: both triangular passes over
 /// a factor of `entries` stored entries plus the diagonal scaling of `n`.
@@ -1860,127 +1893,172 @@ fn direct_bottom_order(g: &Graph, limit: usize) -> Option<(Vec<u32>, usize)> {
     min_degree_order(g, limit)
 }
 
-/// One level's shape as the bottom cut sees it.
-#[derive(Debug, Clone, Copy)]
-struct CutLevel {
-    /// Vertex count `n_j`.
-    n: usize,
-    /// Edge count `m_j`.
-    m: usize,
-    /// Provisional W-cycle width `k_j` (unused on the last entry).
-    inner_iterations: usize,
-}
-
-/// Chooses where the chain stops: the index `j*` of the level in `levels`
-/// (every chain level top first, then the natural bottom) whose direct
-/// bottom minimises the modelled flops per application,
-/// `Σ_{i<j} sweeps_i·m_i + solves_j·(2·E_j + 2·n_j)`, where `E_j =
-/// entries(j)` is the level's factor size in minimum-degree order, or
-/// `None` when it exceeds the entry cap. Candidates are the levels
-/// `j ≥ 1` with `m_j > 0` and a factor within the cap; the natural bottom
-/// is eligible when its factor is (at zero bottom cost when it has no
-/// edges). `entries` is asked only about levels that could still win: a
-/// level never costs less than the levels above it. Level 0 is never
-/// chosen here: a depth-0 chain's bottom solve is the final answer,
-/// priced per solve rather than per application, so cutting there is the
-/// level-0 cut's call ([`build_solver_chain`]), made where the solve
-/// tolerance is known. When the natural bottom is iterative nothing is
-/// cut — its cost is only known after the build-time probe, and the
-/// levels above it are larger still. Ties keep the deeper level, so the
-/// chain changes only when the cut is strictly cheaper.
-fn cheapest_bottom(levels: &[CutLevel], mut entries: impl FnMut(usize) -> Option<usize>) -> usize {
-    let d = levels.len() - 1;
-    let bottom = levels[d];
-    if d == 0 {
-        return d;
-    }
-    let bottom_flops = if bottom.m == 0 {
-        0.0
-    } else {
-        match entries(d) {
-            Some(e) => direct_bottom_flops(bottom.n, e),
-            None => return d,
-        }
-    };
-    let solves = w_cycle_solves(levels[..d].iter().map(|l| l.inner_iterations));
-    // above[j]: flops of levels 0..j, the part a cut at j keeps.
-    let mut above = vec![0.0f64];
-    for (i, l) in levels[..d].iter().enumerate() {
-        above.push(above[i] + solves[i + 1] * l.m as f64);
-    }
-    let mut best = (d, above[d] + solves[d] * bottom_flops);
-    for j in (1..d).rev() {
-        let l = levels[j];
-        if l.m == 0 || above[j] >= best.1 {
-            continue;
-        }
-        if let Some(e) = entries(j) {
-            let cost = above[j] + solves[j] * direct_bottom_flops(l.n, e);
-            if cost < best.1 {
-                best = (j, cost);
-            }
-        }
-    }
-    best.0
-}
-
-/// The cost cut (DESIGN.md §2.10). Once levels shrink by less than their
-/// W-cycle width, every further level multiplies the bottom solves by `k`
-/// while shrinking the bottom by less; this truncates `levels` at the
-/// level whose direct bottom minimises the modelled flops per application
-/// ([`cheapest_bottom`], each candidate priced by
-/// [`direct_bottom_order`] under the entry cap `limit`) and returns the
-/// bottom graph — that level's graph, or `natural_bottom` when nothing is
-/// cut — with its minimum-degree order when it is to be factored. A
-/// level's graph is already simplified and in the order the elimination
-/// above it emits. With no levels, `natural_bottom` is the top system,
-/// factored when its own factor fits the cap.
-fn cut_at_cheapest_bottom(
-    levels: &mut Vec<ChainLevel>,
-    natural_bottom: Graph,
+/// The cost cut (DESIGN.md §2.10), priced while the level loop descends.
+/// Once levels shrink by less than their W-cycle width, every further
+/// level multiplies the bottom solves by `k` while shrinking the bottom by
+/// less; the cut stops the chain at the graph `j` whose direct bottom
+/// minimises the modelled flops per application,
+/// `above_j + solves_j·(2·E_j + 2·n_j)`, where `above_j = Σ_{i<j}
+/// solves_{i+1}·m_i` is what the levels above it cost and `E_j` is its
+/// factor size in minimum-degree order.
+///
+/// The loop offers each graph `j ≥ 1` as soon as it exists. A candidate
+/// must have edges and a factor within the entry cap, except that a
+/// natural bottom without edges is one at no bottom cost; ties keep the
+/// deeper graph. Each candidate is ordered under a budget: the cap, or
+/// fewer entries once a best exists — no more than could still tie it.
+/// Level 0 is never a candidate: a depth-0 chain's bottom solve is the
+/// final answer, priced per solve rather than per application, so cutting
+/// there is the level-0 cut's call ([`build_solver_chain`]), made where
+/// the solve tolerance is known.
+///
+/// The loop stops early, before building level `j`, once
+/// `above_j + solves_j·2·m_j` exceeds the best price: every graph below
+/// `j` costs at least `above_{j+1} ≥ that` (the width clamp's floor is
+/// 2), so none can win. Until a candidate fits the cap the loop runs to
+/// the natural bottom; when that bottom is iterative nothing is cut — its
+/// cost is only known after the build-time probe, and the levels above it
+/// are larger still. `O` is the order a candidate is stored in.
+struct BottomCut<O> {
+    /// The entry cap, [`ChainOptions::direct_bottom_entry_limit`].
     limit: usize,
-) -> (Graph, Option<Vec<u32>>) {
-    if levels.is_empty() {
-        let order = direct_bottom_order(&natural_bottom, limit).map(|(order, _)| order);
-        return (natural_bottom, order);
+    /// Index of the next graph the loop offers.
+    next: usize,
+    /// `solves_j` of graph `next`.
+    solves: f64,
+    /// `above_j` of graph `next`.
+    above: f64,
+    /// The cheapest candidate so far.
+    best: Option<BottomCandidate<O>>,
+    /// Whether the last graph offered fits the cap; `None` when it was
+    /// priced under a smaller budget or not ordered at all.
+    last_fits: Option<bool>,
+    /// Set when the loop stopped early.
+    settled: bool,
+}
+
+/// A priced bottom candidate.
+struct BottomCandidate<O> {
+    /// Its index in the chain (top = 0).
+    level: usize,
+    /// Modelled flops per application with the chain cut there.
+    cost: f64,
+    /// Its minimum-degree order (`None` without edges).
+    order: Option<O>,
+}
+
+impl<O> BottomCut<O> {
+    fn new(limit: usize) -> Self {
+        BottomCut {
+            limit,
+            next: 0,
+            solves: 1.0,
+            above: 0.0,
+            best: None,
+            last_fits: None,
+            settled: false,
+        }
     }
-    let (cut, order) = {
-        let graphs: Vec<&Graph> = levels
-            .iter()
-            .map(|l| {
-                l.graph
-                    .as_ref()
-                    .expect("level graphs are resident during build")
-            })
-            .chain([&natural_bottom])
-            .collect();
-        let widths = levels.iter().map(|l| l.inner_iterations).chain([0]);
-        let shapes: Vec<CutLevel> = graphs
-            .iter()
-            .zip(widths)
-            .map(|(g, inner_iterations)| CutLevel {
-                n: g.n(),
-                m: g.m(),
-                inner_iterations,
-            })
-            .collect();
-        let mut orders: Vec<Option<Vec<u32>>> = vec![None; graphs.len()];
-        let cut = cheapest_bottom(&shapes, |j| {
-            let (order, entries) = direct_bottom_order(graphs[j], limit)?;
-            orders[j] = Some(order);
-            Some(entries)
-        });
-        (cut, orders.swap_remove(cut))
-    };
-    if cut == levels.len() {
-        return (natural_bottom, order);
+
+    /// Prices the graph at index `next` (`n` vertices, `m` edges) as a
+    /// bottom. `order(budget)` orders it, returning the order and its
+    /// factor's entries, or `None` when they pass `budget`. A `natural`
+    /// bottom is ordered under the full cap, since whether it fits decides
+    /// whether anything is cut; the top graph is priced only as one.
+    fn offer(
+        &mut self,
+        n: usize,
+        m: usize,
+        natural: bool,
+        order: impl FnOnce(usize) -> Option<(O, usize)>,
+    ) {
+        if self.next == 0 && !natural {
+            return;
+        }
+        if m == 0 {
+            // Only a natural bottom lacks edges: its solve costs nothing.
+            self.last_fits = Some(true);
+            self.consider(self.above, None);
+            return;
+        }
+        let budget = match &self.best {
+            Some(best) if !natural => {
+                // Largest E with above + solves·(2E + 2n) ≤ best, plus one
+                // entry for rounding; the exact price decides below.
+                let room = ((best.cost - self.above) / self.solves / 2.0 - n as f64).floor();
+                if room < 0.0 {
+                    self.last_fits = None;
+                    return;
+                }
+                (room as usize).saturating_add(1).min(self.limit)
+            }
+            _ => self.limit,
+        };
+        match order(budget) {
+            Some((order, entries)) => {
+                self.last_fits = Some(true);
+                let cost = self.above + self.solves * direct_bottom_flops(n, entries);
+                self.consider(cost, Some(order));
+            }
+            None => self.last_fits = (budget == self.limit).then_some(false),
+        }
     }
-    let bottom = levels
-        .drain(cut..)
-        .next()
-        .and_then(|l| l.graph)
-        .expect("level graphs are resident during build");
-    (bottom, order)
+
+    /// Takes the offered graph as the best when it is no dearer.
+    fn consider(&mut self, cost: f64, order: Option<O>) {
+        if self.best.as_ref().is_none_or(|best| cost <= best.cost) {
+            self.best = Some(BottomCandidate {
+                level: self.next,
+                cost,
+                order,
+            });
+        }
+    }
+
+    /// Whether the loop may stop above the last graph offered, which has
+    /// `m` edges: no graph below it can undercut the best.
+    fn settles(&mut self, m: usize) -> bool {
+        let floor = MIN_INNER_ITERATIONS as f64;
+        self.settled = self.next >= 1
+            && self
+                .best
+                .as_ref()
+                .is_some_and(|best| self.above + self.solves * floor * m as f64 > best.cost);
+        self.settled
+    }
+
+    /// Records the level the loop built on the last graph offered (`m`
+    /// edges, W-cycle width `k`); the next graph offered is the one below.
+    fn descend(&mut self, m: usize, k: usize) {
+        self.solves = solves_below(self.next, self.solves, k);
+        self.above += self.solves * m as f64;
+        self.next += 1;
+    }
+
+    /// Offers the last graph again as the natural bottom, when the loop
+    /// found it to be one only after offering it: a wrapper level. Its
+    /// order under the full cap is computed only when its fit is unknown.
+    fn reoffer_as_natural(
+        &mut self,
+        n: usize,
+        m: usize,
+        order: impl FnOnce(usize) -> Option<(O, usize)>,
+    ) {
+        if self.next == 0 || self.last_fits.is_none() {
+            self.offer(n, m, true, order);
+        }
+    }
+
+    /// Where the chain stops, once the loop has ended: the bottom's index
+    /// (that of the last graph offered when nothing is cut) and, when it
+    /// is to be factored, its order.
+    fn finish(self) -> (usize, Option<O>) {
+        if !self.settled && self.last_fits == Some(false) {
+            return (self.next, None);
+        }
+        let best = self.best.expect("the natural bottom was offered");
+        (best.level, best.order)
+    }
 }
 
 /// Fallback Chebyshev interval from the sampled quadratic-form ratio.
@@ -3222,6 +3300,15 @@ mod tests {
         );
     }
 
+    /// One level's shape as the bottom cut sees it: `n` vertices, `m`
+    /// edges, W-cycle width `inner_iterations` (unused on the last).
+    #[derive(Debug, Clone, Copy)]
+    struct CutLevel {
+        n: usize,
+        m: usize,
+        inner_iterations: usize,
+    }
+
     fn cut_level(n: usize, m: usize, inner_iterations: usize) -> CutLevel {
         CutLevel {
             n,
@@ -3249,9 +3336,28 @@ mod tests {
     }
 
     /// The cut when level `j`'s factor stores `entries[j]` entries and
-    /// only factors of at most `cap` entries may be built.
+    /// only factors of at most `cap` entries may be built: `shapes` run
+    /// through the level loop's protocol, the last one the natural bottom.
     fn cut(shapes: &[CutLevel], entries: &[usize], cap: usize) -> usize {
-        cheapest_bottom(shapes, |j| Some(entries[j]).filter(|&e| e <= cap))
+        cut_and_levels_built(shapes, entries, cap).0
+    }
+
+    /// [`cut`] and the number of levels the loop built before it stopped.
+    fn cut_and_levels_built(shapes: &[CutLevel], entries: &[usize], cap: usize) -> (usize, usize) {
+        let mut cut = BottomCut::new(cap);
+        let mut built = 0;
+        for (j, l) in shapes.iter().enumerate() {
+            let natural = j + 1 == shapes.len();
+            cut.offer(l.n, l.m, natural, |budget| {
+                Some(((), entries[j])).filter(|&(_, e)| e <= budget)
+            });
+            if natural || cut.settles(l.m) {
+                break;
+            }
+            cut.descend(l.m, l.inner_iterations);
+            built += 1;
+        }
+        (cut.finish().0, built)
     }
 
     #[test]
@@ -3327,6 +3433,32 @@ mod tests {
         assert_eq!(cut(&shapes, &entries, 1 << 18), 1);
         // A cap below level 1's factor pushes the chain deeper.
         assert_eq!(cut(&shapes, &entries, 100_000), 2);
+    }
+
+    #[test]
+    fn bottom_cut_stops_the_loop_once_no_deeper_level_can_win() {
+        // The 200×200 grid's chain with its tail: level 1 prices at
+        // ≈0.48M flops. Graph 3's levels above already cost ≈0.39M and
+        // any level below it at least 16·2·5200 more, so the loop stops
+        // with three levels built and never orders graphs 3–6.
+        let shapes = [
+            cut_level(40_000, 79_600, 4),
+            cut_level(12_101, 30_000, 4),
+            cut_level(4_672, 12_000, 4),
+            cut_level(2_028, 5_200, 4),
+            cut_level(967, 2_400, 4),
+            cut_level(450, 1_100, 4),
+            cut_level(210, 500, 0),
+        ];
+        let mut entries = vec![0, 186_880, 62_348, 24_836, 10_415, 4_000, 1_500];
+        assert_eq!(cut_and_levels_built(&shapes, &entries, 1 << 18), (1, 3));
+        // The natural bottom the loop never reached would be iterative:
+        // it cannot cancel a cut already proven cheaper than any tail.
+        entries[6] = usize::MAX;
+        assert_eq!(cut_and_levels_built(&shapes, &entries, 1 << 18), (1, 3));
+        // With nothing within the cap the loop runs to the natural
+        // bottom, and an iterative one keeps the whole chain.
+        assert_eq!(cut_and_levels_built(&shapes, &entries, 100), (6, 6));
     }
 
     #[test]

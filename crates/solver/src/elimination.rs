@@ -31,6 +31,20 @@
 //! graph to at most `2m−2` vertices; the stronger vertex classes only
 //! eliminate more.
 //!
+//! Each round does work only on the vertices it touches, as the paper's
+//! rounds do. The working adjacency keeps every vertex's neighbours in
+//! one row sorted by id, and every order the output depends on is that
+//! row order: which neighbour a degree-1 step attaches to, the order of a
+//! star's Schur updates and records, the order weights are summed in, and
+//! the order of the reduced edges. So the elimination is a pure function
+//! of `(graph, seed, params)`. Rows drop eliminated neighbours lazily, so
+//! a hub losing its leaves costs O(1) amortised per leaf. Each vertex's
+//! classification is cached and recomputed only when a step may have
+//! changed it, and the eligible vertices are a sorted list that every
+//! round merges its newly eligible ones into. The round's coins are
+//! therefore drawn for the same vertices, in the same ascending order, as
+//! a scan of all `n` vertices would draw them.
+//!
 //! The elimination is recorded step by step, and [`CompiledTrace`]
 //! compiles the record, at the chain's storage precision, into the passes
 //! that *forward-substitute* a right-hand side down to the reduced system
@@ -147,11 +161,6 @@ impl EliminationResult {
         self.steps.len()
     }
 
-    /// Neighbour slice of a [`EliminationStep::Star`] step.
-    fn star(&self, offset: u32, len: u32) -> &[(VertexId, f64)] {
-        &self.star_data[offset as usize..(offset + len) as usize]
-    }
-
     /// Renumbers the **reduced** vertex space by `old_to_new` (a
     /// permutation of `0..kept.len()`): the solver chain bakes a
     /// bandwidth-reducing order into each level, and the elimination that
@@ -162,16 +171,49 @@ impl EliminationResult {
     pub fn relabel_reduced(&mut self, old_to_new: &[u32]) {
         assert_eq!(old_to_new.len(), self.kept.len());
         self.reduced_graph = parsdd_graph::reorder::relabel(&self.reduced_graph, old_to_new);
-        let mut kept = vec![0 as VertexId; self.kept.len()];
-        for (old, &orig) in self.kept.iter().enumerate() {
-            kept[old_to_new[old] as usize] = orig;
-        }
-        self.kept = kept;
+        relabel_kept(&mut self.kept, old_to_new);
         for r in self.orig_to_reduced.iter_mut() {
             if *r != u32::MAX {
                 *r = old_to_new[*r as usize];
             }
         }
+    }
+
+    /// Splits off the reduced graph from the trace, which is all the
+    /// solver chain keeps of an elimination once the next level is built.
+    pub(crate) fn into_parts(self) -> (Graph, EliminationTrace) {
+        let trace = EliminationTrace {
+            kept: self.kept,
+            steps: self.steps,
+            star_data: self.star_data,
+        };
+        (self.reduced_graph, trace)
+    }
+}
+
+/// Moves `kept[old]` to `kept[old_to_new[old]]`.
+fn relabel_kept(kept: &mut Vec<VertexId>, old_to_new: &[u32]) {
+    assert_eq!(old_to_new.len(), kept.len());
+    let mut out = vec![0 as VertexId; kept.len()];
+    for (old, &orig) in kept.iter().enumerate() {
+        out[old_to_new[old] as usize] = orig;
+    }
+    *kept = out;
+}
+
+/// An elimination's record without its reduced graph: what
+/// [`CompiledTrace::from_trace`] compiles.
+#[derive(Debug, Clone)]
+pub(crate) struct EliminationTrace {
+    kept: Vec<VertexId>,
+    steps: Vec<EliminationStep>,
+    star_data: Vec<(VertexId, f64)>,
+}
+
+impl EliminationTrace {
+    /// [`EliminationResult::relabel_reduced`] on the trace's `kept`.
+    pub(crate) fn relabel_kept(&mut self, old_to_new: &[u32]) {
+        relabel_kept(&mut self.kept, old_to_new);
     }
 }
 
@@ -242,9 +284,22 @@ impl<T: Scalar> CompiledTrace<T> {
     /// Compiles an elimination trace: one pass over the recorded steps,
     /// every quotient and divisor folded.
     pub fn from_elimination(elim: &EliminationResult) -> Self {
-        let mut star_data = Vec::with_capacity(elim.star_data.len());
-        let steps = elim
-            .steps
+        Self::compile(elim.kept.clone(), &elim.steps, &elim.star_data)
+    }
+
+    /// [`from_elimination`](Self::from_elimination) on a split-off trace,
+    /// whose `kept` the compiled trace takes over.
+    pub(crate) fn from_trace(trace: EliminationTrace) -> Self {
+        Self::compile(trace.kept, &trace.steps, &trace.star_data)
+    }
+
+    fn compile(
+        kept: Vec<VertexId>,
+        steps: &[EliminationStep],
+        star_data: &[(VertexId, f64)],
+    ) -> Self {
+        let mut compiled_star = Vec::with_capacity(star_data.len());
+        let steps: Vec<CompiledStep<T>> = steps
             .iter()
             .map(|step| match *step {
                 EliminationStep::Degree1 { v, u, w } => CompiledStep::Degree1 {
@@ -266,10 +321,10 @@ impl<T: Scalar> CompiledTrace<T> {
                     }
                 }
                 EliminationStep::Star { v, offset, len } => {
-                    let star = elim.star(offset, len);
+                    let star = &star_data[offset as usize..(offset + len) as usize];
                     let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
-                    debug_assert_eq!(star_data.len(), offset as usize);
-                    star_data.extend(
+                    debug_assert_eq!(compiled_star.len(), offset as usize);
+                    compiled_star.extend(
                         star.iter()
                             .map(|&(u, w)| (u, T::from_f64(w / wtot), T::from_f64(w))),
                     );
@@ -284,10 +339,11 @@ impl<T: Scalar> CompiledTrace<T> {
             })
             .collect();
         CompiledTrace {
-            n: elim.orig_to_reduced.len(),
+            // Every vertex is either kept or eliminated by exactly one step.
+            n: kept.len() + steps.len(),
             steps,
-            star_data,
-            kept: elim.kept.clone(),
+            star_data: compiled_star,
+            kept,
         }
     }
 
@@ -545,7 +601,270 @@ impl<T: Scalar> CompiledTrace<T> {
     }
 }
 
-type Adjacency = Vec<std::collections::BTreeMap<VertexId, f64>>;
+/// The elimination's working adjacency: the Laplacian's off-diagonal
+/// pattern with parallel edges merged, one row of `(neighbour,
+/// conductance)` entries per vertex, all rows in one shared buffer.
+///
+/// **Sorted-row invariant:** every row lists its entries in strictly
+/// increasing neighbour id. Reading a row in stored order is what fixes
+/// the elimination's output: which neighbour a degree-1 step attaches to,
+/// the order of a star's Schur updates and records, the order weights are
+/// summed in, and the order of the reduced edges. The result is a pure
+/// function of `(graph, seed, params)`.
+///
+/// A row drops entries lazily. An entry whose neighbour has been
+/// eliminated is a *tombstone*: every read skips it, and it keeps its id
+/// in place, so the row stays sorted and binary-searchable. A row is
+/// compacted once its tombstones outnumber its live entries (plus a
+/// little slack), so a hub that loses thousands of leaves pays O(1)
+/// amortised per loss, not O(degree), and a read costs O(live degree). A
+/// new neighbour takes the place of the nearest tombstone within
+/// [`Adjacency::REUSE_WINDOW`] entries; failing that it shifts the row's
+/// tail, and a full row moves, compacted, to the end of the buffer with
+/// room to double.
+struct Adjacency {
+    slots: Vec<(VertexId, f64)>,
+    rows: Vec<Row>,
+    alive: Vec<bool>,
+}
+
+/// Where a vertex's row lives in [`Adjacency::slots`].
+#[derive(Clone, Copy)]
+struct Row {
+    start: usize,
+    /// Entries in use, tombstones included.
+    len: u32,
+    /// Room reserved at `start`.
+    cap: u32,
+    /// Live entries: the vertex's degree.
+    live: u32,
+}
+
+impl Adjacency {
+    /// How far an insertion looks, each way, for a tombstone to reuse.
+    const REUSE_WINDOW: usize = 8;
+    /// Tombstones a row holds beyond its live count before compaction.
+    const COMPACT_SLACK: u32 = 4;
+
+    /// The adjacency of `g` with parallel edges merged. Each vertex's arcs
+    /// sit in edge-id order, and a stable sort by neighbour keeps parallel
+    /// edges in it, so a merged weight is summed in edge order from `0.0`.
+    fn new(g: &Graph) -> Self {
+        let n = g.n();
+        let mut slots: Vec<(VertexId, f64)> = Vec::with_capacity(2 * g.m());
+        let mut rows = Vec::with_capacity(n);
+        for v in 0..n as VertexId {
+            let start = slots.len();
+            slots.extend(g.arcs(v).map(|(u, w, _)| (u, w)));
+            let row = &mut slots[start..];
+            row.sort_by_key(|&(u, _)| u);
+            let mut len = 0;
+            for i in 0..row.len() {
+                let (u, w) = row[i];
+                if len > 0 && row[len - 1].0 == u {
+                    row[len - 1].1 += w;
+                } else {
+                    // `0.0 + w`, not `w`: the first term of the sum.
+                    row[len] = (u, 0.0 + w);
+                    len += 1;
+                }
+            }
+            slots.truncate(start + len);
+            let len = len as u32;
+            rows.push(Row {
+                start,
+                len,
+                cap: len,
+                live: len,
+            });
+        }
+        Adjacency {
+            slots,
+            rows,
+            alive: vec![true; n],
+        }
+    }
+
+    fn is_alive(&self, v: VertexId) -> bool {
+        self.alive[v as usize]
+    }
+
+    fn degree(&self, v: VertexId) -> usize {
+        self.rows[v as usize].live as usize
+    }
+
+    /// `v`'s stored entries, tombstones included, sorted by neighbour.
+    fn row(&self, v: VertexId) -> &[(VertexId, f64)] {
+        let r = self.rows[v as usize];
+        &self.slots[r.start..r.start + r.len as usize]
+    }
+
+    /// `v`'s live neighbours with their conductances, by increasing id.
+    fn neighbours(&self, v: VertexId) -> impl Iterator<Item = (VertexId, f64)> + '_ {
+        self.row(v)
+            .iter()
+            .copied()
+            .filter(|&(u, _)| self.is_alive(u))
+    }
+
+    /// Whether live vertices `a` and `b` are adjacent: a binary search of
+    /// the shorter row (an entry for a live id is never a tombstone).
+    fn adjacent(&self, a: VertexId, b: VertexId) -> bool {
+        let (x, y) = if self.rows[a as usize].len <= self.rows[b as usize].len {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.row(x).binary_search_by_key(&y, |&(u, _)| u).is_ok()
+    }
+
+    /// Eliminates `v`: its row empties and every entry naming it becomes
+    /// a tombstone. Costs O(deg v), plus amortised compaction.
+    fn eliminate(&mut self, v: VertexId) {
+        self.alive[v as usize] = false;
+        let r = self.rows[v as usize];
+        self.rows[v as usize].len = 0;
+        self.rows[v as usize].live = 0;
+        for i in r.start..r.start + r.len as usize {
+            let u = self.slots[i].0;
+            if !self.is_alive(u) {
+                continue;
+            }
+            let row = &mut self.rows[u as usize];
+            row.live -= 1;
+            if row.len > 2 * row.live + Self::COMPACT_SLACK {
+                self.compact(u);
+            }
+        }
+    }
+
+    /// Drops `v`'s tombstones, in place.
+    fn compact(&mut self, v: VertexId) {
+        let r = self.rows[v as usize];
+        let mut len = 0;
+        for i in r.start..r.start + r.len as usize {
+            let entry = self.slots[i];
+            if self.is_alive(entry.0) {
+                self.slots[r.start + len] = entry;
+                len += 1;
+            }
+        }
+        self.rows[v as usize].len = len as u32;
+    }
+
+    /// `w(a, b) += w` on `a`'s side, the entry created at `0.0 + w` when
+    /// `b` is not yet a neighbour. Returns whether it was created.
+    fn add(&mut self, a: VertexId, b: VertexId, w: f64) -> bool {
+        let r = self.rows[a as usize];
+        let row = &mut self.slots[r.start..r.start + r.len as usize];
+        match row.binary_search_by_key(&b, |&(u, _)| u) {
+            Ok(i) => {
+                row[i].1 += w;
+                false
+            }
+            Err(p) => {
+                self.insert(a, p, (b, 0.0 + w));
+                true
+            }
+        }
+    }
+
+    /// Inserts `entry` into `a`'s row at sorted position `p`.
+    fn insert(&mut self, a: VertexId, p: usize, entry: (VertexId, f64)) {
+        let r = self.rows[a as usize];
+        let (start, len) = (r.start, r.len as usize);
+        let dead = |i: usize| !self.alive[self.slots[start + i].0 as usize];
+        let left = (p.saturating_sub(Self::REUSE_WINDOW)..p)
+            .rev()
+            .find(|&i| dead(i));
+        let right = (p..len.min(p + Self::REUSE_WINDOW)).find(|&i| dead(i));
+        let reuse = match (left, right) {
+            (Some(l), Some(t)) => Some(if p - 1 - l <= t - p { l } else { t }),
+            (l, t) => l.or(t),
+        };
+        let row = &mut self.slots[start..start + len];
+        match reuse {
+            // Shift the entries between the tombstone and `p` over it.
+            Some(t) if t < p => {
+                row.copy_within(t + 1..p, t);
+                row[p - 1] = entry;
+            }
+            Some(t) => {
+                row.copy_within(p..t, p + 1);
+                row[p] = entry;
+            }
+            None if len < r.cap as usize => {
+                self.slots
+                    .copy_within(start + p..start + len, start + p + 1);
+                self.slots[start + p] = entry;
+                self.rows[a as usize].len += 1;
+            }
+            None => self.relocate(a, entry),
+        }
+        self.rows[a as usize].live += 1;
+    }
+
+    /// Moves `a`'s full row to the end of the buffer, compacted, with
+    /// `entry` inserted in order and room for as many entries again.
+    fn relocate(&mut self, a: VertexId, entry: (VertexId, f64)) {
+        let r = self.rows[a as usize];
+        let start = self.slots.len();
+        let cap = 2 * (r.live as usize + 1);
+        self.slots.reserve(cap);
+        let mut placed = false;
+        for i in r.start..r.start + r.len as usize {
+            let e = self.slots[i];
+            if !self.is_alive(e.0) {
+                continue;
+            }
+            if !placed && e.0 > entry.0 {
+                self.slots.push(entry);
+                placed = true;
+            }
+            self.slots.push(e);
+        }
+        if !placed {
+            self.slots.push(entry);
+        }
+        let len = self.slots.len() - start;
+        self.slots.resize(start + cap, (0, 0.0));
+        self.rows[a as usize] = Row {
+            start,
+            len: len as u32,
+            cap: cap as u32,
+            live: r.live,
+        };
+    }
+
+    /// The Schur update `w` between neighbours `a` and `b`, on both sides.
+    /// When it creates the edge, every common neighbour whose fill count
+    /// it lowers is passed to `touched`: those with a degree the
+    /// bounded-fill rule examines (`3..=max_star_degree`).
+    fn connect(
+        &mut self,
+        a: VertexId,
+        b: VertexId,
+        w: f64,
+        max_star_degree: usize,
+        mut touched: impl FnMut(VertexId),
+    ) {
+        let created = self.add(a, b, w);
+        self.add(b, a, w);
+        if !created || max_star_degree < 3 {
+            return;
+        }
+        let (x, y) = if self.rows[a as usize].live <= self.rows[b as usize].live {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        for (c, _) in self.neighbours(x) {
+            if (3..=max_star_degree).contains(&self.degree(c)) && c != y && self.adjacent(c, y) {
+                touched(c);
+            }
+        }
+    }
+}
 
 /// Classification of a live vertex under the current adjacency.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -558,10 +877,11 @@ enum Eligibility {
 }
 
 /// Is `v` eliminable right now? Checks the degree classes and, for the
-/// star class, the fill bound against the current adjacency.
+/// star class, the fill bound against the current adjacency. It reads
+/// only `v`'s degree, the weights of its edges and, when its degree is
+/// in `3..=max_star_degree`, which of its neighbour pairs are adjacent.
 fn classify(adj: &Adjacency, v: VertexId, params: &EliminationParams) -> Eligibility {
-    let nbrs = &adj[v as usize];
-    let deg = nbrs.len();
+    let deg = adj.degree(v);
     if deg <= 1 {
         return Eligibility::Rake;
     }
@@ -572,7 +892,7 @@ fn classify(adj: &Adjacency, v: VertexId, params: &EliminationParams) -> Eligibi
     let dominated = deg <= params.max_dominated_degree && {
         let mut wmax = 0.0f64;
         let mut wsum = 0.0f64;
-        for &w in nbrs.values() {
+        for (_, w) in adj.neighbours(v) {
             wsum += w;
             wmax = wmax.max(w);
         }
@@ -586,11 +906,14 @@ fn classify(adj: &Adjacency, v: VertexId, params: &EliminationParams) -> Eligibi
     }
     // Bounded fill: count neighbour pairs not already adjacent; the star's
     // own `deg` edges disappear.
+    let row = adj.row(v);
     let mut new_pairs = 0isize;
-    let neighbours: Vec<VertexId> = nbrs.keys().copied().collect();
-    for (i, &a) in neighbours.iter().enumerate() {
-        for &b in &neighbours[i + 1..] {
-            if !adj[a as usize].contains_key(&b) {
+    for (i, &(a, _)) in row.iter().enumerate() {
+        if !adj.is_alive(a) {
+            continue;
+        }
+        for &(b, _) in &row[i + 1..] {
+            if adj.is_alive(b) && !adj.adjacent(a, b) {
                 new_pairs += 1;
             }
         }
@@ -602,31 +925,61 @@ fn classify(adj: &Adjacency, v: VertexId, params: &EliminationParams) -> Eligibi
     }
 }
 
+/// Vertices whose classification may have changed this round, each once.
+struct Dirty {
+    marked: Vec<bool>,
+    list: Vec<VertexId>,
+}
+
+impl Dirty {
+    fn mark(&mut self, v: VertexId) {
+        if !self.marked[v as usize] {
+            self.marked[v as usize] = true;
+            self.list.push(v);
+        }
+    }
+}
+
 /// Runs the partial Cholesky elimination on the Laplacian of `g` until no
 /// eligible vertex remains. Parallel edges are merged before elimination.
 /// [`greedy_elimination`] is this with [`EliminationParams::default`].
+///
+/// A round pays for the vertices it touches, not for `n`. Each vertex's
+/// classification is cached and recomputed only when it may have
+/// changed: for the endpoints of a step (the eliminated vertex and its
+/// neighbours) and for the common neighbours of a pair that gains an
+/// edge, whose fill counts drop. No other vertex's degree, edge weights
+/// or neighbour adjacencies move. The eligible vertices are kept as a
+/// sorted list into which each round merges its newly eligible ones, so
+/// the round's coins are drawn for the same vertices in the same
+/// ascending order as a scan of all vertices would draw them.
 pub fn greedy_elimination_with_params(
     g: &Graph,
     seed: u64,
     params: &EliminationParams,
 ) -> EliminationResult {
     let n = g.n();
-    // Working adjacency with merged parallel edges: map neighbour → weight.
-    // BTreeMap, not HashMap: neighbour enumeration order decides which
-    // neighbour a degree-1 step attaches to and the order of Schur
-    // updates, so a randomly seeded hash order would make the elimination
-    // (and every f64 downstream of it) differ from build to build.
-    // Degrees here are ≤ a few dozen, where the B-tree is as fast.
-    let mut adj: Adjacency = vec![Default::default(); n];
-    for e in g.edges() {
-        *adj[e.u as usize].entry(e.v).or_insert(0.0) += e.w;
-        *adj[e.v as usize].entry(e.u).or_insert(0.0) += e.w;
-    }
-    let mut alive = vec![true; n];
+    let mut adj = Adjacency::new(g);
+    let mut class: Vec<Eligibility> = (0..n as VertexId)
+        .map(|v| classify(&adj, v, params))
+        .collect();
+    let mut eligible: Vec<VertexId> = (0..n as VertexId)
+        .filter(|&v| class[v as usize] != Eligibility::No)
+        .collect();
     let mut steps: Vec<EliminationStep> = Vec::new();
     let mut star_data: Vec<(VertexId, f64)> = Vec::new();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut rounds = 0usize;
+    // Per-round buffers, reused: nothing below allocates once they have
+    // grown to the largest round.
+    let mut heads = vec![false; n];
+    let mut dirty = Dirty {
+        marked: vec![false; n],
+        list: Vec::new(),
+    };
+    let (mut candidates, mut tossed) = (Vec::new(), Vec::new());
+    let (mut newly, mut merged) = (Vec::new(), Vec::new());
+    let mut star: Vec<(VertexId, f64)> = Vec::new();
 
     loop {
         rounds += 1;
@@ -634,53 +987,40 @@ pub fn greedy_elimination_with_params(
         // (degree-2, bounded-fill stars, dominated vertices) are eliminated
         // if selected into a random independent set (heads with probability
         // 1/3, kept only if no coin-flipping neighbour also came up heads).
-        let mut candidates: Vec<VertexId> = Vec::new();
-        let mut coin = vec![false; n];
-        let mut flipped = vec![false; n];
-        for v in 0..n as VertexId {
-            if !alive[v as usize] {
-                continue;
-            }
-            match classify(&adj, v, params) {
+        candidates.clear();
+        tossed.clear();
+        for &v in &eligible {
+            match class[v as usize] {
                 Eligibility::Rake => candidates.push(v),
                 Eligibility::Independent => {
-                    flipped[v as usize] = true;
-                    coin[v as usize] = rng.gen_bool(1.0 / 3.0);
+                    if rng.gen_bool(1.0 / 3.0) {
+                        heads[v as usize] = true;
+                        tossed.push(v);
+                    }
                 }
-                Eligibility::No => {}
+                Eligibility::No => unreachable!("eligible list holds eligible vertices"),
             }
         }
-        for v in 0..n as VertexId {
-            if !flipped[v as usize] || !coin[v as usize] {
-                continue;
-            }
-            let independent = adj[v as usize]
-                .keys()
-                .all(|&u| !(flipped[u as usize] && coin[u as usize]));
-            if independent {
+        for &v in &tossed {
+            if adj.neighbours(v).all(|(u, _)| !heads[u as usize]) {
                 candidates.push(v);
             }
+        }
+        for &v in &tossed {
+            heads[v as usize] = false;
         }
         if candidates.is_empty() {
             // No rake eliminations and no lucky independent-set vertices
             // this round. If eligible vertices still exist we must keep
             // going (fresh coins next round); otherwise we are done.
-            let any_eligible = (0..n as VertexId)
-                .any(|v| alive[v as usize] && classify(&adj, v, params) != Eligibility::No);
-            if !any_eligible {
+            let Some(&first) = eligible.first() else {
                 break;
-            }
+            };
             // Guard against pathological non-progress (e.g. a single cycle
             // where coins keep colliding): after many extra rounds, fall
             // back to eliminating one eligible vertex deterministically.
             if rounds > 10 * (64 - (n.max(2) as u64).leading_zeros() as usize).max(4) {
-                if let Some(v) = (0..n as VertexId)
-                    .find(|&v| alive[v as usize] && classify(&adj, v, params) != Eligibility::No)
-                {
-                    candidates.push(v);
-                } else {
-                    break;
-                }
+                candidates.push(first);
             } else {
                 continue;
             }
@@ -689,35 +1029,34 @@ pub fn greedy_elimination_with_params(
         // Apply the round's eliminations sequentially, re-checking
         // eligibility (an earlier elimination in the same round can change
         // degrees and fill).
-        for v in candidates {
-            if !alive[v as usize] {
+        for &v in &candidates {
+            if !adj.is_alive(v) {
                 continue;
             }
-            let deg = adj[v as usize].len();
-            match deg {
+            let mut touched = |u: VertexId| dirty.mark(u);
+            match adj.degree(v) {
                 0 => {
-                    alive[v as usize] = false;
+                    adj.eliminate(v);
                     steps.push(EliminationStep::Isolated { v });
                 }
                 1 => {
-                    let (&u, &w) = adj[v as usize].iter().next().expect("degree 1");
-                    alive[v as usize] = false;
-                    adj[v as usize].clear();
-                    adj[u as usize].remove(&v);
+                    let (u, w) = adj.neighbours(v).next().expect("degree 1");
+                    adj.eliminate(v);
+                    touched(u);
                     steps.push(EliminationStep::Degree1 { v, u, w });
                 }
                 2 => {
-                    let mut it = adj[v as usize].iter();
-                    let (&a, &wa) = it.next().expect("degree 2");
-                    let (&b, &wb) = it.next().expect("degree 2");
-                    alive[v as usize] = false;
-                    adj[v as usize].clear();
-                    adj[a as usize].remove(&v);
-                    adj[b as usize].remove(&v);
+                    let ((a, wa), (b, wb)) = {
+                        let mut it = adj.neighbours(v);
+                        let first = it.next().expect("degree 2");
+                        (first, it.next().expect("degree 2"))
+                    };
+                    adj.eliminate(v);
+                    touched(a);
+                    touched(b);
                     // Series conductance between the two neighbours.
                     let w_new = wa * wb / (wa + wb);
-                    *adj[a as usize].entry(b).or_insert(0.0) += w_new;
-                    *adj[b as usize].entry(a).or_insert(0.0) += w_new;
+                    adj.connect(a, b, w_new, params.max_star_degree, &mut touched);
                     steps.push(EliminationStep::Degree2 { v, a, b, wa, wb });
                 }
                 _ => {
@@ -727,40 +1066,68 @@ pub fn greedy_elimination_with_params(
                     if classify(&adj, v, params) == Eligibility::No {
                         continue;
                     }
-                    let neighbours: Vec<(VertexId, f64)> =
-                        adj[v as usize].iter().map(|(&u, &w)| (u, w)).collect();
-                    let wtot: f64 = neighbours.iter().map(|&(_, w)| w).sum();
-                    alive[v as usize] = false;
-                    adj[v as usize].clear();
-                    for &(u, _) in &neighbours {
-                        adj[u as usize].remove(&v);
-                    }
+                    star.clear();
+                    star.extend(adj.neighbours(v));
+                    let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
+                    adj.eliminate(v);
                     // Schur clique: every neighbour pair gains w_a·w_b/W.
-                    for (i, &(a, wa)) in neighbours.iter().enumerate() {
-                        for &(b, wb) in &neighbours[i + 1..] {
+                    for (i, &(a, wa)) in star.iter().enumerate() {
+                        touched(a);
+                        for &(b, wb) in &star[i + 1..] {
                             let w_new = wa * wb / wtot;
-                            *adj[a as usize].entry(b).or_insert(0.0) += w_new;
-                            *adj[b as usize].entry(a).or_insert(0.0) += w_new;
+                            adj.connect(a, b, w_new, params.max_star_degree, &mut touched);
                         }
                     }
                     let offset = star_data.len() as u32;
-                    let len = neighbours.len() as u32;
-                    star_data.extend_from_slice(&neighbours);
+                    let len = star.len() as u32;
+                    star_data.extend_from_slice(&star);
                     steps.push(EliminationStep::Star { v, offset, len });
                 }
             }
+            touched(v);
         }
+
+        // Reclassify what the round touched and merge the newly eligible
+        // vertices into the sorted list, dropping the no longer eligible.
+        newly.clear();
+        for &v in &dirty.list {
+            dirty.marked[v as usize] = false;
+            let now = if adj.is_alive(v) {
+                classify(&adj, v, params)
+            } else {
+                Eligibility::No
+            };
+            if class[v as usize] == Eligibility::No && now != Eligibility::No {
+                newly.push(v);
+            }
+            class[v as usize] = now;
+        }
+        dirty.list.clear();
+        newly.sort_unstable();
+        merged.clear();
+        let mut fresh = newly.iter().copied().peekable();
+        for &v in &eligible {
+            if class[v as usize] == Eligibility::No {
+                continue;
+            }
+            while let Some(u) = fresh.next_if(|&u| u < v) {
+                merged.push(u);
+            }
+            merged.push(v);
+        }
+        merged.extend(fresh);
+        std::mem::swap(&mut eligible, &mut merged);
     }
 
     // Build the reduced graph over the surviving vertices.
-    let kept: Vec<VertexId> = (0..n as VertexId).filter(|&v| alive[v as usize]).collect();
+    let kept: Vec<VertexId> = (0..n as VertexId).filter(|&v| adj.is_alive(v)).collect();
     let mut orig_to_reduced = vec![u32::MAX; n];
     for (r, &v) in kept.iter().enumerate() {
         orig_to_reduced[v as usize] = r as u32;
     }
     let mut edges: Vec<Edge> = Vec::new();
     for &v in &kept {
-        for (&u, &w) in &adj[v as usize] {
+        for (u, w) in adj.neighbours(v) {
             if v < u {
                 edges.push(Edge::new(
                     orig_to_reduced[v as usize],
@@ -866,7 +1233,7 @@ mod tests {
                     work[b as usize] += (wb / d) * bv;
                 }
                 EliminationStep::Star { v, offset, len } => {
-                    let star = elim.star(offset, len);
+                    let star = &elim.star_data[offset as usize..(offset + len) as usize];
                     let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
                     let bv = work[v as usize];
                     for &(u, w) in star {
@@ -887,7 +1254,7 @@ mod tests {
                     (work[v as usize] + wa * x[a as usize] + wb * x[b as usize]) / (wa + wb)
                 }
                 EliminationStep::Star { v, offset, len } => {
-                    let star = elim.star(offset, len);
+                    let star = &elim.star_data[offset as usize..(offset + len) as usize];
                     let wtot: f64 = star.iter().map(|&(_, w)| w).sum();
                     let acc: f64 = star.iter().map(|&(u, w)| w * x[u as usize]).sum();
                     (work[v as usize] + acc) / wtot
@@ -1325,6 +1692,42 @@ mod tests {
                 g.m(),
                 elim.reduced_graph.m()
             );
+        }
+    }
+
+    /// Hub degree guard. A hub holding 3000 leaves, every third pair of
+    /// them joined: its row loses nearly every entry (the leaves rake,
+    /// each pair compresses onto an existing hub edge first). And two
+    /// hubs joined by 1500 2-paths whose middle ids sit far from their
+    /// ends, so every compress adds a hub entry far from the tombstone it
+    /// leaves. Both dissolve completely, in a logarithmic number of rounds,
+    /// and solve exactly.
+    #[test]
+    fn hub_stars_dissolve_and_solve() {
+        let leaves = 3000u32;
+        let mut edges: Vec<Edge> = (1..=leaves)
+            .map(|v| Edge::new(0, v, 1.0 + (v % 7) as f64))
+            .collect();
+        edges.extend(
+            (1..leaves)
+                .step_by(2)
+                .filter(|v| v % 3 == 0)
+                .map(|v| Edge::new(v, v + 1, 0.5 + (v % 5) as f64)),
+        );
+        let star = Graph::from_edges(leaves as usize + 1, edges);
+        let k = 1500u32;
+        let mut edges = Vec::new();
+        for i in 1..=k {
+            edges.push(Edge::new(0, i, 1.0 + (i % 3) as f64));
+            edges.push(Edge::new(i, k + i, 2.0));
+            edges.push(Edge::new(k + i, 2 * k + 1, 1.0 + (i % 5) as f64));
+        }
+        let twin_hubs = Graph::from_edges(2 * k as usize + 2, edges);
+        for (name, g) in [("hub star", &star), ("twin hubs", &twin_hubs)] {
+            let elim = greedy_elimination(g, 13);
+            assert!(elim.kept.is_empty(), "{name}: kept {:?}", elim.kept);
+            assert!(elim.rounds <= 40, "{name}: {} rounds", elim.rounds);
+            check_elimination_solve(g, 13);
         }
     }
 }
