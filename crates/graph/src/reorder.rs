@@ -379,11 +379,6 @@ pub fn min_degree_order(g: &Graph, budget: usize) -> Option<(Vec<u32>, usize)> {
     Some((order, entries))
 }
 
-/// The identity labelling on `n` vertices (the "no reordering" baseline).
-pub fn identity_order(n: usize) -> Vec<u32> {
-    (0..n as u32).collect()
-}
-
 /// Inverts an `old_to_new` labelling into `new_to_old` (or vice versa).
 pub fn invert_order(perm: &[u32]) -> Vec<u32> {
     let mut inv = vec![INVALID_VERTEX; perm.len()];

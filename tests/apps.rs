@@ -65,45 +65,6 @@ fn solve_many_matches_looped_solve_bitwise_across_widths() {
 }
 
 #[test]
-fn permuted_and_identity_orderings_agree() {
-    use parsdd_solver::chain::{ChainOptions, LevelOrdering};
-    // The bandwidth-reduced (RCM) chain and the identity-ordered chain are
-    // different preconditioners for the *same* system: both must converge,
-    // and their solutions must agree to the solve tolerance (they both
-    // approximate the unique mean-zero solution).
-    let g = generators::grid2d(32, 32, |x, y| 1.0 + ((x + 3 * y) % 4) as f64);
-    let bs = rhs_set(g.n(), 2);
-    let tol = 1e-10;
-    let solve_with = |ordering: LevelOrdering| {
-        let opts = SddSolverOptions::default()
-            .with_tolerance(tol)
-            .with_chain(ChainOptions::default().with_ordering(ordering));
-        let solver = SddSolver::new_laplacian(&g, opts);
-        solver.solve_many(&bs)
-    };
-    let rcm = solve_with(LevelOrdering::BandwidthReducing);
-    let id = solve_with(LevelOrdering::Identity);
-    for (j, b) in bs.iter().enumerate() {
-        assert!(rcm[j].converged, "rcm column {j}");
-        assert!(id[j].converged, "identity column {j}");
-        let scale = norm2(b);
-        let diff: f64 = rcm[j]
-            .x
-            .iter()
-            .zip(&id[j].x)
-            .map(|(a, c)| (a - c) * (a - c))
-            .sum::<f64>()
-            .sqrt();
-        // Both solutions are within tol·κ-ish of the exact one; 1e-6
-        // relative is a comfortably tight bound at tol = 1e-10.
-        assert!(
-            diff <= 1e-6 * scale.max(1.0),
-            "orderings disagree on column {j}: |Δx| = {diff:.3e}"
-        );
-    }
-}
-
-#[test]
 fn fused_permuted_path_bitwise_identical_at_widths_1_2_4() {
     // The PR 5 kernels (merged-row SpMV, fused Chebyshev sweeps, fused
     // apply+dot, envelope bottom) must keep the pool-width-independence

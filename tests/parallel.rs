@@ -259,9 +259,17 @@ proptest! {
     }
 }
 
-/// Zoo smallworld/small with the direct-factor limit at 0: its depth-3
-/// chain ends on an iterative bottom, the inexact Jacobi-PCG that runs
-/// inside every preconditioner application.
+/// Zoo smallworld/small's generator at 400 of its 1 500 vertices, so the
+/// debug suite stays quick. With the direct-factor limit at 0 its chain
+/// still keeps a calibrated Chebyshev level above the iterative bottom
+/// (400 → 301 → 236 vertices); at 320 vertices it would be depth 1.
+fn iterative_bottom_input() -> parsdd_graph::Graph {
+    parsdd_graph::generators::watts_strogatz(400, 6, 0.1, 0x2002)
+}
+
+/// The chain of [`iterative_bottom_input`] with the direct-factor limit
+/// at 0: a depth-2 chain that ends on an iterative bottom, the inexact
+/// Jacobi-PCG that runs inside every preconditioner application.
 fn iterative_bottom_chain(
     g: &parsdd_graph::Graph,
     precision: parsdd_solver::chain::Precision,
@@ -272,6 +280,10 @@ fn iterative_bottom_chain(
         ..ChainOptions::default()
     };
     let chain = build_chain(g, &options.with_precision(precision));
+    assert!(
+        chain.depth() >= 2,
+        "a Chebyshev level must sit above the bottom"
+    );
     assert!(!chain.stats().direct_bottom, "the bottom must be iterative");
     chain
 }
@@ -295,7 +307,7 @@ const PRECISIONS: [parsdd_solver::chain::Precision; 2] = [
 /// residual, whatever the other columns of the block do.
 #[test]
 fn iterative_bottom_batched_solves_match_looped_bitwise() {
-    let g = parsdd_bench::zoo::build("smallworld", parsdd_bench::zoo::Tier::Small);
+    let g = iterative_bottom_input();
     let cols: Vec<Vec<f64>> = (0..3).map(|s| mean_free_rhs(g.n(), s)).collect();
     for precision in PRECISIONS {
         let chain = iterative_bottom_chain(&g, precision);
@@ -329,7 +341,7 @@ fn iterative_bottom_batched_solves_match_looped_bitwise() {
 /// widths 1, 2 and 4 in both precisions.
 #[test]
 fn iterative_bottom_chains_bitwise_identical_across_widths() {
-    let g = parsdd_bench::zoo::build("smallworld", parsdd_bench::zoo::Tier::Small);
+    let g = iterative_bottom_input();
     let b = mean_free_rhs(g.n(), 5);
     for precision in PRECISIONS {
         let fingerprint = || {
