@@ -28,9 +28,8 @@
 //! * [`poisson`] — discrete Poisson problems on grids (the vision/graphics
 //!   motivation), a convenience layer used by the examples.
 //! * [`mod@pagerank`] — PageRank / weighted SpMV over the frontier traversal
-//!   core (the Ligra `SPMV` workload), dense-pull pinned for bitwise
-//!   width-determinism; runs on [`Graph`](parsdd_graph::Graph), the lean
-//!   CSR, or an mmap view.
+//!   core (the Ligra `SPMV` workload) on a [`Graph`](parsdd_graph::Graph),
+//!   dense-pull pinned for bitwise width-determinism.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

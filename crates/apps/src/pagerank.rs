@@ -8,13 +8,8 @@
 //! there each destination's arcs are scanned sequentially in CSR order by
 //! the single task that owns it, making the result bitwise identical at
 //! every pool width — the same determinism contract the solver pins.
-//!
-//! Runs on any [`CsrLike`] graph: [`Graph`](parsdd_graph::Graph), the lean
-//! [`Csr`](parsdd_graph::Csr), and the zero-copy mmap view of a binary CSR
-//! file, so billion-arc PageRank never needs the solver-grade
-//! representation.
 
-use parsdd_graph::{edge_map, CsrLike, Direction, EdgeMapOp, EdgeMapOptions, Frontier, VertexId};
+use parsdd_graph::{edge_map, Direction, EdgeMapOp, Frontier, Graph, VertexId};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,7 +60,7 @@ impl EdgeMapOp for SpmvOp<'_> {
 /// Weighted-adjacency sparse matrix–vector product `y = A·x` (one
 /// [`edge_map`] of the full frontier, dense-pull pinned). Bitwise
 /// deterministic at every pool width.
-pub fn spmv<G: CsrLike>(g: &G, x: &[f64]) -> Vec<f64> {
+pub fn spmv(g: &Graph, x: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), g.n());
     let y: Vec<AtomicU64> = (0..g.n())
         .into_par_iter()
@@ -73,11 +68,7 @@ pub fn spmv<G: CsrLike>(g: &G, x: &[f64]) -> Vec<f64> {
         .map(|_| AtomicU64::new(0f64.to_bits()))
         .collect();
     let op = SpmvOp { x, y: &y };
-    let options = EdgeMapOptions {
-        forced: Some(Direction::DensePull),
-        ..Default::default()
-    };
-    edge_map(g, &Frontier::all(g.n()), &op, options);
+    edge_map(g, &Frontier::all(g.n()), &op, Some(Direction::DensePull));
     y.into_par_iter()
         .with_min_len(4096)
         .map(|v| f64::from_bits(v.into_inner()))
@@ -102,7 +93,7 @@ pub struct PageRankResult {
 /// `p ← (1 − d)/n + d · Aᵀ D⁻¹ p` (weighted-degree normalisation) until
 /// the L1 change drops to `tol` or `max_iters` is hit. One dense-pull
 /// [`edge_map`] per iteration; bitwise deterministic at every pool width.
-pub fn pagerank<G: CsrLike>(g: &G, damping: f64, tol: f64, max_iters: usize) -> PageRankResult {
+pub fn pagerank(g: &Graph, damping: f64, tol: f64, max_iters: usize) -> PageRankResult {
     assert!((0.0..1.0).contains(&damping));
     let n = g.n();
     if n == 0 {
@@ -119,8 +110,7 @@ pub fn pagerank<G: CsrLike>(g: &G, damping: f64, tol: f64, max_iters: usize) -> 
         .into_par_iter()
         .with_min_len(1024)
         .map(|v| {
-            let (lo, hi) = g.arc_range(v as VertexId);
-            let wd: f64 = g.arc_weights()[lo..hi].iter().sum();
+            let wd = g.weighted_degree(v as VertexId);
             if wd > 0.0 {
                 1.0 / wd
             } else {
@@ -168,16 +158,15 @@ pub fn pagerank<G: CsrLike>(g: &G, damping: f64, tol: f64, max_iters: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parsdd_graph::{generators, Csr, Graph};
+    use parsdd_graph::generators;
 
     fn spmv_reference(g: &Graph, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; g.n()];
         for v in 0..g.n() as VertexId {
             // Same order as the dense pull: v's arcs in CSR order.
-            let (lo, hi) = g.arc_range(v);
             let mut acc = 0.0;
-            for a in lo..hi {
-                acc += g.arc_weights()[a] * x[g.arc_targets()[a] as usize];
+            for (u, w, _) in g.arcs(v) {
+                acc += w * x[u as usize];
             }
             y[v as usize] = acc;
         }
@@ -191,12 +180,6 @@ mod tests {
         let y = spmv(&g, &x);
         let r = spmv_reference(&g, &x);
         for (a, b) in y.iter().zip(&r) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Same answer off the lean CSR.
-        let c = Csr::from_graph(&g);
-        let yc = spmv(&c, &x);
-        for (a, b) in yc.iter().zip(&y) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

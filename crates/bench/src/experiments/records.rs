@@ -4,12 +4,12 @@
 
 use std::hint::black_box;
 
+use parsdd_graph::generators;
 use parsdd_graph::reorder::{rcm_order, relabel};
-use parsdd_graph::{generators, Csr};
-use parsdd_linalg::laplacian::laplacian_apply_rowmajor;
+use parsdd_linalg::laplacian::LaplacianOp;
 use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::vector::{axpy, colwise_dots_rm};
-use parsdd_linalg::Scalar;
+use parsdd_linalg::{LinearOperator, Scalar};
 use parsdd_solver::chain::{build_chain, ChainOptions, Precision};
 use parsdd_solver::sdd_solve::{SddSolver, SddSolverOptions};
 use parsdd_solver::sparsify::counter_coin;
@@ -126,7 +126,7 @@ pub(super) fn e12(timer: &Timer) -> Record {
         let n = g.n();
         let m = PermutedLevel::from_graph(&g);
         let m32 = PermutedLevel::<f32>::from_level(&m);
-        let diag: Vec<f64> = (0..n).map(|v| g.weighted_degree(v as u32)).collect();
+        let op = LaplacianOp::new(&g);
         let p: Vec<f64> = (0..n).map(|i| ((i * 13) % 37) as f64 - 18.0).collect();
         let x0: Vec<f64> = (0..n).map(|i| ((i * 7) % 29) as f64 - 14.0).collect();
         let r0: Vec<f64> = (0..n).map(|i| ((i * 11) % 31) as f64 - 15.0).collect();
@@ -148,7 +148,7 @@ pub(super) fn e12(timer: &Timer) -> Record {
         let (mut x, mut r, mut ap) = (x0.clone(), r0.clone(), vec![0.0f64; n]);
         report("unfused", walk_bytes, &mut || {
             axpy(ALPHA, &p, &mut x);
-            laplacian_apply_rowmajor(&g, &diag, &p, &mut ap, 1);
+            op.apply(&p, &mut ap);
             axpy(-ALPHA, &ap, &mut r);
             black_box(r[0]);
         });
@@ -411,12 +411,11 @@ fn rss_bytes() -> u64 {
 }
 
 /// E16 — large-scale end to end: one ≥10M-edge graph (~1M edges under
-/// `--quick`) through the counter-RNG generator, the lean CSR, the PCSR
-/// binary writer, PageRank over the zero-copy mmap view (the `edge_map`
-/// layer off-heap), `build_chain` and `solve`. Each phase records its
+/// `--quick`) through the counter-RNG generator, PageRank over the
+/// `edge_map` layer, `build_chain` and `solve`. Each phase records its
 /// wall time and the resident set right after it, so the memory story
-/// (flat SoA arrays, dropped per-level graphs, streamed loaders) is a
-/// measurement rather than a claim.
+/// (flat CSR arrays, dropped per-level graphs) is a measurement rather
+/// than a claim.
 pub(super) fn e16(timer: &Timer) -> Record {
     // Random-geometric at average degree 8 gives m ≈ 4n (boundary cells
     // shave ~0.2%), so 2.6M vertices lands above the 10M-edge floor.
@@ -425,36 +424,11 @@ pub(super) fn e16(timer: &Timer) -> Record {
     let mut phase = |name, ms| phases.push((name, ms, rss_bytes()));
     let (g, ms) = timed(|| generators::random_geometric(n, 8.0, 16));
     phase("generate", ms);
-    let (csr, ms) = timed(|| Csr::from_graph(&g));
-    phase("lean_csr", ms);
     let graph_bpe = g.resident_bytes() as f64 / g.m().max(1) as f64;
-    let csr_bpe = csr.bytes_per_edge();
-    let path = std::env::temp_dir().join(format!("parsdd_e16_{n}.pcsr"));
-    let ((), ms) =
-        timed(|| parsdd_graph::io::write_binary_csr_file(&csr, &path).expect("pcsr write"));
-    phase("pcsr_write", ms);
     // Five fixed PageRank iterations: this phase times the SpMV sweeps,
     // not convergence.
-    #[cfg(all(unix, target_endian = "little"))]
-    let (pagerank, ms) = timed(|| {
-        let mapped = parsdd_graph::MappedCsr::open(&path).expect("mmap");
-        parsdd_apps::pagerank(&mapped, 0.85, 0.0, 5)
-    });
-    #[cfg(not(all(unix, target_endian = "little")))]
-    let (pagerank, ms) = timed(|| {
-        let c = parsdd_graph::io::read_binary_csr_file(&path).expect("pcsr read");
-        parsdd_apps::pagerank(&c, 0.85, 0.0, 5)
-    });
-    phase(
-        if cfg!(all(unix, target_endian = "little")) {
-            "mmap_pagerank"
-        } else {
-            "streamed_pagerank"
-        },
-        ms,
-    );
-    let _ = std::fs::remove_file(&path);
-    drop(csr);
+    let (pagerank, ms) = timed(|| parsdd_apps::pagerank(&g, 0.85, 0.0, 5));
+    phase("pagerank", ms);
     let (chain, ms) = timed(|| build_chain(&g, &ChainOptions::default()));
     phase("chain_build", ms);
     let b = balanced_rhs(g.n(), 33);
@@ -472,7 +446,7 @@ pub(super) fn e16(timer: &Timer) -> Record {
         ]);
     }
     eprintln!(
-        "e16 solve: it={} res={:.3e} converged={}  bytes/edge graph {graph_bpe:.1} csr {csr_bpe:.1}",
+        "e16 solve: it={} res={:.3e} converged={}  bytes/edge graph {graph_bpe:.1}",
         out.iterations, out.relative_residual, out.converged
     );
     let phases = phases.iter().map(|&(name, ms, rss)| {
@@ -495,7 +469,5 @@ pub(super) fn e16(timer: &Timer) -> Record {
         ("converged", out.converged.into()),
         ("pagerank_iterations", pagerank.iterations.into()),
         ("graph_bytes_per_edge", Json::f64(graph_bpe)),
-        ("csr_bytes_per_edge", Json::f64(csr_bpe)),
-        ("csr_over_graph", Json::f64(csr_bpe / graph_bpe)),
     ]))
 }

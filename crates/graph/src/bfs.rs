@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
-use crate::frontier::{edge_map, EdgeMapOp, EdgeMapOptions, Frontier};
+use crate::frontier::{edge_map, EdgeMapOp, Frontier};
 use crate::graph::{EdgeId, Graph, VertexId, INVALID_VERTEX};
 
 /// Distance value meaning "unreached".
@@ -232,7 +232,7 @@ pub fn shifted_multi_source_bfs(
                 arc_edges: g.csr_arc_edges(),
             };
             let front = Frontier::from_sorted(std::mem::take(&mut frontier));
-            let res = edge_map(g, &front, &op, EdgeMapOptions::default());
+            let res = edge_map(g, &front, &op, None);
             arcs_traversed += res.arcs_scanned;
             res.frontier.to_sorted_vec()
         };
@@ -304,23 +304,6 @@ pub fn shifted_multi_source_bfs(
     }
 }
 
-/// Returns the ball `B_G(s, r)` — all vertices within hop distance `r` of
-/// `s` — as a vector of vertex ids (Section 2, "Parallel Ball Growing").
-pub fn ball(g: &Graph, source: VertexId, radius: u32) -> Vec<VertexId> {
-    let res = shifted_multi_source_bfs(
-        g,
-        &[ShiftedSource {
-            vertex: source,
-            delay: 0,
-        }],
-        radius,
-        None,
-    );
-    (0..g.n() as VertexId)
-        .filter(|&v| res.owner[v as usize] != NO_OWNER)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,6 +351,23 @@ mod tests {
         assert_eq!(r.dist[1], 1);
         assert_eq!(r.dist[2], UNREACHED);
         assert_eq!(r.dist[3], UNREACHED);
+    }
+
+    /// The ball `B_G(s, r)`: a single zero-delay source grown `r` rounds
+    /// (Section 2, "Parallel Ball Growing").
+    fn ball(g: &Graph, source: VertexId, radius: u32) -> Vec<VertexId> {
+        let res = shifted_multi_source_bfs(
+            g,
+            &[ShiftedSource {
+                vertex: source,
+                delay: 0,
+            }],
+            radius,
+            None,
+        );
+        (0..g.n() as VertexId)
+            .filter(|&v| res.owner[v as usize] != NO_OWNER)
+            .collect()
     }
 
     #[test]

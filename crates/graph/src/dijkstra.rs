@@ -74,11 +74,6 @@ pub fn dijkstra(g: &Graph, source: VertexId) -> ShortestPaths {
     ShortestPaths { dist, parent }
 }
 
-/// Weighted distance between a pair of vertices (∞ if disconnected).
-pub fn pair_distance(g: &Graph, u: VertexId, v: VertexId) -> f64 {
-    dijkstra(g, u).dist[v as usize]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,7 +109,6 @@ mod tests {
         let g = Graph::from_edges(3, vec![Edge::new(0, 1, 1.0)]);
         let sp = dijkstra(&g, 0);
         assert!(sp.dist[2].is_infinite());
-        assert_eq!(pair_distance(&g, 0, 2), f64::INFINITY);
     }
 
     #[test]

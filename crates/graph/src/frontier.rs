@@ -1,6 +1,5 @@
-//! Ligra/GBBS-style frontier traversal primitives: [`edge_map`] and
-//! [`vertex_map`] over any flat-CSR graph, with a direction-optimizing
-//! dense/sparse switch.
+//! Ligra/GBBS-style frontier traversal: [`edge_map`] over a [`Graph`]'s
+//! CSR arrays, with a direction-optimizing dense/sparse switch.
 //!
 //! An [`edge_map`] relaxes every arc leaving the input frontier through a
 //! user [`EdgeMapOp`] and returns the frontier of destinations whose update
@@ -19,7 +18,7 @@
 //!   but with perfect locality and no sort.
 //!
 //! The switch follows Ligra: push while `|frontier| + Σ out-degrees <
-//! arcs/20`, pull otherwise (`EdgeMapOptions::threshold_divisor`).
+//! arcs/20`, pull otherwise. A caller may pin either direction instead.
 //!
 //! **Determinism contract.** For ops whose updates are commutative and
 //! deterministic (every op in this repo), both directions produce bitwise
@@ -29,80 +28,16 @@
 //! itself depends only on deterministic counts. All parallel loops ride the
 //! work-stealing shim whose reductions are integer (order-free) sums.
 
-use crate::csr::Csr;
 use crate::graph::{Graph, VertexId};
 use crate::parutil::{SyncMutPtr, SEQ_CUTOFF};
 use rayon::prelude::*;
 
-/// Anything that exposes a flat CSR view: [`Graph`], [`Csr`], and the
-/// zero-copy mmap views in [`io`](crate::io).
-pub trait CsrLike: Sync {
-    /// Number of vertices.
-    fn n(&self) -> usize;
-    /// Number of directed arcs (`2m` for an undirected graph).
-    fn arc_count(&self) -> usize;
-    /// Half-open arc range of vertex `v` in the flat arc arrays.
-    fn arc_range(&self, v: VertexId) -> (usize, usize);
-    /// The flat arc-target array, length [`arc_count`](Self::arc_count).
-    fn arc_targets(&self) -> &[VertexId];
-    /// The flat arc-weight array, aligned with the targets.
-    fn arc_weights(&self) -> &[f64];
+/// Pull when `|frontier| + Σ out-degrees ≥ arcs / THRESHOLD_DIVISOR`
+/// (Ligra's default).
+const THRESHOLD_DIVISOR: usize = 20;
 
-    /// Degree of vertex `v`.
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        let (lo, hi) = self.arc_range(v);
-        hi - lo
-    }
-}
-
-impl CsrLike for Graph {
-    #[inline]
-    fn n(&self) -> usize {
-        Graph::n(self)
-    }
-    #[inline]
-    fn arc_count(&self) -> usize {
-        self.csr_targets().len()
-    }
-    #[inline]
-    fn arc_range(&self, v: VertexId) -> (usize, usize) {
-        let o = self.csr_offsets();
-        (o[v as usize], o[v as usize + 1])
-    }
-    #[inline]
-    fn arc_targets(&self) -> &[VertexId] {
-        self.csr_targets()
-    }
-    #[inline]
-    fn arc_weights(&self) -> &[f64] {
-        self.csr_weights()
-    }
-}
-
-impl CsrLike for Csr {
-    #[inline]
-    fn n(&self) -> usize {
-        Csr::n(self)
-    }
-    #[inline]
-    fn arc_count(&self) -> usize {
-        Csr::arc_count(self)
-    }
-    #[inline]
-    fn arc_range(&self, v: VertexId) -> (usize, usize) {
-        let o = self.offsets();
-        (o[v as usize] as usize, o[v as usize + 1] as usize)
-    }
-    #[inline]
-    fn arc_targets(&self) -> &[VertexId] {
-        self.raw_neighbors()
-    }
-    #[inline]
-    fn arc_weights(&self) -> &[f64] {
-        self.raw_weights()
-    }
-}
+/// Minimum items per parallel task.
+const GRAIN: usize = 512;
 
 /// A set of active vertices, in sparse (sorted id list) or dense (flag
 /// vector) representation. [`edge_map`] produces sparse output from a push
@@ -181,17 +116,16 @@ impl Frontier {
     }
 
     /// Membership flags of length `n` (borrowless copy for sparse input).
+    /// A sequential scatter: `Frontier::Sparse` is public, so its ids may
+    /// repeat, and a repeated id written by two tasks would be a race.
     fn to_flags(&self, n: usize) -> Vec<bool> {
         match self {
             Frontier::Dense { flags, .. } => flags.clone(),
             Frontier::Sparse(list) => {
                 let mut flags = vec![false; n];
-                let fp = SyncMutPtr(flags.as_mut_ptr());
-                list.par_iter().with_min_len(SEQ_CUTOFF).for_each(|&v| {
-                    // SAFETY: ids in a sparse frontier are distinct, so the
-                    // writes are disjoint.
-                    unsafe { fp.write(v as usize, true) };
-                });
+                for &v in list {
+                    flags[v as usize] = true;
+                }
                 flags
             }
         }
@@ -236,28 +170,6 @@ pub enum Direction {
     DensePull,
 }
 
-/// Tuning knobs for [`edge_map`].
-#[derive(Debug, Clone, Copy)]
-pub struct EdgeMapOptions {
-    /// Pull when `|frontier| + Σ out-degrees ≥ arcs / threshold_divisor`
-    /// (Ligra's default is 20).
-    pub threshold_divisor: usize,
-    /// Minimum items per parallel task (per-frontier grain control).
-    pub grain: usize,
-    /// Force a direction (used by the conformance tests; `None` = switch).
-    pub forced: Option<Direction>,
-}
-
-impl Default for EdgeMapOptions {
-    fn default() -> Self {
-        EdgeMapOptions {
-            threshold_divisor: 20,
-            grain: 512,
-            forced: None,
-        }
-    }
-}
-
 /// What one [`edge_map`] call did.
 #[derive(Debug)]
 pub struct EdgeMapResult {
@@ -271,16 +183,16 @@ pub struct EdgeMapResult {
 }
 
 /// Sum of out-degrees over the frontier.
-fn frontier_degree_sum<G: CsrLike>(g: &G, frontier: &Frontier, grain: usize) -> u64 {
+fn frontier_degree_sum(g: &Graph, frontier: &Frontier) -> u64 {
     match frontier {
         Frontier::Sparse(list) => list
             .par_iter()
-            .with_min_len(grain)
+            .with_min_len(GRAIN)
             .map(|&v| g.degree(v) as u64)
             .sum(),
         Frontier::Dense { flags, .. } => (0..g.n())
             .into_par_iter()
-            .with_min_len(grain.max(SEQ_CUTOFF / 4))
+            .with_min_len(GRAIN.max(SEQ_CUTOFF / 4))
             .map(|v| {
                 if flags[v] {
                     g.degree(v as VertexId) as u64
@@ -293,49 +205,44 @@ fn frontier_degree_sum<G: CsrLike>(g: &G, frontier: &Frontier, grain: usize) -> 
 }
 
 /// Applies `op` to every arc leaving `frontier`, returning the output
-/// frontier plus what ran. See the module docs for the two strategies and
-/// the determinism contract.
-pub fn edge_map<G: CsrLike, O: EdgeMapOp>(
-    g: &G,
+/// frontier plus what ran. `forced` pins a direction (`None` lets the
+/// switch pick). See the module docs for the two strategies and the
+/// determinism contract.
+pub fn edge_map<O: EdgeMapOp>(
+    g: &Graph,
     frontier: &Frontier,
     op: &O,
-    opts: EdgeMapOptions,
+    forced: Option<Direction>,
 ) -> EdgeMapResult {
-    let degree_sum = frontier_degree_sum(g, frontier, opts.grain);
+    let degree_sum = frontier_degree_sum(g, frontier);
     let work = frontier.len() as u64 + degree_sum;
-    let threshold = (g.arc_count() / opts.threshold_divisor.max(1)) as u64;
-    let direction = match opts.forced {
-        Some(d) => d,
-        None => {
-            if work < threshold {
-                Direction::SparsePush
-            } else {
-                Direction::DensePull
-            }
-        }
-    };
+    let threshold = (g.csr_targets().len() / THRESHOLD_DIVISOR) as u64;
+    let direction = forced.unwrap_or(if work < threshold {
+        Direction::SparsePush
+    } else {
+        Direction::DensePull
+    });
     match direction {
-        Direction::SparsePush => edge_map_sparse(g, frontier, op, opts.grain, degree_sum),
-        Direction::DensePull => edge_map_dense(g, frontier, op, opts.grain),
+        Direction::SparsePush => edge_map_sparse(g, frontier, op, degree_sum),
+        Direction::DensePull => edge_map_dense(g, frontier, op),
     }
 }
 
-fn edge_map_sparse<G: CsrLike, O: EdgeMapOp>(
-    g: &G,
+fn edge_map_sparse<O: EdgeMapOp>(
+    g: &Graph,
     frontier: &Frontier,
     op: &O,
-    grain: usize,
     degree_sum: u64,
 ) -> EdgeMapResult {
     let list = frontier.to_sorted_vec();
-    let targets = g.arc_targets();
-    let weights = g.arc_weights();
+    let offsets = g.csr_offsets();
+    let targets = g.csr_targets();
+    let weights = g.csr_weights();
     let mut out: Vec<VertexId> = list
         .par_iter()
-        .with_min_len(grain)
+        .with_min_len(GRAIN)
         .flat_map_iter(|&s| {
-            let (lo, hi) = g.arc_range(s);
-            (lo..hi).filter_map(move |arc| {
+            (offsets[s as usize]..offsets[s as usize + 1]).filter_map(move |arc| {
                 let d = targets[arc];
                 if op.cond(d) && op.update_atomic(s, d, weights[arc], arc) {
                     Some(d)
@@ -354,30 +261,25 @@ fn edge_map_sparse<G: CsrLike, O: EdgeMapOp>(
     }
 }
 
-fn edge_map_dense<G: CsrLike, O: EdgeMapOp>(
-    g: &G,
-    frontier: &Frontier,
-    op: &O,
-    grain: usize,
-) -> EdgeMapResult {
+fn edge_map_dense<O: EdgeMapOp>(g: &Graph, frontier: &Frontier, op: &O) -> EdgeMapResult {
     let n = g.n();
     let in_flags = frontier.to_flags(n);
-    let targets = g.arc_targets();
-    let weights = g.arc_weights();
+    let offsets = g.csr_offsets();
+    let targets = g.csr_targets();
+    let weights = g.csr_weights();
     let mut out_flags = vec![false; n];
     let ofp = SyncMutPtr(out_flags.as_mut_ptr());
     let arcs_scanned: u64 = (0..n)
         .into_par_iter()
-        .with_min_len(grain)
+        .with_min_len(GRAIN)
         .map(|du| {
             let d = du as VertexId;
             if !op.cond(d) {
                 return 0u64;
             }
-            let (lo, hi) = g.arc_range(d);
             let mut any = false;
             let mut scanned = 0u64;
-            for arc in lo..hi {
+            for arc in offsets[du]..offsets[du + 1] {
                 let s = targets[arc];
                 scanned += 1;
                 if in_flags[s as usize] && op.update(s, d, weights[arc], arc) {
@@ -412,13 +314,13 @@ fn edge_map_dense<G: CsrLike, O: EdgeMapOp>(
 /// Sequential reference for [`edge_map`]: frontier vertices in sorted
 /// order, arcs in CSR order, [`EdgeMapOp::update`] only. The conformance
 /// suites pin both parallel directions bitwise against this.
-pub fn edge_map_seq<G: CsrLike, O: EdgeMapOp>(g: &G, frontier: &Frontier, op: &O) -> Vec<VertexId> {
-    let targets = g.arc_targets();
-    let weights = g.arc_weights();
+pub fn edge_map_seq<O: EdgeMapOp>(g: &Graph, frontier: &Frontier, op: &O) -> Vec<VertexId> {
+    let offsets = g.csr_offsets();
+    let targets = g.csr_targets();
+    let weights = g.csr_weights();
     let mut out = Vec::new();
     for s in frontier.to_sorted_vec() {
-        let (lo, hi) = g.arc_range(s);
-        for arc in lo..hi {
+        for arc in offsets[s as usize]..offsets[s as usize + 1] {
             let d = targets[arc];
             if op.cond(d) && op.update(s, d, weights[arc], arc) {
                 out.push(d);
@@ -428,26 +330,6 @@ pub fn edge_map_seq<G: CsrLike, O: EdgeMapOp>(g: &G, frontier: &Frontier, op: &O
     out.sort_unstable();
     out.dedup();
     out
-}
-
-/// Applies `f` to every vertex of the frontier, in parallel with the given
-/// grain. `f` must be safe to run concurrently on distinct vertices.
-pub fn vertex_map<F: Fn(VertexId) + Sync>(frontier: &Frontier, grain: usize, f: F) {
-    match frontier {
-        Frontier::Sparse(list) => {
-            list.par_iter().with_min_len(grain).for_each(|&v| f(v));
-        }
-        Frontier::Dense { flags, .. } => {
-            (0..flags.len())
-                .into_par_iter()
-                .with_min_len(grain)
-                .for_each(|v| {
-                    if flags[v] {
-                        f(v as VertexId);
-                    }
-                });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -497,15 +379,7 @@ pub(crate) mod tests {
         let expect = edge_map_seq(&g, &frontier, &seq_op);
         for forced in [Direction::SparsePush, Direction::DensePull] {
             let op = MinClaim::new(g.n());
-            let r = edge_map(
-                &g,
-                &frontier,
-                &op,
-                EdgeMapOptions {
-                    forced: Some(forced),
-                    ..Default::default()
-                },
-            );
+            let r = edge_map(&g, &frontier, &op, Some(forced));
             assert_eq!(r.frontier.to_sorted_vec(), expect, "{forced:?}");
             assert_eq!(op.labels(), seq_op.labels(), "{forced:?}");
             assert!(r.arcs_scanned > 0);
@@ -516,10 +390,10 @@ pub(crate) mod tests {
     fn switch_picks_sparse_for_tiny_frontiers() {
         let g = generators::grid2d(40, 40, |_, _| 1.0);
         let op = MinClaim::new(g.n());
-        let r = edge_map(&g, &Frontier::singleton(0), &op, EdgeMapOptions::default());
+        let r = edge_map(&g, &Frontier::singleton(0), &op, None);
         assert_eq!(r.direction, Direction::SparsePush);
         let op2 = MinClaim::new(g.n());
-        let r2 = edge_map(&g, &Frontier::all(g.n()), &op2, EdgeMapOptions::default());
+        let r2 = edge_map(&g, &Frontier::all(g.n()), &op2, None);
         assert_eq!(r2.direction, Direction::DensePull);
     }
 
@@ -532,16 +406,5 @@ pub(crate) mod tests {
         assert_eq!(f.to_sorted_vec(), d.to_sorted_vec());
         assert!(d.contains(5) && !d.contains(4));
         assert!(f.contains(9) && !f.contains(0));
-    }
-
-    #[test]
-    fn vertex_map_visits_exactly_frontier() {
-        let seen: Vec<AtomicU64> = (0..10).map(|_| AtomicU64::new(0)).collect();
-        let f = Frontier::from_sorted(vec![2, 3, 8]);
-        vertex_map(&f, 4, |v| {
-            seen[v as usize].fetch_add(1, Ordering::Relaxed);
-        });
-        let counts: Vec<u64> = seen.iter().map(|a| a.load(Ordering::Relaxed)).collect();
-        assert_eq!(counts, vec![0, 0, 1, 1, 0, 0, 0, 0, 1, 0]);
     }
 }

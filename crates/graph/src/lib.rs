@@ -17,10 +17,8 @@
 //!   experiment reproduction: 2-D/3-D grids, random regular multigraphs,
 //!   Erdős–Rényi graphs, paths, cycles, stars, complete graphs, barbells,
 //!   random trees and "ultra-sparse" tree-plus-extra-edges graphs.
-//! * [`csr`] — the lean structure-of-arrays CSR ([`Csr`]) used by the
-//!   traversal kernels, the binary on-disk format and the scale workloads.
-//! * [`frontier`] — Ligra/GBBS-style `edge_map`/`vertex_map` primitives
-//!   with a direction-optimizing dense/sparse switch.
+//! * [`frontier`] — the Ligra/GBBS-style `edge_map` primitive over
+//!   [`Graph`] with a direction-optimizing dense/sparse switch.
 //! * [`bfs`] — sequential breadth-first search and the parallel *shifted*
 //!   multi-source BFS that implements the paper's jittered ball growing
 //!   (Section 2, "Parallel Ball Growing").
@@ -31,6 +29,8 @@
 //!   weighted path queries (used for stretch computation).
 //! * [`dijkstra`] — weighted shortest paths, used to verify subgraph
 //!   stretch in tests and experiments.
+//! * [`io`] — edge-list and Matrix Market readers and writers, the path
+//!   for outside inputs.
 //! * [`parutil`] — small parallel primitives (prefix sums, counting).
 //! * [`reorder`] — bandwidth-reducing vertex orderings (reverse
 //!   Cuthill–McKee) that the solver chain bakes into every level so its
@@ -45,7 +45,6 @@
 pub mod bfs;
 pub mod builder;
 pub mod components;
-pub mod csr;
 pub mod dijkstra;
 pub mod frontier;
 pub mod generators;
@@ -59,13 +58,7 @@ pub mod tree;
 pub mod unionfind;
 
 pub use builder::GraphBuilder;
-pub use csr::Csr;
-pub use frontier::{
-    edge_map, edge_map_seq, vertex_map, CsrLike, Direction, EdgeMapOp, EdgeMapOptions,
-    EdgeMapResult, Frontier,
-};
+pub use frontier::{edge_map, edge_map_seq, Direction, EdgeMapOp, EdgeMapResult, Frontier};
 pub use graph::{Edge, EdgeId, Graph, GraphDataError, VertexId, INVALID_VERTEX};
-#[cfg(all(unix, target_endian = "little"))]
-pub use io::MappedCsr;
 pub use multigraph::{ClassedEdge, MultiGraph};
 pub use tree::RootedForest;

@@ -379,15 +379,6 @@ pub fn min_degree_order(g: &Graph, budget: usize) -> Option<(Vec<u32>, usize)> {
     Some((order, entries))
 }
 
-/// Inverts an `old_to_new` labelling into `new_to_old` (or vice versa).
-pub fn invert_order(perm: &[u32]) -> Vec<u32> {
-    let mut inv = vec![INVALID_VERTEX; perm.len()];
-    for (old, &new) in perm.iter().enumerate() {
-        inv[new as usize] = old as u32;
-    }
-    inv
-}
-
 /// The bandwidth of `g` under its current numbering: `max |u − v|` over
 /// edges (0 for edgeless graphs). The quantity RCM minimises in practice;
 /// exposed for tests and the bench baseline's locality accounting.
@@ -555,16 +546,6 @@ mod tests {
             if (w[0].u, w[0].v) == (w[1].u, w[1].v) {
                 assert!(w[0].w < w[1].w);
             }
-        }
-    }
-
-    #[test]
-    fn invert_roundtrips() {
-        let g = generators::grid2d(8, 8, |_, _| 1.0);
-        let p = rcm_order(&g);
-        let inv = invert_order(&p);
-        for v in 0..p.len() {
-            assert_eq!(inv[p[v] as usize] as usize, v);
         }
     }
 

@@ -32,35 +32,6 @@ pub fn laplacian_of(g: &Graph) -> CsrMatrix {
     CsrMatrix::from_triplets(g.n(), g.n(), &triplets)
 }
 
-/// Reconstructs a graph from a Laplacian matrix.
-///
-/// Off-diagonal entries must be non-positive; positive off-diagonals (a
-/// general SDD matrix) must first go through
-/// [`GrembanReduction`](crate::sdd::GrembanReduction). Entries smaller in
-/// magnitude than `drop_tol` are ignored.
-pub fn graph_of_laplacian(l: &CsrMatrix, drop_tol: f64) -> Graph {
-    assert_eq!(l.rows(), l.cols());
-    let n = l.rows();
-    let mut builder = parsdd_graph::GraphBuilder::new(n);
-    for r in 0..n {
-        for (c, v) in l.row(r) {
-            let c = c as usize;
-            if c <= r {
-                continue;
-            }
-            if v.abs() <= drop_tol {
-                continue;
-            }
-            assert!(
-                v < 0.0,
-                "Laplacian off-diagonal must be non-positive, found {v} at ({r},{c})"
-            );
-            builder.add_edge(r as u32, c as u32, -v);
-        }
-    }
-    builder.build()
-}
-
 /// A matrix-free Laplacian operator over a graph.
 #[derive(Debug, Clone)]
 pub struct LaplacianOp<'a> {
@@ -180,71 +151,6 @@ pub fn laplacian_apply_block(graph: &Graph, diag: &[f64], x: &MultiVector, y: &m
     });
 }
 
-/// Blocked Laplacian product on **row-major** blocks: `xr`/`yr` hold `k`
-/// vectors interleaved, row `v` at `xr[v·k .. (v+1)·k]`. This is the
-/// layout the solver chain's W-cycle uses internally — every per-arc
-/// update is a contiguous k-wide fused-multiply-add on two hot rows (the
-/// column-major layout pays k strided cache-line touches per arc), and
-/// the row-parallel split is a plain `par_chunks_mut` because rows are
-/// contiguous. Per column the accumulation order matches the
-/// single-vector kernel, so each column is bitwise identical to a single
-/// apply at every pool width.
-pub fn laplacian_apply_rowmajor(graph: &Graph, diag: &[f64], xr: &[f64], yr: &mut [f64], k: usize) {
-    let n = graph.n();
-    assert_eq!(diag.len(), n);
-    assert_eq!(xr.len(), n * k);
-    assert_eq!(yr.len(), n * k);
-    if k == 0 || n == 0 {
-        return;
-    }
-    if k == 1 {
-        // Width 1: row-major and column-major coincide; use the scalar
-        // register-accumulator kernel.
-        let kernel = |v: usize| {
-            let mut acc = diag[v] * xr[v];
-            for (u, w, _e) in graph.arcs(v as u32) {
-                acc -= w * xr[u as usize];
-            }
-            acc
-        };
-        if n < 1 << 13 {
-            for (v, yv) in yr.iter_mut().enumerate() {
-                *yv = kernel(v);
-            }
-        } else {
-            yr.par_iter_mut()
-                .with_min_len(1 << 9)
-                .enumerate()
-                .for_each(|(v, yv)| *yv = kernel(v));
-        }
-        return;
-    }
-    let kernel = |base: usize, rows: &mut [f64]| {
-        for (r, yrow) in rows.chunks_exact_mut(k).enumerate() {
-            let v = base + r;
-            let dv = diag[v];
-            let xrow = &xr[v * k..(v + 1) * k];
-            for (y, &xv) in yrow.iter_mut().zip(xrow) {
-                *y = dv * xv;
-            }
-            for (u, w, _e) in graph.arcs(v as u32) {
-                let urow = &xr[u as usize * k..(u as usize + 1) * k];
-                for (y, &xu) in yrow.iter_mut().zip(urow) {
-                    *y -= w * xu;
-                }
-            }
-        }
-    };
-    if n < 1 << 13 {
-        kernel(0, yr);
-    } else {
-        const CHUNK_ROWS: usize = 1 << 9;
-        yr.par_chunks_mut(CHUNK_ROWS * k)
-            .enumerate()
-            .for_each(|(ci, rows)| kernel(ci * CHUNK_ROWS, rows));
-    }
-}
-
 /// Quadratic form `xᵀ L_G x = Σ_e w_e (x_u - x_v)²`, computed edge-wise
 /// (numerically the most stable way to evaluate Laplacian energies).
 pub fn laplacian_quadratic_form(g: &Graph, x: &[f64]) -> f64 {
@@ -332,23 +238,5 @@ mod tests {
         let ones = vec![1.0; 7];
         let y = op.apply_vec(&ones);
         assert!(y.iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    fn roundtrip_graph_laplacian_graph() {
-        let g = generators::weighted_random_graph(30, 60, 1.0, 5.0, 8);
-        let l = laplacian_of(&g);
-        let g2 = graph_of_laplacian(&l, 1e-12);
-        assert_eq!(g2.n(), g.n());
-        assert_eq!(g2.m(), g.m());
-        assert!((g2.total_weight() - g.total_weight()).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn positive_offdiagonal_rejected() {
-        let m =
-            CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0), (0, 1, 0.5), (1, 0, 0.5)]);
-        let _ = graph_of_laplacian(&m, 0.0);
     }
 }

@@ -704,14 +704,11 @@ impl<T: Scalar> PermutedLevel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laplacian::laplacian_apply_rowmajor;
+    use crate::laplacian::LaplacianOp;
+    use crate::operator::LinearOperator;
     use crate::vector::axpy;
     use parsdd_graph::generators;
     use parsdd_graph::reorder::{rcm_order, relabel};
-
-    fn diag_of(g: &Graph) -> Vec<f64> {
-        (0..g.n()).map(|v| g.weighted_degree(v as u32)).collect()
-    }
 
     fn test_graph(big: bool) -> Graph {
         let side = if big { 100 } else { 17 };
@@ -728,10 +725,9 @@ mod tests {
         for big in [false, true] {
             let g = test_graph(big);
             let m = PermutedLevel::from_graph(&g);
-            let diag = diag_of(&g);
             let x = rhs(g.n(), 0);
             let mut y_ref = vec![0.0; g.n()];
-            laplacian_apply_rowmajor(&g, &diag, &x, &mut y_ref, 1);
+            LaplacianOp::new(&g).apply(&x, &mut y_ref);
             let mut y = vec![0.0; g.n()];
             m.apply(&x, &mut y);
             for (a, b) in y.iter().zip(&y_ref) {

@@ -43,18 +43,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm `‖x‖∞`.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    if x.len() < SEQ_CUTOFF {
-        x.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    } else {
-        x.par_iter()
-            .with_min_len(MIN_LEN)
-            .map(|v| v.abs())
-            .reduce(|| 0.0, f64::max)
-    }
-}
-
 /// `y ← y + alpha * x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
@@ -334,7 +322,6 @@ mod tests {
         let y = vec![4.0, -5.0, 6.0];
         assert_eq!(dot(&x, &y), 12.0);
         assert!((norm2(&x) - 14.0f64.sqrt()).abs() < 1e-12);
-        assert_eq!(norm_inf(&y), 6.0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 
 use parsdd_graph::parutil::with_threads;
 use parsdd_graph::{
-    edge_map, edge_map_seq, generators, Csr, Direction, EdgeMapOp, EdgeMapOptions, Frontier, Graph,
-    VertexId,
+    edge_map, edge_map_seq, generators, Direction, EdgeMapOp, Frontier, Graph, VertexId,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,20 +68,14 @@ fn snapshot(values: &[AtomicU64]) -> Vec<u64> {
 
 /// Runs one `edge_map` configuration and returns (sorted frontier,
 /// post-state values).
-fn run_parallel<G: parsdd_graph::CsrLike>(
-    g: &G,
+fn run_parallel(
+    g: &Graph,
     frontier: &Frontier,
     forced: Option<Direction>,
-    grain: usize,
 ) -> (Vec<VertexId>, Vec<u64>) {
     let values = fresh_values(g.n());
     let op = MinClaim { values: &values };
-    let opts = EdgeMapOptions {
-        forced,
-        grain,
-        ..Default::default()
-    };
-    let out = edge_map(g, frontier, &op, opts);
+    let out = edge_map(g, frontier, &op, forced);
     (out.frontier.to_sorted_vec(), snapshot(&values))
 }
 
@@ -111,7 +104,7 @@ proptest! {
 
     /// Sparse push, dense pull, and the auto switch all match the
     /// sequential reference bitwise — frontier and values — at pool
-    /// widths 1, 2 and 4, on both `Graph` and the lean `Csr`.
+    /// widths 1, 2 and 4.
     #[test]
     fn edge_map_matches_sequential_reference(case in graph_and_frontier()) {
         let (g, mut picks) = case;
@@ -119,21 +112,11 @@ proptest! {
         picks.dedup();
         let frontier = Frontier::from_sorted(picks);
         let (seq_frontier, seq_values) = run_sequential(&g, &frontier);
-        let csr = Csr::from_graph(&g);
         for threads in [1usize, 2, 4] {
             for forced in [Some(Direction::SparsePush), Some(Direction::DensePull), None] {
-                for grain in [1usize, 512] {
-                    let (f, v) = with_threads(threads, || {
-                        run_parallel(&g, &frontier, forced, grain)
-                    });
-                    prop_assert_eq!(&f, &seq_frontier);
-                    prop_assert_eq!(&v, &seq_values);
-                    let (fc, vc) = with_threads(threads, || {
-                        run_parallel(&csr, &frontier, forced, grain)
-                    });
-                    prop_assert_eq!(&fc, &seq_frontier);
-                    prop_assert_eq!(&vc, &seq_values);
-                }
+                let (f, v) = with_threads(threads, || run_parallel(&g, &frontier, forced));
+                prop_assert_eq!(&f, &seq_frontier);
+                prop_assert_eq!(&v, &seq_values);
             }
         }
     }
@@ -146,9 +129,9 @@ fn edge_map_dense_and_sparse_agree_on_full_frontier() {
     let g = generators::grid2d(24, 24, |x, y| 1.0 + ((x + 2 * y) % 7) as f64);
     let frontier = Frontier::all(g.n());
     let (seq_f, seq_v) = run_sequential(&g, &frontier);
-    let (auto_f, auto_v) = run_parallel(&g, &frontier, None, 512);
-    let (push_f, push_v) = run_parallel(&g, &frontier, Some(Direction::SparsePush), 512);
-    let (pull_f, pull_v) = run_parallel(&g, &frontier, Some(Direction::DensePull), 512);
+    let (auto_f, auto_v) = run_parallel(&g, &frontier, None);
+    let (push_f, push_v) = run_parallel(&g, &frontier, Some(Direction::SparsePush));
+    let (pull_f, pull_v) = run_parallel(&g, &frontier, Some(Direction::DensePull));
     assert_eq!(auto_f, seq_f);
     assert_eq!(push_f, seq_f);
     assert_eq!(pull_f, seq_f);
@@ -158,9 +141,30 @@ fn edge_map_dense_and_sparse_agree_on_full_frontier() {
 }
 
 #[test]
+fn repeated_sparse_ids_match_the_deduplicated_frontier() {
+    // `Frontier::Sparse` is public, so a caller may build one with
+    // repeated ids; both directions must treat it as its set. The
+    // repeated list is longer than `SEQ_CUTOFF`, so a parallel scatter
+    // of its flags would split it across tasks.
+    let g = generators::grid2d(80, 80, |x, y| 1.0 + ((x + 2 * y) % 7) as f64);
+    let ids: Vec<VertexId> = (0..g.n() as VertexId).step_by(3).collect();
+    let repeated: Vec<VertexId> = ids.iter().flat_map(|&v| [v, v, v]).collect();
+    assert!(repeated.len() > parsdd_graph::parutil::SEQ_CUTOFF);
+    let repeated = Frontier::Sparse(repeated);
+    let dedup = Frontier::from_sorted(ids);
+    for threads in [1usize, 2, 4] {
+        for forced in [Direction::SparsePush, Direction::DensePull] {
+            let got = with_threads(threads, || run_parallel(&g, &repeated, Some(forced)));
+            let expect = with_threads(threads, || run_parallel(&g, &dedup, Some(forced)));
+            assert_eq!(got, expect, "{forced:?} at width {threads}");
+        }
+    }
+}
+
+#[test]
 fn edge_map_empty_frontier_is_a_no_op() {
     let g = generators::grid2d(8, 8, |_, _| 1.0);
-    let (f, v) = run_parallel(&g, &Frontier::empty(), None, 512);
+    let (f, v) = run_parallel(&g, &Frontier::empty(), None);
     assert!(f.is_empty());
     assert!(v.iter().all(|&x| x == u64::MAX));
 }
