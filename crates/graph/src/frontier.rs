@@ -338,8 +338,11 @@ pub(crate) mod tests {
     use crate::generators;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// BFS-style visit op: claim unvisited destinations with
-    /// `fetch_min(source id)` — commutative and deterministic.
+    /// Claim op: each destination keeps the smallest source id that
+    /// reaches it, by `fetch_min` — commutative and deterministic. `cond`
+    /// never closes a destination, so a smaller source still lowers a
+    /// label another source claimed first, and the labels and the output
+    /// frontier are the same in every order.
     pub(crate) struct MinClaim {
         label: Vec<AtomicU64>,
     }
@@ -366,23 +369,31 @@ pub(crate) mod tests {
         fn update_atomic(&self, src: VertexId, dst: VertexId, w: f64, arc: usize) -> bool {
             self.update(src, dst, w, arc)
         }
-        fn cond(&self, dst: VertexId) -> bool {
-            self.label[dst as usize].load(Ordering::Acquire) == u64::MAX
+        fn cond(&self, _dst: VertexId) -> bool {
+            true
         }
     }
 
     #[test]
     fn sparse_and_dense_match_sequential() {
-        let g = generators::grid2d(15, 11, |_, _| 1.0);
-        let frontier = Frontier::from_sorted(vec![0, 7, 40, 100]);
+        // Every third vertex of an 80×80 grid: 2 134 sources, so a sparse
+        // push splits into several tasks of at most `GRAIN` sources.
+        let g = generators::grid2d(80, 80, |_, _| 1.0);
+        let frontier = Frontier::from_sorted((0..g.n() as VertexId).step_by(3).collect());
+        assert!(frontier.len() > 4 * GRAIN);
         let seq_op = MinClaim::new(g.n());
         let expect = edge_map_seq(&g, &frontier, &seq_op);
-        for forced in [Direction::SparsePush, Direction::DensePull] {
-            let op = MinClaim::new(g.n());
-            let r = edge_map(&g, &frontier, &op, Some(forced));
-            assert_eq!(r.frontier.to_sorted_vec(), expect, "{forced:?}");
-            assert_eq!(op.labels(), seq_op.labels(), "{forced:?}");
-            assert!(r.arcs_scanned > 0);
+        for threads in [1, 2, 4] {
+            for forced in [Direction::SparsePush, Direction::DensePull] {
+                let op = MinClaim::new(g.n());
+                let r = crate::parutil::with_threads(threads, || {
+                    edge_map(&g, &frontier, &op, Some(forced))
+                });
+                let tag = format!("{forced:?} at width {threads}");
+                assert_eq!(r.frontier.to_sorted_vec(), expect, "{tag}");
+                assert_eq!(op.labels(), seq_op.labels(), "{tag}");
+                assert!(r.arcs_scanned > 0);
+            }
         }
     }
 

@@ -10,7 +10,7 @@ use parsdd_linalg::vector::project_out_componentwise_constant;
 use parsdd_linalg::SparseLdl;
 use parsdd_lsst::subgraph::{ls_subgraph, LsSubgraphParams};
 
-use super::cut::{self, direct_bottom_order, ChainCut, MIN_INNER_ITERATIONS};
+use super::cut::{self, direct_bottom_order, ChainCut};
 use super::cycle::{BottomSolver, ChainCycle, Cycle, JacobiBottom};
 use super::{ChainLevel, ChainOptions, Level0Decision, Level0Path, Precision, SolverChain};
 use crate::elimination::{greedy_elimination, EliminationResult};
@@ -277,13 +277,13 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     let mut levels: Vec<ChainLevel> = Vec::new();
     let mut seed = options.seed;
     // Where the chain stops is the cut's call, asked as each level's
-    // graph appears: the loop stops at the natural bottom, or above it
-    // once no deeper bottom can win.
+    // graph appears: the loop stops at the first graph below the top whose
+    // factor fits, or else at the natural bottom.
     let mut cut = ChainCut::new(&options, bottom_target);
 
     loop {
         let (n, m) = (current.n(), current.m());
-        if cut.stops_at(n, m, |budget| direct_bottom_order(&current, budget)) {
+        if cut.stops_at(n, m, |limit| direct_bottom_order(&current, limit)) {
             break;
         }
         seed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
@@ -341,8 +341,8 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         let kappa_target = kappa_used * sparsifier.tree_scale;
         let inner_iterations = cycle_width(kappa_target, &options);
         let below = (next.n(), next.m());
-        if !cut.keeps((n, m), below, kappa_used, inner_iterations, |budget| {
-            direct_bottom_order(&current, budget)
+        if !cut.keeps((n, m), below, kappa_used, |limit| {
+            direct_bottom_order(&current, limit)
         }) {
             break;
         }
@@ -368,17 +368,8 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         current = next;
     }
 
-    let (bottom_level, direct_order) = cut.finish();
-    let mut current = if bottom_level == levels.len() {
-        current
-    } else {
-        drop(current);
-        levels
-            .drain(bottom_level..)
-            .next()
-            .and_then(|l| l.graph)
-            .expect("level graphs are resident during build")
-    };
+    // The bottom is the last graph offered, the one below the kept levels.
+    let direct_order = cut.finish();
     // A direct bottom is relabelled once, into its minimum-degree order,
     // and so is whatever hands vectors to it: the elimination above it, or
     // at depth 0 the boundary permutation and component labels. Solves
@@ -519,6 +510,10 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     }
     chain
 }
+
+/// The floor of the W-cycle width clamp: every level below the top is
+/// solved at least this many times per solve of the level above.
+const MIN_INNER_ITERATIONS: usize = 2;
 
 /// The W-cycle width of a level whose preconditioned operator has
 /// condition number `kappa`: `⌈√κ⌉ + inner_extra_iterations` Chebyshev

@@ -1,8 +1,9 @@
 //! Where the chain stops (DESIGN.md §2.10). Section 6.3 builds levels
 //! "until the level is small enough"; here that decision is the level-0
 //! probe cap, the size floor, the shrink stall, the wrapper level and the
-//! cost cut, and [`ChainCut`] asks the last four in the level loop's
-//! order, so the loop itself compares no sizes.
+//! first graph whose factor fits the entry cap, and [`ChainCut`] asks the
+//! last four in the level loop's order, so the loop itself compares no
+//! sizes.
 
 use parsdd_graph::reorder::min_degree_order;
 use parsdd_graph::Graph;
@@ -88,13 +89,13 @@ fn is_wrapper(kappa_used: f64, n: usize, next_n: usize) -> bool {
 /// Where the chain stops (DESIGN.md §2.10): the level loop's stop rules,
 /// asked in the loop's order — before a level is built on a graph
 /// ([`Self::stops_at`]) and once its reduced graph exists
-/// ([`Self::keeps`]) — and the cost cut, priced as the loop descends.
+/// ([`Self::keeps`]).
 ///
-/// The cost cut keeps the graph `j ≥ 1` whose direct bottom (within the
-/// entry cap) minimises `above_j + solves_j·(2·E_j + 2·n_j)` flops per
-/// application, ties to the deeper graph, and stops the loop once
-/// `above_j + solves_j·2·m_j` passes the best price. A natural bottom
-/// that is iterative cancels it. `O` is a candidate's stored order.
+/// The loop stops at the first graph `j ≥ 1` whose minimum-degree factor
+/// fits the entry cap, which becomes the direct bottom; no level below it
+/// is built and no graph below it ordered. A natural bottom (size floor,
+/// stall or wrapper) ends the loop whether or not it fits; one that does
+/// not is solved iteratively. `O` is the bottom's stored order.
 pub(super) struct ChainCut<O> {
     /// The build's options: `max_levels`, `min_shrink` and the entry cap
     /// `direct_bottom_entry_limit`.
@@ -105,26 +106,7 @@ pub(super) struct ChainCut<O> {
     stalled: bool,
     /// Index of the next graph the loop offers.
     next: usize,
-    /// `solves_j` of graph `next`.
-    solves: f64,
-    /// `above_j` of graph `next`.
-    above: f64,
-    /// The cheapest candidate so far.
-    best: Option<BottomCandidate<O>>,
-    /// Whether the last graph offered fits the cap; `None` when it was
-    /// priced under a smaller budget or not ordered at all.
-    last_fits: Option<bool>,
-    /// Set when the loop stopped early.
-    settled: bool,
-}
-
-/// A priced bottom candidate.
-struct BottomCandidate<O> {
-    /// Its index in the chain (top = 0).
-    level: usize,
-    /// Modelled flops per application with the chain cut there.
-    cost: f64,
-    /// Its minimum-degree order (`None` without edges).
+    /// The bottom's minimum-degree order, once a graph fits.
     order: Option<O>,
 }
 
@@ -137,140 +119,73 @@ impl<O> ChainCut<O> {
             floor,
             stalled: false,
             next: 0,
-            solves: 1.0,
-            above: 0.0,
-            best: None,
-            last_fits: None,
-            settled: false,
+            order: None,
         }
     }
 
     /// Offers the graph below the levels kept so far (`n` vertices, `m`
-    /// edges) to the cost cut; whether the loop stops on it, as the
-    /// natural bottom or because no graph below can undercut the best.
+    /// edges) as the bottom; whether the loop stops on it, because its
+    /// factor fits or because it is the natural bottom.
     pub(super) fn stops_at(
         &mut self,
         n: usize,
         m: usize,
-        order: impl FnOnce(usize) -> Option<(O, usize)>,
+        order: impl FnOnce(usize) -> Option<O>,
     ) -> bool {
         let max_levels = self.options.max_levels;
         let natural = self.stalled || !grows_level(n, m, self.next, self.floor, max_levels);
-        self.offer(n, m, natural, order);
-        natural || self.settles(m)
+        self.offer(natural, order)
     }
 
     /// Whether the loop keeps the level just built on the last graph
-    /// offered, `level = (n, m)`, sampled at `kappa_used`, with width `k`
-    /// and reduced graph `next`. A wrapper ([`is_wrapper`]) stops the loop
-    /// and its graph is re-offered as the natural bottom if its fit under
-    /// the full cap is unknown; a kept level is priced into those below.
+    /// offered, `level = (n, m)`, sampled at `kappa_used`, with reduced
+    /// graph `next`. A wrapper ([`is_wrapper`]) stops the loop and its
+    /// graph is the natural bottom: below the top its factor was already
+    /// found not to fit, so it is solved iteratively; the top graph is
+    /// offered now.
     pub(super) fn keeps(
         &mut self,
         level: (usize, usize),
         next: (usize, usize),
         kappa_used: f64,
-        k: usize,
-        order: impl FnOnce(usize) -> Option<(O, usize)>,
+        order: impl FnOnce(usize) -> Option<O>,
     ) -> bool {
         if is_wrapper(kappa_used, level.0, next.0) {
-            if self.next == 0 || self.last_fits.is_none() {
-                self.offer(level.0, level.1, true, order);
+            if self.next == 0 {
+                self.offer(true, order);
             }
             return false;
         }
-        self.solves = solves_below(self.next, self.solves, k);
-        self.above += self.solves * level.1 as f64;
         self.next += 1;
         self.stalled = stalls(level, next, self.options.min_shrink);
         true
     }
 
-    /// Prices the graph at index `next` (`n` vertices, `m` edges) as a
-    /// bottom. `order(budget)` orders it, returning the order and its
-    /// factor's entries, or `None` when they pass `budget`. A `natural`
-    /// bottom is ordered under the full cap, since whether it fits decides
-    /// whether anything is cut; the top graph is priced only as one.
-    pub(super) fn offer(
-        &mut self,
-        n: usize,
-        m: usize,
-        natural: bool,
-        order: impl FnOnce(usize) -> Option<(O, usize)>,
-    ) {
+    /// Offers the graph at index `next` as the bottom and returns whether
+    /// the loop stops on it. `order(limit)` orders it, returning `None`
+    /// when it has no edges or its factor stores more than `limit`
+    /// entries. Below the top, a graph whose factor fits stops the loop;
+    /// the top graph is offered only as a `natural` bottom, since a cut
+    /// keeps at least one level.
+    pub(super) fn offer(&mut self, natural: bool, order: impl FnOnce(usize) -> Option<O>) -> bool {
         if self.next == 0 && !natural {
-            return;
+            return false;
         }
-        let limit = self.options.direct_bottom_entry_limit;
-        if m == 0 {
-            // Only a natural bottom lacks edges: its solve costs nothing.
-            self.last_fits = Some(true);
-            self.consider(self.above, None);
-            return;
-        }
-        let budget = match &self.best {
-            Some(best) if !natural => {
-                // Largest E with above + solves·(2E + 2n) ≤ best, plus one
-                // entry for rounding; the exact price decides below.
-                let room = ((best.cost - self.above) / self.solves / 2.0 - n as f64).floor();
-                if room < 0.0 {
-                    self.last_fits = None;
-                    return;
-                }
-                (room as usize).saturating_add(1).min(limit)
-            }
-            _ => limit,
-        };
-        match order(budget) {
-            Some((order, entries)) => {
-                self.last_fits = Some(true);
-                let cost = self.above + self.solves * direct_bottom_flops(n, entries);
-                self.consider(cost, Some(order));
-            }
-            None => self.last_fits = (budget == limit).then_some(false),
-        }
+        self.order = order(self.options.direct_bottom_entry_limit);
+        natural || self.order.is_some()
     }
 
-    /// Takes the offered graph as the best when it is no dearer.
-    fn consider(&mut self, cost: f64, order: Option<O>) {
-        if self.best.as_ref().is_none_or(|best| cost <= best.cost) {
-            self.best = Some(BottomCandidate {
-                level: self.next,
-                cost,
-                order,
-            });
-        }
-    }
-
-    /// Whether the loop may stop above the last graph offered, which has
-    /// `m` edges: no graph below it can undercut the best.
-    pub(super) fn settles(&mut self, m: usize) -> bool {
-        let floor = MIN_INNER_ITERATIONS as f64;
-        self.settled = self.next >= 1
-            && self
-                .best
-                .as_ref()
-                .is_some_and(|best| self.above + self.solves * floor * m as f64 > best.cost);
-        self.settled
-    }
-
-    /// Where the chain stops, once the loop has ended: the bottom's index
-    /// (that of the last graph offered when nothing is cut) and, when it
-    /// is to be factored, its order.
-    pub(super) fn finish(self) -> (usize, Option<O>) {
-        if !self.settled && self.last_fits == Some(false) {
-            return (self.next, None);
-        }
-        let best = self.best.expect("the natural bottom was offered");
-        (best.level, best.order)
+    /// The bottom's order once the loop has stopped: `Some` when it is to
+    /// be factored. The bottom is the last graph offered.
+    pub(super) fn finish(self) -> Option<O> {
+        self.order
     }
 }
 
 /// Solves of each level per top-level preconditioner application under
 /// the W-cycle recursion — the work model of
-/// [`ChainStats`](super::ChainStats), shared by [`SolverChain::stats`]
-/// and [`ChainCut`] (through [`solves_below`]) so the reported model and
-/// the cut cannot drift apart. `inner_iterations` holds each level's
+/// [`ChainStats`](super::ChainStats), read by [`SolverChain::stats`].
+/// `inner_iterations` holds each level's
 /// W-cycle width `k_i`, top first. Entry 0 is the top application
 /// itself; it sweeps level 0's elimination once and solves level 1 once,
 /// and a solve of level `i ≥ 1` runs `k_i` inner iterations, each one
@@ -295,26 +210,22 @@ fn solves_below(i: usize, solves: f64, k: usize) -> f64 {
     }
 }
 
-/// The floor of the W-cycle width clamp: every level below the top is
-/// solved at least this many times per solve of the level above.
-pub(super) const MIN_INNER_ITERATIONS: usize = 2;
-
 /// Modelled flops of one direct bottom solve: both triangular passes over
 /// a factor of `entries` stored entries plus the diagonal scaling of `n`.
 pub(super) fn direct_bottom_flops(n: usize, entries: usize) -> f64 {
     2.0 * entries as f64 + 2.0 * n as f64
 }
 
-/// The minimum-degree order and fill of a bottom candidate `g` (a simple
-/// graph) whose direct factor stores at most `limit` entries; `None` when
-/// it has no edges or its factor would be larger. Every edge is an entry
-/// of the factor, so a level with more than `limit` edges is out without
-/// being ordered.
-pub(super) fn direct_bottom_order(g: &Graph, limit: usize) -> Option<(Vec<u32>, usize)> {
+/// The minimum-degree order of a bottom candidate `g` (a simple graph)
+/// whose direct factor stores at most `limit` entries; `None` when it has
+/// no edges or its factor would be larger. Every edge is an entry of the
+/// factor, so a level with more than `limit` edges is out without being
+/// ordered.
+pub(super) fn direct_bottom_order(g: &Graph, limit: usize) -> Option<Vec<u32>> {
     if g.m() == 0 || g.m() > limit {
         return None;
     }
-    min_degree_order(g, limit)
+    min_degree_order(g, limit).map(|(order, _)| order)
 }
 
 #[cfg(test)]
@@ -322,18 +233,16 @@ mod tests {
     use super::*;
 
     /// A hand-built graph as the stop rules see it: `n` vertices, `m`
-    /// edges, the sampling κ of the level built on it and that level's
-    /// W-cycle width `k` (unused on the last).
+    /// edges and the sampling κ of the level built on it.
     #[derive(Debug, Clone, Copy)]
     struct Shape {
         n: usize,
         m: usize,
         kappa: f64,
-        k: usize,
     }
 
     fn shape(n: usize, m: usize, kappa: f64) -> Shape {
-        Shape { n, m, kappa, k: 4 }
+        Shape { n, m, kappa }
     }
 
     /// Runs `shapes` through the level loop's stop protocol, graph `j`'s
@@ -351,16 +260,14 @@ mod tests {
             ..ChainOptions::default()
         };
         let mut cut = ChainCut::new(&options, floor);
-        let order =
-            |j: usize| move |budget: usize| Some(((), entries[j])).filter(|&(_, e)| e <= budget);
+        let order = |j: usize| move |limit: usize| (entries[j] <= limit).then_some(());
         let mut built = 0;
         for (j, pair) in shapes.windows(2).enumerate() {
             let (s, next) = (pair[0], pair[1]);
             if cut.stops_at(s.n, s.m, order(j))
-                || !cut.keeps((s.n, s.m), (next.n, next.m), s.kappa, s.k, order(j))
+                || !cut.keeps((s.n, s.m), (next.n, next.m), s.kappa, order(j))
             {
-                let (bottom, order) = cut.finish();
-                return (built, bottom, order.is_some());
+                return (built, j, cut.finish().is_some());
             }
             built += 1;
         }
@@ -370,8 +277,7 @@ mod tests {
             cut.stops_at(s.n, s.m, order(last)),
             "the last shape ends the loop"
         );
-        let (bottom, order) = cut.finish();
-        (built, bottom, order.is_some())
+        (built, last, cut.finish().is_some())
     }
 
     #[test]
@@ -392,14 +298,19 @@ mod tests {
         let mut edges_stall = shapes;
         edges_stall[2] = shape(4_000, 15_385, 8.0);
         assert_eq!(replay(&edges_stall, &entries, 100_000, 2_000), (2, 2, true));
-        // A level that shrinks by min_shrink or more keeps the loop going
-        // down to the floor, whose bottom is cheaper.
+        // A level that shrinks by min_shrink or more is no stall: graph 2
+        // is an ordinary candidate, whose factor fits, so the loop stops
+        // there too; with graph 2 over the cap it goes on to the floor.
         let mut shrinking = shapes;
         shrinking[2] = shape(6_000, 12_000, 8.0);
-        assert_eq!(replay(&shrinking, &entries, 100_000, 2_000), (3, 3, true));
-        // A stalled natural bottom whose factor passes the cap is solved
-        // iteratively where it stands: nothing is cut.
+        assert_eq!(replay(&shrinking, &entries, 100_000, 2_000), (2, 2, true));
         let unfactorable = [0, 200_000, 200_000, 0];
+        assert_eq!(
+            replay(&shrinking, &unfactorable, 100_000, 2_000),
+            (3, 3, true)
+        );
+        // A stalled natural bottom whose factor passes the cap is solved
+        // iteratively where it stands.
         assert_eq!(
             replay(&shapes, &unfactorable, 100_000, 2_000),
             (2, 2, false)
@@ -408,9 +319,9 @@ mod tests {
 
     #[test]
     fn a_wrapper_level_is_dropped_and_its_graph_re_offered_as_the_natural_bottom() {
-        // The level on graph 1 sampled every edge (κ ≤ 1.5) and its
-        // elimination left 90% of the vertices: it is dropped, one level
-        // stays, and graph 1 is the bottom.
+        // Graph 1's factor fits: the loop stops on it before building the
+        // level that would be a wrapper (κ ≤ 1.5, 90% of the vertices
+        // left), so one level stays and graph 1 is the bottom.
         let shapes = [
             shape(64_000, 128_000, 8.0),
             shape(8_000, 16_000, 1.5),
@@ -421,7 +332,9 @@ mod tests {
             replay(&shapes, &[0, 80_000, 0, 0], 100_000, 2_000),
             (1, 1, true)
         );
-        // Its factor passes the cap: the natural bottom is iterative.
+        // Its factor passes the cap: the level on it is built, is a
+        // wrapper and is dropped, and graph 1 is the iterative natural
+        // bottom.
         let oversized = [0, 200_000, 0, 0];
         assert_eq!(replay(&shapes, &oversized, 100_000, 2_000), (1, 1, false));
         // A sampling κ above 1.5, or an elimination that leaves no more
@@ -433,10 +346,10 @@ mod tests {
         let mut eliminated = shapes;
         eliminated[2] = shape(6_800, 14_000, 8.0);
         assert_eq!(replay(&eliminated, &oversized, 100_000, 2_000).0, 2);
-        // Graph 2 is a wrapper after graph 1 became the best candidate, so
-        // it was priced only under a budget. Re-offered under the full
-        // cap, it is the natural bottom: one that fits leaves the cut at
-        // graph 1, one that does not is iterative and cancels the cut.
+        // The level on graph 2 would be a wrapper, but graph 1 fits, so
+        // the loop stops there whether or not graph 2 would fit. With
+        // neither fitting, the wrapper on graph 2 is dropped and graph 2
+        // is the iterative natural bottom.
         let deeper = [
             shape(64_000, 128_000, 8.0),
             shape(8_000, 16_000, 8.0),
@@ -445,10 +358,14 @@ mod tests {
         ];
         assert_eq!(
             replay(&deeper, &[0, 80_000, 20_000, 0], 100_000, 2_000),
-            (2, 1, true)
+            (1, 1, true)
         );
         assert_eq!(
             replay(&deeper, &[0, 80_000, 200_000, 0], 100_000, 2_000),
+            (1, 1, true)
+        );
+        assert_eq!(
+            replay(&deeper, &[0, 200_000, 200_000, 0], 100_000, 2_000),
             (2, 2, false)
         );
         // At the top, a wrapper leaves a depth-0 chain on the input.

@@ -12,11 +12,12 @@
 //!    bounded-fill-star, and weighted-degree-dominated vertices
 //!    (Lemma 6.5, [`crate::elimination`]);
 //!
-//! until the level is small enough (Section 6.3 stops at ≈ `m^{1/3}`),
-//! the levels stop shrinking, or no deeper bottom can be cheaper (the
-//! cost cut), at which point the bottom system is factored directly
-//! (Fact 6.4, a sparse LDLᵀ in minimum-degree order) or, if that factor
-//! would store too many entries, solved iteratively.
+//! until the level is small enough: the first graph below the top whose
+//! direct factor fits the entry cap, the size floor (Section 6.3 stops
+//! at ≈ `m^{1/3}`), or levels that stop shrinking. The bottom system is
+//! then factored directly (Fact 6.4, a sparse LDLᵀ in minimum-degree
+//! order) or, if that factor would store too many entries, solved
+//! iteratively.
 //!
 //! Solving (`SolverChain::solve`): the top level runs flexible
 //! preconditioned CG; below it the chain is a uniform recursive **W-cycle**
@@ -302,37 +303,30 @@ mod tests {
         );
     }
 
-    /// One level's shape as the bottom cut sees it: `n` vertices, `m`
-    /// edges, W-cycle width `inner_iterations` (unused on the last).
+    /// One level's shape as the bottom cut sees it: `n` vertices and `m`
+    /// edges.
     #[derive(Debug, Clone, Copy)]
     struct CutLevel {
         n: usize,
         m: usize,
-        inner_iterations: usize,
     }
 
-    fn cut_level(n: usize, m: usize, inner_iterations: usize) -> CutLevel {
-        CutLevel {
-            n,
-            m,
-            inner_iterations,
-        }
+    fn cut_level(n: usize, m: usize) -> CutLevel {
+        CutLevel { n, m }
     }
 
     /// Synthetic chain shapes for the bottom cut: each level shrinks by
-    /// `shrink`, keeps `m = 2n` and runs width `k`; its factor stores
-    /// `n · fill` entries.
+    /// `shrink` and keeps `m = 2n`; its factor stores `n · fill` entries.
     fn cut_shapes(
         n0: usize,
         shrink: usize,
         depth: usize,
-        k: usize,
         fill: usize,
     ) -> (Vec<CutLevel>, Vec<usize>) {
         (0..=depth as u32)
             .map(|i| {
                 let n = n0 / shrink.pow(i);
-                (cut_level(n, 2 * n, k), n * fill)
+                (cut_level(n, 2 * n), n * fill)
             })
             .unzip()
     }
@@ -354,33 +348,23 @@ mod tests {
         let mut built = 0;
         for (j, l) in shapes.iter().enumerate() {
             let natural = j + 1 == shapes.len();
-            cut.offer(l.n, l.m, natural, |budget| {
-                Some(((), entries[j])).filter(|&(_, e)| e <= budget)
-            });
-            if natural || cut.settles(l.m) {
-                break;
+            if cut.offer(natural, |limit| (entries[j] <= limit).then_some(())) {
+                return (j, built);
             }
             let next = shapes[j + 1];
-            let kept = cut.keeps(
-                (l.n, l.m),
-                (next.n, next.m),
-                8.0,
-                l.inner_iterations,
-                |_| None,
-            );
+            let kept = cut.keeps((l.n, l.m), (next.n, next.m), 8.0, |_| None);
             assert!(kept, "no level of these shapes is a wrapper");
-            built += 1;
+            built += usize::from(kept);
         }
-        (cut.finish().0, built)
+        unreachable!("the natural bottom ends the loop")
     }
 
     #[test]
     fn bottom_cut_shortens_a_bottom_heavy_tail() {
-        // Levels halve against k = 4 and the factor grows like n^1.5 (a
-        // bandwidth-ordered grid): each level deeper multiplies the bottom
-        // solves by 4 but shrinks the factor by only ~2.8, so the
-        // shallowest candidate wins.
-        let (shapes, _) = cut_shapes(64_000, 2, 7, 4, 0);
+        // Levels halve and the factor grows like n^1.5 (a bandwidth-
+        // ordered grid): the loop stops at the first level whose factor
+        // fits, and builds nothing below it.
+        let (shapes, _) = cut_shapes(64_000, 2, 7, 0);
         let entries: Vec<usize> = shapes
             .iter()
             .map(|l| (l.n as f64).powf(1.5) as usize)
@@ -393,24 +377,29 @@ mod tests {
 
     #[test]
     fn bottom_cut_keeps_a_balanced_chain() {
-        // Levels shrink 8× against k = 4 over a small fill: every level
-        // deeper halves the bottom's share, so the natural bottom stays.
-        let (shapes, entries) = cut_shapes(64_000, 8, 4, 4, 20);
-        assert_eq!(cut(&shapes, &entries, 1 << 18), shapes.len() - 1);
+        // Levels shrink 8× over a small fill. Graph 1's factor fits, so
+        // the loop stops there rather than add three levels, each of
+        // which costs outer iterations.
+        let (shapes, entries) = cut_shapes(64_000, 8, 4, 20);
+        assert_eq!(cut(&shapes, &entries, 1 << 18), 1);
+        // Under a cap only the natural bottom meets, the whole balanced
+        // chain is kept.
+        assert_eq!(cut(&shapes, &entries, 300), shapes.len() - 1);
     }
 
     #[test]
     fn bottom_cut_never_picks_level_0_or_an_oversized_level() {
         // Level 0 would be the cheapest bottom by far, yet a cut keeps at
         // least one level.
-        let (shapes, mut entries) = cut_shapes(3000, 2, 4, 4, 1000);
+        let (shapes, mut entries) = cut_shapes(3000, 2, 4, 1000);
         entries[0] = 0;
         assert_eq!(cut(&shapes, &entries, usize::MAX), 1);
-        // A level the model prices cheapest is skipped once its factor
-        // passes the cap.
-        let (shapes, mut entries) = cut_shapes(64_000, 2, 6, 4, 400);
+        // A level whose factor passes the cap is skipped: the first level
+        // that fits is the bottom.
+        let (shapes, mut entries) = cut_shapes(64_000, 2, 6, 400);
         entries[2] = 100_000;
-        assert_eq!(cut(&shapes, &entries, usize::MAX), 2);
+        assert_eq!(cut(&shapes, &entries, usize::MAX), 1);
+        assert_eq!(cut(&shapes, &entries, 100_000), 2);
         assert_ne!(cut(&shapes, &entries, 99_999), 2);
         // An iterative natural bottom is never cut.
         assert_eq!(cut(&shapes, &entries, 100), shapes.len() - 1);
@@ -420,28 +409,26 @@ mod tests {
 
     #[test]
     fn bottom_cut_breaks_ties_toward_the_deeper_level() {
-        // Level 1 as bottom: 200 + (2·30 + 2·10) = 280 flops. The natural
-        // bottom: 200 + 2·20 + 2·(2·5 + 2·5) = 280 flops.
-        let shapes = [
-            cut_level(100, 200, 4),
-            cut_level(10, 20, 2),
-            cut_level(5, 10, 0),
-        ];
-        assert_eq!(cut(&shapes, &[0, 30, 5], usize::MAX), 2);
-        // Two flops cheaper and level 1 wins.
+        // Level 1 as bottom (200 + (2·30 + 2·10) = 280 flops) and the
+        // natural bottom (200 + 2·20 + 2·(2·5 + 2·5) = 280 flops) cost the
+        // same per application; with 29 entries level 1 costs two flops
+        // less. Either way level 1 fits, so the loop stops there.
+        let shapes = [cut_level(100, 200), cut_level(10, 20), cut_level(5, 10)];
+        assert_eq!(cut(&shapes, &[0, 30, 5], usize::MAX), 1);
         assert_eq!(cut(&shapes, &[0, 29, 5], usize::MAX), 1);
+        // Only a cap that level 1's factor passes sends the chain deeper.
+        assert_eq!(cut(&shapes, &[0, 30, 5], 29), 2);
     }
 
     #[test]
     fn bottom_cut_prefers_a_shallow_level_with_a_small_factor() {
-        // The 200×200 grid's chain: minimum-degree fill grows like
-        // n log n, so level 1's factor (≈0.48M flops per application)
-        // beats the deeper tails (≈0.74M at level 2, ≈1.25M at level 3).
+        // The 200×200 grid's chain: level 1's minimum-degree factor fits
+        // the cap, so it is the bottom.
         let shapes = [
-            cut_level(40_000, 79_600, 4),
-            cut_level(12_101, 30_000, 4),
-            cut_level(4_672, 12_000, 4),
-            cut_level(2_028, 5_200, 0),
+            cut_level(40_000, 79_600),
+            cut_level(12_101, 30_000),
+            cut_level(4_672, 12_000),
+            cut_level(2_028, 5_200),
         ];
         let entries = [0, 186_880, 62_348, 24_836];
         assert_eq!(cut(&shapes, &entries, 1 << 18), 1);
@@ -451,25 +438,24 @@ mod tests {
 
     #[test]
     fn bottom_cut_stops_the_loop_once_no_deeper_level_can_win() {
-        // The 200×200 grid's chain with its tail: level 1 prices at
-        // ≈0.48M flops. Graph 3's levels above already cost ≈0.39M and
-        // any level below it at least 16·2·5200 more, so the loop stops
-        // with three levels built and never orders graphs 3–6.
+        // The 200×200 grid's chain with its tail: graph 1's factor fits,
+        // so the loop stops on it with one level built and never builds
+        // levels 1 and 2 or orders graphs 2–6.
         let shapes = [
-            cut_level(40_000, 79_600, 4),
-            cut_level(12_101, 30_000, 4),
-            cut_level(4_672, 12_000, 4),
-            cut_level(2_028, 5_200, 4),
-            cut_level(967, 2_400, 4),
-            cut_level(450, 1_100, 4),
-            cut_level(210, 500, 0),
+            cut_level(40_000, 79_600),
+            cut_level(12_101, 30_000),
+            cut_level(4_672, 12_000),
+            cut_level(2_028, 5_200),
+            cut_level(967, 2_400),
+            cut_level(450, 1_100),
+            cut_level(210, 500),
         ];
         let mut entries = vec![0, 186_880, 62_348, 24_836, 10_415, 4_000, 1_500];
-        assert_eq!(cut_and_levels_built(&shapes, &entries, 1 << 18), (1, 3));
-        // The natural bottom the loop never reached would be iterative:
-        // it cannot cancel a cut already proven cheaper than any tail.
+        assert_eq!(cut_and_levels_built(&shapes, &entries, 1 << 18), (1, 1));
+        // The natural bottom the loop never reaches would be iterative:
+        // it cannot cancel the cut.
         entries[6] = usize::MAX;
-        assert_eq!(cut_and_levels_built(&shapes, &entries, 1 << 18), (1, 3));
+        assert_eq!(cut_and_levels_built(&shapes, &entries, 1 << 18), (1, 1));
         // With nothing within the cap the loop runs to the natural
         // bottom, and an iterative one keeps the whole chain.
         assert_eq!(cut_and_levels_built(&shapes, &entries, 100), (6, 6));
@@ -477,13 +463,13 @@ mod tests {
 
     #[test]
     fn bottom_cut_cap_excludes_a_3d_like_level() {
-        // A 3-D-like level 1 whose factor the model prices cheapest but
-        // which stores more than the cap: the cut takes the next level.
+        // A 3-D-like level 1 whose factor stores more than the cap: the
+        // cut takes the next level.
         let shapes = [
-            cut_level(64_000, 190_000, 4),
-            cut_level(20_000, 60_000, 4),
-            cut_level(8_000, 24_000, 4),
-            cut_level(3_000, 9_000, 0),
+            cut_level(64_000, 190_000),
+            cut_level(20_000, 60_000),
+            cut_level(8_000, 24_000),
+            cut_level(3_000, 9_000),
         ];
         let entries = [0, 490_672, 150_000, 40_000];
         assert_eq!(cut(&shapes, &entries, usize::MAX), 1);

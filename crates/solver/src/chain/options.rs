@@ -119,22 +119,26 @@ pub struct ChainOptions {
     pub oversample: f64,
     /// Floor of the level loop: stop adding levels once a level has at
     /// most `max(bottom_size, m^{1/3})` vertices, where `m` is the edge
-    /// count of the *input* (Section 6.3). The chain may then end higher
-    /// up: the cost cut keeps the direct bottom with the fewest modelled
-    /// flops per application (DESIGN.md §2.10).
+    /// count of the *input* (Section 6.3). The chain may end higher up,
+    /// at the first graph below the top whose direct factor fits
+    /// [`direct_bottom_entry_limit`](Self::direct_bottom_entry_limit)
+    /// (DESIGN.md §2.10).
     pub bottom_size: usize,
     /// Most strictly-lower entries a direct bottom factor may store (its
     /// fill in minimum-degree order,
     /// [`min_degree_order`](parsdd_graph::reorder::min_degree_order)). A
     /// bottom system whose factor would store more is solved iteratively.
-    /// The same cap bounds the cost cut's candidates (DESIGN.md §2.10) and
-    /// a depth-0 system. The default, 2¹⁸ entries (2 MiB at f64), admits
-    /// the bottoms of 2-D meshes and road networks of the benchmark sizes
-    /// and keeps 3-D lattices and dense clusters iterative.
+    /// The same cap ends the level loop: it stops at the first graph below
+    /// the top whose factor fits, which becomes the bottom, and builds no
+    /// level below it (DESIGN.md §2.10). It also decides whether a natural
+    /// bottom or a depth-0 system is factored. The default, 2¹⁸ entries
+    /// (2 MiB at f64), admits the bottoms of 2-D meshes and road networks
+    /// of the benchmark sizes and keeps 3-D lattices and dense clusters
+    /// iterative. A smaller cap forces a deeper chain.
     pub direct_bottom_entry_limit: usize,
     /// Maximum number of chain levels: a backstop against inputs that
-    /// never reach the size floor. The size floor or the cost cut is what
-    /// normally ends the chain.
+    /// never reach the size floor. The size floor or the first bottom
+    /// that fits is what normally ends the chain.
     pub max_levels: usize,
     /// Data-driven depth cutoff: stop recursing when a level's vertex
     /// count shrinks by less than this factor (or its edge count by less
@@ -172,8 +176,8 @@ impl Default for ChainOptions {
             oversample: 2.0,
             bottom_size: 300,
             direct_bottom_entry_limit: 1 << 18,
-            // Only a backstop: the size floor or the cost cut ends the
-            // chain.
+            // Only a backstop: the size floor or the first bottom that
+            // fits ends the chain.
             max_levels: 32,
             min_shrink: 1.3,
             inner_extra_iterations: 1,
