@@ -49,7 +49,7 @@
 //! callers use the fallible front door: every failure is a typed
 //! [`BuildError`]/[`SolveError`], and a struggling solve escalates
 //! through a deterministic recovery ladder (iterate refresh → stronger
-//! chain → direct envelope factor) before giving up, recording each
+//! chain → direct sparse factor) before giving up, recording each
 //! rung in [`SolveOutcome::recovery`] (DESIGN.md §2.5).
 //!
 //! ```

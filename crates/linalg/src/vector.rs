@@ -156,27 +156,6 @@ pub fn a_norm_with(x: &[f64], ax: &[f64]) -> f64 {
     dot(x, ax).max(0.0).sqrt()
 }
 
-/// Dot product of column `j` of two **row-major** blocks of width
-/// `stride` (entry `i` of the column lives at `i·stride + j`). The
-/// reduction tree depends only on the row count — the same tree [`dot`]
-/// builds — so for `stride = 1` this *is* `dot` bitwise, and a column's
-/// dot is identical whether it travels alone or inside a block, at every
-/// pool width.
-pub fn dot_strided(x: &[f64], y: &[f64], stride: usize, j: usize) -> f64 {
-    assert_eq!(x.len(), y.len());
-    assert!(j < stride.max(1));
-    let n = x.len() / stride.max(1);
-    if n < SEQ_CUTOFF {
-        (0..n).map(|i| x[i * stride + j] * y[i * stride + j]).sum()
-    } else {
-        (0..n)
-            .into_par_iter()
-            .with_min_len(MIN_LEN)
-            .map(|i| x[i * stride + j] * y[i * stride + j])
-            .sum()
-    }
-}
-
 /// Per-column dot products of two **row-major** blocks of width `k`:
 /// entry `j` of the result is `Σ_i x[i·k+j]·y[i·k+j]`. One pass over both
 /// blocks computes all `k` sums (a per-column loop would stream the
@@ -196,11 +175,11 @@ pub fn colwise_dots_rm(x: &[f64], y: &[f64], k: usize) -> Vec<f64> {
 }
 
 /// [`colwise_dots_rm`] into caller-owned buffers: `out` receives the `k`
-/// sums, `partial` is block-partial scratch. On the sequential dispatch
-/// path (row count below the cutoff) this performs no allocation once
-/// both buffers have capacity `k`; the parallel path still collects its
-/// per-block partials. Same fixed reduction tree, so results are bitwise
-/// identical to [`colwise_dots_rm`].
+/// sums, `partial` the per-block partials. Once both buffers have
+/// capacity (`k` and `⌈n/MIN_LEN⌉·k`) this performs no allocation of its
+/// own on either dispatch path. Same fixed reduction tree, so results are
+/// bitwise identical to [`colwise_dots_rm`]. A lone column (`k = 1`)
+/// keeps its block accumulator in a register.
 pub fn colwise_dots_rm_into(
     x: &[f64],
     y: &[f64],
@@ -219,39 +198,37 @@ pub fn colwise_dots_rm_into(
     let block_into = |b: usize, acc: &mut [f64]| {
         let lo = b * MIN_LEN;
         let hi = ((b + 1) * MIN_LEN).min(n);
-        for i in lo..hi {
-            let xr = &x[i * k..(i + 1) * k];
-            let yr = &y[i * k..(i + 1) * k];
+        if k == 1 {
+            let (xb, yb) = (&x[lo..hi], &y[lo..hi]);
+            acc[0] = xb.iter().zip(yb).fold(0.0, |a, (&xv, &yv)| a + xv * yv);
+            return;
+        }
+        acc.fill(0.0);
+        for (xr, yr) in x[lo * k..hi * k]
+            .chunks_exact(k)
+            .zip(y[lo * k..hi * k].chunks_exact(k))
+        {
             for (a, (&xv, &yv)) in acc.iter_mut().zip(xr.iter().zip(yr)) {
                 *a += xv * yv;
             }
         }
     };
-    out.resize(k, 0.0);
+    partial.resize(blocks * k, 0.0);
     if n < SEQ_CUTOFF {
-        // Block partials accumulate into reused scratch and fold into
-        // `out` in block order — the same tree the collecting path builds.
-        for b in 0..blocks {
-            partial.clear();
-            partial.resize(k, 0.0);
-            block_into(b, partial);
-            for (o, &v) in out.iter_mut().zip(partial.iter()) {
-                *o += v;
-            }
+        for (b, acc) in partial.chunks_exact_mut(k).enumerate() {
+            block_into(b, acc);
         }
     } else {
-        let partials: Vec<Vec<f64>> = (0..blocks)
-            .into_par_iter()
-            .map(|b| {
-                let mut acc = vec![0.0f64; k];
-                block_into(b, &mut acc);
-                acc
-            })
-            .collect();
-        for part in &partials {
-            for (o, &v) in out.iter_mut().zip(part) {
-                *o += v;
-            }
+        partial
+            .par_chunks_mut(k)
+            .enumerate()
+            .for_each(|(b, acc)| block_into(b, acc));
+    }
+    // Block partials fold into `out` in block order.
+    out.resize(k, 0.0);
+    for part in partial.chunks_exact(k) {
+        for (o, &v) in out.iter_mut().zip(part) {
+            *o += v;
         }
     }
 }
@@ -398,28 +375,43 @@ mod tests {
 
     #[test]
     fn colwise_dots_match_single_column_at_any_width() {
-        // k-invariance (and pool-width determinism via the fixed block
-        // tree): column j of a k-wide block must produce the same bits as
-        // the same column at k = 1, on both dispatch paths.
-        for n in [300usize, 20_000] {
+        // k-invariance and pool-width determinism via the fixed block
+        // tree: column j of a k-wide block must produce the same bits as
+        // the same column at k = 1, on both dispatch paths and at every
+        // block boundary, and the k = 1 path must be bitwise the
+        // sequential sum of per-2048-row block sums folded in order.
+        for n in [1usize, 2047, 2048, 2049, 8191, 8192, 20_000] {
             let k = 3;
             let mut x = vec![0.0f64; n * k];
             let mut y = vec![0.0f64; n * k];
             for i in 0..n {
                 for j in 0..k {
-                    x[i * k + j] = ((i * (j + 2)) % 23) as f64 - 11.0;
-                    y[i * k + j] = ((i * (j + 5)) % 19) as f64 - 9.0;
+                    x[i * k + j] = ((i * (j + 2)) % 23) as f64 / 7.0 - 1.5;
+                    y[i * k + j] = ((i * (j + 5)) % 19) as f64 / 3.0 - 2.9;
                 }
             }
-            let d = colwise_dots_rm(&x, &y, k);
-            for j in 0..k {
-                let xc: Vec<f64> = (0..n).map(|i| x[i * k + j]).collect();
-                let yc: Vec<f64> = (0..n).map(|i| y[i * k + j]).collect();
-                let d1 = colwise_dots_rm(&xc, &yc, 1);
-                assert_eq!(d[j].to_bits(), d1[0].to_bits(), "n={n} col {j}");
-                // And the sums are right.
-                let expect: f64 = xc.iter().zip(&yc).map(|(a, b)| a * b).sum();
-                assert!((d[j] - expect).abs() < 1e-6 * expect.abs().max(1.0));
+            for width in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .expect("pool");
+                let d = pool.install(|| colwise_dots_rm(&x, &y, k));
+                for j in 0..k {
+                    let xc: Vec<f64> = (0..n).map(|i| x[i * k + j]).collect();
+                    let yc: Vec<f64> = (0..n).map(|i| y[i * k + j]).collect();
+                    let d1 = pool.install(|| colwise_dots_rm(&xc, &yc, 1));
+                    let case = format!("n={n} width={width} col {j}");
+                    assert_eq!(d[j].to_bits(), d1[0].to_bits(), "{case}");
+                    let mut reference = 0.0f64;
+                    for (xb, yb) in xc.chunks(MIN_LEN).zip(yc.chunks(MIN_LEN)) {
+                        let mut block = 0.0f64;
+                        for (a, b) in xb.iter().zip(yb) {
+                            block += a * b;
+                        }
+                        reference += block;
+                    }
+                    assert_eq!(d1[0].to_bits(), reference.to_bits(), "{case}");
+                }
             }
         }
     }

@@ -5,11 +5,11 @@ use std::sync::Mutex;
 
 use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::vector::{
-    dot_strided, project_out_componentwise_constant, project_out_componentwise_rows_with,
+    project_out_componentwise_constant, project_out_componentwise_rows_with,
 };
 use parsdd_linalg::{Scalar, SparseLdl};
 
-use super::solver::{compact_columns_rm_inplace, compact_scalars_inplace};
+use super::pcg::{Answer, PcgScratch, Precond};
 use super::{ChainLevel, SolverChain};
 use crate::elimination::CompiledTrace;
 
@@ -68,7 +68,7 @@ impl JacobiBottom {
         seed: u64,
         cap: usize,
     ) -> (Self, bool) {
-        let inv_diag = (0..matrix.n())
+        let inv_diag: Vec<f64> = (0..matrix.n())
             .map(|v| {
                 let d = matrix.diag(v);
                 if d.abs() > 0.0 {
@@ -78,191 +78,28 @@ impl JacobiBottom {
                 }
             })
             .collect();
-        let mut bottom = JacobiBottom {
-            inv_diag,
-            probe_iterations: 0,
-        };
         let mut b: Vec<f64> = (0..matrix.n() as u64)
             .map(|i| 2.0 * parsdd_graph::generators::counter_unit(seed, i) - 1.0)
             .collect();
         project_out_componentwise_constant(&mut b, labels, components);
-        let mut s = CgScratch::default();
+        let mut s = PcgScratch::default();
         let tol = SolverChain::PRECOND_BOTTOM_TOL;
         let cap = cap.min(Self::budget(matrix.n()));
-        bottom.solve_rm_into(matrix, &b, 1, tol, cap, &mut Vec::new(), &mut s);
-        bottom.probe_iterations = s.iterations[0];
-        (bottom, s.converged[0])
-    }
-
-    /// Jacobi-PCG on `k` row-major right-hand sides `b` (already in the
-    /// range of `matrix`), each column to relative residual `tol` or
-    /// `max_iters` iterations; writes the solutions into `x`, and each
-    /// column's iteration count and whether it reached `tol` into
-    /// `s.iterations` and `s.converged`.
-    ///
-    /// Columns that converge, go non-finite or lose direction energy are
-    /// frozen and compacted out of the working block, as in the outer
-    /// PCG. Every per-column quantity comes from a kernel whose reduction
-    /// tree depends only on `n` ([`dot_strided`],
-    /// [`PermutedLevel::fused_apply_dot_into`]), so each column's result
-    /// and count are bitwise identical at every block composition and
-    /// pool width. All state lives in `s`: warm, the sequential dispatch
-    /// paths do not allocate.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_rm_into(
-        &self,
-        matrix: &PermutedLevel,
-        b: &[f64],
-        k: usize,
-        tol: f64,
-        max_iters: usize,
-        x: &mut Vec<f64>,
-        s: &mut CgScratch,
-    ) {
-        let n = matrix.n();
-        x.clear();
-        x.resize(n * k, 0.0);
-        s.bnorms.clear();
-        s.active.clear();
-        s.iterations.clear();
-        s.iterations.resize(k, 0);
-        s.converged.clear();
-        for j in 0..k {
-            let bn = dot_strided(b, b, k, j).sqrt();
-            s.bnorms.push(bn);
-            // A zero column is solved by zero; a non-finite one is left
-            // unconverged for the outer iteration to classify.
-            s.converged.push(bn == 0.0);
-            if bn > 0.0 && bn.is_finite() {
-                s.active.push(j);
-            }
-        }
-        let mut ka = s.active.len();
-        s.r.clear();
-        for row in b.chunks_exact(k) {
-            s.r.extend(s.active.iter().map(|&j| row[j]));
-        }
-        self.scale_into(&s.r, ka, &mut s.z);
-        s.p.clear();
-        s.p.extend_from_slice(&s.z);
-        s.rz.clear();
-        for c in 0..ka {
-            s.rz.push(dot_strided(&s.r, &s.z, ka, c));
-        }
-        s.ap.resize(n * ka, 0.0);
-        let mut applies = 0;
-        loop {
-            // Per-column convergence check; finished columns freeze.
-            s.keep.clear();
-            for c in 0..ka {
-                let rel = dot_strided(&s.r, &s.r, ka, c).sqrt() / s.bnorms[s.active[c]];
-                if rel > tol && rel.is_finite() {
-                    s.keep.push(c);
-                } else {
-                    s.iterations[s.active[c]] = applies;
-                    s.converged[s.active[c]] = rel <= tol;
-                }
-            }
-            ka = s.compact(ka);
-            if ka == 0 || applies == max_iters {
-                break;
-            }
-            matrix.fused_apply_dot_into(&s.p, &mut s.ap, ka, &mut s.pap, &mut s.partial);
-            applies += 1;
-            // No direction energy: the column freezes where it stands.
-            s.keep.clear();
-            for c in 0..ka {
-                if s.pap[c] > 0.0 && s.pap[c].is_finite() {
-                    s.keep.push(c);
-                } else {
-                    s.iterations[s.active[c]] = applies;
-                }
-            }
-            compact_scalars_inplace(&mut s.pap, &s.keep);
-            ka = s.compact(ka);
-            if ka == 0 {
-                break;
-            }
-            s.coef.clear();
-            s.coef.extend((0..ka).map(|c| s.rz[c] / s.pap[c]));
-            for ((xrow, prow), (rrow, aprow)) in x
-                .chunks_exact_mut(k)
-                .zip(s.p.chunks_exact(ka))
-                .zip(s.r.chunks_exact_mut(ka).zip(s.ap.chunks_exact(ka)))
-            {
-                for (c, &j) in s.active.iter().enumerate() {
-                    xrow[j] += s.coef[c] * prow[c];
-                    rrow[c] -= s.coef[c] * aprow[c];
-                }
-            }
-            self.scale_into(&s.r, ka, &mut s.z);
-            for c in 0..ka {
-                let rz_new = dot_strided(&s.r, &s.z, ka, c);
-                s.coef[c] = rz_new / s.rz[c];
-                s.rz[c] = rz_new;
-            }
-            for (prow, zrow) in s.p.chunks_exact_mut(ka).zip(s.z.chunks_exact(ka)) {
-                for ((pv, &zv), &beta) in prow.iter_mut().zip(zrow).zip(&s.coef) {
-                    *pv = zv + beta * *pv;
-                }
-            }
-        }
-        // Columns still active ran out of budget.
-        for &j in &s.active {
-            s.iterations[j] = applies;
-        }
-    }
-
-    /// `z ← D⁻¹ r` on a row-major block of width `k`.
-    fn scale_into(&self, r: &[f64], k: usize, z: &mut Vec<f64>) {
-        z.clear();
-        if k == 0 {
-            return;
-        }
-        for (rrow, &d) in r.chunks_exact(k).zip(&self.inv_diag) {
-            z.extend(rrow.iter().map(|&rv| rv * d));
-        }
-    }
-}
-
-/// The iterative bottom's CG state: row-major blocks over the active
-/// columns, per-column scalars, and the active/keep index lists.
-#[derive(Debug, Default)]
-struct CgScratch {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    /// Right-hand-side norms, indexed by block column.
-    bnorms: Vec<f64>,
-    rz: Vec<f64>,
-    pap: Vec<f64>,
-    partial: Vec<f64>,
-    /// Step sizes, then betas, per active column.
-    coef: Vec<f64>,
-    /// Block columns still iterating, ascending.
-    active: Vec<usize>,
-    keep: Vec<usize>,
-    /// Iterations each block column ran before it froze.
-    iterations: Vec<usize>,
-    /// Whether each block column reached the tolerance.
-    converged: Vec<bool>,
-}
-
-impl CgScratch {
-    /// Drops the active columns not listed in `keep` from the working
-    /// blocks, `rz` and `active`; returns the new active width.
-    fn compact(&mut self, ka: usize) -> usize {
-        if self.keep.len() == ka {
-            return ka;
-        }
-        let keep = &self.keep;
-        compact_columns_rm_inplace(&mut self.r, ka, keep);
-        compact_columns_rm_inplace(&mut self.p, ka, keep);
-        compact_columns_rm_inplace(&mut self.ap, ka, keep);
-        compact_scalars_inplace(&mut self.rz, keep);
-        compact_scalars_inplace(&mut self.active, keep);
-        keep.len()
+        s.run(
+            matrix,
+            &b,
+            1,
+            tol,
+            cap,
+            Precond::Jacobi(&inv_diag),
+            Answer::Inner,
+        );
+        let (probe_iterations, converged) = s.single_outcome(tol, cap);
+        let bottom = JacobiBottom {
+            inv_diag,
+            probe_iterations,
+        };
+        (bottom, converged)
     }
 }
 
@@ -297,7 +134,8 @@ struct IterScratch<T> {
 /// Bottom-solve buffers: the rhs copy and componentwise-projection
 /// accumulators of the direct bottom at the cycle's precision, and the
 /// f64 staging of the iterative bottom — its rhs widened from the cycle's
-/// precision, projection sums and solution — plus its CG state.
+/// precision and projection sums — plus its PCG state, which holds the
+/// solution.
 #[derive(Debug, Default)]
 struct BottomScratch<T> {
     rhs: Vec<T>,
@@ -305,8 +143,7 @@ struct BottomScratch<T> {
     proj_sizes: Vec<usize>,
     wide_rhs: Vec<f64>,
     wide_sums: Vec<f64>,
-    wide_out: Vec<f64>,
-    cg: CgScratch,
+    pcg: PcgScratch,
 }
 
 /// One checked-out set of scratch buffers for a chain application at the
@@ -443,12 +280,13 @@ impl SolverChain {
     /// (DESIGN.md §2.9).
     pub(super) const PRECOND_BOTTOM_TOL: f64 = 3e-2;
 
-    /// Loosest tolerance of a depth-0 chain's bottom solve, which is the
-    /// final answer (see [`final_bottom_tol`](Self::final_bottom_tol)).
+    /// Loosest tolerance of a depth-0 chain's solve (see
+    /// [`final_bottom_tol`](Self::final_bottom_tol)).
     const MAX_FINAL_BOTTOM_TOL: f64 = 1e-8;
 
-    /// Tolerance of a depth-0 chain's bottom solve at caller tolerance
-    /// `tol`: a tenth of it, within `[1e-14, MAX_FINAL_BOTTOM_TOL]`.
+    /// Tolerance a depth-0 chain's solve runs its PCG to at caller
+    /// tolerance `tol`: a tenth of it, within `[1e-14,
+    /// MAX_FINAL_BOTTOM_TOL]`.
     pub(super) fn final_bottom_tol(tol: f64) -> f64 {
         (tol * 0.1).clamp(1e-14, Self::MAX_FINAL_BOTTOM_TOL)
     }
@@ -467,45 +305,20 @@ impl SolverChain {
         let ChainCycle::F64(cycle) = &self.cycle else {
             unreachable!("a depth-0 chain keeps its f64 bottom")
         };
-        let tol = Self::PRECOND_BOTTOM_TOL;
-        cycle.with_workspace(|ws| self.bottom_solve(cycle, rr, k, tol, out, &mut ws.bottom));
-    }
-
-    /// A depth-0 chain's final answer for `k` row-major right-hand sides:
-    /// the bottom solve to `tol`, and each column's iteration count — its
-    /// own Jacobi-PCG iterations on an iterative bottom, one direct solve
-    /// otherwise.
-    pub(super) fn final_bottom_solve(
-        &self,
-        br: &[f64],
-        k: usize,
-        tol: f64,
-    ) -> (Vec<f64>, Vec<usize>) {
-        let ChainCycle::F64(cycle) = &self.cycle else {
-            unreachable!("a depth-0 chain keeps its f64 bottom")
-        };
-        cycle.with_workspace(|ws| {
-            let mut out = Vec::new();
-            self.bottom_solve(cycle, br, k, tol, &mut out, &mut ws.bottom);
-            let iterations = match self.bottom {
-                BottomSolver::Iterative(_) => ws.bottom.cg.iterations.clone(),
-                _ => vec![1; k],
-            };
-            (out, iterations)
-        })
+        cycle.with_workspace(|ws| self.bottom_solve(cycle, rr, k, out, &mut ws.bottom));
     }
 
     /// The bottom solve at the cycle's precision. The direct bottom
     /// projects and solves at `T`; the trivial bottom zeroes. The
     /// iterative bottom runs at f64: it widens the right-hand side into
-    /// the scratch's f64 staging, projects and solves there, and narrows
-    /// the solution back.
+    /// the scratch's f64 staging, projects and runs Jacobi-PCG there to
+    /// [`PRECOND_BOTTOM_TOL`](Self::PRECOND_BOTTOM_TOL), and narrows the
+    /// solution back.
     fn bottom_solve<T: Scalar>(
         &self,
         cycle: &Cycle<T>,
         br: &[T],
         k: usize,
-        tol: f64,
         out: &mut Vec<T>,
         s: &mut BottomScratch<T>,
     ) {
@@ -540,13 +353,13 @@ impl SolverChain {
                     &mut s.wide_sums,
                     &mut s.proj_sizes,
                 );
-                let (m, budget) = (
-                    &self.bottom_matrix,
-                    JacobiBottom::budget(self.bottom_matrix.n()),
-                );
-                jacobi.solve_rm_into(m, &s.wide_rhs, k, tol, budget, &mut s.wide_out, &mut s.cg);
+                let (m, tol) = (&self.bottom_matrix, Self::PRECOND_BOTTOM_TOL);
+                let budget = JacobiBottom::budget(m.n());
+                let jacobi = Precond::Jacobi(&jacobi.inv_diag);
+                s.pcg
+                    .run(m, &s.wide_rhs, k, tol, budget, jacobi, Answer::Inner);
                 out.clear();
-                out.extend(s.wide_out.iter().map(|&v| T::from_f64(v)));
+                out.extend(s.pcg.x.iter().map(|&v| T::from_f64(v)));
             }
         }
     }
@@ -618,8 +431,7 @@ impl SolverChain {
         let trace = &cycle.traces[level];
         trace.forward_rhs_rowmajor_into(rr, k, &mut mine.reduced, &mut mine.work, &mut mine.row);
         if level + 1 == self.levels.len() {
-            let tol = Self::PRECOND_BOTTOM_TOL;
-            self.bottom_solve(cycle, &mine.reduced, k, tol, &mut mine.y, bottom);
+            self.bottom_solve(cycle, &mine.reduced, k, &mut mine.y, bottom);
         } else {
             let (reduced, y) = (&mine.reduced, &mut mine.y);
             self.chebyshev_fixed(cycle, level + 1, reduced, k, y, iter_ws, elim_rest, bottom);

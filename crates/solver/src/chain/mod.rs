@@ -19,13 +19,15 @@
 //! order) or, if that factor would store too many entries, solved
 //! iteratively.
 //!
-//! Solving (`SolverChain::solve`): the top level runs flexible
-//! preconditioned CG; below it the chain is a uniform recursive **W-cycle**
-//! — each preconditioner application forwards the residual through level
-//! `i`'s elimination, solves level `i+1` with that level's *fixed* number
-//! `k_{i+1}` of preconditioned Chebyshev iterations (a linear operator, as
-//! rPCh requires; `k ≥ 2` makes the recursion tree a W shape), and
-//! back-substitutes, down to the bottom solver. Per-level iteration counts
+//! Solving (`SolverChain::solve`): the top level runs the chain's one
+//! block PCG (`pcg.rs`, flexible β; a depth-0 chain runs it with its
+//! bottom's own preconditioner); below it the chain is a uniform
+//! recursive **W-cycle** — each preconditioner application forwards the
+//! residual through level `i`'s elimination, solves level `i+1` with
+//! that level's *fixed* number `k_{i+1}` of preconditioned Chebyshev
+//! iterations (a linear operator, as rPCh requires; `k ≥ 2` makes the
+//! recursion tree a W shape), and back-substitutes, down to the bottom
+//! solver. Per-level iteration counts
 //! are derived from the *measured* effective condition number of the
 //! scaled preconditioner: the Chebyshev interval of every level is
 //! calibrated after construction by power iteration on the effective
@@ -43,13 +45,14 @@
 //! is the condition for `Σ_i (∏_{j≤i} k_j)·m_i` — the W-cycle's work — to
 //! stay near-linear.
 //!
-//! Each file owns one concern — options, build, cut, cycle, report and
-//! solver; DESIGN.md §2 maps them.
+//! Each file owns one concern — options, build, cut, cycle, pcg, report
+//! and solver; DESIGN.md §2 maps them.
 
 mod build;
 mod cut;
 mod cycle;
 mod options;
+mod pcg;
 mod report;
 mod solver;
 
@@ -114,7 +117,8 @@ mod tests {
         // m ≤ n builds no levels, and an entry cap below the cycle's fill
         // leaves the bottom iterative: its solve is the final answer, so
         // it must reach the caller's tolerance, not the loose one a bottom
-        // solve inside a preconditioner application stops at.
+        // solve inside a preconditioner application stops at, within the
+        // caller's budget (Jacobi-PCG takes ~n/2 iterations on a cycle).
         let g = generators::cycle(4500, 1.0);
         let options = ChainOptions {
             direct_bottom_entry_limit: g.m(),
@@ -124,7 +128,7 @@ mod tests {
         assert_eq!(chain.depth(), 0);
         assert!(!chain.stats().direct_bottom);
         let b = random_rhs(g.n());
-        let out = chain.solve(&b, 1e-10, 10);
+        let out = chain.solve(&b, 1e-10, 4000);
         assert!(out.converged, "rel {}", out.relative_residual);
         let r = LaplacianOp::new(&g).residual(&out.x, &b);
         assert!(

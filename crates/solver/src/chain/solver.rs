@@ -3,15 +3,15 @@
 
 use parsdd_graph::Graph;
 use parsdd_linalg::block::MultiVector;
-use parsdd_linalg::breakdown::{BreakdownReason, DIVERGENCE_FACTOR};
+use parsdd_linalg::breakdown::BreakdownReason;
 use parsdd_linalg::operator::Preconditioner;
 use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::vector::{
-    colwise_dots_rm, colwise_dots_rm_into, project_out_componentwise_constant,
-    project_out_componentwise_rows,
+    colwise_dots_rm, project_out_componentwise_constant, project_out_componentwise_rows,
 };
 
 use super::cycle::{BottomSolver, ChainCycle};
+use super::pcg::{compact_columns_rm_inplace, Answer, PcgScratch, Precond};
 use super::{ChainOptions, Level0Decision, Precision};
 use crate::elimination::EliminationTrace;
 use crate::error::RecoveryStep;
@@ -280,38 +280,32 @@ impl SolverChain {
     }
 
     /// Solves the top-level system for a block of right-hand sides, `A X =
-    /// B`, each column to relative residual `tol`, using flexible
-    /// preconditioned CG (Polak–Ribière beta) driven by the recursive
-    /// blocked W-cycle preconditioner. Columns are projected onto the
-    /// range of `A` first.
+    /// B`, each column to relative residual `tol`, with the chain's one
+    /// block PCG (DESIGN.md §2.9). Columns are projected onto the range of
+    /// `A` first. A chain of depth ≥ 1 preconditions with the recursive
+    /// W-cycle (flexible Polak–Ribière β). A depth-0 chain preconditions
+    /// with its bottom's fixed map — `D⁻¹` of an iterative bottom, or the
+    /// direct factor — and runs to a tenth of `tol`, within `[1e-14,
+    /// 1e-8]`. Either way the budget, the breakdown classification and the
+    /// projection of the solution are the same.
     ///
     /// **Layout.** The boundary is the only place anything is permuted or
     /// transposed: right-hand sides are gathered into the chain's
     /// internal (bandwidth-reduced) row-major order on entry, solutions
     /// scattered back on exit. Every iteration in between is row-major in
-    /// internal index space — the preconditioner is called on the working
-    /// residual directly (no per-iteration `to_rowmajor`/`from_rowmajor`),
-    /// the matrix pass returns `pᵀAp` fused
-    /// ([`PermutedLevel::fused_apply_dot`]), and the Polak–Ribière
-    /// numerator uses `r_new − r_old = −α·(A p)` (an identity of the
-    /// residual update in exact arithmetic, equal up to rounding in
-    /// floating point), so no `r_old` copy or difference pass exists.
+    /// internal index space, and the matrix pass returns `pᵀAp` fused
+    /// ([`PermutedLevel::fused_apply_dot_into`]).
     ///
     /// **Per-column convergence and deflation.** Each column carries its
-    /// own CG scalars and convergence state; converged (or broken-down)
-    /// columns are frozen and physically compacted out of the working
-    /// block, so late iterations — and every recursive preconditioner
-    /// application below them — run on a narrower block. The recurrences
-    /// never couple columns and every kernel's per-column arithmetic is
-    /// independent of the block width, so each outcome is bitwise
+    /// own PCG scalars and convergence state; stopped columns are frozen
+    /// and compacted out of the working block. Each outcome is bitwise
     /// identical to a single [`solve`](Self::solve) of that column, at
     /// every block composition and pool width.
     ///
-    /// The outer iteration keeps its own locals (allocated once per solve
-    /// and reused across iterations), so together with the
-    /// workspace-threaded W-cycle no per-*iteration* heap allocation
-    /// remains on the sequential dispatch paths; deflation events (bounded
-    /// by the column count, not the iteration count) compact in place.
+    /// The PCG state is allocated once per solve and reused across
+    /// iterations, so together with the workspace-threaded W-cycle no
+    /// per-*iteration* heap allocation remains on the sequential dispatch
+    /// paths.
     pub fn solve_block(
         &self,
         b: &MultiVector,
@@ -328,318 +322,69 @@ impl SolverChain {
         let perm = &self.top_perm;
         let mut rr = gather_block_rm(b, perm);
         project_out_componentwise_rows(&mut rr, k, &self.top_labels, self.top_components);
-        let bnorms: Vec<f64> = colwise_dots_rm(&rr, &rr, k)
-            .into_iter()
-            .map(f64::sqrt)
+        let (precond, pcg_tol) = match &self.bottom {
+            _ if !self.levels.is_empty() => (Precond::WCycle(self), tol),
+            BottomSolver::Iterative(jacobi) => (
+                Precond::Jacobi(&jacobi.inv_diag),
+                Self::final_bottom_tol(tol),
+            ),
+            _ => (Precond::Bottom(self), Self::final_bottom_tol(tol)),
+        };
+        let mut s = PcgScratch::default();
+        s.run(
+            top_matrix,
+            &rr,
+            k,
+            pcg_tol,
+            max_iterations,
+            precond,
+            Answer::Final,
+        );
+
+        // Final residual check, one blocked product for every column that
+        // ran; a zero column is solved by zero.
+        let ran: Vec<usize> = (0..k).filter(|&j| s.bnorms[j] != 0.0).collect();
+        let kf = ran.len();
+        let mut outcomes: Vec<SolveOutcome> = (0..k)
+            .map(|_| SolveOutcome {
+                x: vec![0.0; n],
+                iterations: 0,
+                relative_residual: 0.0,
+                converged: true,
+                breakdown: None,
+                recovery: Vec::new(),
+            })
             .collect();
-        let mut outcomes: Vec<Option<SolveOutcome>> = (0..k).map(|_| None).collect();
-        let mut active: Vec<usize> = Vec::with_capacity(k);
-        for j in 0..k {
-            if bnorms[j] == 0.0 {
-                outcomes[j] = Some(SolveOutcome {
-                    x: vec![0.0; n],
-                    iterations: 0,
-                    relative_residual: 0.0,
-                    converged: true,
-                    breakdown: None,
-                    recovery: Vec::new(),
-                });
-            } else {
-                active.push(j);
+        if kf == 0 {
+            return outcomes;
+        }
+        compact_columns_rm_inplace(&mut s.x, k, &ran);
+        let xa = &s.x;
+        let mut diff = vec![0.0f64; n * kf];
+        top_matrix.apply_rowmajor(xa, &mut diff, kf);
+        for (row, rrow) in diff.chunks_exact_mut(kf).zip(rr.chunks_exact(k)) {
+            for (c, &j) in ran.iter().enumerate() {
+                row[c] = rrow[j] - row[c];
             }
         }
-
-        if self.levels.is_empty() && !active.is_empty() {
-            // No chain above the bottom: this result IS the final answer,
-            // so an iterative bottom must target the caller's tolerance,
-            // not the looser preconditioner-application tolerance.
-            let ka = active.len();
-            let ba = compact_columns_rm(&rr, k, &active);
-            let (xa, its) = self.final_bottom_solve(&ba, ka, Self::final_bottom_tol(tol));
-            let mut diff = vec![0.0f64; n * ka];
-            self.bottom_matrix.apply_rowmajor(&xa, &mut diff, ka);
-            for (d, &bv) in diff.iter_mut().zip(&ba) {
-                *d = bv - *d;
-            }
-            let rn = colwise_dots_rm(&diff, &diff, ka);
-            for (c, &j) in active.iter().enumerate() {
-                let rel = rn[c].sqrt() / bnorms[j];
-                let x = (0..n).map(|i| xa[perm[i] as usize * ka + c]).collect();
-                outcomes[j] = Some(SolveOutcome {
-                    x,
-                    iterations: its[c],
-                    relative_residual: rel,
-                    converged: rel <= tol,
-                    breakdown: if rel.is_finite() {
-                        None
-                    } else {
-                        Some(BreakdownReason::NonFiniteResidual { iteration: 0 })
-                    },
-                    recovery: Vec::new(),
-                });
-            }
+        let rn = colwise_dots_rm(&diff, &diff, kf);
+        for (c, &j) in ran.iter().enumerate() {
+            let final_rel = rn[c].sqrt() / s.bnorms[j];
+            // Boundary: project, then scatter back to original order.
+            let mut xi: Vec<f64> = (0..n).map(|i| xa[i * kf + c]).collect();
+            project_out_componentwise_constant(&mut xi, &self.top_labels, self.top_components);
+            let converged = final_rel <= tol;
+            outcomes[j] = SolveOutcome {
+                converged,
+                relative_residual: final_rel.min(s.rels[j]),
+                iterations: s.iterations[j] + 1,
+                x: permute_back(&xi, perm),
+                breakdown: if converged { None } else { s.breakdowns[j] },
+                recovery: Vec::new(),
+            };
         }
-        if self.levels.is_empty() || active.is_empty() {
-            // Every column is resolved: by the bottom solve, or as zero.
-            return resolved(outcomes);
-        }
-
-        // Flexible PCG with the recursive chain preconditioner at level 0.
-        // Working blocks (r, z, p, ap) hold only the active columns; the
-        // iterate X keeps full width so deflated columns stay frozen.
-        let mut xr = vec![0.0f64; n * k];
-        let mut finished: Vec<usize> = Vec::new();
-        let mut iterations = vec![0usize; k];
-        let mut rels = vec![1.0f64; k];
-        // Stall detection: on ill-conditioned systems (e.g. clusters
-        // joined by feeble bridges, κ(A) ≳ 1e9) the attainable relative
-        // residual in f64 is bounded below by ≈ ε·κ(A) — beyond that
-        // point the residual recurrence is pure rounding noise and every
-        // further iteration is wasted. A column whose best residual has
-        // not improved by at least `STALL_IMPROVEMENT` (relative) within
-        // `STALL_WINDOW` iterations is frozen with `converged: false` and
-        // its best-seen residual reported. Any genuinely converging PCG
-        // column contracts orders of magnitude faster than this cutoff
-        // (even κ_eff ≈ 10⁴ contracts ~2% per iteration), so converging
-        // solves never trip it. Tracking is per column, so the bitwise
-        // block-composition contract is unaffected.
-        const STALL_WINDOW: usize = 40;
-        const STALL_IMPROVEMENT: f64 = 1e-3;
-        let mut best_rel = vec![f64::INFINITY; k];
-        let mut best_it = vec![0usize; k];
-        // Per-column breakdown classification: a NaN/Inf residual or a
-        // residual far past its best *and* worse than the initial guess is
-        // frozen immediately with a typed reason instead of spinning out
-        // the stall window (or the whole budget) on arithmetic that can
-        // never recover. Tracking is per column with the same rule as the
-        // linalg drivers, so the bitwise block-composition contract and
-        // single/block parity are unaffected.
-        let mut breakdowns: Vec<Option<BreakdownReason>> = vec![None; k];
-        let mut r = compact_columns_rm(&rr, k, &active);
-        let mut z = Vec::new();
-        self.precondition_rm_into(0, &r, active.len(), &mut z);
-        let mut p = z.clone();
-        let mut rz: Vec<f64> = colwise_dots_rm(&r, &z, active.len());
-        let mut ap = vec![0.0f64; n * active.len()];
-        // Reused across iterations (zero per-iteration allocation).
-        let mut rn = Vec::new();
-        let mut pap = Vec::new();
-        let mut rz_new = Vec::new();
-        let mut apz = Vec::new();
-        let mut alphas: Vec<f64> = Vec::new();
-        let mut betas: Vec<f64> = Vec::new();
-        let mut keep: Vec<usize> = Vec::new();
-        let mut dot_scratch = Vec::new();
-        for it in 0..max_iterations {
-            if active.is_empty() {
-                break;
-            }
-            let ka = active.len();
-            // Per-column convergence check; converged columns deflate.
-            colwise_dots_rm_into(&r, &r, ka, &mut rn, &mut dot_scratch);
-            keep.clear();
-            for (c, &j) in active.iter().enumerate() {
-                iterations[j] = it;
-                rels[j] = rn[c].sqrt() / bnorms[j];
-                if rels[j] <= tol {
-                    finished.push(j);
-                } else if !rels[j].is_finite() {
-                    // A poisoned residual never recovers; freeze now.
-                    breakdowns[j] = Some(BreakdownReason::NonFiniteResidual { iteration: it });
-                    finished.push(j);
-                } else if rels[j] >= DIVERGENCE_FACTOR * best_rel[j] && rels[j] > 1.0 {
-                    breakdowns[j] = Some(BreakdownReason::Diverged {
-                        iteration: it,
-                        growth: rels[j] / best_rel[j],
-                    });
-                    finished.push(j);
-                } else if rels[j] < best_rel[j] * (1.0 - STALL_IMPROVEMENT) {
-                    best_rel[j] = rels[j];
-                    best_it[j] = it;
-                    keep.push(c);
-                } else if it - best_it[j] >= STALL_WINDOW {
-                    // Residual flat for a full window: the attainable
-                    // accuracy floor. Freeze the column unconverged.
-                    breakdowns[j] = Some(BreakdownReason::Stalled {
-                        iteration: it,
-                        best_relative_residual: best_rel[j],
-                    });
-                    finished.push(j);
-                } else {
-                    keep.push(c);
-                }
-            }
-            if keep.len() != ka {
-                active = keep.iter().map(|&c| active[c]).collect();
-                compact_columns_rm_inplace(&mut r, ka, &keep);
-                compact_columns_rm_inplace(&mut p, ka, &keep);
-                compact_scalars_inplace(&mut rz, &keep);
-                // `ap` is rewritten in full by the fused pass below; only
-                // its length must match the narrower block.
-                ap.truncate(n * active.len());
-            }
-            if active.is_empty() {
-                break;
-            }
-            let ka = active.len();
-
-            // One matrix pass: AP ← A·p with pᵀAp fused. Per-column step;
-            // breakdown (no direction energy) freezes the column the way
-            // the single-vector iteration would stop.
-            top_matrix.fused_apply_dot_into(&p, &mut ap, ka, &mut pap, &mut dot_scratch);
-            keep.clear();
-            alphas.clear();
-            alphas.resize(ka, 0.0);
-            for (c, &j) in active.iter().enumerate() {
-                if pap[c] <= 0.0 || !pap[c].is_finite() {
-                    breakdowns[j] = Some(BreakdownReason::IndefiniteDirection {
-                        iteration: it,
-                        curvature: pap[c],
-                    });
-                    finished.push(j);
-                } else {
-                    alphas[c] = rz[c] / pap[c];
-                    keep.push(c);
-                }
-            }
-            if keep.len() != ka {
-                active = keep.iter().map(|&c| active[c]).collect();
-                compact_columns_rm_inplace(&mut r, ka, &keep);
-                compact_columns_rm_inplace(&mut p, ka, &keep);
-                compact_columns_rm_inplace(&mut ap, ka, &keep);
-                compact_scalars_inplace(&mut rz, &keep);
-                compact_scalars_inplace(&mut alphas, &keep);
-            }
-            if active.is_empty() {
-                break;
-            }
-            let ka = active.len();
-
-            // One fused elementwise pass: x ← x + α·p (into the
-            // full-width iterate) and r ← r − α·(A p).
-            for ((xrow, prow), (rrow, aprow)) in xr
-                .chunks_exact_mut(k)
-                .zip(p.chunks_exact(ka))
-                .zip(r.chunks_exact_mut(ka).zip(ap.chunks_exact(ka)))
-            {
-                for (c, &j) in active.iter().enumerate() {
-                    xrow[j] += alphas[c] * prow[c];
-                    rrow[c] -= alphas[c] * aprow[c];
-                }
-            }
-            self.precondition_rm_into(0, &r, ka, &mut z);
-            // Flexible (Polak–Ribière) beta tolerates the slightly varying
-            // preconditioner produced by the recursion. The numerator
-            // `(r_new − r_old)ᵀ z` uses r_new − r_old = −α·(A p) — an
-            // identity of the residual update above in exact arithmetic
-            // (the elementwise update rounds, so the low bits differ from
-            // an explicit difference) — so no r_old copy or difference
-            // vector is ever materialised.
-            colwise_dots_rm_into(&r, &z, ka, &mut rz_new, &mut dot_scratch);
-            colwise_dots_rm_into(&ap, &z, ka, &mut apz, &mut dot_scratch);
-            betas.clear();
-            betas.extend((0..ka).map(|c| (-alphas[c] * apz[c] / rz[c]).max(0.0)));
-            std::mem::swap(&mut rz, &mut rz_new);
-            for (prow, zrow) in p.chunks_exact_mut(ka).zip(z.chunks_exact(ka)) {
-                for (c, (pv, &zv)) in prow.iter_mut().zip(zrow).enumerate() {
-                    *pv = zv + betas[c] * *pv;
-                }
-            }
-        }
-        finished.extend_from_slice(&active);
-
-        // Final residual check, one blocked product for all finished
-        // columns at once.
-        if !finished.is_empty() {
-            let kf = finished.len();
-            let xa = compact_columns_rm(&xr, k, &finished);
-            let mut diff = vec![0.0f64; n * kf];
-            top_matrix.apply_rowmajor(&xa, &mut diff, kf);
-            for (row, rrow) in diff.chunks_exact_mut(kf).zip(rr.chunks_exact(k)) {
-                for (c, &j) in finished.iter().enumerate() {
-                    row[c] = rrow[j] - row[c];
-                }
-            }
-            let rn = colwise_dots_rm(&diff, &diff, kf);
-            for (c, &j) in finished.iter().enumerate() {
-                let final_rel = rn[c].sqrt() / bnorms[j];
-                // Boundary: project, then scatter back to original order.
-                let mut xi: Vec<f64> = (0..n).map(|i| xa[i * kf + c]).collect();
-                project_out_componentwise_constant(&mut xi, &self.top_labels, self.top_components);
-                let x = permute_back(&xi, perm);
-                let converged = final_rel <= tol;
-                outcomes[j] = Some(SolveOutcome {
-                    converged,
-                    relative_residual: final_rel.min(rels[j]),
-                    iterations: iterations[j] + 1,
-                    x,
-                    breakdown: if converged { None } else { breakdowns[j] },
-                    recovery: Vec::new(),
-                });
-            }
-        }
-        resolved(outcomes)
+        outcomes
     }
-}
-
-/// The outcome of every column, once each is resolved.
-fn resolved(outcomes: Vec<Option<SolveOutcome>>) -> Vec<SolveOutcome> {
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every column resolved"))
-        .collect()
-}
-
-/// Gathers the listed columns of a row-major block of width `k` into a
-/// dense row-major block of width `keep.len()` (the deflation compaction
-/// step; a pure per-element copy, so it preserves every bitwise
-/// contract).
-fn compact_columns_rm(src: &[f64], k: usize, keep: &[usize]) -> Vec<f64> {
-    assert!(k > 0);
-    debug_assert_eq!(src.len() % k, 0);
-    let n = src.len() / k;
-    let ka = keep.len();
-    if ka == 0 {
-        return Vec::new();
-    }
-    let mut out = vec![0.0f64; n * ka];
-    for (orow, row) in out.chunks_exact_mut(ka).zip(src.chunks_exact(k)) {
-        for (o, &j) in orow.iter_mut().zip(keep) {
-            *o = row[j];
-        }
-    }
-    out
-}
-
-/// In-place [`compact_columns_rm`]: same per-element copies, no
-/// allocation. The forward pass is safe because `keep` is strictly
-/// ascending, so every write `buf[i·ka + w]` lands at or before the cell
-/// it reads (`buf[i·k + c]` with `c ≥ w`, `k ≥ ka`) and before any cell a
-/// later row still has to read.
-pub(super) fn compact_columns_rm_inplace(buf: &mut Vec<f64>, k: usize, keep: &[usize]) {
-    assert!(k > 0);
-    debug_assert_eq!(buf.len() % k, 0);
-    let ka = keep.len();
-    if ka == k {
-        return;
-    }
-    let n = buf.len() / k;
-    for i in 0..n {
-        for (w, &c) in keep.iter().enumerate() {
-            buf[i * ka + w] = buf[i * k + c];
-        }
-    }
-    buf.truncate(n * ka);
-}
-
-/// In-place compaction of a per-column scalar list (`v[w] ← v[keep[w]]`,
-/// then truncate) — the deflation counterpart of
-/// [`compact_columns_rm_inplace`] for the CG recurrence scalars.
-pub(super) fn compact_scalars_inplace<T: Copy>(v: &mut Vec<T>, keep: &[usize]) {
-    for (w, &c) in keep.iter().enumerate() {
-        v[w] = v[c];
-    }
-    v.truncate(keep.len());
 }
 
 /// A [`Preconditioner`] view of a whole chain: one recursive preconditioner

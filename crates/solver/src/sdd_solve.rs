@@ -65,7 +65,11 @@ pub struct SddSolverOptions {
     /// `A`-norm bound of Theorem 1.1; the two are within a factor of the
     /// square root of the condition number).
     pub tolerance: f64,
-    /// Maximum number of outer (top-level) iterations.
+    /// Iteration budget of every solve, at any chain depth: the outer
+    /// PCG iterations over the W-cycle, or on a depth-0 chain the
+    /// Jacobi-PCG (or factor-preconditioned) iterations of the whole
+    /// system (DESIGN.md §2.9). A column that runs out of budget reports
+    /// `converged: false`.
     pub max_iterations: usize,
 }
 

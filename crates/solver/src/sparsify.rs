@@ -215,12 +215,11 @@ pub fn incremental_sparsify_with_target(
     tree_scale: f64,
     seed: u64,
 ) -> (Sparsifier, f64) {
-    let n = g.n();
-    let log_n = (n.max(2) as f64).ln();
-    // Total off-subgraph resistance stretch over the scaled forest.
-    let stretch = per_edge_resistance_stretch(g, forest_edges, tree_scale);
-    let in_subgraph = subgraph_flags(g.m(), subgraph_edges);
-    let total = total_finite_offsubgraph_stretch(&stretch, &in_subgraph);
+    let log_n = (g.n().max(2) as f64).ln();
+    // Total off-subgraph resistance stretch over the scaled forest; the
+    // sampling pass reuses both the stretches and the subgraph flags.
+    let stretched = StretchedEdges::new(g, subgraph_edges, forest_edges, tree_scale);
+    let total = stretched.total;
     let (kappa, clamped) = if total <= 0.0 {
         // No off-subgraph edge has finite stretch: the subgraph already
         // carries every edge that matters and the sparsifier equals the
@@ -243,9 +242,39 @@ pub fn incremental_sparsify_with_target(
         tree_scale,
         seed,
     };
-    let mut sp = incremental_sparsify(g, subgraph_edges, forest_edges, &params);
+    let mut sp = sample(g, forest_edges, &params, stretched);
     sp.kappa_clamped = clamped;
     (sp, kappa)
+}
+
+/// Every edge's resistance stretch over the forest scaled by the tree
+/// scale (at least 1, and 1 when not finite), which edges the subgraph
+/// holds, and the total finite off-subgraph stretch: what both the κ
+/// derivation and the sampling pass read.
+struct StretchedEdges {
+    tree_scale: f64,
+    stretch: Vec<f64>,
+    in_subgraph: Vec<bool>,
+    total: f64,
+}
+
+impl StretchedEdges {
+    fn new(g: &Graph, subgraph_edges: &[EdgeId], forest_edges: &[EdgeId], tree_scale: f64) -> Self {
+        let tree_scale = if tree_scale.is_finite() {
+            tree_scale.max(1.0)
+        } else {
+            1.0
+        };
+        let stretch = per_edge_resistance_stretch(g, forest_edges, tree_scale);
+        let in_subgraph = subgraph_flags(g.m(), subgraph_edges);
+        let total = total_finite_offsubgraph_stretch(&stretch, &in_subgraph);
+        StretchedEdges {
+            tree_scale,
+            stretch,
+            in_subgraph,
+            total,
+        }
+    }
 }
 
 fn subgraph_flags(m: usize, subgraph_edges: &[EdgeId]) -> Vec<bool> {
@@ -278,19 +307,27 @@ pub fn incremental_sparsify(
     forest_edges: &[EdgeId],
     params: &SparsifyParams,
 ) -> Sparsifier {
-    let n = g.n();
-    let m = g.m();
-    let log_n = (n.max(2) as f64).ln();
-    let tree_scale = if params.tree_scale.is_finite() {
-        params.tree_scale.max(1.0)
-    } else {
-        1.0
-    };
-    let stretch = per_edge_resistance_stretch(g, forest_edges, tree_scale);
+    let stretched = StretchedEdges::new(g, subgraph_edges, forest_edges, params.tree_scale);
+    sample(g, forest_edges, params, stretched)
+}
 
-    let in_subgraph = subgraph_flags(m, subgraph_edges);
+/// The sampling pass of [`incremental_sparsify`] over precomputed
+/// stretches (`params.tree_scale` is read through `stretched`).
+fn sample(
+    g: &Graph,
+    forest_edges: &[EdgeId],
+    params: &SparsifyParams,
+    stretched: StretchedEdges,
+) -> Sparsifier {
+    let (n, m) = (g.n(), g.m());
+    let log_n = (n.max(2) as f64).ln();
+    let StretchedEdges {
+        tree_scale,
+        stretch,
+        in_subgraph,
+        total: total_stretch,
+    } = stretched;
     let in_forest = subgraph_flags(m, forest_edges);
-    let total_stretch = total_finite_offsubgraph_stretch(&stretch, &in_subgraph);
 
     // Sampling/weight sweep as one order-preserving parallel compaction:
     // each edge's fate is a pure function of (seed, edge id, stretch), so

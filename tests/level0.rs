@@ -10,6 +10,8 @@
 //! 3. Tolerance 0 never probes and always builds the chain.
 //! 4. A depth-0 solve reports each column's own Jacobi-PCG iteration
 //!    count, and batched ≡ looped holds bitwise, counts included.
+//! 5. A depth-0 solve honours the iteration budget, and its solutions are
+//!    mean-zero on every component, like every other solve's.
 
 use parsdd_bench::zoo::{self, Tier};
 use parsdd_graph::{generators, Graph};
@@ -170,5 +172,51 @@ fn depth_0_solves_report_per_column_iterations_batched_as_looped() {
         .solve_block(&MultiVector::from_columns(&cols), TOLERANCE, 200);
     for (j, o) in block.iter().enumerate() {
         assert_same(o, &batched[j], j);
+    }
+}
+
+/// A depth-0 solve honours the iteration budget like every other solve:
+/// with a budget of one it stops after one iteration, unconverged.
+#[test]
+fn depth_0_solves_honour_the_iteration_budget() {
+    let g = zoo::build("rmat", Tier::Small);
+    let solver = solver(&g, TOLERANCE);
+    assert_eq!(solver.chain().depth(), 0);
+    let out = solver.chain().solve(&rhs(g.n(), 7), TOLERANCE, 1);
+    assert!(out.iterations <= 1, "{} iterations", out.iterations);
+    assert!(!out.converged, "rel {}", out.relative_residual);
+}
+
+/// Depth-0 solutions are mean-zero on every connected component, from
+/// `solve` and from `solve_many` alike.
+#[test]
+fn depth_0_solutions_are_mean_zero_on_every_component() {
+    for family in ["rmat", "smallworld"] {
+        let g = zoo::build(family, Tier::Small);
+        let solver = solver(&g, TOLERANCE);
+        assert_eq!(solver.chain().depth(), 0, "{family}");
+        let (labels, count) = (
+            solver.chain().component_labels(),
+            solver.chain().components(),
+        );
+        let cols: Vec<Vec<f64>> = (0..2).map(|s| rhs(g.n(), 3 + s)).collect();
+        let mut outs = solver.solve_many(&cols);
+        outs.push(solver.solve(&cols[0]));
+        for (j, out) in outs.iter().enumerate() {
+            assert!(out.converged, "{family} column {j}");
+            let (mut sums, mut sizes) = (vec![0.0f64; count], vec![0usize; count]);
+            for (&v, &l) in out.x.iter().zip(&labels) {
+                sums[l as usize] += v;
+                sizes[l as usize] += 1;
+            }
+            let scale = norm2(&out.x);
+            for (comp, (&s, &size)) in sums.iter().zip(&sizes).enumerate() {
+                let mean = s / size as f64;
+                assert!(
+                    mean.abs() <= 1e-12 * scale,
+                    "{family} column {j} component {comp}: mean {mean:.3e}"
+                );
+            }
+        }
     }
 }
