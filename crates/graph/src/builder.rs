@@ -1,6 +1,6 @@
 //! Incremental graph construction.
 
-use crate::graph::{Edge, EdgeId, Graph, VertexId};
+use crate::graph::{check_scale, Edge, EdgeId, Graph, VertexId};
 
 /// A mutable edge-list accumulator that produces an immutable [`Graph`].
 ///
@@ -15,14 +15,16 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Creates a builder for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            n,
-            edges: Vec::new(),
-        }
+        Self::with_capacity(n, 0)
     }
 
-    /// Creates a builder with capacity for `m` edges.
+    /// Creates a builder with capacity for `m` edges. Panics, before it
+    /// allocates, unless `n` fits the `u32` ids
+    /// ([`GraphDataError::TooLarge`](crate::GraphDataError::TooLarge)).
     pub fn with_capacity(n: usize, m: usize) -> Self {
+        if let Err(e) = check_scale(n, 0) {
+            panic!("GraphBuilder: {e}");
+        }
         GraphBuilder {
             n,
             edges: Vec::with_capacity(m),

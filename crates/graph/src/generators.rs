@@ -87,7 +87,7 @@ pub fn barbell(k: usize, bridge: usize, weight: f64) -> Graph {
 /// 2-D grid graph with `rows × cols` vertices; vertex `(r, c)` has index
 /// `r * cols + c`. `weight(u, v)` supplies the weight of each edge.
 pub fn grid2d(rows: usize, cols: usize, weight: impl Fn(VertexId, VertexId) -> f64) -> Graph {
-    let n = rows * cols;
+    let n = rows.saturating_mul(cols);
     let mut b = GraphBuilder::with_capacity(n, 2 * n);
     let idx = |r: usize, c: usize| (r * cols + c) as VertexId;
     for r in 0..rows {
@@ -112,7 +112,7 @@ pub fn grid3d(
     nz: usize,
     weight: impl Fn(VertexId, VertexId) -> f64,
 ) -> Graph {
-    let n = nx * ny * nz;
+    let n = nx.saturating_mul(ny).saturating_mul(nz);
     let mut b = GraphBuilder::with_capacity(n, 3 * n);
     let idx = |x: usize, y: usize, z: usize| (x * ny * nz + y * nz + z) as VertexId;
     for x in 0..nx {
@@ -141,7 +141,7 @@ pub fn grid3d(
 /// boundary effects.
 pub fn torus2d(rows: usize, cols: usize, weight: f64) -> Graph {
     assert!(rows >= 3 && cols >= 3, "torus needs at least 3x3");
-    let n = rows * cols;
+    let n = rows.saturating_mul(cols);
     let mut b = GraphBuilder::with_capacity(n, 2 * n);
     let idx = |r: usize, c: usize| (r * cols + c) as VertexId;
     for r in 0..rows {
@@ -162,9 +162,9 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> Graph {
         m <= max_edges,
         "requested more edges than a simple graph allows"
     );
+    let mut b = GraphBuilder::with_capacity(n, m);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    let mut b = GraphBuilder::with_capacity(n, m);
     while b.m() < m {
         let u = rng.gen_range(0..n as VertexId);
         let v = rng.gen_range(0..n as VertexId);
@@ -185,12 +185,12 @@ pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> Graph {
 /// kept. `n * d` must be even.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!((n * d).is_multiple_of(2), "n * d must be even");
+    let mut b = GraphBuilder::with_capacity(n, n * d / 2);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut stubs: Vec<VertexId> = (0..n)
         .flat_map(|v| std::iter::repeat_n(v as VertexId, d))
         .collect();
     stubs.shuffle(&mut rng);
-    let mut b = GraphBuilder::with_capacity(n, n * d / 2);
     for pair in stubs.chunks_exact(2) {
         b.add_edge_skip_loops(pair[0], pair[1], 1.0);
     }
@@ -346,9 +346,9 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
     );
     assert!(n > k, "watts_strogatz needs n > k");
     assert!((0.0..=1.0).contains(&beta));
+    let mut b = GraphBuilder::with_capacity(n, n * k / 2);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut chosen = std::collections::HashSet::with_capacity(n * k);
-    let mut b = GraphBuilder::with_capacity(n, n * k / 2);
     for u in 0..n {
         for hop in 1..=(k / 2) {
             let v = (u + hop) % n;
@@ -382,7 +382,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
 pub fn road_mesh(rows: usize, cols: usize, keep: f64, sigma: f64, seed: u64) -> Graph {
     assert!(rows >= 2 && cols >= 2);
     assert!((0.0..=1.0).contains(&keep));
-    let n = rows * cols;
+    let n = rows.saturating_mul(cols);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let lognormal = move |rng: &mut ChaCha8Rng| {
         // Box–Muller; one normal per call is plenty here.
@@ -450,7 +450,7 @@ pub fn near_disconnected_clusters(
 ) -> Graph {
     assert!(clusters >= 2 && cluster_n >= 2);
     assert!(bridge_weight > 0.0 && bridge_weight.is_finite());
-    let n = clusters * cluster_n;
+    let n = clusters.saturating_mul(cluster_n);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::with_capacity(n, clusters * (cluster_n + extra));
     for c in 0..clusters {
@@ -592,8 +592,9 @@ pub fn rmat_flat(scale: u32, edges: usize, seed: u64) -> Graph {
 /// Power-law degree tail, connected by construction, unit weights.
 pub fn preferential_attachment(n: usize, d: usize, seed: u64) -> Graph {
     assert!(d >= 1 && n >= 2);
-    // Arc endpoints double as the sampling urn: a vertex appears once per
-    // incident edge, so a uniform index is a degree-proportional draw.
+    GraphBuilder::new(n); // panics past the u32 ids, before any allocation
+                          // Arc endpoints double as the sampling urn: a vertex appears once per
+                          // incident edge, so a uniform index is a degree-proportional draw.
     let mut urn: Vec<VertexId> = Vec::with_capacity(2 * n * d.min(n));
     let mut edges: Vec<Edge> = Vec::with_capacity(n * d);
     let mut ctr = 0u64;
@@ -639,6 +640,7 @@ pub fn preferential_attachment(n: usize, d: usize, seed: u64) -> Graph {
 pub fn random_geometric(n: usize, avg_degree: f64, seed: u64) -> Graph {
     use rayon::prelude::*;
     assert!(n >= 2 && avg_degree > 0.0);
+    GraphBuilder::new(n); // panics past the u32 ids, before any allocation
     let r = (avg_degree / (std::f64::consts::PI * n as f64)).sqrt();
     assert!(r < 0.5, "avg_degree too large for the unit square");
     // Positions: two counter draws per vertex.
@@ -731,6 +733,64 @@ pub fn with_power_law_weights(g: &Graph, decades: u32, seed: u64) -> Graph {
 mod tests {
     use super::*;
     use crate::components::is_connected;
+
+    // Vertex counts past the `u32` ids panic before anything is
+    // allocated: each of these would ask for gigabytes otherwise.
+    const TOO_MANY: usize = u32::MAX as usize;
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn grid2d_rejects_ids_past_u32() {
+        grid2d(1 << 16, 1 << 16, |_, _| 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn grid3d_rejects_ids_past_u32() {
+        grid3d(1 << 16, 1 << 16, 2, |_, _| 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn lattice3d_rejects_ids_past_u32() {
+        lattice3d(1 << 11, 1 << 11, 1 << 10, 2.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn watts_strogatz_rejects_ids_past_u32() {
+        watts_strogatz(TOO_MANY, 4, 0.1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn road_mesh_rejects_ids_past_u32() {
+        road_mesh(1 << 16, 1 << 16, 0.5, 1.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn clusters_reject_ids_past_u32() {
+        near_disconnected_clusters(1 << 16, 1 << 16, 0, 1.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn random_geometric_rejects_ids_past_u32() {
+        random_geometric(TOO_MANY, 8.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn preferential_attachment_rejects_ids_past_u32() {
+        preferential_attachment(TOO_MANY, 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stay below u32::MAX")]
+    fn barbell_rejects_ids_past_u32() {
+        barbell(1 << 31, 2, 1.0);
+    }
 
     #[test]
     fn path_cycle_star_shapes() {

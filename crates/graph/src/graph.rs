@@ -6,7 +6,7 @@
 //! low-stretch subgraph output, the incremental sparsifier — can refer to
 //! edges of the *original* graph across transformations.
 
-use crate::parutil::{counting_sort, counting_sorted, SyncMutPtr, SEQ_CUTOFF};
+use crate::parutil::{counting_sort, counting_sort_runs, SyncMutPtr, SEQ_CUTOFF};
 use rayon::prelude::*;
 
 /// Vertex identifier. Vertices are numbered `0..n`.
@@ -389,58 +389,152 @@ impl Graph {
         Graph::from_edges_unchecked(self.n, edges)
     }
 
-    /// Merges parallel edges by summing their weights, returning a simple
-    /// graph (no parallel edges, no self-loops). Edge ids are renumbered.
-    ///
-    /// Two stable [`counting_sort`] passes order the edge ids by larger
-    /// endpoint, then by smaller, so each endpoint pair's edges form one
-    /// run in input order; each run becomes one edge whose weight is summed
-    /// in that order. Output edges are sorted by `(u, v)` with `u < v`.
-    /// O(n + m) work, no hash map.
+    /// Merges parallel edges by summing their weights in edge-id order,
+    /// returning a simple graph: edges sorted by `(u, v)` with `u <= v`,
+    /// every row sorted by target. Parallel self-loops merge the same way.
+    /// One transpose of the arcs, O(n + m) work, no hash map.
     pub fn simplify(&self) -> Graph {
-        let m = self.m();
-        let ends = |id: EdgeId| {
-            let e = &self.edges[id as usize];
-            (e.u.min(e.v), e.u.max(e.v))
+        self.canonical(None, true)
+    }
+
+    /// This graph with vertex `v` renamed `old_to_new[v]` (`None` keeps
+    /// the ids), in canonical form: every row sorted by target, parallel
+    /// arcs in edge-id order, and the edges numbered by their arcs at the
+    /// smaller endpoint in row order, so the edge list is sorted by
+    /// `(u, v)` with `u <= v`. With `merge`, each run of parallel edges
+    /// becomes one edge whose weight is summed in edge-id order.
+    ///
+    /// One stable counting sort of the arcs by new target, the sources
+    /// visited in new-id order: a transpose, which sorts every row with no
+    /// comparison sort. Work O(m + B·n) for its B blocks, and the same
+    /// output at every pool width.
+    pub(crate) fn canonical(&self, old_to_new: Option<&[u32]>, merge: bool) -> Graph {
+        let n = self.n;
+        let new = |v: VertexId| old_to_new.map_or(v, |p| p[v as usize]);
+        // The sort below visits every source once only if this inverts.
+        let mut old = vec![INVALID_VERTEX; n];
+        for v in 0..n as VertexId {
+            let slot = std::mem::replace(&mut old[new(v) as usize], v);
+            assert_eq!(slot, INVALID_VERTEX, "old_to_new is not a permutation");
+        }
+        // The transposed arcs as (target, weight, input edge id).
+        let mut arcs = vec![(0 as VertexId, 0.0f64, 0 as EdgeId); self.targets.len()];
+        let ap = SyncMutPtr(arcs.as_mut_ptr());
+        let rows = counting_sort_runs(
+            n,
+            |s| self.offsets[old[s] as usize]..self.offsets[old[s] as usize + 1],
+            n,
+            |a| new(self.targets[a]) as usize,
+            // SAFETY: every arc gets a distinct slot below `arcs.len()`.
+            |s, a, slot| unsafe {
+                ap.write(slot, (s as VertexId, self.weights[a], self.arc_edge[a]))
+            },
+        );
+        drop(old);
+        // Each run of row v becomes one output edge: the two arcs of one
+        // self-loop, or with `merge` every arc to one target.
+        let runs = |v: usize| {
+            arcs[rows[v]..rows[v + 1]].chunk_by(move |a, b| a.0 == b.0 && (merge || a.2 == b.2))
         };
-        let by_max = counting_sorted(m, self.n, |i| ends(i as EdgeId).1 as usize, |i| i as EdgeId);
-        let sorted = counting_sorted(m, self.n, |s| ends(by_max[s]).0 as usize, |s| by_max[s]);
-        drop(by_max);
-        // One output edge per run, from the run's first slot.
-        let sorted_r = &sorted;
-        let edges: Vec<Edge> = (0..m)
+        let copies = |v: usize, r: &[(VertexId, f64, EdgeId)]| 1 + (r[0].0 as usize == v) as usize;
+        // Row v's arcs and edges (those at their smaller endpoint).
+        let size = |v: usize| {
+            runs(v).fold((0, 0), |(a, e), r| {
+                (a + copies(v, r), e + (r[0].0 as usize >= v) as usize)
+            })
+        };
+        // The rows are cut into blocks as the sort cuts the sources. Every
+        // block but the last sizes its rows first, so each block knows its
+        // first slot and edge id; then every block writes its rows in one
+        // pass. One block (one worker) writes without sizing anything.
+        let blocks = rayon::current_num_threads().min(n / SEQ_CUTOFF).max(1);
+        let block = n.div_ceil(blocks).max(1);
+        let sizes: Vec<(usize, usize)> = (0..blocks - 1)
             .into_par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .filter(|&i| i == 0 || ends(sorted_r[i]) != ends(sorted_r[i - 1]))
-            .map(|lo| {
-                let pair = ends(sorted_r[lo]);
-                let mut w = 0.0;
-                for &id in sorted_r[lo..].iter().take_while(|&&id| ends(id) == pair) {
-                    w += self.edges[id as usize].w;
-                }
-                Edge::new(pair.0, pair.1, w)
+            .map(|b| {
+                (b * block..((b + 1) * block).min(n))
+                    .map(size)
+                    .fold((0, 0), |x, y| (x.0 + y.0, x.1 + y.1))
             })
             .collect();
-        drop(sorted);
-        Graph::from_edges_unchecked(self.n, edges)
+        let mut starts = vec![(0, 0)];
+        for (a, e) in sizes {
+            let last = starts[starts.len() - 1];
+            starts.push((last.0 + a, last.1 + e));
+        }
+        // Merging only shrinks: the input's sizes bound the output's.
+        let mut offsets = vec![0usize; n + 1];
+        let mut targets: Vec<VertexId> = Vec::with_capacity(arcs.len());
+        let mut weights: Vec<f64> = Vec::with_capacity(arcs.len());
+        // Each arc's input edge id, until the edges are numbered.
+        let mut arc_edge: Vec<EdgeId> = Vec::with_capacity(arcs.len());
+        let mut edges: Vec<Edge> = Vec::with_capacity(self.m());
+        let mut ids = vec![0 as EdgeId; self.m()];
+        let (tp, wp, ep) = (
+            SyncMutPtr(targets.as_mut_ptr()),
+            SyncMutPtr(weights.as_mut_ptr()),
+            SyncMutPtr(arc_edge.as_mut_ptr()),
+        );
+        let (edp, idp) = (SyncMutPtr(edges.as_mut_ptr()), SyncMutPtr(ids.as_mut_ptr()));
+        let ends: Vec<(usize, usize)> = offsets[..n]
+            .par_chunks_mut(block)
+            .enumerate()
+            .map(|(b, offs)| {
+                let (mut slot, mut id) = starts[b];
+                for (k, off) in offs.iter_mut().enumerate() {
+                    let v = b * block + k;
+                    *off = slot;
+                    for r in runs(v) {
+                        let (t, e, c) = (r[0].0, r[0].2, copies(v, r));
+                        let w = r.iter().step_by(c).fold(0.0, |s, a| s + a.1);
+                        // SAFETY: the blocks' slots and edge ids are disjoint
+                        // ranges below the input's sizes, and each input edge
+                        // id numbered here heads a run at its smaller
+                        // endpoint only.
+                        unsafe {
+                            for k in slot..slot + c {
+                                tp.write(k, t);
+                                wp.write(k, w);
+                                ep.write(k, e);
+                            }
+                            if t as usize >= v {
+                                edp.write(id, Edge::new(v as VertexId, t, w));
+                                idp.write(e as usize, id as EdgeId);
+                                id += 1;
+                            }
+                        }
+                        slot += c;
+                    }
+                }
+                (slot, id)
+            })
+            .collect();
+        let (len, m) = ends.last().copied().unwrap_or((0, 0));
+        offsets[n] = len;
+        // SAFETY: every slot below `len` and edge id below `m` was written.
+        unsafe {
+            targets.set_len(len);
+            weights.set_len(len);
+            arc_edge.set_len(len);
+            edges.set_len(m);
+        }
+        arc_edge
+            .par_iter_mut()
+            .with_min_len(SEQ_CUTOFF)
+            .for_each(|e| *e = ids[*e as usize]);
+        Graph {
+            n,
+            offsets,
+            targets,
+            weights,
+            arc_edge,
+            edges,
+        }
     }
 
     /// True when the graph contains no parallel edges.
     pub fn is_simple(&self) -> bool {
-        let mut keys: Vec<u64> = self
-            .edges
-            .par_iter()
-            .with_min_len(SEQ_CUTOFF)
-            .map(|e| {
-                let (a, b) = if e.u < e.v { (e.u, e.v) } else { (e.v, e.u) };
-                ((a as u64) << 32) | b as u64
-            })
-            .collect();
-        keys.par_sort_unstable();
-        !keys
-            .par_windows(2)
-            .with_min_len(SEQ_CUTOFF)
-            .any(|w| w[0] == w[1])
+        self.simplify().m() == self.m()
     }
 
     /// The raw CSR offset array, length `n + 1`. `offsets[v]..offsets[v+1]`
@@ -727,6 +821,175 @@ mod tests {
         for (a, b) in s.edges().iter().zip(&expect) {
             assert_eq!((a.u, a.v), (b.u, b.v));
             assert_eq!(a.w.to_bits(), b.w.to_bits());
+        }
+    }
+
+    /// The items `0..len` in stable `key` order, by [`counting_sort`].
+    fn counting_sorted<T: Send>(
+        len: usize,
+        buckets: usize,
+        key: impl Fn(usize) -> usize + Sync,
+        item: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(len);
+        let ptr = SyncMutPtr(out.as_mut_ptr());
+        // SAFETY: `counting_sort` hands every item a distinct slot below `len`.
+        counting_sort(len, buckets, key, |i, slot| unsafe {
+            ptr.write(slot, item(i))
+        });
+        // SAFETY: all `len` slots were written above.
+        unsafe { out.set_len(len) };
+        out
+    }
+
+    /// The two-pass `simplify` the canonical build replaced: two stable
+    /// counting sorts order the edge ids by larger endpoint, then by
+    /// smaller, and each run of one pair becomes one edge summed in order.
+    fn reference_simplify(g: &Graph) -> Graph {
+        let m = g.m();
+        let ends = |id: EdgeId| {
+            let e = &g.edges[id as usize];
+            (e.u.min(e.v), e.u.max(e.v))
+        };
+        let by_max = counting_sorted(m, g.n, |i| ends(i as EdgeId).1 as usize, |i| i as EdgeId);
+        let sorted = counting_sorted(m, g.n, |s| ends(by_max[s]).0 as usize, |s| by_max[s]);
+        let edges: Vec<Edge> = (0..m)
+            .filter(|&i| i == 0 || ends(sorted[i]) != ends(sorted[i - 1]))
+            .map(|lo| {
+                let pair = ends(sorted[lo]);
+                let mut w = 0.0;
+                for &id in sorted[lo..].iter().take_while(|&&id| ends(id) == pair) {
+                    w += g.edges[id as usize].w;
+                }
+                Edge::new(pair.0, pair.1, w)
+            })
+            .collect();
+        Graph::from_edges_unchecked(g.n, edges)
+    }
+
+    /// The two-pass `relabel` the canonical build replaced: normalised
+    /// edges sorted by larger endpoint, then by smaller, stably.
+    fn reference_relabel(g: &Graph, old_to_new: &[u32]) -> Graph {
+        let ends = |id: usize| {
+            let e = g.edges[id];
+            let (u, v) = (old_to_new[e.u as usize], old_to_new[e.v as usize]);
+            Edge::new(u.min(v), u.max(v), e.w)
+        };
+        let by_max = counting_sorted(g.m(), g.n, |i| ends(i).v as usize, |i| i);
+        let edges = counting_sorted(
+            g.m(),
+            g.n,
+            |s| ends(by_max[s]).u as usize,
+            |s| ends(by_max[s]),
+        );
+        Graph::from_edges_unchecked(g.n, edges)
+    }
+
+    fn assert_bitwise(got: &Graph, want: &Graph, what: &str) {
+        assert_eq!(got.n, want.n, "{what}: n");
+        assert_eq!(got.offsets, want.offsets, "{what}: offsets");
+        assert_eq!(got.targets, want.targets, "{what}: targets");
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.weights), bits(&want.weights), "{what}: weights");
+        assert_eq!(got.arc_edge, want.arc_edge, "{what}: arc_edge");
+        let edge = |e: &Edge| (e.u, e.v, e.w.to_bits());
+        let edges = |g: &Graph| g.edges.iter().map(edge).collect::<Vec<_>>();
+        assert_eq!(edges(got), edges(want), "{what}: edges");
+    }
+
+    /// A multigraph on `n` vertices (the last tenth isolated) with `m`
+    /// edges: every 7th repeats an earlier pair reversed, every 11th is a
+    /// self-loop, every 5th leaves the hub 0, weights spread over 2^±20.
+    fn oracle_multigraph(n: usize, m: usize, seed: u64) -> Graph {
+        let live = (n - n / 10).max(1) as u64;
+        let rand = |i: usize, k: u64| crate::generators::counter_u64(seed, 4 * i as u64 + k);
+        let mut edges: Vec<Edge> = Vec::with_capacity(m);
+        for i in 0..m {
+            let w = 2f64.powi((rand(i, 0) % 41) as i32 - 20) * (1.0 + (rand(i, 1) % 1000) as f64);
+            let (u, v) = if i % 7 == 6 {
+                let e = edges[rand(i, 2) as usize % i];
+                (e.v, e.u)
+            } else if i % 11 == 10 {
+                let u = (rand(i, 2) % live) as VertexId;
+                (u, u)
+            } else if i % 5 == 4 {
+                (0, (rand(i, 2) % live) as VertexId)
+            } else {
+                (
+                    (rand(i, 2) % live) as VertexId,
+                    (rand(i, 3) % live) as VertexId,
+                )
+            };
+            edges.push(Edge::new(u, v, w));
+        }
+        Graph::from_edges_unchecked(n, edges)
+    }
+
+    /// A uniformly random permutation of `0..n` (Fisher–Yates).
+    fn oracle_permutation(n: usize, seed: u64) -> Vec<u32> {
+        let mut p: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            let j = crate::generators::counter_u64(seed, i as u64) as usize % (i + 1);
+            p.swap(i, j);
+        }
+        p
+    }
+
+    /// `simplify`, `relabel` and the fused build match the two-pass
+    /// references bit for bit at pool widths {1, 2, 4}, on multigraphs with
+    /// reversed parallel edges, self-loops, isolated vertices and a hub;
+    /// the largest spans several blocks of the parallel passes.
+    #[test]
+    fn oracle_canonical_builds_match_the_two_pass_reference() {
+        use crate::reorder::{relabel, simplify_relabel};
+        let cases = [
+            (1, 3),
+            (2, 9),
+            (7, 40),
+            (300, 1_000),
+            (5 * SEQ_CUTOFF, 12 * SEQ_CUTOFF),
+        ];
+        for (seed, &(n, m)) in cases.iter().enumerate() {
+            let g = oracle_multigraph(n, m, seed as u64);
+            let p = oracle_permutation(n, seed as u64 + 17);
+            let simple = reference_simplify(&g);
+            let want = [
+                simple.clone(),
+                reference_relabel(&g, &p),
+                reference_relabel(&simple, &p),
+            ];
+            for threads in [1, 2, 4] {
+                let got = crate::parutil::with_threads(threads, || {
+                    [g.simplify(), relabel(&g, &p), simplify_relabel(&g, &p)]
+                });
+                for (what, (got, want)) in ["simplify", "relabel", "fused"]
+                    .iter()
+                    .zip(got.iter().zip(&want))
+                {
+                    assert_bitwise(got, want, &format!("{what}, n {n}, {threads} threads"));
+                }
+            }
+            // Already canonical: both builds reproduce a simple graph.
+            assert_bitwise(&simple.simplify(), &simple, &format!("resimplify, n {n}"));
+            let identity: Vec<u32> = (0..n as u32).collect();
+            assert_bitwise(
+                &relabel(&simple, &identity),
+                &simple,
+                &format!("identity, n {n}"),
+            );
+        }
+    }
+
+    /// RCM orders a multigraph as it orders its simple graph.
+    #[test]
+    fn oracle_rcm_order_sees_the_simple_graph() {
+        use crate::reorder::rcm_order;
+        for (seed, &(n, m)) in [(1, 3), (7, 40), (300, 1_000), (3_000, 9_000)]
+            .iter()
+            .enumerate()
+        {
+            let g = oracle_multigraph(n, m, seed as u64);
+            assert_eq!(rcm_order(&g), rcm_order(&g.simplify()), "n {n}");
         }
     }
 

@@ -76,18 +76,35 @@ pub fn counting_sort(
     key: impl Fn(usize) -> usize + Sync,
     place: impl Fn(usize, usize) + Sync,
 ) -> Vec<usize> {
+    counting_sort_runs(len, |i| i..i + 1, buckets, key, |_, i, slot| place(i, slot))
+}
+
+/// [`counting_sort`] of items visited run by run: run `r` holds the items
+/// `run(r)`, the runs `0..runs` are visited in order, and
+/// `place(r, i, slot)` receives each item with its run. Bucket `k` holds
+/// its items in visiting order; the blocks are cut over the runs.
+pub(crate) fn counting_sort_runs(
+    runs: usize,
+    run: impl Fn(usize) -> std::ops::Range<usize> + Sync,
+    buckets: usize,
+    key: impl Fn(usize) -> usize + Sync,
+    place: impl Fn(usize, usize, usize) + Sync,
+) -> Vec<usize> {
     if buckets == 0 {
-        assert_eq!(len, 0, "counting_sort: items but no buckets");
+        assert!(
+            (0..runs).all(|r| run(r).is_empty()),
+            "counting_sort: items but no buckets"
+        );
         return vec![0];
     }
-    let blocks = rayon::current_num_threads().min(len / SEQ_CUTOFF).max(1);
-    let block = len.div_ceil(blocks).max(1);
-    let block_range = |b: usize| b * block..((b + 1) * block).min(len);
+    let blocks = rayon::current_num_threads().min(runs / SEQ_CUTOFF).max(1);
+    let block = runs.div_ceil(blocks).max(1);
+    let block_range = |b: usize| b * block..((b + 1) * block).min(runs);
     let mut rows = vec![0usize; blocks * buckets];
     rows.par_chunks_mut(buckets)
         .enumerate()
         .for_each(|(b, row)| {
-            for i in block_range(b) {
+            for i in block_range(b).flat_map(&run) {
                 row[key(i)] += 1;
             }
         });
@@ -111,34 +128,15 @@ pub fn counting_sort(
     rows.par_chunks_mut(buckets)
         .enumerate()
         .for_each(|(b, row)| {
-            for i in block_range(b) {
-                let k = key(i);
-                place(i, offsets[k] + row[k]);
-                row[k] += 1;
+            for r in block_range(b) {
+                for i in run(r) {
+                    let k = key(i);
+                    place(r, i, offsets[k] + row[k]);
+                    row[k] += 1;
+                }
             }
         });
     offsets
-}
-
-/// [`counting_sort`] collecting `item(i)` into each item's slot: the items
-/// in stable key order. `key` must be a pure function of the item (it is
-/// called twice per item, and the slots are only distinct if it answers
-/// the same both times).
-pub(crate) fn counting_sorted<T: Send>(
-    len: usize,
-    buckets: usize,
-    key: impl Fn(usize) -> usize + Sync,
-    item: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(len);
-    let ptr = SyncMutPtr(out.as_mut_ptr());
-    // SAFETY: `counting_sort` hands every item a distinct slot below `len`.
-    counting_sort(len, buckets, key, |i, slot| unsafe {
-        ptr.write(slot, item(i))
-    });
-    // SAFETY: all `len` slots were written above.
-    unsafe { out.set_len(len) };
-    out
 }
 
 /// A Send/Sync wrapper for a raw mutable pointer used in disjoint parallel
@@ -234,8 +232,18 @@ mod tests {
             expect.sort_by_key(|&i| key(i));
             for threads in [1, 2, 4] {
                 let (offsets, sorted) = with_threads(threads, || {
-                    let sorted = counting_sorted(len, 1000, key, |i| i);
-                    (counting_sort(len, 1000, key, |_, _| {}), sorted)
+                    let sorted: Vec<_> =
+                        (0..len).map(std::sync::atomic::AtomicUsize::new).collect();
+                    let offsets = counting_sort(len, 1000, key, |i, slot| {
+                        sorted[slot].store(i, std::sync::atomic::Ordering::Relaxed)
+                    });
+                    (
+                        offsets,
+                        sorted
+                            .into_iter()
+                            .map(|a| a.into_inner())
+                            .collect::<Vec<_>>(),
+                    )
                 });
                 assert_eq!(sorted, expect, "len {len} at {threads} threads");
                 assert_eq!(offsets.len(), 1001);

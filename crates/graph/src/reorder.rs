@@ -17,8 +17,7 @@
 //! ordering — and every f64 the solver computes downstream of it — is a
 //! pure function of the graph.
 
-use crate::graph::{Edge, EdgeId, Graph, VertexId, INVALID_VERTEX};
-use crate::parutil::counting_sorted;
+use crate::graph::{Graph, VertexId, INVALID_VERTEX};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -55,7 +54,12 @@ fn bfs_levels(g: &Graph, source: VertexId, dist: &mut [u32]) -> (Vec<VertexId>, 
 /// "BFS, move to a minimum-degree vertex of the last level" until the
 /// eccentricity stops growing (George–Liu). Starting RCM from such a
 /// vertex keeps the level sets — and therefore the bandwidth — small.
-fn pseudo_peripheral(g: &Graph, start: VertexId, dist: &mut [u32]) -> (VertexId, Vec<VertexId>) {
+fn pseudo_peripheral(
+    g: &Graph,
+    degree: &[usize],
+    start: VertexId,
+    dist: &mut [u32],
+) -> (VertexId, Vec<VertexId>) {
     let mut source = start;
     let (mut comp, mut ecc) = bfs_levels(g, source, dist);
     for _ in 0..PERIPHERAL_ROUNDS {
@@ -64,7 +68,7 @@ fn pseudo_peripheral(g: &Graph, start: VertexId, dist: &mut [u32]) -> (VertexId,
             .iter()
             .copied()
             .filter(|&v| dist[v as usize] == ecc)
-            .min_by_key(|&v| (g.degree(v), v))
+            .min_by_key(|&v| (degree[v as usize], v))
             .unwrap_or(source);
         if far == source {
             break;
@@ -98,8 +102,19 @@ fn pseudo_peripheral(g: &Graph, start: VertexId, dist: &mut [u32]) -> (VertexId,
 /// queue visits neighbours in increasing `(degree, id)` order, and the
 /// concatenated order is reversed (the classic RCM profile-reduction
 /// trick). Deterministic: no randomness, all ties break on vertex id.
+/// Degrees are those of `g.simplify()` — distinct neighbours, a self-loop
+/// counting two — so `rcm_order(g) == rcm_order(&g.simplify())`.
 pub fn rcm_order(g: &Graph) -> Vec<u32> {
     let n = g.n();
+    let mut seen = vec![INVALID_VERTEX; n];
+    let degree: Vec<usize> = (0..n as VertexId)
+        .map(|v| {
+            let mut first = |u: VertexId| std::mem::replace(&mut seen[u as usize], v) != v;
+            let d = g.neighbors(v).iter().filter(|&&u| first(u)).count();
+            d + (seen[v as usize] == v) as usize
+        })
+        .collect();
+    drop(seen);
     let mut dist = vec![u32::MAX; n];
     let mut cm: Vec<VertexId> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
@@ -108,14 +123,14 @@ pub fn rcm_order(g: &Graph) -> Vec<u32> {
         if placed[s as usize] {
             continue;
         }
-        if g.degree(s) == 0 {
+        if degree[s as usize] == 0 {
             // Isolated vertices need no BFS (and `bfs_levels` would leave
             // stale state); emit them directly.
             placed[s as usize] = true;
             cm.push(s);
             continue;
         }
-        let (source, comp) = pseudo_peripheral(g, s, &mut dist);
+        let (source, comp) = pseudo_peripheral(g, &degree, s, &mut dist);
         for &v in &comp {
             dist[v as usize] = u32::MAX;
         }
@@ -138,7 +153,7 @@ pub fn rcm_order(g: &Graph) -> Vec<u32> {
                     true
                 }
             }));
-            nbrs.sort_unstable_by_key(|&u| (g.degree(u), u));
+            nbrs.sort_unstable_by_key(|&u| (degree[u as usize], u));
             cm.extend_from_slice(&nbrs);
         }
     }
@@ -390,40 +405,36 @@ pub fn bandwidth(g: &Graph) -> usize {
         .unwrap_or(0)
 }
 
-/// Returns a copy of `g` with vertex `v` renamed to `old_to_new[v]`.
-///
-/// Edges are normalised (`u < v`) and sorted by endpoint pair with two
-/// stable counting-sort passes (larger endpoint, then smaller), so
-/// parallel edges keep their input order. The result — including its CSR
-/// arc order, which downstream f64 accumulation orders depend on — is a
-/// pure function of the input graph and the labelling. Edge ids are
-/// renumbered; weights are untouched.
+/// Returns a copy of `g` with vertex `v` renamed to `old_to_new[v]`, in
+/// canonical form: edges normalised (`u <= v`) and sorted by endpoint
+/// pair, parallel edges in input order, every row sorted by target. The
+/// result — including its CSR arc order, which downstream f64
+/// accumulation orders depend on — is a pure function of the input graph
+/// and the labelling. Edge ids are renumbered; weights are untouched.
+/// Panics unless `old_to_new` is a permutation of `0..n`.
 pub fn relabel(g: &Graph, old_to_new: &[u32]) -> Graph {
     assert_eq!(old_to_new.len(), g.n());
-    let n = g.n();
-    let ends = |id: EdgeId| {
-        let e = g.edge(id);
-        let (u, v) = (old_to_new[e.u as usize], old_to_new[e.v as usize]);
-        (u.min(v), u.max(v), e.w)
-    };
-    let by_max = counting_sorted(g.m(), n, |i| ends(i as EdgeId).1 as usize, |i| i as EdgeId);
-    let edges = counting_sorted(
-        g.m(),
-        n,
-        |s| ends(by_max[s]).0 as usize,
-        |s| {
-            let (u, v, w) = ends(by_max[s]);
-            Edge::new(u, v, w)
-        },
-    );
-    drop(by_max);
-    Graph::from_edges_unchecked(n, edges)
+    g.canonical(Some(old_to_new), false)
+}
+
+/// `relabel(&g.simplify(), old_to_new)`, bit for bit, in one pass and
+/// without the intermediate simple graph.
+pub fn simplify_relabel(g: &Graph, old_to_new: &[u32]) -> Graph {
+    assert_eq!(old_to_new.len(), g.n());
+    g.canonical(Some(old_to_new), true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::graph::Edge;
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn relabel_rejects_a_repeated_id() {
+        relabel(&generators::path(3, 1.0), &[0, 0, 2]);
+    }
 
     fn is_permutation(p: &[u32]) -> bool {
         let mut seen = vec![false; p.len()];

@@ -2,7 +2,7 @@
 //! demotion and the Chebyshev calibration.
 
 use parsdd_graph::components::{parallel_connected_components, Components};
-use parsdd_graph::reorder::{rcm_order, relabel};
+use parsdd_graph::reorder::{rcm_order, relabel, simplify_relabel};
 use parsdd_graph::{EdgeId, Graph};
 use parsdd_linalg::permuted::PermutedLevel;
 use parsdd_linalg::power::{quadratic_form_ratio_bounds, spectrum_bounds_of_map};
@@ -93,12 +93,12 @@ impl TopLevel {
     /// The prologue of a build under sanitized `options`.
     fn new(g: &Graph, options: &ChainOptions) -> Self {
         let bottom_target = cut::size_floor(g.m(), options.bottom_size);
-        let simple = g.simplify();
         // Bake the boundary permutation into the top system before
         // anything downstream (subgraph, sampling, elimination) sees it.
-        let perm = rcm_order(&simple);
-        let graph = relabel(&simple, &perm);
-        drop(simple);
+        // The order is the simple graph's, and one build merges and
+        // relabels the input into it.
+        let perm = rcm_order(g);
+        let graph = simplify_relabel(g, &perm);
         // Every solve projects its right-hand sides with the components:
         // recomputing an O(n + m) labelling per solve is exactly the
         // per-RHS overhead blocking is meant to remove.
@@ -329,9 +329,8 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
                 elim_slot = Some(elimination);
             });
         });
-        let (reduced, trace) = elim_slot.expect("scope completed elimination").into_parts();
-        let next = reduced.simplify();
-        drop(reduced);
+        // The reduced graph is simple and, relabelled, canonical.
+        let (next, trace) = elim_slot.expect("scope completed elimination").into_parts();
 
         // Provisional iteration budget from the configured κ target
         // (sampling κ × tree scale); replaced by the calibration pass below

@@ -119,7 +119,9 @@ mod tests {
         // it must reach the caller's tolerance, not the loose one a bottom
         // solve inside a preconditioner application stops at, within the
         // caller's budget (Jacobi-PCG takes ~n/2 iterations on a cycle).
-        let g = generators::cycle(4500, 1.0);
+        // 2100 rows keep the solve's blocked reductions, 2048 rows a
+        // block, above one block.
+        let g = generators::cycle(2100, 1.0);
         let options = ChainOptions {
             direct_bottom_entry_limit: g.m(),
             ..Default::default()

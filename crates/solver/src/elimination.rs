@@ -1275,6 +1275,46 @@ mod tests {
         }
     }
 
+    /// The reduced graph is simple and canonical, before and after
+    /// `relabel_reduced`: simplifying it changes no bit, so the chain
+    /// takes it as the next level as it is.
+    #[test]
+    fn reduced_graph_is_its_own_simplification() {
+        let base = generators::weighted_random_graph(400, 2400, 0.5, 8.0, 3);
+        // Every edge twice more, reversed, with other weights: a multigraph.
+        let mut edges = base.edges().to_vec();
+        for (k, e) in base.edges().iter().enumerate() {
+            edges.push(Edge::new(e.v, e.u, e.w * (1.0 + k as f64 / 7.0)));
+            edges.push(Edge::new(e.u, e.v, 0.25 * e.w));
+        }
+        let g = Graph::from_edges(base.n(), edges);
+        let fingerprint = |g: &Graph| {
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let edges: Vec<_> = g
+                .edges()
+                .iter()
+                .map(|e| (e.u, e.v, e.w.to_bits()))
+                .collect();
+            (
+                g.csr_offsets().to_vec(),
+                g.csr_targets().to_vec(),
+                bits(g.csr_weights()),
+                g.csr_arc_edges().to_vec(),
+                edges,
+            )
+        };
+        for seed in 0..3 {
+            let mut elim = greedy_elimination(&g, seed);
+            let reduced = &elim.reduced_graph;
+            assert!(reduced.m() > 100, "a non-trivial reduced graph");
+            assert_eq!(fingerprint(&reduced.simplify()), fingerprint(reduced));
+            let order = parsdd_graph::reorder::rcm_order(reduced);
+            elim.relabel_reduced(&order);
+            let reduced = &elim.reduced_graph;
+            assert_eq!(fingerprint(&reduced.simplify()), fingerprint(reduced));
+        }
+    }
+
     /// The compiled f64 trace reproduces the division-based passes bit for
     /// bit: a quotient cached at compile time is the quotient.
     #[test]
