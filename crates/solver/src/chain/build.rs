@@ -329,7 +329,8 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
                 elim_slot = Some(elimination);
             });
         });
-        // The reduced graph is simple and, relabelled, canonical.
+        // No `simplify`: the reduced graph is already simple, and `relabel`
+        // left it canonical.
         let (next, trace) = elim_slot.expect("scope completed elimination").into_parts();
 
         // Provisional iteration budget from the configured κ target
