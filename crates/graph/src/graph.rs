@@ -220,6 +220,14 @@ impl Graph {
     /// on the first self-loop, out-of-range endpoint, or non-finite /
     /// non-positive weight, or when `n` or `m` reaches `u32::MAX`.
     pub fn validated(n: usize, edges: Vec<Edge>) -> Result<Self, GraphDataError> {
+        Self::check_edges(n, &edges)?;
+        Ok(Self::from_edges_unchecked(n, edges))
+    }
+
+    /// The checks of [`validated`](Self::validated) without the build: the
+    /// error of the lowest-numbered bad edge, or [`GraphDataError::TooLarge`]
+    /// when `n` or `m` reaches `u32::MAX`.
+    pub fn check_edges(n: usize, edges: &[Edge]) -> Result<(), GraphDataError> {
         check_scale(n, edges.len())?;
         if edges.len() < SEQ_CUTOFF {
             for (i, e) in edges.iter().enumerate() {
@@ -234,7 +242,7 @@ impl Graph {
         {
             return Err(err);
         }
-        Ok(Self::from_edges_unchecked(n, edges))
+        Ok(())
     }
 
     /// Builds a graph assuming the edge list has already been validated.

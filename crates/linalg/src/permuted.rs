@@ -45,7 +45,8 @@
 
 use rayon::prelude::*;
 
-use parsdd_graph::Graph;
+use parsdd_graph::reorder::relabel;
+use parsdd_graph::{Edge, Graph};
 
 use crate::scalar::Scalar;
 
@@ -161,6 +162,34 @@ impl PermutedLevel<f64> {
             offsets,
             cols,
             coefs,
+        }
+    }
+
+    /// The canonical graph ([`relabel`]'s form: rows sorted by target,
+    /// edges numbered at their smaller endpoint) this matrix was built
+    /// from, with vertex `v` renamed `ids[v]` if `ids` is given: the exact
+    /// inverse of [`from_graph`](Self::from_graph). An off-diagonal
+    /// coefficient is exactly `−w`, so the edges come back in the same
+    /// order with the same weight bits; a self-loop's two entries become
+    /// one edge again, and isolated vertices stay.
+    pub fn to_graph(&self, ids: Option<&[u32]>) -> Graph {
+        let mut edges = Vec::with_capacity(self.m());
+        for v in 0..self.n {
+            let (cols, coefs) = self.row(v);
+            let mut loops = 0;
+            for (&t, &c) in cols.iter().zip(coefs).skip(1) {
+                loops += (t as usize == v) as usize;
+                if t as usize > v || (t as usize == v && loops % 2 == 1) {
+                    edges.push(Edge::new(v as u32, t, -c));
+                }
+            }
+        }
+        // Edge-id order is row order: `from_edges_unchecked` puts back
+        // every arc where `from_graph` found it.
+        let g = Graph::from_edges_unchecked(self.n, edges);
+        match ids {
+            Some(ids) => relabel(&g, ids),
+            None => g,
         }
     }
 
@@ -508,6 +537,12 @@ impl<T: Scalar> PermutedLevel<T> {
     /// Stored entries (diagonal included).
     pub fn entries(&self) -> usize {
         self.cols.len()
+    }
+
+    /// Edge count of the graph the level was built from: two entries per
+    /// edge (a self-loop's two at its vertex) besides the diagonal.
+    pub fn m(&self) -> usize {
+        (self.cols.len() - self.n) / 2
     }
 
     /// Bytes one full matrix stream reads (entries + offsets), the
@@ -982,6 +1017,88 @@ mod tests {
                     assert_eq!(rr[i * k + j].to_bits(), r[i].to_bits(), "r k={k} col {j}");
                 }
             }
+        }
+    }
+
+    /// A multigraph with self-loops, parallel edges in both orientations,
+    /// two components and eight isolated vertices at the end.
+    fn messy_graph(n: usize, seed: u64) -> Graph {
+        let mut x = seed;
+        let mut next = |k: usize| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize % k
+        };
+        let (half, live) = (n / 2, n - 8);
+        let mut edges = Vec::new();
+        for _ in 0..3 * n {
+            let (lo, hi) = if next(2) == 0 {
+                (0, half)
+            } else {
+                (half, live)
+            };
+            let u = lo + next(hi - lo);
+            let v = if next(10) == 0 { u } else { lo + next(hi - lo) };
+            let w = 0.5 + next(1000) as f64 / 7.0;
+            edges.push(Edge::new(u as u32, v as u32, w));
+            if next(5) == 0 {
+                edges.push(Edge::new(v as u32, u as u32, w * 1.3));
+            }
+        }
+        Graph::from_edges_unchecked(n, edges)
+    }
+
+    fn assert_same_graph(a: &Graph, b: &Graph) {
+        assert_eq!(a.n(), b.n());
+        assert_eq!(a.csr_offsets(), b.csr_offsets());
+        assert_eq!(a.csr_targets(), b.csr_targets());
+        assert_eq!(a.csr_arc_edges(), b.csr_arc_edges());
+        let weights = |g: &Graph| {
+            g.csr_weights()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(weights(a), weights(b));
+        let edges = |g: &Graph| {
+            let e = g.edges().iter();
+            e.map(|e| (e.u, e.v, e.w.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(edges(a), edges(b));
+    }
+
+    #[test]
+    fn to_graph_inverts_from_graph_bitwise_at_every_width() {
+        use parsdd_graph::reorder::simplify_relabel;
+        for width in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                // 20 480 vertices: the graph builds cut several blocks.
+                for (n, seed) in [(40, 1), (20_480, 2)] {
+                    let g = messy_graph(n, seed);
+                    let simple = g.simplify();
+                    assert!(simple.m() < g.m(), "parallel edges merged");
+                    let perm = rcm_order(&g);
+                    // A merged graph, and a relabelled one that keeps its
+                    // parallel edges.
+                    for canonical in [simple.clone(), relabel(&g, &perm)] {
+                        let back = PermutedLevel::from_graph(&canonical).to_graph(None);
+                        assert_same_graph(&back, &canonical);
+                    }
+                    // Through the inverse order: the input's simplification.
+                    let mut ids = vec![0u32; n];
+                    for (v, &p) in perm.iter().enumerate() {
+                        ids[p as usize] = v as u32;
+                    }
+                    let level = PermutedLevel::from_graph(&simplify_relabel(&g, &perm));
+                    assert_eq!((level.n(), level.m()), (n, simple.m()));
+                    assert_same_graph(&level.to_graph(Some(&ids)), &simple);
+                }
+            });
         }
     }
 }

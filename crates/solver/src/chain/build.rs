@@ -1,6 +1,8 @@
 //! Construction: the shared prologue, the level loop, the bottom, f32
 //! demotion and the Chebyshev calibration.
 
+use std::sync::OnceLock;
+
 use parsdd_graph::components::{parallel_connected_components, Components};
 use parsdd_graph::reorder::{rcm_order, relabel, simplify_relabel};
 use parsdd_graph::{EdgeId, Graph};
@@ -92,13 +94,15 @@ struct TopLevel {
 impl TopLevel {
     /// The prologue of a build under sanitized `options`.
     fn new(g: &Graph, options: &ChainOptions) -> Self {
-        let bottom_target = cut::size_floor(g.m(), options.bottom_size);
         // Bake the boundary permutation into the top system before
         // anything downstream (subgraph, sampling, elimination) sees it.
         // The order is the simple graph's, and one build merges and
         // relabels the input into it.
         let perm = rcm_order(g);
         let graph = simplify_relabel(g, &perm);
+        // The floor counts the simple graph's edges, so the chain of `g` is
+        // the chain of `g.simplify()` (the recovery ladder relies on it).
+        let bottom_target = cut::size_floor(graph.m(), options.bottom_size);
         // Every solve projects its right-hand sides with the components:
         // recomputing an O(n + m) labelling per solve is exactly the
         // per-RHS overhead blocking is meant to remove.
@@ -124,7 +128,7 @@ impl TopLevel {
         SolverChain {
             levels: Vec::new(),
             top_matrix: None,
-            bottom_graph: self.graph,
+            bottom_graph: OnceLock::new(),
             bottom_matrix: matrix,
             bottom,
             bottom_labels: self.comps.labels.clone(),
@@ -275,6 +279,8 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         bottom_target,
     } = top;
     let mut levels: Vec<ChainLevel> = Vec::new();
+    // The levels' graphs, held only until the calibration is done.
+    let mut graphs: Vec<Graph> = Vec::new();
     let mut seed = options.seed;
     // Where the chain stops is the cut's call, asked as each level's
     // graph appears: the loop stops at the first graph below the top whose
@@ -350,7 +356,6 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         // power-iteration calibration below once the chain is complete.
         let cheb_bounds = provisional_bounds(measured_ratio, kappa_target);
         levels.push(ChainLevel {
-            graph: Some(current),
             n,
             m,
             stream_bytes: 0,
@@ -365,7 +370,7 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
             inner_iterations,
             cheb_bounds,
         });
-        current = next;
+        graphs.push(std::mem::replace(&mut current, next));
     }
 
     // The bottom is the last graph offered, the one below the kept levels.
@@ -447,17 +452,10 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
         factor_slot.is_some(),
         options.seed,
     );
+    // The chain keeps the bottom's matrix, not its graph.
+    drop(current);
 
-    let mut matrices: Vec<PermutedLevel> = levels
-        .iter()
-        .map(|l| {
-            PermutedLevel::from_graph(
-                l.graph
-                    .as_ref()
-                    .expect("level graphs are resident during build"),
-            )
-        })
-        .collect();
+    let mut matrices: Vec<PermutedLevel> = graphs.iter().map(PermutedLevel::from_graph).collect();
     let top_matrix = matrices.remove(0);
     levels[0].stream_bytes = top_matrix.stream_bytes();
     // Demote once, after the all-f64 build: the matrices of levels ≥ 1,
@@ -485,7 +483,7 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     let mut chain = SolverChain {
         levels,
         top_matrix: Some(top_matrix),
-        bottom_graph: current,
+        bottom_graph: OnceLock::new(),
         bottom_matrix,
         bottom,
         bottom_labels: comps.labels,
@@ -499,15 +497,7 @@ fn build_from_top(top: TopLevel, options: ChainOptions) -> SolverChain {
     };
     // Calibration runs *after* demotion so the Chebyshev intervals bracket
     // the spectrum of the operator the inner iteration actually applies.
-    chain.calibrate_chebyshev_bounds();
-    // The per-level Graph CSR is only consulted at build/calibration time
-    // — every per-application sweep runs on the cycle's matrices — so it
-    // is dropped here and a long-lived chain stops holding ~2× the matrix
-    // memory it streams. (The bottom keeps its graph: `bottom_graph()`
-    // and the stats read it.)
-    for lvl in chain.levels.iter_mut() {
-        lvl.graph = None;
-    }
+    chain.calibrate_chebyshev_bounds(&graphs);
     chain
 }
 
@@ -545,7 +535,8 @@ impl SolverChain {
     /// back-substitution) depends only on levels below `i`, so calibrating
     /// deepest-first is well defined; the measurement itself is
     /// [`spectrum_bounds_of_map`] on `v ↦ M_i⁻¹ A_i v`.
-    fn calibrate_chebyshev_bounds(&mut self) {
+    /// `graphs[i]` is level `i`'s graph, which the chain does not keep.
+    fn calibrate_chebyshev_bounds(&mut self, graphs: &[Graph]) {
         const POWER_ITERS: usize = 14;
         // Level 0 is driven by the adaptive outer flexible PCG, which needs
         // no spectrum interval — only levels >= 1 run the fixed Chebyshev
@@ -557,16 +548,9 @@ impl SolverChain {
             if n == 0 {
                 continue;
             }
-            // `build_chain` calibrates before dropping graphs, so the
-            // component labelling always has its CSR — and the matrix
-            // applied below is the (possibly demoted) operator the inner
-            // iteration will actually run on.
-            let comps = parallel_connected_components(
-                self.levels[level]
-                    .graph
-                    .as_ref()
-                    .expect("calibration runs before level graphs are dropped"),
-            );
+            // The matrix applied below is the (possibly demoted) operator
+            // the inner iteration will actually run on.
+            let comps = parallel_connected_components(&graphs[level]);
             let seed = self
                 .options
                 .seed

@@ -505,6 +505,24 @@ mod tests {
     }
 
     #[test]
+    fn depth0_chain_keeps_its_matrix_and_o_n_arrays_resident() {
+        // Zoo rmat/small: the level-0 cut sends it to Jacobi-PCG, a
+        // depth-0 chain over the whole input. It keeps the merged-row
+        // matrix and the inverse diagonal, and no copy of the input graph.
+        let g = generators::rmat(9, 4_096, 0x2001);
+        let chain = build_solver_chain(&g, &ChainOptions::default(), 1e-8);
+        assert_eq!(chain.depth(), 0);
+        let (n, matrix) = (chain.bottom_matrix.n(), chain.bottom_matrix.stream_bytes());
+        let resident = chain.stats().resident_bytes;
+        assert!(
+            resident <= matrix + 8 * n,
+            "{resident} B vs matrix {matrix} B"
+        );
+        // The input graph alone would cost more than the O(n) arrays.
+        assert!(chain.bottom_graph().resident_bytes() > 8 * n);
+    }
+
+    #[test]
     fn external_preconditioner_boundary_permutes_coherently() {
         // ChainPreconditioner speaks the *original* vertex order; its
         // single and blocked applications must agree with each other
@@ -555,26 +573,22 @@ mod tests {
         let f32_chain = build_chain(&g, &opts.with_precision(Precision::F32));
         assert!(f32_chain.depth() >= 2);
         // Level 0 stays f64 (the outer PCG's residual operator); every
-        // deeper level demotes and drops its graph.
+        // deeper level demotes.
         assert_eq!(
             f32_chain.levels()[0].storage_precision(),
             Precision::F64,
             "level 0 must stay f64"
         );
-        for (i, lvl) in f32_chain.levels().iter().enumerate() {
-            assert!(lvl.graph().is_none(), "level {i} graph not dropped");
-            if i >= 1 {
-                assert_eq!(lvl.storage_precision(), Precision::F32, "level {i}");
-            }
+        for (i, lvl) in f32_chain.levels().iter().enumerate().skip(1) {
+            assert_eq!(lvl.storage_precision(), Precision::F32, "level {i}");
         }
         // The acceptance bound: demoted levels resident ≤ 0.72× f64.
-        // Both tiers drop their level graphs now, so the comparison is
-        // matrix-stream vs matrix-stream — nnz·(4+4)+offsets·4 over
-        // nnz·(4+8)+offsets·4, strictly under 2/3 plus slack. Level 0
-        // stays f64 on both tiers and must match exactly. (The last
-        // entry is the bottom, which keeps its f64 matrix and graph for
-        // the iterative fallback — only its factor's entries halve, so it
-        // is bounded separately.)
+        // Levels keep no graph, so the comparison is matrix-stream vs
+        // matrix-stream — nnz·(4+4)+offsets·4 over nnz·(4+8)+offsets·4,
+        // strictly under 2/3 plus slack. Level 0 stays f64 on both tiers
+        // and must match exactly. (The last entry is the bottom, which
+        // keeps its f64 matrix — only its factor's entries halve, so it is
+        // bounded separately.)
         let s64 = f64_chain.stats();
         let s32 = f32_chain.stats();
         let depth = f32_chain.depth();
@@ -666,10 +680,8 @@ mod tests {
         for (u, v) in xa.x.iter().zip(&xb.x) {
             assert_eq!(u.to_bits(), v.to_bits());
         }
-        // And every f64 level streams f64 with its build-time graph
-        // dropped (the duplicate CSR goes on both precision tiers).
+        // And every f64 level streams f64.
         for lvl in a.levels() {
-            assert!(lvl.graph().is_none());
             assert_eq!(lvl.storage_precision(), Precision::F64);
         }
     }

@@ -61,11 +61,12 @@ pub struct ChainStats {
     /// preconditioner application (0 for direct and trivial bottoms).
     /// The work model charges every bottom solve this many iterations.
     pub bottom_iterations: usize,
-    /// Heap bytes each level keeps resident (streamed matrix + retained
-    /// `Graph` CSR, zero once dropped; see
+    /// Heap bytes each level keeps resident: its streamed matrix (see
     /// [`ChainLevel::resident_bytes`](super::ChainLevel::resident_bytes)).
-    /// The last entry is the bottom's share: its f64 matrix, the retained
-    /// bottom graph and the direct factor.
+    /// The last entry is the bottom's share: its f64 matrix and the direct
+    /// factor or the iterative bottom's inverse diagonal. No entry counts
+    /// a graph: a chain keeps none, and the graph
+    /// [`SolverChain::bottom_graph`] rebuilds on request is not counted.
     pub level_resident_bytes: Vec<usize>,
     /// Total resident chain bytes (`Σ level_resident_bytes`).
     pub resident_bytes: usize,
@@ -257,10 +258,10 @@ impl SolverChain {
     /// bytes the bottom keeps resident. A direct bottom streams both
     /// triangular passes and the diagonal of its factor (at its storage
     /// width), an iterative one its matrix once per probe iteration. The
-    /// resident bytes are the f64 merged-row matrix, the retained bottom
-    /// graph, and the factor's arrays or the inverse diagonal.
+    /// resident bytes are the f64 merged-row matrix and the factor's
+    /// arrays or the inverse diagonal (the bottom keeps no graph).
     fn bottom_costs(&self) -> (f64, f64, usize) {
-        let (n, m) = (self.bottom_graph.n(), self.bottom_graph.m() as f64);
+        let (n, m) = (self.bottom_matrix.n(), self.bottom_matrix.m() as f64);
         let matrix_bytes = self.bottom_matrix.stream_bytes();
         let (flops, stream, own) = match &self.bottom {
             BottomSolver::Trivial => (0.0, 0.0, 0),
@@ -277,7 +278,7 @@ impl SolverChain {
                 )
             }
         };
-        let resident = matrix_bytes + self.bottom_graph.resident_bytes() + own;
+        let resident = matrix_bytes + own;
         (flops, stream, resident)
     }
 
@@ -286,8 +287,8 @@ impl SolverChain {
     pub fn stats(&self) -> ChainStats {
         let mut level_vertices: Vec<usize> = self.levels.iter().map(|l| l.n()).collect();
         let mut level_edges: Vec<usize> = self.levels.iter().map(|l| l.m()).collect();
-        level_vertices.push(self.bottom_graph.n());
-        level_edges.push(self.bottom_graph.m());
+        level_vertices.push(self.bottom_matrix.n());
+        level_edges.push(self.bottom_matrix.m());
         let (bottom_flops, bottom_stream, bottom_resident) = self.bottom_costs();
         let mut level_resident_bytes: Vec<usize> =
             self.levels.iter().map(|l| l.resident_bytes()).collect();
@@ -357,8 +358,8 @@ impl SolverChain {
         ChainQuality {
             depth: levels.len(),
             levels,
-            bottom_vertices: self.bottom_graph.n(),
-            bottom_edges: self.bottom_graph.m(),
+            bottom_vertices: self.bottom_matrix.n(),
+            bottom_edges: self.bottom_matrix.m(),
             direct_bottom: stats.direct_bottom,
             bottom_factor_nnz: stats.bottom_factor_nnz,
             work_per_application: stats.work_per_application,

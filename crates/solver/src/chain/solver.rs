@@ -1,6 +1,8 @@
 //! The built chain: its levels, the top-level solve (flexible PCG over
 //! the W-cycle) and the [`Preconditioner`] view external solvers drive.
 
+use std::sync::OnceLock;
+
 use parsdd_graph::Graph;
 use parsdd_linalg::block::MultiVector;
 use parsdd_linalg::breakdown::BreakdownReason;
@@ -19,19 +21,12 @@ use crate::error::RecoveryStep;
 /// One level of the preconditioner chain.
 #[derive(Debug, Clone)]
 pub struct ChainLevel {
-    /// The level's system `A_i` (a Laplacian graph with parallel edges
-    /// merged), in the level's baked-in vertex order. Only consulted at
-    /// build/calibration time — the per-application sweeps run on
-    /// `matrix` — so `build_chain` drops it after calibration on *both*
-    /// precision tiers and a long-lived chain stops holding ~2× the
-    /// matrix memory it streams.
-    pub(super) graph: Option<Graph>,
-    /// Vertex count of `A_i` (kept after `graph` is dropped).
+    /// Vertex count of the level's system `A_i`.
     pub(super) n: usize,
-    /// Edge count of `A_i` (kept after `graph` is dropped).
+    /// Edge count of `A_i`.
     pub(super) m: usize,
     /// Bytes the level's streamed matrix (merged diag+offdiag rows of
-    /// `graph` at its storage precision) reads per sweep.
+    /// `A_i` at its storage precision) reads per sweep.
     pub(super) stream_bytes: usize,
     /// Storage precision of the level's streamed matrix.
     pub(super) storage_precision: Precision,
@@ -95,14 +90,6 @@ impl ChainLevel {
         self.m
     }
 
-    /// The level's graph, if still resident. `None` on finished chains of
-    /// either precision — `build_chain` drops the duplicate CSR after
-    /// Chebyshev calibration. `Some` only on hand-assembled levels that
-    /// never went through the drop.
-    pub fn graph(&self) -> Option<&Graph> {
-        self.graph.as_ref()
-    }
-
     /// Storage precision of this level's streamed matrix.
     pub fn storage_precision(&self) -> Precision {
         self.storage_precision
@@ -114,11 +101,11 @@ impl ChainLevel {
         self.stream_bytes
     }
 
-    /// Heap bytes this level keeps resident: the streamed matrix plus the
-    /// retained `Graph` CSR (zero once dropped). The compiled elimination
-    /// trace is excluded from the accounting.
+    /// Heap bytes this level keeps resident: its streamed matrix (a level
+    /// holds no graph). The compiled elimination trace is excluded from
+    /// the accounting.
     pub fn resident_bytes(&self) -> usize {
-        self.stream_bytes + self.graph.as_ref().map_or(0, |g| g.resident_bytes())
+        self.stream_bytes
     }
 }
 
@@ -129,7 +116,9 @@ pub struct SolverChain {
     /// Merged-row Laplacian of level 0 — the f64 operator the outer PCG
     /// multiplies by. `None` on depth-0 chains, whose top is the bottom.
     pub(super) top_matrix: Option<PermutedLevel>,
-    pub(super) bottom_graph: Graph,
+    /// [`bottom_graph`](Self::bottom_graph), rebuilt from
+    /// `bottom_matrix` on first call.
+    pub(super) bottom_graph: OnceLock<Graph>,
     /// Merged-row Laplacian of the bottom graph (the operator of the
     /// iterative bottom, and of chains with no levels).
     pub(super) bottom_matrix: PermutedLevel,
@@ -224,9 +213,24 @@ impl SolverChain {
         &self.levels
     }
 
-    /// The bottom-level graph `A_d`.
+    /// The bottom-level graph `A_d`, in the bottom's internal order. The
+    /// chain keeps only the bottom's matrix: the graph is rebuilt from it
+    /// on first call ([`PermutedLevel::to_graph`]) and cached.
     pub fn bottom_graph(&self) -> &Graph {
-        &self.bottom_graph
+        self.bottom_graph
+            .get_or_init(|| self.bottom_matrix.to_graph(None))
+    }
+
+    /// The top-level graph in the caller's vertex ids, rebuilt from the
+    /// top matrix: the input graph with parallel edges merged, bit for bit
+    /// its `simplify()`, so [`build_chain`](super::build_chain) on it
+    /// builds the chain it builds on the input.
+    pub fn top_graph(&self) -> Graph {
+        let mut ids = vec![0u32; self.top_perm.len()];
+        for (v, &p) in self.top_perm.iter().enumerate() {
+            ids[p as usize] = v as u32;
+        }
+        self.top_matrix().to_graph(Some(&ids))
     }
 
     /// Options the chain was built with.
@@ -236,7 +240,7 @@ impl SolverChain {
 
     /// The f64 operator of the top level, which the outer PCG multiplies
     /// by: level 0's matrix, or the bottom's on a depth-0 chain.
-    fn top_matrix(&self) -> &PermutedLevel {
+    pub(crate) fn top_matrix(&self) -> &PermutedLevel {
         self.top_matrix.as_ref().unwrap_or(&self.bottom_matrix)
     }
 

@@ -138,9 +138,6 @@ pub struct SddSolver {
     chain: SolverChain,
     options: SddSolverOptions,
     original_dim: usize,
-    /// The graph the chain was built from (the Gremban graph for SDD
-    /// problems) — the recovery ladder rebuilds chains from it.
-    source_graph: Graph,
     /// Rung-2 chain (one rung stronger), built on first use and reused
     /// across every subsequent recovery.
     stronger: OnceLock<SolverChain>,
@@ -167,7 +164,6 @@ impl SddSolver {
             chain,
             options,
             original_dim: g.n(),
-            source_graph: g.clone(),
             stronger: OnceLock::new(),
             direct: OnceLock::new(),
         }
@@ -182,7 +178,7 @@ impl SddSolver {
         if g.n() == 0 {
             return Err(BuildError::EmptyGraph);
         }
-        Graph::validated(g.n(), g.edges().to_vec())?;
+        Graph::check_edges(g.n(), g.edges())?;
         Ok(Self::new_laplacian(g, options))
     }
 
@@ -209,13 +205,11 @@ impl SddSolver {
     fn from_reduction(reduction: GrembanReduction, dim: usize, options: SddSolverOptions) -> Self {
         let options = options.sanitized();
         let chain = build_solver_chain(reduction.graph(), &options.chain, options.tolerance);
-        let source_graph = reduction.graph().clone();
         SddSolver {
             original_dim: dim,
             problem: Problem::Sdd(reduction),
             chain,
             options,
-            source_graph,
             stronger: OnceLock::new(),
             direct: OnceLock::new(),
         }
@@ -240,6 +234,16 @@ impl SddSolver {
     /// The chain's quality report, the level-0 decision included.
     pub fn quality(&self) -> ChainQuality {
         self.chain.quality()
+    }
+
+    /// The chain a recovery rung built, once a solve has escalated to it
+    /// (the iterate refresh reuses [`chain`](Self::chain) and builds none).
+    pub fn recovery_chain(&self, rung: RecoveryRung) -> Option<&SolverChain> {
+        match rung {
+            RecoveryRung::IterateRefresh => None,
+            RecoveryRung::StrongerChain => self.stronger.get(),
+            RecoveryRung::DirectFactor => self.direct.get(),
+        }
     }
 
     /// Solves `A x = b` to the configured tolerance.
@@ -514,7 +518,9 @@ impl SddSolver {
         // Rung 2: rebuild the chain one rung stronger (denser sparsifier
         // sample, adaptive calibration, more inner iterations) and
         // re-solve from scratch with a doubled outer budget. Built once,
-        // cached for every later recovery against this solver.
+        // cached for every later recovery against this solver, on the
+        // graph rebuilt from the chain's top matrix: the solver keeps no
+        // copy of its input.
         let chain2 = self.stronger.get_or_init(|| {
             let mut c = self.options.chain;
             c.extra_fraction = (c.extra_fraction * 2.0).min(1.0);
@@ -524,7 +530,7 @@ impl SddSolver {
             // A breakdown on a mixed-precision chain escalates to full
             // precision: the stronger rung always rebuilds in f64.
             c.precision = crate::chain::Precision::F64;
-            build_chain(&self.source_graph, &c.sanitized())
+            build_chain(&self.chain.top_graph(), &c.sanitized())
         });
         let out2 = chain2.solve(b, tol, budget.saturating_mul(2));
         let rel2 = rel_of(&out2.x);
@@ -552,10 +558,11 @@ impl SddSolver {
         // sparse LDLᵀ (a chain with zero levels) and solve exactly.
         // Also built once and cached; skipped for systems too large to
         // factor.
-        if self.source_graph.n() <= DIRECT_RECOVERY_LIMIT {
+        let n = self.chain.top_matrix().n();
+        if n <= DIRECT_RECOVERY_LIMIT {
             let chain3 = self.direct.get_or_init(|| {
-                let c = direct_recovery_options(&self.options.chain, self.source_graph.n());
-                build_chain(&self.source_graph, &c)
+                let c = direct_recovery_options(&self.options.chain, n);
+                build_chain(&self.chain.top_graph(), &c)
             });
             let out3 = chain3.solve(b, tol, budget);
             let rel3 = rel_of(&out3.x);

@@ -338,3 +338,80 @@ fn sdd_matrix_faults_are_typed() {
         Err(BuildError::InvalidMatrix(_))
     ));
 }
+
+/// `a` and `b` are the same graph, bit for bit: CSR arrays, arc→edge ids,
+/// edge list and weight bits.
+fn assert_same_graph(a: &Graph, b: &Graph) {
+    assert_eq!(a.n(), b.n());
+    assert_eq!(a.csr_offsets(), b.csr_offsets());
+    assert_eq!(a.csr_targets(), b.csr_targets());
+    assert_eq!(a.csr_arc_edges(), b.csr_arc_edges());
+    let weights = |g: &Graph| {
+        g.csr_weights()
+            .iter()
+            .map(|w| w.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(weights(a), weights(b));
+    let edges = |g: &Graph| {
+        let e = g.edges().iter();
+        e.map(|e| (e.u, e.v, e.w.to_bits())).collect::<Vec<_>>()
+    };
+    assert_eq!(edges(a), edges(b));
+}
+
+/// Climbs `solver`'s whole ladder, then checks that the chains its
+/// stronger and direct rungs built, on the graph rebuilt from the
+/// solver's top matrix, are `build_chain` on `g` (the graph the solver
+/// was built on), bit for bit: statistics and a solve.
+fn check_recovery_rungs(solver: &SddSolver, g: &Graph, b: &[f64]) {
+    assert_same_graph(&solver.chain().top_graph(), &g.simplify());
+    // 1e-17 is below what f64 reaches: the ladder climbs every rung.
+    assert!(solver.try_solve_with_tolerance(b, 1e-17).is_err());
+    let probe: Vec<f64> = (0..g.n()).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+    for rung in [RecoveryRung::StrongerChain, RecoveryRung::DirectFactor] {
+        let built = solver.recovery_chain(rung).expect("the rung ran");
+        let fresh = build_chain(g, built.options());
+        assert_eq!(
+            format!("{:?}", built.stats()),
+            format!("{:?}", fresh.stats())
+        );
+        let (x, y) = (
+            built.solve(&probe, 1e-10, 40),
+            fresh.solve(&probe, 1e-10, 40),
+        );
+        assert_eq!(x.iterations, y.iterations, "{rung}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x.x), bits(&y.x), "{rung}");
+    }
+}
+
+/// The recovery rungs rebuild the caller's system from the chain's top
+/// matrix (the solver keeps no copy of its input), and the chains they
+/// build are the ones the input itself gives: on a Laplacian, and on the
+/// Gremban graph of an SDD matrix with positive off-diagonals.
+#[test]
+fn recovery_rungs_rebuild_the_callers_chain_bitwise() {
+    use parsdd_linalg::csr::CsrMatrix;
+    use parsdd_linalg::sdd::GrembanReduction;
+    let g = zoo::build("rmat", Tier::Small);
+    let solver = SddSolver::new_laplacian(&g, SddSolverOptions::default());
+    check_recovery_rungs(&solver, &g, &balanced_rhs(g.n(), 3));
+
+    let grid = generators::grid2d(12, 12, |x, y| 1.0 + ((x + 2 * y) % 3) as f64);
+    let lap = parsdd_linalg::laplacian::laplacian_of(&grid);
+    let n = grid.n();
+    let mut trips: Vec<(u32, u32, f64)> = (0..n)
+        .flat_map(|r| lap.row(r).map(move |(c, v)| (r as u32, c, v)))
+        .collect();
+    for i in 0..n as u32 {
+        trips.push((i, i, 0.5));
+    }
+    for (u, v) in [(0u32, 77u32), (5, 140), (30, 31)] {
+        trips.extend([(u, v, 0.2), (v, u, 0.2), (u, u, 0.2), (v, v, 0.2)]);
+    }
+    let a = CsrMatrix::from_triplets(n, n, &trips);
+    let solver = SddSolver::new_sdd(&a, SddSolverOptions::default());
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+    check_recovery_rungs(&solver, GrembanReduction::new(&a, 1e-14).graph(), &b);
+}
